@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use dsa_core::{Dsa, DsaConfig};
-use dsa_cpu::{CpuConfig, DynCommitHook, NullHook, Simulator, StepNull};
+use dsa_cpu::{CpuConfig, NullHook, Simulator, StepNull};
 use dsa_workloads::{build, BuiltWorkload, Scale, WorkloadId};
 
 fn simulate(w: &BuiltWorkload, dsa: bool) -> u64 {
@@ -48,8 +48,8 @@ fn bench_workloads(c: &mut Criterion) {
     group.finish();
 }
 
-/// One prepared simulator per iteration, so the dispatch comparison
-/// measures only the run loop.
+/// One prepared simulator per iteration, so each group measures only
+/// the run loop.
 fn prepared(w: &BuiltWorkload) -> Simulator {
     let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
     (w.init)(sim.machine_mut());
@@ -59,24 +59,12 @@ fn prepared(w: &BuiltWorkload) -> Simulator {
     sim
 }
 
-/// Virtual dispatch (`&mut dyn CommitHook`) vs the monomorphized
-/// generic fast path, on the same workload and hook. The generic path
-/// inlines `Dsa::on_commit` into the step loop; the dyn path pays an
-/// indirect call per committed instruction.
+/// The monomorphized DSA hook on one workload, measuring only the run
+/// loop: `Dsa::on_commit` inlines into the step loop.
 fn bench_hook_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("hook-dispatch");
     group.sample_size(20);
     let w = build(WorkloadId::RgbGray, dsa_compiler::Variant::Scalar, Scale::Small);
-    group.bench_function("dyn-hook", |b| {
-        b.iter(|| {
-            let mut sim = prepared(&w);
-            let mut hook = Dsa::new(DsaConfig::full());
-            let dyn_hook: &mut dyn DynCommitHook = &mut hook;
-            let out = sim.run_with_dyn_hook(100_000_000, dyn_hook).expect("runs");
-            assert!(out.halted);
-            black_box(out.committed)
-        })
-    });
     group.bench_function("generic-hook", |b| {
         b.iter(|| {
             let mut sim = prepared(&w);

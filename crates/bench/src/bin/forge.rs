@@ -11,8 +11,13 @@
 //! corpus of small loop programs spanning all eight paper loop classes,
 //! runs each through three differential oracle phases (clean, faulted,
 //! kill→restore→resume), and prints a per-class coverage table
-//! (generated × detected × vectorized). A failing program is
-//! ddmin-shrunk to a minimal reproducer and written as a replayable
+//! (generated × detected × vectorized). It also sweeps the eight fixed
+//! workloads through a clean check, every fault site (all at once, then
+//! one at a time) and a kill→restore→resume check, and prints a
+//! per-site table (checks × fired × degradations × poisoned); a site
+//! that never fires fails the campaign. A failing program is
+//! ddmin-shrunk to a minimal reproducer, a failing workload check is
+//! already minimal, and either is written as a replayable
 //! `dsa-forge/v1` JSON artifact.
 //!
 //! With `--inject-bug <name>` the campaign arms a planted test-only
@@ -32,12 +37,12 @@
 use std::io::Write as _;
 
 use dsa_bench::forge::campaign::observe;
-use dsa_bench::forge::{shrink_program, Campaign, ProgramSpec};
+use dsa_bench::forge::{shrink_program, Campaign, ForgeFailure, SiteTable, Subject};
 use dsa_core::{DsaConfig, TestBug};
 
 /// Campaign seeds CI runs when none are given (see
-/// `.github/workflows/ci.yml`, job `corpus`).
-const CI_SEEDS: [u64; 4] = [1, 2, 3, 5];
+/// `.github/workflows/ci.yml`, job `campaigns`).
+const CI_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
 
 struct Args {
     budget: usize,
@@ -113,6 +118,20 @@ fn exit(code: i32) -> ! {
     std::process::exit(code);
 }
 
+/// One line naming a subject for logs.
+fn describe(subject: &Subject) -> String {
+    match subject {
+        Subject::Program(spec) => format!("seed {} ({} loop(s))", spec.seed, spec.loops.len()),
+        Subject::Workload(case) => format!(
+            "seed {} (workload {}, phase {}, site {})",
+            case.seed,
+            case.workload.describe(),
+            case.phase.name(),
+            case.phase.site_name().unwrap_or("none")
+        ),
+    }
+}
+
 /// Replays one `dsa-forge/v1` artifact and grades it against what it
 /// recorded. See the module docs for the exit-code contract.
 fn replay(path: &str) -> ! {
@@ -123,23 +142,15 @@ fn replay(path: &str) -> ! {
             exit(4);
         }
     };
-    let parsed = ProgramSpec::from_json(&text).and_then(|sb| {
-        ProgramSpec::recorded_failure(&text).map(|rec| (sb, rec))
-    });
-    let ((spec, bug), recorded) = match parsed {
+    let (subject, bug, recorded) = match Subject::from_json(&text) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("forge: parsing {path}: {e}");
             exit(4);
         }
     };
-    println!(
-        "replaying seed {} ({} loop(s), bug={})",
-        spec.seed,
-        spec.loops.len(),
-        bug.map(|b| b.name()).unwrap_or("none"),
-    );
-    let live = observe(&spec, bug);
+    println!("replaying {}, bug={}", describe(&subject), bug.map(|b| b.name()).unwrap_or("none"));
+    let live = subject.observe(bug);
     let live_kind = live.map(|f| f.kind()).unwrap_or("none");
     println!(
         "outcome: recorded={} live={live_kind}",
@@ -177,26 +188,35 @@ fn replay(path: &str) -> ! {
     }
 }
 
-/// Shrinks the first failing program of a campaign and writes (or
-/// prints) the reproducer artifact.
+/// Writes (or prints) the reproducer artifact of a campaign's first
+/// failure, shrinking it first if it is a program.
 fn write_reproducer(
     seed: u64,
-    spec: &ProgramSpec,
-    failure: dsa_bench::forge::ForgeFailure,
+    subject: &Subject,
+    failure: ForgeFailure,
     bug: Option<TestBug>,
     out_dir: Option<&str>,
 ) {
-    println!(
-        "seed {seed}: program {:#018x} FAILED ({}); shrinking...",
-        spec.structural_hash(),
-        failure.kind()
-    );
-    let (min, tried) = shrink_program(spec, |p| observe(p, bug) == Some(failure));
-    println!(
-        "shrunk to {} loop(s), trips {:?} after {tried} candidate programs",
-        min.loops.len(),
-        min.loops.iter().map(|l| l.trip).collect::<Vec<_>>()
-    );
+    let min = match subject {
+        Subject::Program(spec) => {
+            println!(
+                "seed {seed}: program {:#018x} FAILED ({}); shrinking...",
+                spec.structural_hash(),
+                failure.kind()
+            );
+            let (min, tried) = shrink_program(spec, |p| observe(p, bug) == Some(failure));
+            println!(
+                "shrunk to {} loop(s), trips {:?} after {tried} candidate programs",
+                min.loops.len(),
+                min.loops.iter().map(|l| l.trip).collect::<Vec<_>>()
+            );
+            Subject::Program(min)
+        }
+        Subject::Workload(_) => {
+            println!("{} FAILED ({})", describe(subject), failure.kind());
+            subject.clone()
+        }
+    };
     let artifact = min.to_json(Some(failure.kind()), bug);
     let stem = match bug {
         Some(b) => format!("forge-repro-{}-seed{seed}.json", b.name()),
@@ -231,6 +251,7 @@ fn main() {
 
     let mut caught = 0usize;
     let mut total_programs = 0usize;
+    let mut sites = SiteTable::default();
     for &seed in &args.seeds {
         let mut campaign = Campaign::new(seed, args.budget, config);
         if let Some(jobs) = args.jobs {
@@ -253,18 +274,29 @@ fn main() {
         if !report.coverage.complete() {
             println!("note: seed {seed} alone does not cover all eight classes");
         }
+        print!("{}", report.sites.render());
+        sites.add(&report.sites);
         if report.infra_failures > 0 {
             eprintln!("forge: campaign seed {seed} hit supervisor-level failures");
             exit(1);
         }
-        if let Some((spec, failure)) = report.failures.first() {
+        if let Some((subject, failure)) = report.failures.first() {
             caught += 1;
-            write_reproducer(seed, spec, *failure, args.inject_bug, args.out_dir.as_deref());
+            write_reproducer(seed, subject, *failure, args.inject_bug, args.out_dir.as_deref());
             if args.inject_bug.is_none() {
                 eprintln!("forge: campaign seed {seed} diverged: {}", failure.kind());
                 exit(1);
             }
         }
+        let silent = report.sites.silent();
+        if !silent.is_empty() {
+            eprintln!("forge: campaign seed {seed}: fault site(s) never fired: {silent:?}");
+            exit(1);
+        }
+    }
+    if args.seeds.len() > 1 {
+        println!("fault sites across {} campaigns:", args.seeds.len());
+        print!("{}", sites.render());
     }
 
     match args.inject_bug {

@@ -1,7 +1,7 @@
 //! Wall-clock throughput baseline for the superblock interpreter
 //! (`BENCH_6.json`), in two sections:
 //!
-//! 1. **Scalar grid** (BENCH_5 continuity): every chaos workload — the
+//! 1. **Scalar grid** (BENCH_5 continuity): every fixed workload — the
 //!    seven paper applications plus the sentinel microkernel — is
 //!    simulated twice on the scalar system, once pinned to the classic
 //!    per-commit step loop ([`StepNull`]) and once on the predecoded
@@ -34,8 +34,8 @@
 
 use std::time::Instant;
 
-use dsa_bench::chaos::chaos_workloads;
-use dsa_bench::{cache::Workload, FUEL};
+use dsa_bench::cache::{fixed_workloads, Workload};
+use dsa_bench::FUEL;
 use dsa_compiler::Variant;
 use dsa_cpu::{CommitHook, CpuConfig, NullHook, Simd, Simulator, StepNull};
 use dsa_trace::json::{self, Value};
@@ -362,7 +362,7 @@ fn main() {
         usage_error("--reps must be at least 1");
     }
 
-    let grid: Vec<Workload> = chaos_workloads()
+    let grid: Vec<Workload> = fixed_workloads()
         .into_iter()
         .filter(|w| !micro_only || matches!(w, Workload::Micro(_)))
         .collect();

@@ -2,13 +2,16 @@
 //!
 //! Rolls any number of trace files — `dsa-trace/v1` JSONL and
 //! `dsa-tracebin/v1` columnar, auto-sniffed and freely mixed — into the
-//! fleet views a directory of soak/experiment runs needs: cycles by
-//! stage (the same charge keying as `trace_report`, so a rollup over N
-//! runs sums to the N per-run tables), cache-verdict and CIDP
-//! distributions, and per-workload degradation/poison rates.
+//! fleet views a directory of soak/experiment runs needs: the core-cycle
+//! span, cycles by stage (charges keyed by source, so a rollup over N
+//! runs sums to the N single-file tables), cache-verdict and CIDP
+//! distributions, and per-workload degradation/poison rates. Given one
+//! file it is the single-run report.
 //!
 //! ```text
 //! trace_query [--format table|jsonl] [--validate] <file-or-dir>...
+//! DSA_TRACE=out.jsonl cargo run -p dsa-bench --bin inspect -- bitcounts --trace
+//! cargo run -p dsa-bench --bin trace_query -- --validate out.jsonl
 //! ```
 //!
 //! Directory arguments scan (one level) for `*.jsonl` and `*.trcb`.
@@ -80,8 +83,12 @@ fn label_of(path: &str) -> String {
         .to_string()
 }
 
-fn render_table_report(total: &Rollup) {
+/// `span` is the (min, max) core cycle over every event folded.
+fn render_table_report(total: &Rollup, span: (u64, u64)) {
     println!("== rollup: {} runs, {} events ==", total.runs, total.events);
+    if span.0 <= span.1 {
+        println!("  core-cycle span: {}..{}", span.0, span.1);
+    }
 
     println!("\n== cycles by stage (all runs) ==");
     let rows: Vec<Vec<String>> = total
@@ -261,6 +268,7 @@ fn main() {
 
     let files: Vec<String> = paths.iter().flat_map(|p| expand(p)).collect();
     let mut total = Rollup::new();
+    let mut span = (u64::MAX, 0u64);
     for file in &files {
         let bytes = std::fs::read(file)
             .unwrap_or_else(|e| fail(&format!("cannot read `{file}`: {e}")));
@@ -287,10 +295,13 @@ fn main() {
         };
         eprintln!("trace_query: {file}: {} events ({fmt})", loaded.events.len());
         total.fold_file(&label_of(file), &loaded.events);
+        for ev in &loaded.events {
+            span = (span.0.min(ev.cycle()), span.1.max(ev.cycle()));
+        }
     }
 
     match format {
-        Format::Table => render_table_report(&total),
+        Format::Table => render_table_report(&total, span),
         Format::Jsonl => render_jsonl_report(&total),
     }
 }

@@ -58,8 +58,8 @@ impl Workload {
     }
 
     /// Inverse of [`Workload::describe`]: resolves a display name back
-    /// to the workload (chaos artifacts and service job specs carry
-    /// names).
+    /// to the workload (forge workload artifacts and service job specs
+    /// carry names).
     pub fn by_name(name: &str) -> Option<Workload> {
         WorkloadId::all()
             .into_iter()
@@ -69,6 +69,23 @@ impl Workload {
                 micro::Micro::all().into_iter().find(|m| m.name() == name).map(Workload::Micro)
             })
     }
+}
+
+/// The eight fixed workloads: every paper application plus the
+/// `sentinel` microkernel. Forge's workload source, the resume oracle
+/// and `perf_baseline` all run this set.
+pub fn fixed_workloads() -> [Workload; 8] {
+    let ids = WorkloadId::all();
+    [
+        Workload::App(ids[0]),
+        Workload::App(ids[1]),
+        Workload::App(ids[2]),
+        Workload::App(ids[3]),
+        Workload::App(ids[4]),
+        Workload::App(ids[5]),
+        Workload::App(ids[6]),
+        Workload::Micro(micro::Micro::Sentinel),
+    ]
 }
 
 /// Cache key: the exact inputs that determine a run's outcome.

@@ -707,154 +707,6 @@ pub fn ablation_sentinel() -> Result<String, RunError> {
     ))
 }
 
-/// R1 — the fault-injection matrix: every fault site (and all sites at
-/// once) × every seed, each cell running the differential oracle over
-/// all seven applications. A cell passes only if every DSA-attached run
-/// under the armed [`FaultPlan`](dsa_core::FaultPlan) finishes with
-/// architectural state bit-identical to the scalar-only reference.
-///
-/// # Errors
-///
-/// Returns [`RunError::OracleMismatch`] naming the first failing
-/// `(site, seed)` cell, or [`RunError::Sim`] if a reference run failed.
-pub fn fault_matrix(seeds: &[u64]) -> Result<String, RunError> {
-    use dsa_core::{DifferentialOracle, FaultPlan, FaultSite, OracleVerdict};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    /// Aggregate of one (site, seed) cell over the workload set.
-    #[derive(Debug, Clone, Copy, Default)]
-    struct Cell {
-        checks: u64,
-        fired: u64,
-        degradations: u64,
-        poisoned: u64,
-    }
-
-    let sites: Vec<(&'static str, Option<FaultSite>)> = std::iter::once(("all", None))
-        .chain(FaultSite::ALL.into_iter().map(|s| (s.name(), Some(s))))
-        .collect();
-    let cells: Vec<(&'static str, Option<FaultSite>, u64)> = sites
-        .iter()
-        .flat_map(|&(name, site)| seeds.iter().map(move |&seed| (name, site, seed)))
-        .collect();
-
-    let results: Vec<Mutex<Option<Result<Cell, RunError>>>> =
-        cells.iter().map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    let oracle = DifferentialOracle::new(crate::FUEL);
-    std::thread::scope(|scope| {
-        for _ in 0..crate::cache::jobs_from_env().clamp(1, cells.len()) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(name, site, seed)) = cells.get(i) else { break };
-                let plan = match site {
-                    None => FaultPlan::all(seed),
-                    Some(s) => FaultPlan::only(seed, s),
-                };
-                let mut cell = Cell::default();
-                let mut outcome = Ok(());
-                let grade = |cell: &mut Cell, report: &dsa_core::OracleReport| {
-                    cell.checks += 1;
-                    match report.verdict {
-                        OracleVerdict::Match => Ok(()),
-                        // The paper workloads all halt comfortably inside
-                        // FUEL, so an inconclusive (reference starved)
-                        // outcome here is as fatal as a reference failure.
-                        OracleVerdict::ScalarFailed(e)
-                        | OracleVerdict::DsaFailed(e)
-                        | OracleVerdict::Inconclusive(e) => Err(RunError::Sim(e)),
-                        OracleVerdict::Mismatch { .. } => {
-                            Err(RunError::OracleMismatch { seed, site: name })
-                        }
-                    }
-                };
-                for id in WorkloadId::all() {
-                    let w = build_workload_scalar(id);
-                    let config = DsaConfig::full().with_faults(plan);
-                    let report = oracle.check(&w.kernel.program, config, &w.init);
-                    cell.fired += report.stats.faults_injected;
-                    cell.degradations += report.stats.degradations;
-                    cell.poisoned += report.stats.poison_events;
-                    outcome = grade(&mut cell, &report);
-                    if outcome.is_err() {
-                        break;
-                    }
-                }
-                // The sentinel-lie site only fires at a DSA-executed
-                // sentinel exit, which needs the loop's template cached
-                // from earlier entrances — no application reaches that
-                // from a cold engine. Drive the sentinel microkernel
-                // through one persistent engine, three entrances.
-                if outcome.is_ok() {
-                    let w = dsa_workloads::micro::build(
-                        dsa_workloads::micro::Micro::Sentinel,
-                        dsa_compiler::Variant::Scalar,
-                        Scale::Small,
-                    );
-                    let mut dsa = dsa_core::Dsa::new(DsaConfig::full().with_faults(plan));
-                    for _ in 0..3 {
-                        let report = oracle.check_with(&w.kernel.program, &mut dsa, &w.init);
-                        outcome = grade(&mut cell, &report);
-                        if outcome.is_err() {
-                            break;
-                        }
-                    }
-                    // Engine stats are cumulative; fold them in once.
-                    let s = dsa.stats();
-                    cell.fired += s.faults_injected;
-                    cell.degradations += s.degradations;
-                    cell.poisoned += s.poison_events;
-                }
-                *results[i].lock().expect("fault-matrix slot") =
-                    Some(outcome.map(|()| cell));
-            });
-        }
-    });
-
-    // Aggregate per site, in site order; the first failing cell aborts.
-    let mut rows = Vec::new();
-    for &(name, _) in &sites {
-        let mut total = Cell::default();
-        for (cell, slot) in cells.iter().zip(&results) {
-            if cell.0 != name {
-                continue;
-            }
-            let got = slot.lock().expect("fault-matrix slot").take().expect("cell computed");
-            let c = got?;
-            total.checks += c.checks;
-            total.fired += c.fired;
-            total.degradations += c.degradations;
-            total.poisoned += c.poisoned;
-        }
-        rows.push(vec![
-            name.into(),
-            total.checks.to_string(),
-            total.fired.to_string(),
-            total.degradations.to_string(),
-            total.poisoned.to_string(),
-            "match".into(),
-        ]);
-    }
-    Ok(format!(
-        "Fault matrix — differential oracle over {} seeds x {} applications per site\n\
-         (plus three entrances of the sentinel microkernel through a persistent engine,\n\
-         so cache-resident fault sites have injection opportunities; each check runs\n\
-         scalar-only and DSA-attached under the armed fault plan and compares final\n\
-         registers, vector registers, flags and memory bit for bit)\n\n{}",
-        seeds.len(),
-        WorkloadId::all().len(),
-        render_table(
-            &["fault site", "oracle checks", "faults fired", "degradations", "poisoned", "state"],
-            &rows
-        )
-    ))
-}
-
-fn build_workload_scalar(id: WorkloadId) -> dsa_workloads::BuiltWorkload {
-    dsa_workloads::build(id, dsa_compiler::Variant::Scalar, Scale::Small)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,15 +718,5 @@ mod tests {
         let inh = table1_inhibitors().expect("static");
         assert!(inh.contains("indirect addressing"));
         assert!(inh.contains("iteration count not fixed"));
-    }
-
-    #[test]
-    fn fault_matrix_holds_for_one_seed() {
-        let text = fault_matrix(&[0xD5A]).expect("oracle must hold");
-        assert!(text.contains("corrupt-template"));
-        assert!(text.contains("skip-rollback-flush"));
-        // Every site row (5 single sites + "all") reports a
-        // bit-identical final state.
-        assert_eq!(text.matches("match").count(), 6, "one `match` verdict per site row");
     }
 }

@@ -1,6 +1,8 @@
 //! The supervised differential campaign: every generated program runs
 //! three oracle phases, in parallel across `DSA_JOBS` workers, with
-//! per-loop-class coverage folded from the trace stream.
+//! per-loop-class coverage folded from the trace stream. Beside the
+//! generated corpus, each campaign seed also sweeps the eight fixed
+//! workloads through the per-site fault checks ([`super::workload`]).
 //!
 //! The phases, and what each one can catch:
 //!
@@ -31,12 +33,15 @@ use dsa_core::{
 };
 use dsa_trace::{Collector, Event, Shared};
 
-use crate::cache;
+use crate::cache::{self, fixed_workloads};
 use crate::{render_table, RunError, Supervisor, SupervisorPolicy};
 
 use super::gen::generate_nth;
 use super::lower::lower;
-use super::spec::ProgramSpec;
+use super::spec::{
+    parse_artifact, parse_bug, parse_failure, push_outcome, ProgramSpec, FORGE_SCHEMA,
+};
+use super::workload::{run_workload, SiteTable, WorkloadCase, WorkloadOutcome};
 
 /// Step budget per oracle run. Generated programs are small (≤ 3 loops
 /// × ≤ 512 iterations), so this is ~100× headroom; a program that
@@ -77,7 +82,8 @@ pub enum ForgeFailure {
     /// restore.
     ResumeDsaFailed,
     /// The scalar reference itself hit an executor error — a
-    /// generator/lowering bug, reported so it can be shrunk too.
+    /// generator/lowering bug, reported so it can be shrunk too — or,
+    /// on a fixed workload, ran out of fuel.
     ScalarFailed,
 }
 
@@ -157,19 +163,10 @@ pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
             }
         }
     });
-    match clean.verdict {
-        OracleVerdict::Match => {}
-        OracleVerdict::Inconclusive(_) => out.inconclusive += 1,
-        OracleVerdict::Mismatch { .. } => {
-            out.failure = Some(ForgeFailure::CleanMismatch);
-            return out;
-        }
-        OracleVerdict::DsaFailed(_) => {
-            out.failure = Some(ForgeFailure::CleanDsaFailed);
-            return out;
-        }
-        OracleVerdict::ScalarFailed(_) => {
-            out.failure = Some(ForgeFailure::ScalarFailed);
+    match grade(&clean.verdict, (ForgeFailure::CleanMismatch, ForgeFailure::CleanDsaFailed)) {
+        Ok(inconclusive) => out.inconclusive += u32::from(inconclusive),
+        Err(f) => {
+            out.failure = Some(f);
             return out;
         }
     }
@@ -178,42 +175,99 @@ pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
     let mut faulted = Dsa::new(config);
     faulted.arm_schedule(fault_schedule(spec.seed));
     let fr = oracle.check_with(&prog.kernel.program, &mut faulted, prog.init());
-    match fr.verdict {
-        OracleVerdict::Match => {}
-        OracleVerdict::Inconclusive(_) => out.inconclusive += 1,
-        OracleVerdict::Mismatch { .. } => {
-            out.failure = Some(ForgeFailure::FaultMismatch);
-            return out;
-        }
-        OracleVerdict::DsaFailed(_) => {
-            out.failure = Some(ForgeFailure::FaultDsaFailed);
-            return out;
-        }
-        OracleVerdict::ScalarFailed(_) => {
-            out.failure = Some(ForgeFailure::ScalarFailed);
+    match grade(&fr.verdict, (ForgeFailure::FaultMismatch, ForgeFailure::FaultDsaFailed)) {
+        Ok(inconclusive) => out.inconclusive += u32::from(inconclusive),
+        Err(f) => {
+            out.failure = Some(f);
             return out;
         }
     }
 
     // Phase 3: kill → snapshot → restore → resume, bit-compared.
     let rr = oracle.check_resume(&prog.kernel.program, config, prog.init(), kill_at(spec.seed));
-    match rr.verdict {
-        OracleVerdict::Match => {}
-        OracleVerdict::Inconclusive(_) => out.inconclusive += 1,
-        OracleVerdict::Mismatch { .. } => out.failure = Some(ForgeFailure::ResumeMismatch),
-        OracleVerdict::DsaFailed(_) => out.failure = Some(ForgeFailure::ResumeDsaFailed),
-        OracleVerdict::ScalarFailed(_) => out.failure = Some(ForgeFailure::ScalarFailed),
+    match grade(&rr.verdict, (ForgeFailure::ResumeMismatch, ForgeFailure::ResumeDsaFailed)) {
+        Ok(inconclusive) => out.inconclusive += u32::from(inconclusive),
+        Err(f) => out.failure = Some(f),
     }
     out
 }
 
+/// Grades one oracle verdict against a phase's (mismatch, DSA-failed)
+/// failure kinds: `Ok(true)` when inconclusive (reference fuel,
+/// counted rather than failed, since a generated program may be
+/// pathological), `Ok(false)` on a match.
+pub(crate) fn grade(
+    verdict: &OracleVerdict,
+    (mismatch, dsa_failed): (ForgeFailure, ForgeFailure),
+) -> Result<bool, ForgeFailure> {
+    match verdict {
+        OracleVerdict::Match => Ok(false),
+        OracleVerdict::Inconclusive(_) => Ok(true),
+        OracleVerdict::Mismatch { .. } => Err(mismatch),
+        OracleVerdict::DsaFailed(_) => Err(dsa_failed),
+        OracleVerdict::ScalarFailed(_) => Err(ForgeFailure::ScalarFailed),
+    }
+}
+
+/// The configuration a replay runs under: the full DSA, with the
+/// planted bug armed if the artifact recorded one.
+fn replay_config(bug: Option<TestBug>) -> DsaConfig {
+    bug.map_or(DsaConfig::full(), |b| DsaConfig::full().with_test_bug(b))
+}
+
 /// Replays one spec (artifact or fresh) and reports what it does now.
 pub fn observe(spec: &ProgramSpec, bug: Option<TestBug>) -> Option<ForgeFailure> {
-    let mut config = DsaConfig::full();
-    if let Some(b) = bug {
-        config = config.with_test_bug(b);
+    run_program(spec, replay_config(bug)).failure
+}
+
+/// What a `dsa-forge/v1` reproducer replays: a generated program or
+/// one fixed-workload check.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Subject {
+    /// A generated program; its artifact carries `loops`.
+    Program(ProgramSpec),
+    /// One fixed-workload check; its artifact carries `workload`,
+    /// `phase` and `site`.
+    Workload(WorkloadCase),
+}
+
+impl Subject {
+    /// Replays the subject and reports what it does now.
+    pub fn observe(&self, bug: Option<TestBug>) -> Option<ForgeFailure> {
+        match self {
+            Subject::Program(spec) => observe(spec, bug),
+            Subject::Workload(case) => case.failure(replay_config(bug)),
+        }
     }
-    run_program(spec, config).failure
+
+    /// Renders the reproducer artifact (see [`ProgramSpec::to_json`]).
+    pub fn to_json(&self, failure: Option<&str>, bug: Option<TestBug>) -> String {
+        match self {
+            Subject::Program(spec) => spec.to_json(failure, bug),
+            Subject::Workload(case) => {
+                let mut out = format!("{{\"schema\":\"{FORGE_SCHEMA}\"");
+                case.push_json(&mut out);
+                push_outcome(&mut out, failure, bug);
+                out
+            }
+        }
+    }
+
+    /// Parses a reproducer artifact of either subject, with its armed
+    /// test bug and the failure kind it recorded (`None`: clean).
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first structural problem.
+    pub fn from_json(text: &str) -> Result<(Subject, Option<TestBug>, Option<String>), String> {
+        let v = parse_artifact(text)?;
+        let subject = if v.get("workload").is_none() {
+            Subject::Program(ProgramSpec::from_value(&v)?)
+        } else {
+            Subject::Workload(WorkloadCase::from_value(&v)?)
+        };
+        Ok((subject, parse_bug(&v)?, parse_failure(&v)?))
+    }
 }
 
 /// One row of the coverage report.
@@ -328,15 +382,18 @@ pub struct CampaignReport {
     pub programs: usize,
     /// Generated programs discarded as structural duplicates.
     pub duplicates: usize,
-    /// Oracle phases that were inconclusive (reference fuel).
+    /// Generated-program oracle phases that were inconclusive
+    /// (reference fuel).
     pub inconclusive: u64,
     /// Supervisor-level failures (worker panic, deadline, breaker) —
     /// infra problems, not detector verdicts.
     pub infra_failures: u64,
-    /// Failing programs, in corpus order.
-    pub failures: Vec<(ProgramSpec, ForgeFailure)>,
-    /// Per-class coverage across the corpus.
+    /// Failing subjects: programs in corpus order, then workloads.
+    pub failures: Vec<(Subject, ForgeFailure)>,
+    /// Per-class coverage across the generated corpus.
     pub coverage: Coverage,
+    /// Fault-site tallies of the fixed-workload sweep.
+    pub sites: SiteTable,
 }
 
 impl CampaignReport {
@@ -374,22 +431,32 @@ impl Campaign {
     }
 
     /// Runs the campaign: corpus generation, then the three-phase
-    /// check for every program, fanned out across workers behind the
-    /// crash-isolating supervisor (one breaker per first-loop class).
+    /// check for every program and the sweep for every fixed
+    /// workload, fanned out across workers behind the crash-isolating
+    /// supervisor (one breaker per first-loop class or workload).
     pub fn run(&self) -> CampaignReport {
         let (corpus, generated) = self.corpus();
+        let workloads = fixed_workloads();
         let supervisor = Supervisor::new(cache::global(), SupervisorPolicy::default());
         let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Result<ProgramOutcome, RunError>)>> =
-            Mutex::new(Vec::with_capacity(corpus.len()));
+        let results: Mutex<Vec<(usize, Result<Outcome, RunError>)>> =
+            Mutex::new(Vec::with_capacity(corpus.len() + workloads.len()));
 
         std::thread::scope(|scope| {
             for _ in 0..self.jobs.max(1) {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(spec) = corpus.get(i) else { break };
-                    let name = supervisor_name(spec);
-                    let r = supervisor.call(name, || Ok(run_program(spec, self.config)));
+                    let r = if let Some(spec) = corpus.get(i) {
+                        supervisor.call(supervisor_name(spec), || {
+                            Ok(Outcome::Program(run_program(spec, self.config)))
+                        })
+                    } else if let Some(&w) = workloads.get(i - corpus.len()) {
+                        supervisor.call(w.describe(), || {
+                            Ok(Outcome::Workload(run_workload(self.seed, w, self.config)))
+                        })
+                    } else {
+                        break;
+                    };
                     results.lock().unwrap_or_else(|e| e.into_inner()).push((i, r));
                 });
             }
@@ -406,14 +473,21 @@ impl Campaign {
             infra_failures: 0,
             failures: Vec::new(),
             coverage: Coverage::full_vocabulary(),
+            sites: SiteTable::default(),
         };
         for (i, r) in results {
             match r {
-                Ok(outcome) => {
+                Ok(Outcome::Program(outcome)) => {
                     report.inconclusive += outcome.inconclusive as u64;
                     report.coverage.fold(&corpus[i], &outcome);
                     if let Some(f) = outcome.failure {
-                        report.failures.push((corpus[i].clone(), f));
+                        report.failures.push((Subject::Program(corpus[i].clone()), f));
+                    }
+                }
+                Ok(Outcome::Workload(outcome)) => {
+                    report.sites.add(&outcome.sites);
+                    if let Some((case, f)) = outcome.failure {
+                        report.failures.push((Subject::Workload(case), f));
                     }
                 }
                 Err(_) => report.infra_failures += 1,
@@ -421,6 +495,12 @@ impl Campaign {
         }
         report
     }
+}
+
+/// What one campaign task observed.
+enum Outcome {
+    Program(ProgramOutcome),
+    Workload(WorkloadOutcome),
 }
 
 /// The supervisor breaker key for a program: the expected class of its
@@ -477,12 +557,13 @@ mod tests {
         assert!(
             report.clean(),
             "campaign must be clean, got failures {:?} ({} infra)",
-            report.failures.iter().map(|(s, f)| (s.seed, f.kind())).collect::<Vec<_>>(),
+            report.failures,
             report.infra_failures,
         );
         assert_eq!(report.programs, 48);
         assert!(report.duplicates < report.generated);
         assert!(report.coverage.complete(), "coverage:\n{}", report.coverage.render());
+        assert!(report.sites.silent().is_empty(), "sites:\n{}", report.sites.render());
     }
 
     #[test]

@@ -19,10 +19,14 @@
 //!    kill→snapshot→restore [`check_resume`] pass. Programs fan out
 //!    across `DSA_JOBS` workers behind the crash-isolating
 //!    [`Supervisor`](crate::Supervisor).
+//!    Each campaign seed also sweeps the eight fixed workloads
+//!    ([`workload`]) through a clean check, the per-site fault sweep
+//!    and a kill/resume check, tallying a per-site table.
 //! 4. **Shrink** ([`shrink`]): a failing program is ddmin-minimized —
 //!    drop loops, simplify bodies, shrink trips — while the failure
 //!    still reproduces, then serialized as a `dsa-forge/v1` JSON
-//!    reproducer for `corpus/regressions/`.
+//!    reproducer for `corpus/regressions/`. A failing workload check
+//!    is already minimal and is serialized as it is.
 //!
 //! The harness proves it can catch real bugs with a *planted* one:
 //! [`TestBug::CorruptRestore`](dsa_core::TestBug) corrupts one bit of
@@ -39,11 +43,13 @@ pub mod gen;
 pub mod lower;
 pub mod shrink;
 pub mod spec;
+pub mod workload;
 
 pub use campaign::{
-    run_program, Campaign, CampaignReport, Coverage, ForgeFailure, ProgramOutcome,
+    run_program, Campaign, CampaignReport, Coverage, ForgeFailure, ProgramOutcome, Subject,
 };
 pub use gen::{generate, generate_nth, MAX_LOOPS};
 pub use lower::{lower, ForgeProgram};
 pub use shrink::shrink_program;
 pub use spec::{LoopSpec, ProgramSpec, Shape, FORGE_SCHEMA};
+pub use workload::{Phase, SiteTable, WorkloadCase};

@@ -1,9 +1,8 @@
 //! Program-level ddmin: minimize a failing [`ProgramSpec`] while the
-//! failure still reproduces.
+//! failure still reproduces. This is the campaign's only shrinker: a
+//! failing fixed-workload check is already minimal.
 //!
-//! The same greedy fixed-point scheme as the chaos-plan shrinker
-//! (`crate::chaos::shrink`), generalized from fault schedules to
-//! programs. Reduction passes, coarsest first:
+//! A greedy fixed-point scheme. Reduction passes, coarsest first:
 //!
 //! 1. **Drop loops** — remove whole loops one at a time.
 //! 2. **Shrink trips** — halve trip counts down to 16 (and nest rows

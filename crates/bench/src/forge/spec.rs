@@ -236,15 +236,7 @@ impl ProgramSpec {
             ));
         }
         out.push(']');
-        match bug {
-            Some(b) => out.push_str(&format!(",\"bug\":\"{}\"", b.name())),
-            None => out.push_str(",\"bug\":null"),
-        }
-        match failure {
-            Some(kind) => out.push_str(&format!(",\"failure\":\"{kind}\"")),
-            None => out.push_str(",\"failure\":null"),
-        }
-        out.push('}');
+        push_outcome(&mut out, failure, bug);
         out
     }
 
@@ -257,11 +249,12 @@ impl ProgramSpec {
     /// JSON, wrong schema, unknown shape/type/op names, missing
     /// fields, or an unknown bug name.
     pub fn from_json(text: &str) -> Result<(ProgramSpec, Option<TestBug>), String> {
-        let v = json::parse(text).map_err(|e| format!("bad JSON: {e:?}"))?;
-        let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
-        if schema != FORGE_SCHEMA {
-            return Err(format!("schema `{schema}`, want `{FORGE_SCHEMA}`"));
-        }
+        let v = parse_artifact(text)?;
+        Ok((ProgramSpec::from_value(&v)?, parse_bug(&v)?))
+    }
+
+    /// Reads a program subject back from a parsed artifact.
+    pub(crate) fn from_value(v: &Value) -> Result<ProgramSpec, String> {
         let seed = v.get("seed").and_then(Value::as_u64).ok_or("missing seed")?;
         let mut loops = Vec::new();
         let Some(Value::Arr(arr)) = v.get("loops") else {
@@ -304,38 +297,58 @@ impl ProgramSpec {
         if loops.is_empty() {
             return Err("program has no loops".into());
         }
-        let bug = match v.get("bug") {
-            Some(Value::Null) | None => None,
-            Some(b) => {
-                let name = b.as_str().ok_or("`bug` is neither null nor a string")?;
-                Some(TestBug::by_name(name).ok_or(format!("unknown bug `{name}`"))?)
-            }
-        };
-        Ok((ProgramSpec { seed, loops }, bug))
+        Ok(ProgramSpec { seed, loops })
     }
+}
 
-    /// The failure kind an artifact recorded at capture time (`None`
-    /// for a clean sample). Replay compares this against the rerun's
-    /// outcome to flag *stale* reproducers.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description for bad JSON, a wrong schema, or a
-    /// malformed `failure` field.
-    pub fn recorded_failure(text: &str) -> Result<Option<String>, String> {
-        let v = json::parse(text).map_err(|e| format!("bad JSON: {e:?}"))?;
-        let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
-        if schema != FORGE_SCHEMA {
-            return Err(format!("schema `{schema}`, want `{FORGE_SCHEMA}`"));
+/// Parses a `dsa-forge/v1` artifact of either subject and checks its
+/// schema tag.
+pub(crate) fn parse_artifact(text: &str) -> Result<Value, String> {
+    let v = json::parse(text).map_err(|e| format!("bad JSON: {e:?}"))?;
+    let schema = v.get("schema").and_then(Value::as_str).unwrap_or("");
+    if schema != FORGE_SCHEMA {
+        return Err(format!("schema `{schema}`, want `{FORGE_SCHEMA}`"));
+    }
+    Ok(v)
+}
+
+/// Appends the fields every artifact ends with — the armed planted
+/// bug and the recorded failure kind — and closes the object.
+pub(crate) fn push_outcome(out: &mut String, failure: Option<&str>, bug: Option<TestBug>) {
+    match bug {
+        Some(b) => out.push_str(&format!(",\"bug\":\"{}\"", b.name())),
+        None => out.push_str(",\"bug\":null"),
+    }
+    match failure {
+        Some(kind) => out.push_str(&format!(",\"failure\":\"{kind}\"")),
+        None => out.push_str(",\"failure\":null"),
+    }
+    out.push('}');
+}
+
+/// Reads the planted bug an artifact armed (`null` or absent: none).
+pub(crate) fn parse_bug(v: &Value) -> Result<Option<TestBug>, String> {
+    match v.get("bug") {
+        Some(Value::Null) | None => Ok(None),
+        Some(b) => {
+            let name = b.as_str().ok_or("`bug` is neither null nor a string")?;
+            Ok(Some(TestBug::by_name(name).ok_or(format!("unknown bug `{name}`"))?))
         }
-        match v.get("failure") {
-            Some(Value::Null) => Ok(None),
-            Some(f) => match f.as_str() {
-                Some(kind) => Ok(Some(kind.to_string())),
-                None => Err("`failure` is neither null nor a string".into()),
-            },
-            None => Err("artifact has no `failure` field".into()),
-        }
+    }
+}
+
+/// Reads the failure kind an artifact recorded at capture time (`None`
+/// for a clean sample). Replay compares this against the rerun's
+/// outcome to flag *stale* reproducers, so an absent or non-string
+/// field is an error, never a clean reading.
+pub(crate) fn parse_failure(v: &Value) -> Result<Option<String>, String> {
+    match v.get("failure") {
+        Some(Value::Null) => Ok(None),
+        Some(f) => match f.as_str() {
+            Some(kind) => Ok(Some(kind.to_string())),
+            None => Err("`failure` is neither null nor a string".into()),
+        },
+        None => Err("artifact has no `failure` field".into()),
     }
 }
 
@@ -419,6 +432,10 @@ pub fn cmp_by_name(name: &str) -> Option<CmpOp> {
 mod tests {
     use super::*;
 
+    fn recorded_failure(text: &str) -> Result<Option<String>, String> {
+        parse_failure(&parse_artifact(text)?)
+    }
+
     #[test]
     fn shapes_cover_all_eight_classes() {
         let classes: std::collections::BTreeSet<&str> =
@@ -465,7 +482,7 @@ mod tests {
         assert_eq!(back, spec);
         assert_eq!(bug, Some(TestBug::CorruptRestore));
         assert_eq!(
-            ProgramSpec::recorded_failure(&text),
+            recorded_failure(&text),
             Ok(Some("resume-mismatch".to_string()))
         );
         // A clean artifact parses too.
@@ -473,7 +490,7 @@ mod tests {
         let (back2, bug2) = ProgramSpec::from_json(&clean).expect("parses");
         assert_eq!(back2, spec);
         assert_eq!(bug2, None);
-        assert_eq!(ProgramSpec::recorded_failure(&clean), Ok(None));
+        assert_eq!(recorded_failure(&clean), Ok(None));
     }
 
     #[test]
@@ -487,6 +504,12 @@ mod tests {
         assert!(ProgramSpec::from_json(&bad_bug).is_err());
         let empty = "{\"schema\":\"dsa-forge/v1\",\"seed\":1,\"loops\":[],\"bug\":null,\"failure\":null}";
         assert!(ProgramSpec::from_json(empty).is_err());
-        assert!(ProgramSpec::recorded_failure("not json").is_err());
+        assert!(recorded_failure("not json").is_err());
+        // A replay must not read an unrecorded or non-string failure
+        // as a clean artifact.
+        let missing = spec.to_json(None, None).replace(",\"failure\":null", "");
+        assert!(recorded_failure(&missing).is_err());
+        let nonstring = spec.to_json(None, None).replace("\"failure\":null", "\"failure\":7");
+        assert!(recorded_failure(&nonstring).is_err());
     }
 }

@@ -16,7 +16,6 @@
 //! speedup can never come from wrong results.
 
 pub mod cache;
-pub mod chaos;
 pub mod experiments;
 pub mod forge;
 pub mod supervise;
@@ -54,14 +53,6 @@ pub enum RunError {
         /// Golden checksum expected.
         want: u64,
     },
-    /// The differential oracle found a DSA run diverging from its
-    /// scalar-only reference (fault matrix).
-    OracleMismatch {
-        /// Fault-plan seed of the failing schedule.
-        seed: u64,
-        /// Name of the armed fault site (or "all").
-        site: &'static str,
-    },
     /// A supervised worker panicked (caught at the crash-isolation
     /// boundary) and exhausted its retries.
     Panicked {
@@ -95,10 +86,6 @@ impl std::fmt::Display for RunError {
                 f,
                 "{} produced a wrong result: got {got:#x}, want {want:#x}",
                 system.name()
-            ),
-            RunError::OracleMismatch { seed, site } => write!(
-                f,
-                "differential oracle mismatch under fault site `{site}` (seed {seed})"
             ),
             RunError::Panicked { workload } => {
                 write!(f, "worker panicked running `{workload}` (retries exhausted)")
@@ -404,8 +391,6 @@ mod tests {
         assert_eq!(e.to_string(), "simulation failed: did not halt within 9 steps (stuck at pc 64)");
         let w = RunError::WrongResult { system: System::DsaFull, got: 1, want: 2 };
         assert!(w.to_string().contains("wrong result"));
-        let o = RunError::OracleMismatch { seed: 3, site: "all" };
-        assert!(o.to_string().contains("seed 3"));
         let p = RunError::Panicked { workload: "qsort" };
         assert!(p.to_string().contains("panicked"));
         let d = RunError::DeadlineExceeded { workload: "fft", deadline_ms: 250 };

@@ -30,7 +30,7 @@
 //! Every transition is emitted as a typed [`dsa_trace::Event`]
 //! (`supervisor-retry`, `worker-panicked`, `deadline-exceeded`,
 //! `breaker-open`, `breaker-half-open`, `breaker-closed`) through an
-//! attachable sink, so `trace_report` can account for supervision
+//! attachable sink, so `trace_query` can account for supervision
 //! alongside engine telemetry. These events live in the wall-clock
 //! domain and carry `cycle: 0`.
 

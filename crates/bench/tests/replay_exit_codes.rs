@@ -1,21 +1,24 @@
-//! Pins the replay exit-code contract of the two reproducer-driven
-//! binaries, `chaos_soak` and `forge`. CI scripts branch on these
-//! codes (reproduced vs stale vs rotten artifact), so a renumbering is
-//! a breaking change and must fail here first.
+//! Pins the replay exit-code contract of `forge --replay`, for both
+//! reproducer subjects (a generated program, a fixed-workload check).
+//! CI scripts branch on these codes (reproduced vs stale vs rotten
+//! artifact), so a renumbering is a breaking change and must fail here
+//! first.
 //!
-//! | code | chaos_soak --replay            | forge --replay                     |
-//! |------|--------------------------------|------------------------------------|
-//! | 0    | replay passes, nothing recorded| behaves as recorded                |
-//! | 1    | recorded failure reproduces    | unexpected live divergence         |
-//! | 3    | stale reproducer               | stale reproducer                   |
-//! | 4    | unreadable / malformed artifact| unreadable / malformed artifact    |
+//! | code | meaning                                                  |
+//! |------|----------------------------------------------------------|
+//! | 0    | behaves as recorded                                      |
+//! | 1    | unexpected live divergence                               |
+//! | 2    | usage error                                              |
+//! | 3    | stale reproducer (recorded failure no longer reproduces) |
+//! | 4    | unreadable / malformed artifact                          |
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use dsa_bench::chaos::ChaosPlan;
-use dsa_bench::forge::{LoopSpec, ProgramSpec};
-use dsa_core::{BurstWindow, FaultSchedule, FaultSite, TestBug};
+use dsa_bench::cache::Workload;
+use dsa_bench::forge::{LoopSpec, Phase, ProgramSpec, Subject, WorkloadCase};
+use dsa_core::{FaultSite, TestBug};
+use dsa_workloads::micro::Micro;
 
 /// Writes `text` to a fresh file under the target tmpdir and returns
 /// its path.
@@ -27,58 +30,68 @@ fn artifact(name: &str, text: &str) -> PathBuf {
     path
 }
 
-fn run(bin: &str, args: &[&str]) -> i32 {
+fn forge(args: &[&str]) -> i32 {
+    let bin = env!("CARGO_BIN_EXE_forge");
     let out = Command::new(bin).args(args).output().unwrap();
     out.status.code().unwrap_or_else(|| panic!("{bin} killed by signal"))
 }
 
-fn chaos_soak(args: &[&str]) -> i32 {
-    run(env!("CARGO_BIN_EXE_chaos_soak"), args)
-}
-
-fn forge(args: &[&str]) -> i32 {
-    run(env!("CARGO_BIN_EXE_forge"), args)
-}
-
-/// A quiet chaos plan: no faults, no kill, no corruption — replays
-/// clean at Small scale in well under a second.
-fn quiet_plan() -> ChaosPlan {
-    let mut plan = ChaosPlan::generate(1);
-    plan.schedule = FaultSchedule::default();
-    plan.kill_at = None;
-    plan.corrupt_bit = None;
-    plan
+/// The sentinel microkernel's resume check: killed mid-run on every
+/// seed, so the planted restore bug fires when armed.
+fn resume_case() -> Subject {
+    Subject::Workload(WorkloadCase {
+        seed: 1,
+        workload: Workload::Micro(Micro::Sentinel),
+        phase: Phase::Resume,
+    })
 }
 
 #[test]
-fn chaos_soak_clean_replay_exits_0() {
-    let path = artifact("chaos-clean.json", &quiet_plan().to_json(None));
-    assert_eq!(chaos_soak(&["--replay", path.to_str().unwrap()]), 0);
+fn workload_as_recorded_exits_0() {
+    // A clean fault-sweep check that stays clean...
+    let clean = Subject::Workload(WorkloadCase {
+        seed: 1,
+        workload: Workload::Micro(Micro::Sentinel),
+        phase: Phase::Fault(Some(FaultSite::LieSentinelTrip)),
+    });
+    let path = artifact("workload-clean.json", &clean.to_json(None, None));
+    assert_eq!(forge(&["--replay", path.to_str().unwrap()]), 0);
+    // ...and a planted-bug reproducer that still reproduces.
+    let repro = artifact(
+        "workload-repro.json",
+        &resume_case().to_json(Some("resume-mismatch"), Some(TestBug::CorruptRestore)),
+    );
+    assert_eq!(forge(&["--replay", repro.to_str().unwrap()]), 0);
 }
 
 #[test]
-fn chaos_soak_reproduced_failure_exits_1() {
-    // A wide harmless-fault window plus --fail-on-fault: the recorded
-    // "failure" (a fired fault) reproduces deterministically.
-    let mut plan = quiet_plan();
-    plan.schedule.windows =
-        vec![BurstWindow { site: FaultSite::DropVcacheEntry, start: 0, len: 40 }];
-    let path = artifact("chaos-live.json", &plan.to_json(Some("fault-fired")));
-    assert_eq!(chaos_soak(&["--replay", path.to_str().unwrap(), "--fail-on-fault"]), 1);
+fn workload_unexpected_live_divergence_exits_1() {
+    let path = artifact(
+        "workload-lying-clean.json",
+        &resume_case().to_json(None, Some(TestBug::CorruptRestore)),
+    );
+    assert_eq!(forge(&["--replay", path.to_str().unwrap()]), 1);
 }
 
 #[test]
-fn chaos_soak_stale_reproducer_exits_3() {
-    // Records a failure, but the plan replays clean today.
-    let path = artifact("chaos-stale.json", &quiet_plan().to_json(Some("final-mismatch")));
-    assert_eq!(chaos_soak(&["--replay", path.to_str().unwrap()]), 3);
+fn workload_stale_reproducer_exits_3() {
+    let path =
+        artifact("workload-stale.json", &resume_case().to_json(Some("resume-mismatch"), None));
+    assert_eq!(forge(&["--replay", path.to_str().unwrap()]), 3);
 }
 
 #[test]
-fn chaos_soak_malformed_artifact_exits_4() {
-    let path = artifact("chaos-garbage.json", "{\"schema\":\"dsa-chaos/v1\",");
-    assert_eq!(chaos_soak(&["--replay", path.to_str().unwrap()]), 4);
-    assert_eq!(chaos_soak(&["--replay", "/no/such/file.json"]), 4);
+fn workload_malformed_artifact_exits_4() {
+    let good = resume_case().to_json(None, None);
+    for (name, text) in [
+        ("workload-truncated.json", good[..good.len() / 2].to_string()),
+        ("workload-unknown.json", good.replace("sentinel", "no-such-workload")),
+        ("workload-bad-phase.json", good.replace("\"resume\"", "\"warp\"")),
+        ("workload-bad-site.json", good.replace("\"site\":null", "\"site\":\"no-such-site\"")),
+    ] {
+        let path = artifact(name, &text);
+        assert_eq!(forge(&["--replay", path.to_str().unwrap()]), 4, "{text}");
+    }
 }
 
 /// A one-loop program long enough that its seed-derived kill point
@@ -131,8 +144,7 @@ fn forge_malformed_artifact_exits_4() {
 }
 
 #[test]
-fn both_binaries_reject_bad_usage_with_exit_2() {
-    assert_eq!(chaos_soak(&["--no-such-flag"]), 2);
+fn bad_usage_exits_2() {
     assert_eq!(forge(&["--no-such-flag"]), 2);
     assert_eq!(forge(&["--inject-bug", "no-such-bug"]), 2);
 }

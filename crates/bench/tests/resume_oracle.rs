@@ -1,27 +1,24 @@
 //! The acceptance gate for crash-consistent snapshots: for **all eight
-//! chaos workloads** (the seven paper applications plus the sentinel
+//! fixed workloads** (the seven paper applications plus the sentinel
 //! microkernel), a run killed mid-flight, snapshotted, restored and
 //! resumed must be architecturally bit-identical to both the scalar
 //! reference and the uninterrupted DSA run — memory, registers, flags
 //! and output checksums (cycle counts are timing, not architecture,
 //! and are exempt by design).
 
-use dsa_bench::chaos::chaos_workloads;
-use dsa_compiler::Variant;
+use dsa_bench::cache::{fixed_workloads, Workload};
+use dsa_bench::System;
 use dsa_core::oracle::DifferentialOracle;
 use dsa_core::DsaConfig;
 use dsa_cpu::{
     BoundedOutcome, CpuConfig, DecodedProgram, Machine, NullHook, Simulator, StepNull,
 };
-use dsa_workloads::{build, micro, BuiltWorkload, Scale};
+use dsa_workloads::{BuiltWorkload, Scale};
 
 const FUEL: u64 = 200_000_000;
 
-fn built(workload: dsa_bench::cache::Workload) -> BuiltWorkload {
-    match workload {
-        dsa_bench::cache::Workload::App(id) => build(id, Variant::Scalar, Scale::Small),
-        dsa_bench::cache::Workload::Micro(m) => micro::build(m, Variant::Scalar, Scale::Small),
-    }
+fn built(workload: Workload) -> BuiltWorkload {
+    workload.build(System::Original, Scale::Small)
 }
 
 /// Finds a commit count `>= after` at which the (stepped) run sits
@@ -54,7 +51,7 @@ fn mid_block_split(w: &BuiltWorkload, after: u64) -> Option<u64> {
 fn resume_is_bit_identical_across_all_eight_workloads() {
     let oracle = DifferentialOracle::new(FUEL);
     let splits = [300u64, 4_000];
-    for workload in chaos_workloads() {
+    for workload in fixed_workloads() {
         let w = built(workload);
         for split in splits {
             let report = oracle.check_resume(
@@ -72,7 +69,7 @@ fn resume_is_bit_identical_across_all_eight_workloads() {
     }
 }
 
-/// Kill-mid-block chaos case for the superblock fast path: the split is
+/// Kill-mid-block case for the superblock fast path: the split is
 /// chosen to land strictly inside a static straight-line block. A
 /// block-mode (`NullHook`) bounded run must pause on the *exact* commit
 /// count anyway (it falls back to stepping rather than split a block),
@@ -82,7 +79,7 @@ fn resume_is_bit_identical_across_all_eight_workloads() {
 #[test]
 fn kill_mid_block_snapshots_stay_bit_identical() {
     let oracle = DifferentialOracle::new(FUEL);
-    for workload in chaos_workloads() {
+    for workload in fixed_workloads() {
         let w = built(workload);
         let Some(split) = mid_block_split(&w, 250) else {
             panic!("{}: no mid-block kill point found", workload.describe());

@@ -103,42 +103,6 @@ impl CommitHook for StepNull {
     fn on_commit(&mut self, _ev: &TraceEvent, _machine: &Machine, _ctl: &mut SimControl<'_>) {}
 }
 
-/// Dyn-compatible mirror of [`CommitHook`]. The `PER_COMMIT` associated
-/// const makes `CommitHook` itself unusable as a trait object, so
-/// runtime-dispatch callers go through this mirror (blanket-implemented
-/// for every hook) and [`Simulator::run_with_dyn_hook`], which drives it
-/// on the conservative per-commit path.
-pub trait DynCommitHook {
-    /// Per-commit callback; see [`CommitHook::on_commit`].
-    fn on_commit_dyn(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>);
-
-    /// End-of-run callback; see [`CommitHook::on_finish`].
-    fn on_finish_dyn(&mut self, machine: &Machine);
-}
-
-impl<H: CommitHook> DynCommitHook for H {
-    fn on_commit_dyn(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>) {
-        self.on_commit(ev, machine, ctl);
-    }
-
-    fn on_finish_dyn(&mut self, machine: &Machine) {
-        self.on_finish(machine);
-    }
-}
-
-/// Per-commit adapter wrapping a `&mut dyn DynCommitHook`.
-struct DynAdapter<'a>(&'a mut dyn DynCommitHook);
-
-impl CommitHook for DynAdapter<'_> {
-    fn on_commit(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>) {
-        self.0.on_commit_dyn(ev, machine, ctl);
-    }
-
-    fn on_finish(&mut self, machine: &Machine) {
-        self.0.on_finish_dyn(machine);
-    }
-}
-
 /// Result of a finished simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOutcome {
@@ -480,22 +444,6 @@ impl Simulator {
             Err(e) => sink.record(&e.telemetry(cycle)),
         }
         result
-    }
-
-    /// Dynamic-dispatch entry point for callers that only have a
-    /// `&mut dyn DynCommitHook` (used by the dispatch benchmarks as the
-    /// "before" shape). Always drives the conservative per-commit loop —
-    /// a trait object cannot advertise `PER_COMMIT = false`.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Simulator::run_with_hook`].
-    pub fn run_with_dyn_hook(
-        &mut self,
-        fuel: u64,
-        hook: &mut dyn DynCommitHook,
-    ) -> Result<RunOutcome, SimError> {
-        self.run_with_hook(fuel, &mut DynAdapter(hook))
     }
 
     /// Snapshot of the current outcome.

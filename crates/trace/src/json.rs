@@ -1,5 +1,5 @@
-//! A minimal JSON reader for the trace tooling (`trace_report`, the
-//! schema validator, the golden test). Covers the full JSON grammar the
+//! A minimal JSON reader for the trace tooling (the schema validator,
+//! the golden test, forge's reproducer artifacts). Covers the full JSON grammar the
 //! exporters emit — objects, arrays, strings with escapes, integers,
 //! floats, booleans, null — nothing more exotic.
 

@@ -5,10 +5,9 @@
 //! `dsa-tracebin/v1`, auto-sniffed by [`read_trace`] — into the fleet
 //! views the Saturn-style analyses need: cycles by stage, cache-verdict
 //! and CIDP-outcome distributions, and per-workload degradation/poison
-//! rates. The cycle-charge keying is **identical** to `trace_report`'s
-//! per-run table (stage name / cache name / `"cidp"` /
-//! `"partial-chunk"`), so a rollup over N runs sums to exactly the N
-//! per-run tables — the ledger invariant (Σ event `dsa_cycles` ==
+//! rates. Cycle charges are keyed by source (stage name / cache name /
+//! `"cidp"` / `"partial-chunk"`), so a rollup over N runs sums to
+//! exactly the N single-run tables — the ledger invariant (Σ event `dsa_cycles` ==
 //! `DsaStats::detection_cycles`) survives aggregation.
 //!
 //! Engine events are attributed to the trace's label (its file stem —
@@ -32,8 +31,8 @@ pub struct Charge {
     pub dsa_cycles: u64,
 }
 
-/// The source a cycle-charging event bills to — the same keying
-/// `trace_report` uses, so per-run and cross-run tables reconcile.
+/// The source a cycle-charging event bills to — one keying for
+/// single-run and cross-run tables, so they reconcile.
 pub fn charge_source(ev: &Event) -> Option<&'static str> {
     match ev {
         Event::StageActivated { stage, .. } => Some(stage.name()),
@@ -281,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn charges_key_like_trace_report() {
+    fn charges_key_by_source() {
         let mut r = Rollup::new();
         r.fold_file("w1", &run_events(64));
         assert_eq!(r.charges["loop-detection"], Charge { events: 1, dsa_cycles: 1 });
