@@ -33,6 +33,7 @@
 
 use dsa_cpu::{Flags, Machine, MachineState};
 use dsa_mem::PAGE_BYTES;
+use dsa_trace::crc32;
 
 use crate::caches::CachedKind;
 use crate::config::DsaConfig;
@@ -98,21 +99,6 @@ impl std::fmt::Display for SnapshotError {
 }
 
 impl std::error::Error for SnapshotError {}
-
-/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`). Bitwise —
-/// snapshots are written once per pause, not per commit, so table-free
-/// simplicity beats speed here. Detects all single-bit errors.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Fingerprint of the configuration a snapshot was captured under.
 /// Fault injection and tracing are *neutralized* first: they alter
@@ -832,25 +818,6 @@ impl SessionMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crc32_known_vectors() {
-        // Standard check value for "123456789" under CRC-32/IEEE.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn crc32_detects_every_single_bit_flip() {
-        let data = b"the dsa cache survives the crash";
-        let good = crc32(data);
-        let mut buf = data.to_vec();
-        for bit in 0..buf.len() * 8 {
-            buf[bit / 8] ^= 1 << (bit % 8);
-            assert_ne!(crc32(&buf), good, "bit {bit} undetected");
-            buf[bit / 8] ^= 1 << (bit % 8);
-        }
-    }
 
     #[test]
     fn fingerprint_neutralizes_faults_and_trace() {

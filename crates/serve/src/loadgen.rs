@@ -118,8 +118,8 @@ pub struct LoadReport {
     /// Aggregated supervision counters.
     pub supervision: dsa_bench::SupervisorReport,
     /// The merged fleet metrics rollup: every shard's sampled-telemetry
-    /// delta plus the service's lifecycle metrics, shipped through the
-    /// compact wire snapshot and merged (see `Service::fleet_metrics`).
+    /// delta plus the service's lifecycle metrics, merged (see
+    /// `Service::fleet_metrics`).
     pub fleet: dsa_trace::MetricsRegistry,
 }
 

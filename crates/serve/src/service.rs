@@ -561,32 +561,19 @@ impl Service {
     }
 
     /// The fleet-wide metrics rollup: drains every shard's delta (and
-    /// the service's own lifecycle metrics), ships each through the
-    /// compact `MetricsRegistry` wire snapshot — the same bytes a
-    /// remote shard would send — and merges it into the accumulated
-    /// fleet registry, returning a copy. Calling repeatedly is cheap
-    /// and lossless: deltas are taken exactly once, and the
+    /// the service's own lifecycle metrics) and merges it into the
+    /// accumulated fleet registry, returning a copy. Calling repeatedly
+    /// is cheap and lossless: deltas are taken exactly once, and the
     /// accumulator keeps the whole history.
     pub fn fleet_metrics(&self) -> dsa_trace::MetricsRegistry {
         let mut fleet = match self.inner.fleet.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         };
-        let mut deltas: Vec<dsa_trace::MetricsRegistry> =
-            self.inner.shards.iter().map(|sh| sh.drain_metrics()).collect();
-        deltas.push(self.inner.service_metrics.drain());
-        for delta in &deltas {
-            if delta.is_empty() {
-                continue;
-            }
-            // Round-trip through the wire form to exercise exactly what
-            // a remote shard would ship; the decode is infallible on
-            // bytes we just encoded, but stay panic-free regardless.
-            match dsa_trace::MetricsRegistry::from_wire(&delta.to_wire()) {
-                Ok(decoded) => fleet.merge(&decoded),
-                Err(_) => fleet.merge(delta),
-            }
+        for shard in &self.inner.shards {
+            fleet.merge(&shard.drain_metrics());
         }
+        fleet.merge(&self.inner.service_metrics.drain());
         fleet.clone()
     }
 

@@ -29,6 +29,10 @@
 //!            payload fields, event-major, fixed order
 //! ```
 //!
+//! Kind tags and each kind's field order are the row order of the
+//! schema table in [`crate::event`]; this module only says how each
+//! field type is written.
+//!
 //! Cycles are delta-coded *within each kind column* as the zigzag of
 //! the wrapping difference, which is lossless for arbitrary `u64`
 //! pairs and near-free for the monotone cycle streams real runs
@@ -39,14 +43,15 @@
 //! table strings process-wide ([`intern`]) so decoded events hold
 //! `&'static str` like freshly emitted ones and compare equal.
 //!
-//! The golden binary trace is byte-exact-tested against
-//! `crates/core/tests/golden/count_trace.trcb` and must stay ≥5x
-//! smaller than its JSONL twin.
+//! The golden binary traces are byte-exact-tested against
+//! `crates/core/tests/golden/count_trace.trcb` (a real run, which must
+//! stay ≥5x smaller than its JSONL twin) and
+//! `crates/trace/tests/golden/every_event.trcb` (every event kind).
 
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use crate::event::{CacheKind, CacheOutcome, Event, SpecKind, Stage};
+use crate::event::{Choice, Event, EventKind, FieldSink, FieldSource};
 use crate::TraceSink;
 
 /// Version tag of the binary container (the `v1` in `dsa-tracebin/v1`).
@@ -120,13 +125,15 @@ pub fn looks_binary(bytes: &[u8]) -> bool {
 }
 
 // ---------------------------------------------------------------------
-// Primitives shared with the metrics wire snapshot.
+// Primitives.
 // ---------------------------------------------------------------------
 
-/// CRC-32 (IEEE, reflected). Local copy: this crate is deliberately
-/// zero-dependency and `dsa-core` (which owns the snapshot copy)
-/// depends on us, not the reverse.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
+/// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`). Bitwise —
+/// blocks and snapshots are checksummed once each, not per event or
+/// per commit, so table-free simplicity beats speed here. Detects all
+/// single-bit errors. It lives in this zero-dependency crate so that
+/// `dsa-core`'s snapshot images, which sit above it, share it.
+pub fn crc32(data: &[u8]) -> u32 {
     let mut crc = 0xFFFF_FFFFu32;
     for &b in data {
         crc ^= b as u32;
@@ -139,7 +146,7 @@ pub(crate) fn crc32(data: &[u8]) -> u32 {
 }
 
 /// Appends `v` as a LEB128 varint.
-pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -161,34 +168,34 @@ fn unzigzag(v: u64) -> i64 {
 
 /// A bounds-checked cursor over a byte slice; every decode error is a
 /// `String` the caller wraps in [`BinError::Malformed`].
-pub(crate) struct Reader<'a> {
+struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Reader<'a> {
+    fn new(buf: &'a [u8]) -> Reader<'a> {
         Reader { buf, pos: 0 }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
-    pub(crate) fn read_u8(&mut self) -> Result<u8, String> {
+    fn read_u8(&mut self) -> Result<u8, String> {
         let b = *self.buf.get(self.pos).ok_or("unexpected end of payload")?;
         self.pos += 1;
         Ok(b)
     }
 
-    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
+    fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], String> {
         let end = self.pos.checked_add(n).ok_or("length overflow")?;
         let s = self.buf.get(self.pos..end).ok_or("unexpected end of payload")?;
         self.pos = end;
         Ok(s)
     }
 
-    pub(crate) fn read_varint(&mut self) -> Result<u64, String> {
+    fn read_varint(&mut self) -> Result<u64, String> {
         let mut v: u64 = 0;
         let mut shift = 0u32;
         loop {
@@ -204,18 +211,6 @@ impl<'a> Reader<'a> {
             if shift > 63 {
                 return Err("varint too long".into());
             }
-        }
-    }
-
-    pub(crate) fn read_u32v(&mut self) -> Result<u32, String> {
-        u32::try_from(self.read_varint()?).map_err(|_| "value exceeds u32".into())
-    }
-
-    fn read_bool(&mut self) -> Result<bool, String> {
-        match self.read_u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            b => Err(format!("bad bool byte {b}")),
         }
     }
 }
@@ -249,103 +244,7 @@ pub fn intern(s: &str) -> &'static str {
 // Encoding.
 // ---------------------------------------------------------------------
 
-const KINDS: usize = 31;
-
-fn kind_tag(ev: &Event) -> u8 {
-    match ev {
-        Event::RunStarted { .. } => 0,
-        Event::RunFinished { .. } => 1,
-        Event::SimFault { .. } => 2,
-        Event::LoopDetected { .. } => 3,
-        Event::StageActivated { .. } => 4,
-        Event::CacheAccess { .. } => 5,
-        Event::DependencyVerdict { .. } => 6,
-        Event::LoopClassified { .. } => 7,
-        Event::LoopVectorized { .. } => 8,
-        Event::LoopRejected { .. } => 9,
-        Event::LoopRolledBack { .. } => 10,
-        Event::LoopFinished { .. } => 11,
-        Event::EnginePoisoned { .. } => 12,
-        Event::FaultInjected { .. } => 13,
-        Event::PartialChunk { .. } => 14,
-        Event::SpeculationResolved { .. } => 15,
-        Event::SupervisorRetry { .. } => 16,
-        Event::WorkerPanicked { .. } => 17,
-        Event::DeadlineExceeded { .. } => 18,
-        Event::BreakerOpen { .. } => 19,
-        Event::BreakerHalfOpen { .. } => 20,
-        Event::BreakerClosed { .. } => 21,
-        Event::JobAdmitted { .. } => 22,
-        Event::JobShed { .. } => 23,
-        Event::JobCompleted { .. } => 24,
-        Event::SessionCheckpointed { .. } => 25,
-        Event::SessionMigrated { .. } => 26,
-        Event::ShardKilled { .. } => 27,
-        Event::ShardRecovered { .. } => 28,
-        Event::SnapshotRestored { .. } => 29,
-        Event::SnapshotRejected { .. } => 30,
-    }
-}
-
-fn stage_tag(s: Stage) -> u8 {
-    // infallible: Stage::ALL contains every variant.
-    Stage::ALL.iter().position(|&x| x == s).unwrap_or(0) as u8
-}
-
-fn stage_from_tag(t: u8) -> Result<Stage, String> {
-    Stage::ALL.get(t as usize).copied().ok_or_else(|| format!("bad stage tag {t}"))
-}
-
-fn cache_tag(c: CacheKind) -> u8 {
-    match c {
-        CacheKind::Dsa => 0,
-        CacheKind::Verification => 1,
-        CacheKind::ArrayMap => 2,
-    }
-}
-
-fn cache_from_tag(t: u8) -> Result<CacheKind, String> {
-    match t {
-        0 => Ok(CacheKind::Dsa),
-        1 => Ok(CacheKind::Verification),
-        2 => Ok(CacheKind::ArrayMap),
-        _ => Err(format!("bad cache tag {t}")),
-    }
-}
-
-fn outcome_tag(o: CacheOutcome) -> u8 {
-    match o {
-        CacheOutcome::Hit => 0,
-        CacheOutcome::Miss => 1,
-        CacheOutcome::Insert => 2,
-        CacheOutcome::Evict => 3,
-    }
-}
-
-fn outcome_from_tag(t: u8) -> Result<CacheOutcome, String> {
-    match t {
-        0 => Ok(CacheOutcome::Hit),
-        1 => Ok(CacheOutcome::Miss),
-        2 => Ok(CacheOutcome::Insert),
-        3 => Ok(CacheOutcome::Evict),
-        _ => Err(format!("bad cache-outcome tag {t}")),
-    }
-}
-
-fn spec_tag(k: SpecKind) -> u8 {
-    match k {
-        SpecKind::Sentinel => 0,
-        SpecKind::Conditional => 1,
-    }
-}
-
-fn spec_from_tag(t: u8) -> Result<SpecKind, String> {
-    match t {
-        0 => Ok(SpecKind::Sentinel),
-        1 => Ok(SpecKind::Conditional),
-        _ => Err(format!("bad spec-kind tag {t}")),
-    }
-}
+const KINDS: usize = EventKind::ALL.len();
 
 /// Block-local string table builder (first-use order, deduplicated).
 #[derive(Default)]
@@ -376,146 +275,14 @@ fn encode_block(events: &[Event]) -> Vec<u8> {
     let mut kinds = Vec::with_capacity(events.len());
 
     for ev in events {
-        let tag = kind_tag(ev) as usize;
+        let tag = ev.kind() as usize;
         kinds.push(tag as u8);
         let col = &mut cols[tag];
         let cycle = ev.cycle();
         let delta = cycle.wrapping_sub(prev_cycle[tag]) as i64;
         prev_cycle[tag] = cycle;
         put_varint(col, zigzag(delta));
-        let mut put_str = |col: &mut Vec<u8>, s: &str| {
-            let id = strings.id(s);
-            put_varint(col, u64::from(id));
-        };
-        match *ev {
-            Event::RunStarted { pc, .. } => put_varint(col, u64::from(pc)),
-            Event::RunFinished { committed, halted, .. } => {
-                put_varint(col, committed);
-                col.push(u8::from(halted));
-            }
-            Event::SimFault { kind, pc, .. } => {
-                put_str(col, kind);
-                put_varint(col, u64::from(pc));
-            }
-            Event::LoopDetected { loop_id, end_pc, .. } => {
-                put_varint(col, u64::from(loop_id));
-                put_varint(col, u64::from(end_pc));
-            }
-            Event::StageActivated { stage, loop_id, dsa_cycles, .. } => {
-                col.push(stage_tag(stage));
-                put_varint(col, u64::from(loop_id));
-                put_varint(col, dsa_cycles);
-            }
-            Event::CacheAccess { cache, outcome, loop_id, count, dsa_cycles, .. } => {
-                col.push(cache_tag(cache));
-                col.push(outcome_tag(outcome));
-                put_varint(col, u64::from(loop_id));
-                put_varint(col, u64::from(count));
-                put_varint(col, dsa_cycles);
-            }
-            Event::DependencyVerdict { loop_id, pairs, distance, dsa_cycles, .. } => {
-                put_varint(col, u64::from(loop_id));
-                put_varint(col, u64::from(pairs));
-                match distance {
-                    None => col.push(0),
-                    Some(d) => {
-                        col.push(1);
-                        put_varint(col, u64::from(d));
-                    }
-                }
-                put_varint(col, dsa_cycles);
-            }
-            Event::LoopClassified { loop_id, class, .. } => {
-                put_varint(col, u64::from(loop_id));
-                put_str(col, class);
-            }
-            Event::LoopVectorized { loop_id, class, planned, peeled, .. } => {
-                put_varint(col, u64::from(loop_id));
-                put_str(col, class);
-                put_varint(col, u64::from(planned));
-                put_varint(col, u64::from(peeled));
-            }
-            Event::LoopRejected { loop_id, class, reason, .. }
-            | Event::LoopRolledBack { loop_id, class, reason, .. } => {
-                put_varint(col, u64::from(loop_id));
-                put_str(col, class);
-                put_str(col, reason);
-            }
-            Event::LoopFinished { loop_id, iters, .. } => {
-                put_varint(col, u64::from(loop_id));
-                put_varint(col, u64::from(iters));
-            }
-            Event::EnginePoisoned { during, expected, .. } => {
-                put_str(col, during);
-                put_str(col, expected);
-            }
-            Event::FaultInjected { site, .. } => put_str(col, site),
-            Event::PartialChunk { loop_id, chunk_iters, dsa_cycles, .. } => {
-                put_varint(col, u64::from(loop_id));
-                put_varint(col, u64::from(chunk_iters));
-                put_varint(col, dsa_cycles);
-            }
-            Event::SpeculationResolved { loop_id, kind, injected, used, discarded, .. } => {
-                put_varint(col, u64::from(loop_id));
-                col.push(spec_tag(kind));
-                put_varint(col, injected);
-                put_varint(col, used);
-                put_varint(col, discarded);
-            }
-            Event::SupervisorRetry { workload, attempt, backoff_ms, .. } => {
-                put_str(col, workload);
-                put_varint(col, u64::from(attempt));
-                put_varint(col, backoff_ms);
-            }
-            Event::WorkerPanicked { workload, .. } | Event::BreakerClosed { workload, .. } => {
-                put_str(col, workload);
-            }
-            Event::DeadlineExceeded { workload, deadline_ms, .. } => {
-                put_str(col, workload);
-                put_varint(col, deadline_ms);
-            }
-            Event::BreakerOpen { workload, failures, .. } => {
-                put_str(col, workload);
-                put_varint(col, u64::from(failures));
-            }
-            Event::BreakerHalfOpen { workload, cooldown_ms, .. } => {
-                put_str(col, workload);
-                put_varint(col, cooldown_ms);
-            }
-            Event::JobAdmitted { job, shard, queue_depth, .. } => {
-                put_varint(col, job);
-                put_varint(col, u64::from(shard));
-                put_varint(col, u64::from(queue_depth));
-            }
-            Event::JobShed { reason, .. } => put_str(col, reason),
-            Event::JobCompleted { job, shard, cache_hit, migrations, latency_ms, .. } => {
-                put_varint(col, job);
-                put_varint(col, u64::from(shard));
-                col.push(u8::from(cache_hit));
-                put_varint(col, u64::from(migrations));
-                put_varint(col, latency_ms);
-            }
-            Event::SessionCheckpointed { job, shard, bytes, commits, .. } => {
-                put_varint(col, job);
-                put_varint(col, u64::from(shard));
-                put_varint(col, bytes);
-                put_varint(col, commits);
-            }
-            Event::SessionMigrated { job, from_shard, .. } => {
-                put_varint(col, job);
-                put_varint(col, u64::from(from_shard));
-            }
-            Event::ShardKilled { shard, drained, .. } => {
-                put_varint(col, u64::from(shard));
-                put_varint(col, u64::from(drained));
-            }
-            Event::ShardRecovered { shard, .. } => put_varint(col, u64::from(shard)),
-            Event::SnapshotRestored { bytes, cache_entries, .. } => {
-                put_varint(col, bytes);
-                put_varint(col, cache_entries);
-            }
-            Event::SnapshotRejected { kind, .. } => put_str(col, kind),
-        }
+        ev.write_fields(&mut ColumnSink { col, strings: &mut strings });
     }
 
     let mut payload = Vec::with_capacity(64 + events.len() * 4);
@@ -532,137 +299,80 @@ fn encode_block(events: &[Event]) -> Vec<u8> {
     payload
 }
 
-/// Decodes one event of kind `tag` from its column. `cycle` is already
-/// delta-decoded by the caller.
-fn decode_event(
-    tag: u8,
-    cycle: u64,
-    r: &mut Reader<'_>,
-    strings: &[&'static str],
-) -> Result<Event, String> {
-    let get_str = |r: &mut Reader<'_>| -> Result<&'static str, String> {
-        let i = r.read_varint()? as usize;
-        strings.get(i).copied().ok_or_else(|| format!("string index {i} out of range"))
-    };
-    Ok(match tag {
-        0 => Event::RunStarted { pc: r.read_u32v()?, cycle },
-        1 => Event::RunFinished { cycle, committed: r.read_varint()?, halted: r.read_bool()? },
-        2 => Event::SimFault { kind: get_str(r)?, pc: r.read_u32v()?, cycle },
-        3 => Event::LoopDetected { loop_id: r.read_u32v()?, end_pc: r.read_u32v()?, cycle },
-        4 => Event::StageActivated {
-            stage: stage_from_tag(r.read_u8()?)?,
-            loop_id: r.read_u32v()?,
-            dsa_cycles: r.read_varint()?,
-            cycle,
-        },
-        5 => Event::CacheAccess {
-            cache: cache_from_tag(r.read_u8()?)?,
-            outcome: outcome_from_tag(r.read_u8()?)?,
-            loop_id: r.read_u32v()?,
-            count: r.read_u32v()?,
-            dsa_cycles: r.read_varint()?,
-            cycle,
-        },
-        6 => Event::DependencyVerdict {
-            loop_id: r.read_u32v()?,
-            pairs: r.read_u32v()?,
-            distance: match r.read_u8()? {
-                0 => None,
-                1 => Some(r.read_u32v()?),
-                b => return Err(format!("bad option byte {b}")),
-            },
-            dsa_cycles: r.read_varint()?,
-            cycle,
-        },
-        7 => Event::LoopClassified { loop_id: r.read_u32v()?, class: get_str(r)?, cycle },
-        8 => Event::LoopVectorized {
-            loop_id: r.read_u32v()?,
-            class: get_str(r)?,
-            planned: r.read_u32v()?,
-            peeled: r.read_u32v()?,
-            cycle,
-        },
-        9 => Event::LoopRejected {
-            loop_id: r.read_u32v()?,
-            class: get_str(r)?,
-            reason: get_str(r)?,
-            cycle,
-        },
-        10 => Event::LoopRolledBack {
-            loop_id: r.read_u32v()?,
-            class: get_str(r)?,
-            reason: get_str(r)?,
-            cycle,
-        },
-        11 => Event::LoopFinished { loop_id: r.read_u32v()?, iters: r.read_u32v()?, cycle },
-        12 => Event::EnginePoisoned { during: get_str(r)?, expected: get_str(r)?, cycle },
-        13 => Event::FaultInjected { site: get_str(r)?, cycle },
-        14 => Event::PartialChunk {
-            loop_id: r.read_u32v()?,
-            chunk_iters: r.read_u32v()?,
-            dsa_cycles: r.read_varint()?,
-            cycle,
-        },
-        15 => Event::SpeculationResolved {
-            loop_id: r.read_u32v()?,
-            kind: spec_from_tag(r.read_u8()?)?,
-            injected: r.read_varint()?,
-            used: r.read_varint()?,
-            discarded: r.read_varint()?,
-            cycle,
-        },
-        16 => Event::SupervisorRetry {
-            workload: get_str(r)?,
-            attempt: r.read_u32v()?,
-            backoff_ms: r.read_varint()?,
-            cycle,
-        },
-        17 => Event::WorkerPanicked { workload: get_str(r)?, cycle },
-        18 => Event::DeadlineExceeded {
-            workload: get_str(r)?,
-            deadline_ms: r.read_varint()?,
-            cycle,
-        },
-        19 => Event::BreakerOpen { workload: get_str(r)?, failures: r.read_u32v()?, cycle },
-        20 => Event::BreakerHalfOpen {
-            workload: get_str(r)?,
-            cooldown_ms: r.read_varint()?,
-            cycle,
-        },
-        21 => Event::BreakerClosed { workload: get_str(r)?, cycle },
-        22 => Event::JobAdmitted {
-            job: r.read_varint()?,
-            shard: r.read_u32v()?,
-            queue_depth: r.read_u32v()?,
-            cycle,
-        },
-        23 => Event::JobShed { reason: get_str(r)?, cycle },
-        24 => Event::JobCompleted {
-            job: r.read_varint()?,
-            shard: r.read_u32v()?,
-            cache_hit: r.read_bool()?,
-            migrations: r.read_u32v()?,
-            latency_ms: r.read_varint()?,
-            cycle,
-        },
-        25 => Event::SessionCheckpointed {
-            job: r.read_varint()?,
-            shard: r.read_u32v()?,
-            bytes: r.read_varint()?,
-            commits: r.read_varint()?,
-            cycle,
-        },
-        26 => Event::SessionMigrated { job: r.read_varint()?, from_shard: r.read_u32v()?, cycle },
-        27 => Event::ShardKilled { shard: r.read_u32v()?, drained: r.read_u32v()?, cycle },
-        28 => Event::ShardRecovered { shard: r.read_u32v()?, cycle },
-        29 => Event::SnapshotRestored {
-            bytes: r.read_varint()?,
-            cache_entries: r.read_varint()?,
-            cycle,
-        },
-        30 => Event::SnapshotRejected { kind: get_str(r)?, cycle },
-        t => return Err(format!("unknown event kind tag {t}")),
-    })
+/// Appends an event's payload fields to its kind's column.
+struct ColumnSink<'a> {
+    col: &'a mut Vec<u8>,
+    strings: &'a mut StringTable,
+}
+
+impl FieldSink for ColumnSink<'_> {
+    fn u64(&mut self, _: &'static str, v: u64) {
+        put_varint(self.col, v);
+    }
+
+    fn bool(&mut self, _: &'static str, v: bool) {
+        self.col.push(u8::from(v));
+    }
+
+    fn str(&mut self, _: &'static str, v: &'static str) {
+        put_varint(self.col, u64::from(self.strings.id(v)));
+    }
+
+    fn opt_u32(&mut self, _: &'static str, v: Option<u32>) {
+        match v {
+            None => self.col.push(0),
+            Some(d) => {
+                self.col.push(1);
+                put_varint(self.col, u64::from(d));
+            }
+        }
+    }
+
+    fn choice<E: Choice>(&mut self, _: &'static str, v: E) {
+        self.col.push(v.tag());
+    }
+}
+
+/// Reads payload fields back out of an event block's column groups.
+struct ColumnSource<'a> {
+    r: Reader<'a>,
+    strings: Vec<&'static str>,
+}
+
+impl FieldSource for ColumnSource<'_> {
+    fn u64(&mut self, _: &'static str) -> Result<u64, String> {
+        self.r.read_varint()
+    }
+
+    fn u32(&mut self, _: &'static str) -> Result<u32, String> {
+        u32::try_from(self.r.read_varint()?).map_err(|_| "value exceeds u32".into())
+    }
+
+    fn bool(&mut self, _: &'static str) -> Result<bool, String> {
+        match self.r.read_u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(format!("bad bool byte {b}")),
+        }
+    }
+
+    fn str(&mut self, _: &'static str) -> Result<&'static str, String> {
+        let i = self.r.read_varint()? as usize;
+        self.strings.get(i).copied().ok_or_else(|| format!("string index {i} out of range"))
+    }
+
+    fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, String> {
+        match self.r.read_u8()? {
+            0 => Ok(None),
+            1 => self.u32(key).map(Some),
+            b => Err(format!("bad option byte {b}")),
+        }
+    }
+
+    fn choice<E: Choice>(&mut self, _: &'static str) -> Result<E, String> {
+        let t = self.r.read_u8()?;
+        E::from_tag(t).ok_or_else(|| format!("bad {} tag {t}", E::WHAT))
+    }
 }
 
 fn decode_block(payload: &[u8], out: &mut Vec<Event>) -> Result<(), BinError> {
@@ -686,9 +396,9 @@ fn decode_block(payload: &[u8], out: &mut Vec<Event>) -> Result<(), BinError> {
             .map_err(|_| BinError::Malformed("string table entry is not UTF-8".into()))?;
         strings.push(intern(s));
     }
-    let kinds = r.read_bytes(n_events).map_err(malformed)?.to_vec();
+    let kinds = r.read_bytes(n_events).map_err(malformed)?;
     let mut counts = [0usize; KINDS];
-    for &k in &kinds {
+    for &k in kinds {
         let Some(c) = counts.get_mut(k as usize) else {
             return Err(BinError::Malformed(format!("unknown event kind tag {k}")));
         };
@@ -698,20 +408,20 @@ fn decode_block(payload: &[u8], out: &mut Vec<Event>) -> Result<(), BinError> {
     // re-interleave by walking the kind stream.
     let mut per_kind: Vec<std::collections::VecDeque<Event>> =
         (0..KINDS).map(|_| std::collections::VecDeque::new()).collect();
-    for tag in 0..KINDS {
+    let mut columns = ColumnSource { r, strings };
+    for (tag, &kind) in EventKind::ALL.iter().enumerate() {
         let mut prev = 0u64;
         for _ in 0..counts[tag] {
-            let delta = unzigzag(r.read_varint().map_err(malformed)?);
+            let delta = unzigzag(columns.r.read_varint().map_err(malformed)?);
             let cycle = prev.wrapping_add(delta as u64);
             prev = cycle;
-            let ev = decode_event(tag as u8, cycle, &mut r, &strings).map_err(malformed)?;
-            per_kind[tag].push_back(ev);
+            per_kind[tag].push_back(kind.read(cycle, &mut columns).map_err(malformed)?);
         }
     }
-    if !r.is_empty() {
+    if !columns.r.is_empty() {
         return Err(BinError::Malformed("trailing bytes in event block".into()));
     }
-    for k in kinds {
+    for &k in kinds {
         // infallible by construction: counts[k] events were pushed.
         match per_kind[k as usize].pop_front() {
             Some(ev) => out.push(ev),
@@ -931,6 +641,7 @@ impl<W: Write> TraceSink for ColumnarWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{CacheKind, CacheOutcome, SpecKind, Stage};
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -961,6 +672,25 @@ mod tests {
             Event::SnapshotRejected { kind: "bad-crc", cycle: 0 },
             Event::RunFinished { cycle: 1000, committed: 512, halted: true },
         ]
+    }
+
+    #[test]
+    fn crc32_known_vectors() {
+        // Standard check value for "123456789" under CRC-32/IEEE.
+        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn crc32_detects_every_single_bit_flip() {
+        let data = b"the dsa cache survives the crash";
+        let good = crc32(data);
+        let mut buf = data.to_vec();
+        for bit in 0..buf.len() * 8 {
+            buf[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(crc32(&buf), good, "bit {bit} undetected");
+            buf[bit / 8] ^= 1 << (bit % 8);
+        }
     }
 
     #[test]

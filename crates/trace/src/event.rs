@@ -1,5 +1,17 @@
 //! The typed telemetry vocabulary: everything the DSA and the simulator
 //! can report about a run, as plain `Copy`-ish data with stable names.
+//!
+//! The [`Event`] declaration below is also the wire schema, and the
+//! only place an event's layout is written down. Each row gives the
+//! variant's kebab-case type name and its payload fields in wire order
+//! (`cycle` first), with the JSONL key where it differs from the field
+//! name; the row's position is its `dsa-tracebin/v1` kind tag. The
+//! `events!` macro derives from it [`Event::type_name`],
+//! [`Event::cycle`], the tag, the required-field list the JSONL
+//! validator checks, and two walkers over the payload — one that writes
+//! it to a `FieldSink` and one that reads it from a `FieldSource`. The
+//! JSONL and tracebin codecs are one sink and one source each, written
+//! per field type. Adding an event is adding a row.
 
 use std::fmt::Write as _;
 
@@ -7,538 +19,670 @@ use std::fmt::Write as _;
 /// schema validator. Bump on any breaking change to event field names.
 pub const SCHEMA: &str = "dsa-trace/v1";
 
-/// The six stages of the paper's detection state machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Stage {
-    /// Stage 1 — a taken backward branch probes the DSA cache.
-    LoopDetection,
-    /// Stage 2 — iteration profiling into the Verification Cache.
-    DataCollection,
-    /// Stage 3 — stream matching + CIDP verdict.
-    DependencyAnalysis,
-    /// Stage 4 — template stored, pipeline flushed, SIMD injected.
-    StoreIdExecution,
-    /// Stage 5 — conditional-loop Array-Map mapping.
-    Mapping,
-    /// Stage 6 — speculative select / sentinel range resolution.
-    SpeculativeExecution,
-}
-
-impl Stage {
-    /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 6] = [
-        Stage::LoopDetection,
-        Stage::DataCollection,
-        Stage::DependencyAnalysis,
-        Stage::StoreIdExecution,
-        Stage::Mapping,
-        Stage::SpeculativeExecution,
-    ];
-
-    /// Stable kebab-case name (JSONL field value).
-    pub fn name(self) -> &'static str {
-        match self {
-            Stage::LoopDetection => "loop-detection",
-            Stage::DataCollection => "data-collection",
-            Stage::DependencyAnalysis => "dependency-analysis",
-            Stage::StoreIdExecution => "store-id-execution",
-            Stage::Mapping => "mapping",
-            Stage::SpeculativeExecution => "speculative-execution",
-        }
-    }
-
-    /// Inverse of [`Stage::name`] (used by the JSONL/binary readers).
-    pub fn from_name(name: &str) -> Option<Stage> {
-        Stage::ALL.iter().copied().find(|s| s.name() == name)
-    }
-}
-
-/// Which private DSA memory a [`Event::CacheAccess`] touched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheKind {
-    /// The 8 KB verified-loop store.
-    Dsa,
-    /// The 1 KB Verification Cache (iteration addresses).
-    Verification,
-    /// The 128-bit Array Maps (conditional-loop lane masks).
-    ArrayMap,
-}
-
-impl CacheKind {
+/// A payload enum with a fixed vocabulary: JSONL writes its names,
+/// tracebin writes its one-byte tags (the value's position in `ALL`).
+pub(crate) trait Choice: Copy + 'static {
+    /// What the value is, for decode errors.
+    const WHAT: &'static str;
     /// Stable kebab-case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheKind::Dsa => "dsa-cache",
-            CacheKind::Verification => "verification-cache",
-            CacheKind::ArrayMap => "array-map",
+    fn name(self) -> &'static str;
+    /// Inverse of [`Choice::name`].
+    fn from_name(name: &str) -> Option<Self>;
+    /// Tracebin tag.
+    fn tag(self) -> u8;
+    /// Inverse of [`Choice::tag`].
+    fn from_tag(tag: u8) -> Option<Self>;
+}
+
+/// Declares a payload enum: the enum, its `ALL` array in tag order, its
+/// names, and the [`Choice`] mappings derived from `ALL`.
+macro_rules! choice_enum {
+    (
+        $(#[$meta:meta])*
+        pub enum $Enum:ident as $what:literal {
+            $( $(#[$vmeta:meta])* $Variant:ident = $name:literal, )+
         }
-    }
-
-    /// Inverse of [`CacheKind::name`].
-    pub fn from_name(name: &str) -> Option<CacheKind> {
-        [CacheKind::Dsa, CacheKind::Verification, CacheKind::ArrayMap]
-            .into_iter()
-            .find(|c| c.name() == name)
-    }
-}
-
-/// What a cache access did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum CacheOutcome {
-    /// Lookup found the entry.
-    Hit,
-    /// Lookup missed.
-    Miss,
-    /// Entry written (verdict stored, addresses recorded).
-    Insert,
-    /// Entries displaced to make room.
-    Evict,
-}
-
-impl CacheOutcome {
-    /// Stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            CacheOutcome::Hit => "hit",
-            CacheOutcome::Miss => "miss",
-            CacheOutcome::Insert => "insert",
-            CacheOutcome::Evict => "evict",
+    ) => {
+        $(#[$meta])*
+        pub enum $Enum {
+            $( $(#[$vmeta])* $Variant, )+
         }
-    }
 
-    /// Inverse of [`CacheOutcome::name`].
-    pub fn from_name(name: &str) -> Option<CacheOutcome> {
-        [CacheOutcome::Hit, CacheOutcome::Miss, CacheOutcome::Insert, CacheOutcome::Evict]
-            .into_iter()
-            .find(|o| o.name() == name)
-    }
-}
+        impl $Enum {
+            /// Every value, in tag order.
+            pub const ALL: [$Enum; [$($name),+].len()] = [$($Enum::$Variant),+];
 
-/// Which speculative mechanism a [`Event::SpeculationResolved`] closes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SpecKind {
-    /// Sentinel-loop block speculation (§4.6.5).
-    Sentinel,
-    /// Conditional-loop window speculation (Array Maps).
-    Conditional,
-}
+            /// Stable kebab-case name (JSONL field value).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $( $Enum::$Variant => $name, )+
+                }
+            }
 
-impl SpecKind {
-    /// Stable name.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpecKind::Sentinel => "sentinel",
-            SpecKind::Conditional => "conditional",
+            /// Inverse of the name mapping (used by the JSONL reader).
+            pub fn from_name(name: &str) -> Option<$Enum> {
+                $Enum::ALL.into_iter().find(|v| v.name() == name)
+            }
         }
-    }
 
-    /// Inverse of [`SpecKind::name`].
-    pub fn from_name(name: &str) -> Option<SpecKind> {
-        [SpecKind::Sentinel, SpecKind::Conditional].into_iter().find(|k| k.name() == name)
+        impl Choice for $Enum {
+            const WHAT: &'static str = $what;
+
+            fn name(self) -> &'static str {
+                $Enum::name(self)
+            }
+
+            fn from_name(name: &str) -> Option<$Enum> {
+                $Enum::from_name(name)
+            }
+
+            fn tag(self) -> u8 {
+                // `ALL` lists the variants in declaration order.
+                self as u8
+            }
+
+            fn from_tag(tag: u8) -> Option<$Enum> {
+                $Enum::ALL.get(usize::from(tag)).copied()
+            }
+        }
+    };
+}
+
+choice_enum! {
+    /// The six stages of the paper's detection state machine.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+    pub enum Stage as "stage" {
+        /// Stage 1 — a taken backward branch probes the DSA cache.
+        LoopDetection = "loop-detection",
+        /// Stage 2 — iteration profiling into the Verification Cache.
+        DataCollection = "data-collection",
+        /// Stage 3 — stream matching + CIDP verdict.
+        DependencyAnalysis = "dependency-analysis",
+        /// Stage 4 — template stored, pipeline flushed, SIMD injected.
+        StoreIdExecution = "store-id-execution",
+        /// Stage 5 — conditional-loop Array-Map mapping.
+        Mapping = "mapping",
+        /// Stage 6 — speculative select / sentinel range resolution.
+        SpeculativeExecution = "speculative-execution",
     }
 }
 
-/// One telemetry event. Every variant carries `cycle` — the core cycle
-/// count at emission — so exporters can place it on the run's timeline.
-/// String fields are `&'static str` drawn from fixed vocabularies
-/// (loop-class names, rejection reasons, fault-site names), which keeps
-/// events `Copy`-cheap and the schema enumerable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Event {
-    /// Simulation began.
-    RunStarted {
-        /// Initial program counter.
-        pc: u32,
-        /// Core cycle (0 on a fresh simulator).
-        cycle: u64,
-    },
-    /// Simulation finished (halt or watchdog).
-    RunFinished {
-        /// Total core cycles.
-        cycle: u64,
-        /// Committed instructions.
-        committed: u64,
-        /// Whether the program reached `halt`.
-        halted: bool,
-    },
-    /// The simulator failed: watchdog expiry or an executor error.
-    SimFault {
-        /// Stable error-kind name.
-        kind: &'static str,
-        /// PC at the failure.
-        pc: u32,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// Loop Detection saw a taken backward branch.
-    LoopDetected {
-        /// Loop ID (branch-target PC).
-        loop_id: u32,
-        /// PC of the closing branch.
-        end_pc: u32,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// A detection stage did one unit of work. `dsa_cycles` is the
-    /// DSA-side latency charged at this activation (0 when the work is
-    /// charged by a co-located [`Event::CacheAccess`] /
-    /// [`Event::DependencyVerdict`] instead).
-    StageActivated {
-        /// The stage.
-        stage: Stage,
-        /// Loop being analysed.
-        loop_id: u32,
-        /// DSA-side cycles charged here.
-        dsa_cycles: u64,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// One access (or batch) to a DSA-private memory.
-    CacheAccess {
-        /// Which structure.
-        cache: CacheKind,
-        /// What happened.
-        outcome: CacheOutcome,
-        /// Loop the access served.
-        loop_id: u32,
-        /// Accesses in the batch (≥ 1).
-        count: u32,
-        /// DSA-side cycles charged for the batch.
-        dsa_cycles: u64,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// CIDP produced a verdict over a loop's stream pairs.
-    DependencyVerdict {
-        /// Loop analysed.
-        loop_id: u32,
-        /// Write×read stream pairs evaluated.
-        pairs: u32,
-        /// Predicted dependency distance; `None` = no dependency.
-        distance: Option<u32>,
-        /// DSA-side cycles charged for the evaluation.
-        dsa_cycles: u64,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// The loop's class was determined (census entry written).
-    LoopClassified {
-        /// The loop.
-        loop_id: u32,
-        /// Loop-class name.
-        class: &'static str,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// Remaining iterations handed to the NEON engine.
-    LoopVectorized {
-        /// The loop.
-        loop_id: u32,
-        /// Loop-class name.
-        class: &'static str,
-        /// Iterations planned for vector execution.
-        planned: u32,
-        /// Alignment-peel iterations kept scalar.
-        peeled: u32,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// Analysis ended without vectorizing.
-    LoopRejected {
-        /// The loop.
-        loop_id: u32,
-        /// Class recorded for the census.
-        class: &'static str,
-        /// Stable rejection reason.
-        reason: &'static str,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// A detected inconsistency rolled an (analysis or coverage) back
-    /// to scalar execution.
-    LoopRolledBack {
-        /// The loop (0 when the recovery had no loop context).
-        loop_id: u32,
-        /// Class recorded for the census.
-        class: &'static str,
-        /// Stable rollback reason.
-        reason: &'static str,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// Coverage for one vectorized loop instance ended.
-    LoopFinished {
-        /// The loop.
-        loop_id: u32,
-        /// Loop iterations that ran under coverage.
-        iters: u32,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// Terminal degradation: the DSA detached itself.
-    EnginePoisoned {
-        /// Operation that hit the impossible transition.
-        during: &'static str,
-        /// Mode the operation required.
-        expected: &'static str,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// An armed fault plan corrupted DSA bookkeeping here.
-    FaultInjected {
-        /// Stable fault-site name.
-        site: &'static str,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// A partial-vectorization chunk (or continued sentinel block) was
-    /// re-verified and injected.
-    PartialChunk {
-        /// The loop.
-        loop_id: u32,
-        /// Iterations in the chunk.
-        chunk_iters: u32,
-        /// DSA-side cycles charged for the re-verification.
-        dsa_cycles: u64,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// A speculative region resolved at loop exit.
-    SpeculationResolved {
-        /// The loop.
-        loop_id: u32,
-        /// Sentinel or conditional.
-        kind: SpecKind,
-        /// Elements speculatively injected.
-        injected: u64,
-        /// Elements that turned out useful.
-        used: u64,
-        /// Lanes discarded.
-        discarded: u64,
-        /// Core cycle.
-        cycle: u64,
-    },
-    /// Supervised harness: a run attempt failed and will be retried.
-    /// Harness-side events carry `cycle: 0` — they live in the
-    /// wall-clock domain, not the simulated-cycle domain.
-    SupervisorRetry {
-        /// Workload name (stable vocabulary from the bench crate).
-        workload: &'static str,
-        /// 1-based attempt number that failed.
-        attempt: u32,
-        /// Backoff applied before the next attempt, in milliseconds.
-        backoff_ms: u64,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Supervised harness: a worker panicked and was isolated.
-    WorkerPanicked {
-        /// Workload name.
-        workload: &'static str,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Supervised harness: a run exceeded its wall-clock deadline.
-    DeadlineExceeded {
-        /// Workload name.
-        workload: &'static str,
-        /// The deadline, in milliseconds.
-        deadline_ms: u64,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Supervised harness: a workload's circuit breaker opened after
-    /// repeated failures/degradations; further runs short-circuit.
-    BreakerOpen {
-        /// Workload name.
-        workload: &'static str,
-        /// Failures counted when the breaker opened.
-        failures: u32,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Supervised harness: an open breaker's cooldown elapsed and one
-    /// probe call was admitted (half-open state).
-    BreakerHalfOpen {
-        /// Workload name.
-        workload: &'static str,
-        /// Cooldown that elapsed before the probe, in milliseconds.
-        cooldown_ms: u64,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Supervised harness: a half-open probe succeeded and the breaker
-    /// closed again.
-    BreakerClosed {
-        /// Workload name.
-        workload: &'static str,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Service: a job passed admission control onto a shard queue.
-    JobAdmitted {
-        /// Service-assigned job id.
-        job: u64,
-        /// Shard the job was routed to.
-        shard: u32,
-        /// Queue depth after enqueueing.
-        queue_depth: u32,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Service: admission control shed a job (typed rejection, never a
-    /// panic or a hang).
-    JobShed {
-        /// Stable shed reason (`overloaded`, `deadline`).
-        reason: &'static str,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Service: an admitted job completed with a verified checksum.
-    JobCompleted {
-        /// Service-assigned job id.
-        job: u64,
-        /// Shard that produced the final result.
-        shard: u32,
-        /// Served from the content-addressed result store.
-        cache_hit: bool,
-        /// Times the session resumed on a different shard.
-        migrations: u32,
-        /// Wall-clock latency from admission, in milliseconds.
-        latency_ms: u64,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Service: a session checkpointed its snapshot at a slice boundary.
-    SessionCheckpointed {
-        /// Service-assigned job id.
-        job: u64,
-        /// Shard that captured the checkpoint.
-        shard: u32,
-        /// Serialized session image size in bytes.
-        bytes: u64,
-        /// Committed instructions at the checkpoint.
-        commits: u64,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Service: an in-flight session moved off a dead shard and will
-    /// resume from its last checkpoint on a healthy one.
-    SessionMigrated {
-        /// Service-assigned job id.
-        job: u64,
-        /// Shard the session left.
-        from_shard: u32,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Service: the chaos controller (or an operator) killed a shard.
-    ShardKilled {
-        /// The shard.
-        shard: u32,
-        /// Sessions (queued + in-flight) drained for migration.
-        drained: u32,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// Service: a killed shard revived and rejoined the pool.
-    ShardRecovered {
-        /// The shard.
-        shard: u32,
-        /// Core cycle (always 0; wall-clock domain).
-        cycle: u64,
-    },
-    /// A snapshot image validated and warm state was restored.
-    SnapshotRestored {
-        /// Serialized image size in bytes.
-        bytes: u64,
-        /// DSA-cache entries that came back warm.
-        cache_entries: u64,
-        /// Core cycle (always 0; restore happens between runs).
-        cycle: u64,
-    },
-    /// A snapshot image was rejected; the engine cold-started instead.
-    SnapshotRejected {
-        /// Stable rejection-kind name (`SnapshotError::kind_name`).
-        kind: &'static str,
-        /// Core cycle (always 0; restore happens between runs).
-        cycle: u64,
-    },
+choice_enum! {
+    /// Which private DSA memory a [`Event::CacheAccess`] touched.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum CacheKind as "cache" {
+        /// The 8 KB verified-loop store.
+        Dsa = "dsa-cache",
+        /// The 1 KB Verification Cache (iteration addresses).
+        Verification = "verification-cache",
+        /// The 128-bit Array Maps (conditional-loop lane masks).
+        ArrayMap = "array-map",
+    }
+}
+
+choice_enum! {
+    /// What a cache access did.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum CacheOutcome as "cache-outcome" {
+        /// Lookup found the entry.
+        Hit = "hit",
+        /// Lookup missed.
+        Miss = "miss",
+        /// Entry written (verdict stored, addresses recorded).
+        Insert = "insert",
+        /// Entries displaced to make room.
+        Evict = "evict",
+    }
+}
+
+choice_enum! {
+    /// Which speculative mechanism a [`Event::SpeculationResolved`] closes.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+    pub enum SpecKind as "spec-kind" {
+        /// Sentinel-loop block speculation (§4.6.5).
+        Sentinel = "sentinel",
+        /// Conditional-loop window speculation (Array Maps).
+        Conditional = "conditional",
+    }
+}
+
+/// One wire format's writer for payload fields, one method per field
+/// shape. `key` is the field's JSONL key.
+pub(crate) trait FieldSink {
+    /// An unsigned integer.
+    fn u64(&mut self, key: &'static str, v: u64);
+    /// A flag.
+    fn bool(&mut self, key: &'static str, v: bool);
+    /// A free-vocabulary string.
+    fn str(&mut self, key: &'static str, v: &'static str);
+    /// An optional `u32` (`DependencyVerdict::distance`).
+    fn opt_u32(&mut self, key: &'static str, v: Option<u32>);
+    /// A payload enum.
+    fn choice<E: Choice>(&mut self, key: &'static str, v: E);
+}
+
+/// One wire format's reader for payload fields: the inverse of its
+/// [`FieldSink`], rejecting values the field type cannot hold.
+pub(crate) trait FieldSource {
+    /// An unsigned integer.
+    fn u64(&mut self, key: &'static str) -> Result<u64, String>;
+    /// An unsigned integer that must fit `u32`.
+    fn u32(&mut self, key: &'static str) -> Result<u32, String>;
+    /// A flag.
+    fn bool(&mut self, key: &'static str) -> Result<bool, String>;
+    /// A free-vocabulary string.
+    fn str(&mut self, key: &'static str) -> Result<&'static str, String>;
+    /// An optional `u32`.
+    fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, String>;
+    /// A payload enum.
+    fn choice<E: Choice>(&mut self, key: &'static str) -> Result<E, String>;
+}
+
+/// A payload field type: which [`FieldSink`]/[`FieldSource`] method
+/// carries it.
+pub(crate) trait Field: Sized {
+    fn put<S: FieldSink>(self, key: &'static str, sink: &mut S);
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<Self, String>;
+}
+
+impl Field for u32 {
+    fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
+        sink.u64(key, u64::from(self));
+    }
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<u32, String> {
+        src.u32(key)
+    }
+}
+
+impl Field for u64 {
+    fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
+        sink.u64(key, self);
+    }
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<u64, String> {
+        src.u64(key)
+    }
+}
+
+impl Field for bool {
+    fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
+        sink.bool(key, self);
+    }
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<bool, String> {
+        src.bool(key)
+    }
+}
+
+impl Field for &'static str {
+    fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
+        sink.str(key, self);
+    }
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<&'static str, String> {
+        src.str(key)
+    }
+}
+
+impl Field for Option<u32> {
+    fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
+        sink.opt_u32(key, self);
+    }
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<Option<u32>, String> {
+        src.opt_u32(key)
+    }
+}
+
+impl<E: Choice> Field for E {
+    fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
+        sink.choice(key, self);
+    }
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<E, String> {
+        src.choice(key)
+    }
+}
+
+/// A field's JSONL key: the `as "key"` override, else the field name.
+macro_rules! wire_key {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $key:literal) => {
+        $key
+    };
+}
+
+/// Declares [`Event`] from its schema table (see the module docs).
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum Event {
+            $(
+                $(#[$vmeta:meta])*
+                $Variant:ident $type_name:literal {
+                    $(#[$cycle_meta:meta])*
+                    cycle,
+                    $( $(#[$fmeta:meta])* $field:ident $(as $key:literal)? : $ty:ty, )+
+                },
+            )+
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum Event {
+            $(
+                $(#[$vmeta])*
+                $Variant {
+                    $(#[$cycle_meta])*
+                    cycle: u64,
+                    $( $(#[$fmeta])* $field: $ty, )+
+                },
+            )+
+        }
+
+        /// An [`Event`] variant without its payload. Its position in
+        /// [`EventKind::ALL`] is its `dsa-tracebin/v1` tag.
+        #[derive(Clone, Copy)]
+        pub(crate) enum EventKind {
+            $( $Variant, )+
+        }
+
+        impl EventKind {
+            /// Every kind, in tag order.
+            pub(crate) const ALL: &'static [EventKind] = &[$( EventKind::$Variant ),+];
+
+            /// The JSONL `type` value.
+            pub(crate) fn type_name(self) -> &'static str {
+                match self {
+                    $( EventKind::$Variant => $type_name, )+
+                }
+            }
+
+            /// Inverse of [`EventKind::type_name`].
+            pub(crate) fn from_type_name(name: &str) -> Option<EventKind> {
+                EventKind::ALL.iter().copied().find(|k| k.type_name() == name)
+            }
+
+            /// The payload's JSONL keys in wire order (`cycle` excluded):
+            /// the fields a v1 record must carry.
+            pub(crate) fn keys(self) -> &'static [&'static str] {
+                match self {
+                    $( EventKind::$Variant => &[$( wire_key!($field $($key)?) ),+], )+
+                }
+            }
+
+            /// Reads this kind's payload from `src` in wire order.
+            pub(crate) fn read<S: FieldSource>(self, cycle: u64, src: &mut S) -> Result<Event, String> {
+                Ok(match self {
+                    $(
+                        EventKind::$Variant => Event::$Variant {
+                            cycle,
+                            $( $field: Field::take(wire_key!($field $($key)?), src)?, )+
+                        },
+                    )+
+                })
+            }
+        }
+
+        impl Event {
+            pub(crate) fn kind(&self) -> EventKind {
+                match self {
+                    $( Event::$Variant { .. } => EventKind::$Variant, )+
+                }
+            }
+
+            /// Core cycle at emission.
+            pub fn cycle(&self) -> u64 {
+                match *self {
+                    $( Event::$Variant { cycle, .. } )|+ => cycle,
+                }
+            }
+
+            /// Writes the payload (everything but `cycle`) to `sink` in
+            /// wire order.
+            pub(crate) fn write_fields<S: FieldSink>(&self, sink: &mut S) {
+                match *self {
+                    $(
+                        Event::$Variant { $( $field, )+ .. } => {
+                            $( Field::put($field, wire_key!($field $($key)?), sink); )+
+                        }
+                    )+
+                }
+            }
+        }
+    };
+}
+
+events! {
+    /// One telemetry event. Every variant carries `cycle` — the core cycle
+    /// count at emission — so exporters can place it on the run's timeline.
+    /// String fields are `&'static str` drawn from fixed vocabularies
+    /// (loop-class names, rejection reasons, fault-site names), which keeps
+    /// events `Copy`-cheap and the schema enumerable.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Event {
+        /// Simulation began.
+        RunStarted "run-started" {
+            /// Core cycle (0 on a fresh simulator).
+            cycle,
+            /// Initial program counter.
+            pc: u32,
+        },
+        /// Simulation finished (halt or watchdog).
+        RunFinished "run-finished" {
+            /// Total core cycles.
+            cycle,
+            /// Committed instructions.
+            committed: u64,
+            /// Whether the program reached `halt`.
+            halted: bool,
+        },
+        /// The simulator failed: watchdog expiry or an executor error.
+        SimFault "sim-fault" {
+            /// Core cycle.
+            cycle,
+            /// Stable error-kind name.
+            kind: &'static str,
+            /// PC at the failure.
+            pc: u32,
+        },
+        /// Loop Detection saw a taken backward branch.
+        LoopDetected "loop-detected" {
+            /// Core cycle.
+            cycle,
+            /// Loop ID (branch-target PC).
+            loop_id as "loop": u32,
+            /// PC of the closing branch.
+            end_pc: u32,
+        },
+        /// A detection stage did one unit of work. `dsa_cycles` is the
+        /// DSA-side latency charged at this activation (0 when the work is
+        /// charged by a co-located [`Event::CacheAccess`] /
+        /// [`Event::DependencyVerdict`] instead).
+        StageActivated "stage-activated" {
+            /// Core cycle.
+            cycle,
+            /// The stage.
+            stage: Stage,
+            /// Loop being analysed.
+            loop_id as "loop": u32,
+            /// DSA-side cycles charged here.
+            dsa_cycles: u64,
+        },
+        /// One access (or batch) to a DSA-private memory.
+        CacheAccess "cache-access" {
+            /// Core cycle.
+            cycle,
+            /// Which structure.
+            cache: CacheKind,
+            /// What happened.
+            outcome: CacheOutcome,
+            /// Loop the access served.
+            loop_id as "loop": u32,
+            /// Accesses in the batch (≥ 1).
+            count: u32,
+            /// DSA-side cycles charged for the batch.
+            dsa_cycles: u64,
+        },
+        /// CIDP produced a verdict over a loop's stream pairs.
+        DependencyVerdict "dependency-verdict" {
+            /// Core cycle.
+            cycle,
+            /// Loop analysed.
+            loop_id as "loop": u32,
+            /// Write×read stream pairs evaluated.
+            pairs: u32,
+            /// Predicted dependency distance; `None` = no dependency.
+            distance: Option<u32>,
+            /// DSA-side cycles charged for the evaluation.
+            dsa_cycles: u64,
+        },
+        /// The loop's class was determined (census entry written).
+        LoopClassified "loop-classified" {
+            /// Core cycle.
+            cycle,
+            /// The loop.
+            loop_id as "loop": u32,
+            /// Loop-class name.
+            class: &'static str,
+        },
+        /// Remaining iterations handed to the NEON engine.
+        LoopVectorized "loop-vectorized" {
+            /// Core cycle.
+            cycle,
+            /// The loop.
+            loop_id as "loop": u32,
+            /// Loop-class name.
+            class: &'static str,
+            /// Iterations planned for vector execution.
+            planned: u32,
+            /// Alignment-peel iterations kept scalar.
+            peeled: u32,
+        },
+        /// Analysis ended without vectorizing.
+        LoopRejected "loop-rejected" {
+            /// Core cycle.
+            cycle,
+            /// The loop.
+            loop_id as "loop": u32,
+            /// Class recorded for the census.
+            class: &'static str,
+            /// Stable rejection reason.
+            reason: &'static str,
+        },
+        /// A detected inconsistency rolled an (analysis or coverage) back
+        /// to scalar execution.
+        LoopRolledBack "loop-rolled-back" {
+            /// Core cycle.
+            cycle,
+            /// The loop (0 when the recovery had no loop context).
+            loop_id as "loop": u32,
+            /// Class recorded for the census.
+            class: &'static str,
+            /// Stable rollback reason.
+            reason: &'static str,
+        },
+        /// Coverage for one vectorized loop instance ended.
+        LoopFinished "loop-finished" {
+            /// Core cycle.
+            cycle,
+            /// The loop.
+            loop_id as "loop": u32,
+            /// Loop iterations that ran under coverage.
+            iters: u32,
+        },
+        /// Terminal degradation: the DSA detached itself.
+        EnginePoisoned "engine-poisoned" {
+            /// Core cycle.
+            cycle,
+            /// Operation that hit the impossible transition.
+            during: &'static str,
+            /// Mode the operation required.
+            expected: &'static str,
+        },
+        /// An armed fault plan corrupted DSA bookkeeping here.
+        FaultInjected "fault-injected" {
+            /// Core cycle.
+            cycle,
+            /// Stable fault-site name.
+            site: &'static str,
+        },
+        /// A partial-vectorization chunk (or continued sentinel block) was
+        /// re-verified and injected.
+        PartialChunk "partial-chunk" {
+            /// Core cycle.
+            cycle,
+            /// The loop.
+            loop_id as "loop": u32,
+            /// Iterations in the chunk.
+            chunk_iters: u32,
+            /// DSA-side cycles charged for the re-verification.
+            dsa_cycles: u64,
+        },
+        /// A speculative region resolved at loop exit.
+        SpeculationResolved "speculation-resolved" {
+            /// Core cycle.
+            cycle,
+            /// The loop.
+            loop_id as "loop": u32,
+            /// Sentinel or conditional.
+            kind: SpecKind,
+            /// Elements speculatively injected.
+            injected: u64,
+            /// Elements that turned out useful.
+            used: u64,
+            /// Lanes discarded.
+            discarded: u64,
+        },
+        /// Supervised harness: a run attempt failed and will be retried.
+        /// Harness-side events carry `cycle: 0` — they live in the
+        /// wall-clock domain, not the simulated-cycle domain.
+        SupervisorRetry "supervisor-retry" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Workload name (stable vocabulary from the bench crate).
+            workload: &'static str,
+            /// 1-based attempt number that failed.
+            attempt: u32,
+            /// Backoff applied before the next attempt, in milliseconds.
+            backoff_ms: u64,
+        },
+        /// Supervised harness: a worker panicked and was isolated.
+        WorkerPanicked "worker-panicked" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Workload name.
+            workload: &'static str,
+        },
+        /// Supervised harness: a run exceeded its wall-clock deadline.
+        DeadlineExceeded "deadline-exceeded" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Workload name.
+            workload: &'static str,
+            /// The deadline, in milliseconds.
+            deadline_ms: u64,
+        },
+        /// Supervised harness: a workload's circuit breaker opened after
+        /// repeated failures/degradations; further runs short-circuit.
+        BreakerOpen "breaker-open" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Workload name.
+            workload: &'static str,
+            /// Failures counted when the breaker opened.
+            failures: u32,
+        },
+        /// Supervised harness: an open breaker's cooldown elapsed and one
+        /// probe call was admitted (half-open state).
+        BreakerHalfOpen "breaker-half-open" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Workload name.
+            workload: &'static str,
+            /// Cooldown that elapsed before the probe, in milliseconds.
+            cooldown_ms: u64,
+        },
+        /// Supervised harness: a half-open probe succeeded and the breaker
+        /// closed again.
+        BreakerClosed "breaker-closed" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Workload name.
+            workload: &'static str,
+        },
+        /// Service: a job passed admission control onto a shard queue.
+        JobAdmitted "job-admitted" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Service-assigned job id.
+            job: u64,
+            /// Shard the job was routed to.
+            shard: u32,
+            /// Queue depth after enqueueing.
+            queue_depth: u32,
+        },
+        /// Service: admission control shed a job (typed rejection, never a
+        /// panic or a hang).
+        JobShed "job-shed" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Stable shed reason (`overloaded`, `deadline`).
+            reason: &'static str,
+        },
+        /// Service: an admitted job completed with a verified checksum.
+        JobCompleted "job-completed" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Service-assigned job id.
+            job: u64,
+            /// Shard that produced the final result.
+            shard: u32,
+            /// Served from the content-addressed result store.
+            cache_hit: bool,
+            /// Times the session resumed on a different shard.
+            migrations: u32,
+            /// Wall-clock latency from admission, in milliseconds.
+            latency_ms: u64,
+        },
+        /// Service: a session checkpointed its snapshot at a slice boundary.
+        SessionCheckpointed "session-checkpointed" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Service-assigned job id.
+            job: u64,
+            /// Shard that captured the checkpoint.
+            shard: u32,
+            /// Serialized session image size in bytes.
+            bytes: u64,
+            /// Committed instructions at the checkpoint.
+            commits: u64,
+        },
+        /// Service: an in-flight session moved off a dead shard and will
+        /// resume from its last checkpoint on a healthy one.
+        SessionMigrated "session-migrated" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// Service-assigned job id.
+            job: u64,
+            /// Shard the session left.
+            from_shard: u32,
+        },
+        /// Service: the chaos controller (or an operator) killed a shard.
+        ShardKilled "shard-killed" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// The shard.
+            shard: u32,
+            /// Sessions (queued + in-flight) drained for migration.
+            drained: u32,
+        },
+        /// Service: a killed shard revived and rejoined the pool.
+        ShardRecovered "shard-recovered" {
+            /// Core cycle (always 0; wall-clock domain).
+            cycle,
+            /// The shard.
+            shard: u32,
+        },
+        /// A snapshot image validated and warm state was restored.
+        SnapshotRestored "snapshot-restored" {
+            /// Core cycle (always 0; restore happens between runs).
+            cycle,
+            /// Serialized image size in bytes.
+            bytes: u64,
+            /// DSA-cache entries that came back warm.
+            cache_entries: u64,
+        },
+        /// A snapshot image was rejected; the engine cold-started instead.
+        SnapshotRejected "snapshot-rejected" {
+            /// Core cycle (always 0; restore happens between runs).
+            cycle,
+            /// Stable rejection-kind name (`SnapshotError::kind_name`).
+            kind: &'static str,
+        },
+    }
 }
 
 impl Event {
     /// Stable kebab-case type name (the JSONL `type` field).
     pub fn type_name(&self) -> &'static str {
-        match self {
-            Event::RunStarted { .. } => "run-started",
-            Event::RunFinished { .. } => "run-finished",
-            Event::SimFault { .. } => "sim-fault",
-            Event::LoopDetected { .. } => "loop-detected",
-            Event::StageActivated { .. } => "stage-activated",
-            Event::CacheAccess { .. } => "cache-access",
-            Event::DependencyVerdict { .. } => "dependency-verdict",
-            Event::LoopClassified { .. } => "loop-classified",
-            Event::LoopVectorized { .. } => "loop-vectorized",
-            Event::LoopRejected { .. } => "loop-rejected",
-            Event::LoopRolledBack { .. } => "loop-rolled-back",
-            Event::LoopFinished { .. } => "loop-finished",
-            Event::EnginePoisoned { .. } => "engine-poisoned",
-            Event::FaultInjected { .. } => "fault-injected",
-            Event::PartialChunk { .. } => "partial-chunk",
-            Event::SpeculationResolved { .. } => "speculation-resolved",
-            Event::SupervisorRetry { .. } => "supervisor-retry",
-            Event::WorkerPanicked { .. } => "worker-panicked",
-            Event::DeadlineExceeded { .. } => "deadline-exceeded",
-            Event::BreakerOpen { .. } => "breaker-open",
-            Event::BreakerHalfOpen { .. } => "breaker-half-open",
-            Event::BreakerClosed { .. } => "breaker-closed",
-            Event::JobAdmitted { .. } => "job-admitted",
-            Event::JobShed { .. } => "job-shed",
-            Event::JobCompleted { .. } => "job-completed",
-            Event::SessionCheckpointed { .. } => "session-checkpointed",
-            Event::SessionMigrated { .. } => "session-migrated",
-            Event::ShardKilled { .. } => "shard-killed",
-            Event::ShardRecovered { .. } => "shard-recovered",
-            Event::SnapshotRestored { .. } => "snapshot-restored",
-            Event::SnapshotRejected { .. } => "snapshot-rejected",
-        }
-    }
-
-    /// Core cycle at emission.
-    pub fn cycle(&self) -> u64 {
-        match *self {
-            Event::RunStarted { cycle, .. }
-            | Event::RunFinished { cycle, .. }
-            | Event::SimFault { cycle, .. }
-            | Event::LoopDetected { cycle, .. }
-            | Event::StageActivated { cycle, .. }
-            | Event::CacheAccess { cycle, .. }
-            | Event::DependencyVerdict { cycle, .. }
-            | Event::LoopClassified { cycle, .. }
-            | Event::LoopVectorized { cycle, .. }
-            | Event::LoopRejected { cycle, .. }
-            | Event::LoopRolledBack { cycle, .. }
-            | Event::LoopFinished { cycle, .. }
-            | Event::EnginePoisoned { cycle, .. }
-            | Event::FaultInjected { cycle, .. }
-            | Event::PartialChunk { cycle, .. }
-            | Event::SpeculationResolved { cycle, .. }
-            | Event::SupervisorRetry { cycle, .. }
-            | Event::WorkerPanicked { cycle, .. }
-            | Event::DeadlineExceeded { cycle, .. }
-            | Event::BreakerOpen { cycle, .. }
-            | Event::BreakerHalfOpen { cycle, .. }
-            | Event::BreakerClosed { cycle, .. }
-            | Event::JobAdmitted { cycle, .. }
-            | Event::JobShed { cycle, .. }
-            | Event::JobCompleted { cycle, .. }
-            | Event::SessionCheckpointed { cycle, .. }
-            | Event::SessionMigrated { cycle, .. }
-            | Event::ShardKilled { cycle, .. }
-            | Event::ShardRecovered { cycle, .. }
-            | Event::SnapshotRestored { cycle, .. }
-            | Event::SnapshotRejected { cycle, .. } => cycle,
-        }
+        self.kind().type_name()
     }
 
     /// DSA-side cycles charged by this event (the accounting invariant:
@@ -570,176 +714,6 @@ impl Event {
             | Event::SpeculationResolved { loop_id, .. } => Some(loop_id),
             _ => None,
         }
-    }
-
-    /// One JSONL record for this event: a single-line JSON object with
-    /// fixed field order (`record`, `type`, `cycle`, then the variant's
-    /// fields). Hand-rolled — the vocabulary contains no characters that
-    /// need escaping, but strings are escaped anyway for safety.
-    pub fn to_json_line(&self) -> String {
-        let mut s = String::with_capacity(128);
-        let _ = write!(s, "{{\"record\":\"event\",\"type\":\"{}\",\"cycle\":{}", self.type_name(), self.cycle());
-        match *self {
-            Event::RunStarted { pc, .. } => {
-                let _ = write!(s, ",\"pc\":{pc}");
-            }
-            Event::RunFinished { committed, halted, .. } => {
-                let _ = write!(s, ",\"committed\":{committed},\"halted\":{halted}");
-            }
-            Event::SimFault { kind, pc, .. } => {
-                let _ = write!(s, ",\"kind\":{},\"pc\":{pc}", json_str(kind));
-            }
-            Event::LoopDetected { loop_id, end_pc, .. } => {
-                let _ = write!(s, ",\"loop\":{loop_id},\"end_pc\":{end_pc}");
-            }
-            Event::StageActivated { stage, loop_id, dsa_cycles, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"stage\":{},\"loop\":{loop_id},\"dsa_cycles\":{dsa_cycles}",
-                    json_str(stage.name())
-                );
-            }
-            Event::CacheAccess { cache, outcome, loop_id, count, dsa_cycles, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"cache\":{},\"outcome\":{},\"loop\":{loop_id},\"count\":{count},\"dsa_cycles\":{dsa_cycles}",
-                    json_str(cache.name()),
-                    json_str(outcome.name())
-                );
-            }
-            Event::DependencyVerdict { loop_id, pairs, distance, dsa_cycles, .. } => {
-                let _ = write!(s, ",\"loop\":{loop_id},\"pairs\":{pairs},\"distance\":");
-                match distance {
-                    Some(d) => {
-                        let _ = write!(s, "{d}");
-                    }
-                    None => s.push_str("null"),
-                }
-                let _ = write!(s, ",\"dsa_cycles\":{dsa_cycles}");
-            }
-            Event::LoopClassified { loop_id, class, .. } => {
-                let _ = write!(s, ",\"loop\":{loop_id},\"class\":{}", json_str(class));
-            }
-            Event::LoopVectorized { loop_id, class, planned, peeled, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"loop\":{loop_id},\"class\":{},\"planned\":{planned},\"peeled\":{peeled}",
-                    json_str(class)
-                );
-            }
-            Event::LoopRejected { loop_id, class, reason, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"loop\":{loop_id},\"class\":{},\"reason\":{}",
-                    json_str(class),
-                    json_str(reason)
-                );
-            }
-            Event::LoopRolledBack { loop_id, class, reason, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"loop\":{loop_id},\"class\":{},\"reason\":{}",
-                    json_str(class),
-                    json_str(reason)
-                );
-            }
-            Event::LoopFinished { loop_id, iters, .. } => {
-                let _ = write!(s, ",\"loop\":{loop_id},\"iters\":{iters}");
-            }
-            Event::EnginePoisoned { during, expected, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"during\":{},\"expected\":{}",
-                    json_str(during),
-                    json_str(expected)
-                );
-            }
-            Event::FaultInjected { site, .. } => {
-                let _ = write!(s, ",\"site\":{}", json_str(site));
-            }
-            Event::PartialChunk { loop_id, chunk_iters, dsa_cycles, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"loop\":{loop_id},\"chunk_iters\":{chunk_iters},\"dsa_cycles\":{dsa_cycles}"
-                );
-            }
-            Event::SpeculationResolved { loop_id, kind, injected, used, discarded, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"loop\":{loop_id},\"kind\":{},\"injected\":{injected},\"used\":{used},\"discarded\":{discarded}",
-                    json_str(kind.name())
-                );
-            }
-            Event::SupervisorRetry { workload, attempt, backoff_ms, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"workload\":{},\"attempt\":{attempt},\"backoff_ms\":{backoff_ms}",
-                    json_str(workload)
-                );
-            }
-            Event::WorkerPanicked { workload, .. } => {
-                let _ = write!(s, ",\"workload\":{}", json_str(workload));
-            }
-            Event::DeadlineExceeded { workload, deadline_ms, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"workload\":{},\"deadline_ms\":{deadline_ms}",
-                    json_str(workload)
-                );
-            }
-            Event::BreakerOpen { workload, failures, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"workload\":{},\"failures\":{failures}",
-                    json_str(workload)
-                );
-            }
-            Event::BreakerHalfOpen { workload, cooldown_ms, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"workload\":{},\"cooldown_ms\":{cooldown_ms}",
-                    json_str(workload)
-                );
-            }
-            Event::BreakerClosed { workload, .. } => {
-                let _ = write!(s, ",\"workload\":{}", json_str(workload));
-            }
-            Event::JobAdmitted { job, shard, queue_depth, .. } => {
-                let _ = write!(s, ",\"job\":{job},\"shard\":{shard},\"queue_depth\":{queue_depth}");
-            }
-            Event::JobShed { reason, .. } => {
-                let _ = write!(s, ",\"reason\":{}", json_str(reason));
-            }
-            Event::JobCompleted { job, shard, cache_hit, migrations, latency_ms, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{job},\"shard\":{shard},\"cache_hit\":{cache_hit},\"migrations\":{migrations},\"latency_ms\":{latency_ms}"
-                );
-            }
-            Event::SessionCheckpointed { job, shard, bytes, commits, .. } => {
-                let _ = write!(
-                    s,
-                    ",\"job\":{job},\"shard\":{shard},\"bytes\":{bytes},\"commits\":{commits}"
-                );
-            }
-            Event::SessionMigrated { job, from_shard, .. } => {
-                let _ = write!(s, ",\"job\":{job},\"from_shard\":{from_shard}");
-            }
-            Event::ShardKilled { shard, drained, .. } => {
-                let _ = write!(s, ",\"shard\":{shard},\"drained\":{drained}");
-            }
-            Event::ShardRecovered { shard, .. } => {
-                let _ = write!(s, ",\"shard\":{shard}");
-            }
-            Event::SnapshotRestored { bytes, cache_entries, .. } => {
-                let _ = write!(s, ",\"bytes\":{bytes},\"cache_entries\":{cache_entries}");
-            }
-            Event::SnapshotRejected { kind, .. } => {
-                let _ = write!(s, ",\"kind\":{}", json_str(kind));
-            }
-        }
-        s.push('}');
-        s
     }
 }
 

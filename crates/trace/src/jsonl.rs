@@ -10,18 +10,22 @@
 //! - **Every further line — event**: `{"record":"event","type":<t>,
 //!   "cycle":<u64>, ...}` where `<t>` is one of the kebab-case names in
 //!   [`Event::type_name`] and the remaining fields are the variant's
-//!   payload (see [`crate::event`]). Field additions are backwards
-//!   compatible within a schema version; renames/removals bump it.
+//!   payload in the order and under the keys of the schema table in
+//!   [`crate::event`], which also gives the validator its required
+//!   fields. Field additions are backwards compatible within a schema
+//!   version; renames/removals bump it.
 //!
 //! The sink is IO-error tolerant by design: tracing must never abort a
 //! simulation, so the first write failure is latched, later writes are
 //! skipped, and the error is reported by [`JsonlSink::take_error`].
 
+use std::fmt::Write as _;
 use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use crate::event::{Event, SCHEMA};
+use crate::columnar::intern;
+use crate::event::{json_str, Choice, Event, EventKind, FieldSink, FieldSource, SCHEMA};
 use crate::json::{self, Value};
 use crate::TraceSink;
 
@@ -100,46 +104,54 @@ impl<W: Write> TraceSink for JsonlSink<W> {
     }
 }
 
-/// Event types the v1 schema knows, with their required fields (beyond
-/// `record`/`type`/`cycle`).
-const V1_EVENTS: &[(&str, &[&str])] = &[
-    ("run-started", &["pc"]),
-    ("run-finished", &["committed", "halted"]),
-    ("sim-fault", &["kind", "pc"]),
-    ("loop-detected", &["loop", "end_pc"]),
-    ("stage-activated", &["stage", "loop", "dsa_cycles"]),
-    ("cache-access", &["cache", "outcome", "loop", "count", "dsa_cycles"]),
-    ("dependency-verdict", &["loop", "pairs", "distance", "dsa_cycles"]),
-    ("loop-classified", &["loop", "class"]),
-    ("loop-vectorized", &["loop", "class", "planned", "peeled"]),
-    ("loop-rejected", &["loop", "class", "reason"]),
-    ("loop-rolled-back", &["loop", "class", "reason"]),
-    ("loop-finished", &["loop", "iters"]),
-    ("engine-poisoned", &["during", "expected"]),
-    ("fault-injected", &["site"]),
-    ("partial-chunk", &["loop", "chunk_iters", "dsa_cycles"]),
-    ("speculation-resolved", &["loop", "kind", "injected", "used", "discarded"]),
-    // Supervision + snapshot events (additive, still v1): harness-side
-    // recovery transitions, emitted in the wall-clock domain (cycle 0).
-    ("supervisor-retry", &["workload", "attempt", "backoff_ms"]),
-    ("worker-panicked", &["workload"]),
-    ("deadline-exceeded", &["workload", "deadline_ms"]),
-    ("breaker-open", &["workload", "failures"]),
-    ("snapshot-restored", &["bytes", "cache_entries"]),
-    ("snapshot-rejected", &["kind"]),
-    // Service events (additive, still v1): dsa-serve's session
-    // lifecycle — admission, checkpoints, migration, shard chaos — and
-    // the half-open breaker transitions, all wall-clock (cycle 0).
-    ("breaker-half-open", &["workload", "cooldown_ms"]),
-    ("breaker-closed", &["workload"]),
-    ("job-admitted", &["job", "shard", "queue_depth"]),
-    ("job-shed", &["reason"]),
-    ("job-completed", &["job", "shard", "cache_hit", "migrations", "latency_ms"]),
-    ("session-checkpointed", &["job", "shard", "bytes", "commits"]),
-    ("session-migrated", &["job", "from_shard"]),
-    ("shard-killed", &["shard", "drained"]),
-    ("shard-recovered", &["shard"]),
-];
+impl Event {
+    /// One JSONL record for this event: a single-line JSON object with
+    /// fixed field order (`record`, `type`, `cycle`, then the variant's
+    /// fields). Hand-rolled — the vocabulary contains no characters that
+    /// need escaping, but strings are escaped anyway for safety.
+    pub fn to_json_line(&self) -> String {
+        let mut s = String::with_capacity(128);
+        let _ = write!(
+            s,
+            "{{\"record\":\"event\",\"type\":\"{}\",\"cycle\":{}",
+            self.type_name(),
+            self.cycle()
+        );
+        self.write_fields(&mut JsonFields(&mut s));
+        s.push('}');
+        s
+    }
+}
+
+/// Appends each payload field as `,"key":value`.
+struct JsonFields<'a>(&'a mut String);
+
+impl FieldSink for JsonFields<'_> {
+    fn u64(&mut self, key: &'static str, v: u64) {
+        let _ = write!(self.0, ",\"{key}\":{v}");
+    }
+
+    fn bool(&mut self, key: &'static str, v: bool) {
+        let _ = write!(self.0, ",\"{key}\":{v}");
+    }
+
+    fn str(&mut self, key: &'static str, v: &'static str) {
+        let _ = write!(self.0, ",\"{key}\":{}", json_str(v));
+    }
+
+    fn opt_u32(&mut self, key: &'static str, v: Option<u32>) {
+        match v {
+            Some(d) => self.u64(key, u64::from(d)),
+            None => {
+                let _ = write!(self.0, ",\"{key}\":null");
+            }
+        }
+    }
+
+    fn choice<E: Choice>(&mut self, key: &'static str, v: E) {
+        self.str(key, v.name());
+    }
+}
 
 /// Validates one line, collecting forward-compat warnings (unknown
 /// event fields) into `warnings` when provided.
@@ -175,10 +187,11 @@ fn check_line(line: &str, is_first: bool, warnings: Option<&mut Vec<String>>) ->
     v.get("cycle")
         .and_then(Value::as_u64)
         .ok_or_else(|| format!("event \"{ty}\" missing unsigned field \"cycle\""))?;
-    let Some((_, required)) = V1_EVENTS.iter().find(|(name, _)| *name == ty) else {
+    let Some(kind) = EventKind::from_type_name(ty) else {
         return Err(format!("unknown event type \"{ty}\""));
     };
-    for field in *required {
+    let required = kind.keys();
+    for field in required {
         if v.get(field).is_none() {
             return Err(format!("event \"{ty}\" missing field \"{field}\""));
         }
@@ -273,160 +286,62 @@ pub fn validate_document_verbose(text: &str) -> Result<(u64, Vec<String>), (usiz
 /// Returns a description of the first missing/ill-typed field, or of
 /// an unknown event type.
 pub fn event_from_value(v: &Value) -> Result<Event, String> {
-    use crate::columnar::intern;
-    use crate::event::{CacheKind, CacheOutcome, SpecKind, Stage};
-
     let ty = v
         .get("type")
         .and_then(Value::as_str)
         .ok_or_else(|| "event missing string field \"type\"".to_string())?;
-    let u = |name: &str| -> Result<u64, String> {
-        v.get(name)
-            .and_then(Value::as_u64)
-            .ok_or_else(|| format!("event \"{ty}\" missing unsigned field \"{name}\""))
-    };
-    let u32f = |name: &str| -> Result<u32, String> {
-        u32::try_from(u(name)?).map_err(|_| format!("event \"{ty}\": field \"{name}\" exceeds u32"))
-    };
-    let b = |name: &str| -> Result<bool, String> {
-        v.get(name)
-            .and_then(Value::as_bool)
-            .ok_or_else(|| format!("event \"{ty}\" missing bool field \"{name}\""))
-    };
-    let s = |name: &str| -> Result<&'static str, String> {
-        v.get(name)
-            .and_then(Value::as_str)
-            .map(intern)
-            .ok_or_else(|| format!("event \"{ty}\" missing string field \"{name}\""))
-    };
-    let cycle = u("cycle")?;
-    Ok(match ty {
-        "run-started" => Event::RunStarted { pc: u32f("pc")?, cycle },
-        "run-finished" => Event::RunFinished { cycle, committed: u("committed")?, halted: b("halted")? },
-        "sim-fault" => Event::SimFault { kind: s("kind")?, pc: u32f("pc")?, cycle },
-        "loop-detected" => Event::LoopDetected { loop_id: u32f("loop")?, end_pc: u32f("end_pc")?, cycle },
-        "stage-activated" => Event::StageActivated {
-            stage: Stage::from_name(s("stage")?)
-                .ok_or_else(|| format!("unknown stage \"{}\"", s("stage").unwrap_or("?")))?,
-            loop_id: u32f("loop")?,
-            dsa_cycles: u("dsa_cycles")?,
-            cycle,
-        },
-        "cache-access" => Event::CacheAccess {
-            cache: CacheKind::from_name(s("cache")?)
-                .ok_or_else(|| format!("unknown cache \"{}\"", s("cache").unwrap_or("?")))?,
-            outcome: CacheOutcome::from_name(s("outcome")?)
-                .ok_or_else(|| format!("unknown outcome \"{}\"", s("outcome").unwrap_or("?")))?,
-            loop_id: u32f("loop")?,
-            count: u32f("count")?,
-            dsa_cycles: u("dsa_cycles")?,
-            cycle,
-        },
-        "dependency-verdict" => Event::DependencyVerdict {
-            loop_id: u32f("loop")?,
-            pairs: u32f("pairs")?,
-            distance: match v.get("distance") {
-                None => return Err(format!("event \"{ty}\" missing field \"distance\"")),
-                Some(Value::Null) => None,
-                Some(d) => Some(
-                    d.as_u64()
-                        .and_then(|d| u32::try_from(d).ok())
-                        .ok_or_else(|| format!("event \"{ty}\": bad \"distance\""))?,
-                ),
-            },
-            dsa_cycles: u("dsa_cycles")?,
-            cycle,
-        },
-        "loop-classified" => Event::LoopClassified { loop_id: u32f("loop")?, class: s("class")?, cycle },
-        "loop-vectorized" => Event::LoopVectorized {
-            loop_id: u32f("loop")?,
-            class: s("class")?,
-            planned: u32f("planned")?,
-            peeled: u32f("peeled")?,
-            cycle,
-        },
-        "loop-rejected" => Event::LoopRejected {
-            loop_id: u32f("loop")?,
-            class: s("class")?,
-            reason: s("reason")?,
-            cycle,
-        },
-        "loop-rolled-back" => Event::LoopRolledBack {
-            loop_id: u32f("loop")?,
-            class: s("class")?,
-            reason: s("reason")?,
-            cycle,
-        },
-        "loop-finished" => Event::LoopFinished { loop_id: u32f("loop")?, iters: u32f("iters")?, cycle },
-        "engine-poisoned" => Event::EnginePoisoned { during: s("during")?, expected: s("expected")?, cycle },
-        "fault-injected" => Event::FaultInjected { site: s("site")?, cycle },
-        "partial-chunk" => Event::PartialChunk {
-            loop_id: u32f("loop")?,
-            chunk_iters: u32f("chunk_iters")?,
-            dsa_cycles: u("dsa_cycles")?,
-            cycle,
-        },
-        "speculation-resolved" => Event::SpeculationResolved {
-            loop_id: u32f("loop")?,
-            kind: SpecKind::from_name(s("kind")?)
-                .ok_or_else(|| format!("unknown spec kind \"{}\"", s("kind").unwrap_or("?")))?,
-            injected: u("injected")?,
-            used: u("used")?,
-            discarded: u("discarded")?,
-            cycle,
-        },
-        "supervisor-retry" => Event::SupervisorRetry {
-            workload: s("workload")?,
-            attempt: u32f("attempt")?,
-            backoff_ms: u("backoff_ms")?,
-            cycle,
-        },
-        "worker-panicked" => Event::WorkerPanicked { workload: s("workload")?, cycle },
-        "deadline-exceeded" => Event::DeadlineExceeded {
-            workload: s("workload")?,
-            deadline_ms: u("deadline_ms")?,
-            cycle,
-        },
-        "breaker-open" => Event::BreakerOpen { workload: s("workload")?, failures: u32f("failures")?, cycle },
-        "breaker-half-open" => Event::BreakerHalfOpen {
-            workload: s("workload")?,
-            cooldown_ms: u("cooldown_ms")?,
-            cycle,
-        },
-        "breaker-closed" => Event::BreakerClosed { workload: s("workload")?, cycle },
-        "job-admitted" => Event::JobAdmitted {
-            job: u("job")?,
-            shard: u32f("shard")?,
-            queue_depth: u32f("queue_depth")?,
-            cycle,
-        },
-        "job-shed" => Event::JobShed { reason: s("reason")?, cycle },
-        "job-completed" => Event::JobCompleted {
-            job: u("job")?,
-            shard: u32f("shard")?,
-            cache_hit: b("cache_hit")?,
-            migrations: u32f("migrations")?,
-            latency_ms: u("latency_ms")?,
-            cycle,
-        },
-        "session-checkpointed" => Event::SessionCheckpointed {
-            job: u("job")?,
-            shard: u32f("shard")?,
-            bytes: u("bytes")?,
-            commits: u("commits")?,
-            cycle,
-        },
-        "session-migrated" => Event::SessionMigrated { job: u("job")?, from_shard: u32f("from_shard")?, cycle },
-        "shard-killed" => Event::ShardKilled { shard: u32f("shard")?, drained: u32f("drained")?, cycle },
-        "shard-recovered" => Event::ShardRecovered { shard: u32f("shard")?, cycle },
-        "snapshot-restored" => Event::SnapshotRestored {
-            bytes: u("bytes")?,
-            cache_entries: u("cache_entries")?,
-            cycle,
-        },
-        "snapshot-rejected" => Event::SnapshotRejected { kind: s("kind")?, cycle },
-        other => return Err(format!("unknown event type \"{other}\"")),
-    })
+    let mut src = JsonRecord { v, ty };
+    let cycle = src.u64("cycle")?;
+    let kind = EventKind::from_type_name(ty).ok_or_else(|| format!("unknown event type \"{ty}\""))?;
+    kind.read(cycle, &mut src)
+}
+
+/// Reads payload fields out of one parsed event record of type `ty`.
+struct JsonRecord<'a> {
+    v: &'a Value,
+    ty: &'a str,
+}
+
+impl JsonRecord<'_> {
+    fn missing(&self, shape: &str, key: &str) -> String {
+        format!("event \"{}\" missing {shape} field \"{key}\"", self.ty)
+    }
+}
+
+impl FieldSource for JsonRecord<'_> {
+    fn u64(&mut self, key: &'static str) -> Result<u64, String> {
+        self.v.get(key).and_then(Value::as_u64).ok_or_else(|| self.missing("unsigned", key))
+    }
+
+    fn u32(&mut self, key: &'static str) -> Result<u32, String> {
+        u32::try_from(self.u64(key)?)
+            .map_err(|_| format!("event \"{}\": field \"{key}\" exceeds u32", self.ty))
+    }
+
+    fn bool(&mut self, key: &'static str) -> Result<bool, String> {
+        self.v.get(key).and_then(Value::as_bool).ok_or_else(|| self.missing("bool", key))
+    }
+
+    fn str(&mut self, key: &'static str) -> Result<&'static str, String> {
+        self.v.get(key).and_then(Value::as_str).map(intern).ok_or_else(|| self.missing("string", key))
+    }
+
+    fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, String> {
+        match self.v.get(key) {
+            None => Err(format!("event \"{}\" missing field \"{key}\"", self.ty)),
+            Some(Value::Null) => Ok(None),
+            Some(d) => d
+                .as_u64()
+                .and_then(|d| u32::try_from(d).ok())
+                .map(Some)
+                .ok_or_else(|| format!("event \"{}\": bad \"{key}\"", self.ty)),
+        }
+    }
+
+    fn choice<E: Choice>(&mut self, key: &'static str) -> Result<E, String> {
+        let name = self.v.get(key).and_then(Value::as_str).ok_or_else(|| self.missing("string", key))?;
+        E::from_name(name).ok_or_else(|| format!("unknown {} \"{name}\"", E::WHAT))
+    }
 }
 
 /// Parses a whole v1 JSONL document back into its typed event stream,

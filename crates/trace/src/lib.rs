@@ -11,7 +11,10 @@
 //!   histograms, mergeable across the parallel grid warm-up, with
 //!   plain-text and JSON reports;
 //! - [`JsonlSink`] — a versioned JSONL export ([`SCHEMA`]) with a
-//!   validator ([`validate_line`] / [`validate_document`]);
+//!   validator ([`validate_line`] / [`validate_document`]) and a typed
+//!   reader ([`parse_document`]);
+//! - [`ColumnarWriter`] / [`encode`] / [`decode`] — the compact
+//!   CRC-guarded columnar twin ([`BIN_SCHEMA`]) for fleet-scale traces;
 //! - [`PerfettoSink`] — a Chrome trace-event document rendering each
 //!   loop's stage timeline against core cycles (open in
 //!   <https://ui.perfetto.dev>);
@@ -32,9 +35,19 @@
 //! path. The `trace_overhead_guard` bench binary in `dsa-bench` holds
 //! the disabled path under its budget.
 //!
+//! ## One schema, two wire formats
+//!
+//! Every event's wire layout — type name, tracebin tag, payload fields
+//! in order, JSONL keys — is declared once, in the table that defines
+//! [`Event`] ([`event`]). The JSONL writer, validator and parser and
+//! the tracebin encoder and decoder all run on walkers generated from
+//! that table; each format adds only how one field of each type is
+//! written or read.
+//!
 //! The crate deliberately has **zero dependencies** (the workspace
 //! builds offline); both exporters hand-roll their JSON and
-//! [`json::parse`] reads it back for validation and reporting.
+//! [`json::parse`] reads it back for validation and reporting. Its
+//! [`crc32`] also guards `dsa-core`'s snapshot images.
 
 pub mod columnar;
 pub mod event;
@@ -46,14 +59,14 @@ pub mod perfetto;
 pub mod query;
 pub mod sample;
 
-pub use columnar::{decode, encode, intern, looks_binary, BinError, ColumnarWriter, BIN_SCHEMA};
+pub use columnar::{crc32, decode, encode, intern, looks_binary, BinError, ColumnarWriter, BIN_SCHEMA};
 pub use event::{CacheKind, CacheOutcome, Event, SpecKind, Stage, SCHEMA};
 pub use jsonl::{
     event_from_value, header_line, parse_document, validate_document, validate_document_verbose,
     validate_line, validate_line_verbose, JsonlSink,
 };
 pub use loops::{LoopRow, LoopTableSink};
-pub use metrics::{Histogram, MetricsRegistry, SharedMetrics, WireError};
+pub use metrics::{Histogram, MetricsRegistry, SharedMetrics};
 pub use perfetto::PerfettoSink;
 pub use query::{read_trace, Charge, CidpTally, LoadedTrace, Rollup, TraceFormat, WorkloadTally};
 pub use sample::SamplingSink;

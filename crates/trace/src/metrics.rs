@@ -250,109 +250,6 @@ impl MetricsRegistry {
         out
     }
 
-    /// Serializes the registry as a compact wire snapshot — the format
-    /// each supervised shard ships its metric deltas in. Layout:
-    /// magic, varint-counted sections (counters, histograms, class
-    /// attributions), all integers LEB128, trailed by a CRC-32 over
-    /// everything before it. A shard-to-frontend delta for a soak is a
-    /// few KB where the JSON report is tens.
-    pub fn to_wire(&self) -> Vec<u8> {
-        use crate::columnar::put_varint;
-        let mut out = Vec::with_capacity(256);
-        out.extend_from_slice(&WIRE_MAGIC);
-        put_varint(&mut out, self.counters.len() as u64);
-        for (k, &v) in &self.counters {
-            put_varint(&mut out, k.len() as u64);
-            out.extend_from_slice(k.as_bytes());
-            put_varint(&mut out, v);
-        }
-        put_varint(&mut out, self.hists.len() as u64);
-        for (k, h) in &self.hists {
-            put_varint(&mut out, k.len() as u64);
-            out.extend_from_slice(k.as_bytes());
-            put_varint(&mut out, h.count);
-            put_varint(&mut out, h.sum);
-            put_varint(&mut out, h.min);
-            put_varint(&mut out, h.max);
-            for &b in &h.buckets {
-                put_varint(&mut out, b);
-            }
-        }
-        put_varint(&mut out, self.classes.len() as u64);
-        for (&id, class) in &self.classes {
-            put_varint(&mut out, u64::from(id));
-            put_varint(&mut out, class.len() as u64);
-            out.extend_from_slice(class.as_bytes());
-        }
-        let crc = crate::columnar::crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
-    }
-
-    /// Decodes a [`MetricsRegistry::to_wire`] snapshot. Lossless:
-    /// `from_wire(&m.to_wire()) == Ok(m)`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WireError`] on bad magic, checksum mismatch or
-    /// structural damage.
-    pub fn from_wire(bytes: &[u8]) -> Result<MetricsRegistry, WireError> {
-        use crate::columnar::{intern, Reader};
-        if bytes.len() < WIRE_MAGIC.len() + 4 {
-            return Err(WireError::Truncated);
-        }
-        if bytes[..WIRE_MAGIC.len()] != WIRE_MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        let (body, crc_bytes) = bytes.split_at(bytes.len() - 4);
-        let want = u32::from_le_bytes([crc_bytes[0], crc_bytes[1], crc_bytes[2], crc_bytes[3]]);
-        if crate::columnar::crc32(body) != want {
-            return Err(WireError::ChecksumMismatch);
-        }
-        let malformed = WireError::Malformed;
-        let mut r = Reader::new(&body[WIRE_MAGIC.len()..]);
-        let read_key = |r: &mut Reader<'_>| -> Result<String, WireError> {
-            let len = r.read_varint().map_err(malformed)? as usize;
-            let raw = r.read_bytes(len).map_err(malformed)?;
-            std::str::from_utf8(raw)
-                .map(str::to_string)
-                .map_err(|_| WireError::Malformed("key is not UTF-8".into()))
-        };
-        let mut m = MetricsRegistry::new();
-        let n_counters = r.read_varint().map_err(malformed)?;
-        for _ in 0..n_counters {
-            let k = read_key(&mut r)?;
-            let v = r.read_varint().map_err(malformed)?;
-            m.counters.insert(k, v);
-        }
-        let n_hists = r.read_varint().map_err(malformed)?;
-        for _ in 0..n_hists {
-            let k = read_key(&mut r)?;
-            let mut h = Histogram {
-                count: r.read_varint().map_err(malformed)?,
-                sum: r.read_varint().map_err(malformed)?,
-                min: r.read_varint().map_err(malformed)?,
-                max: r.read_varint().map_err(malformed)?,
-                ..Histogram::default()
-            };
-            for b in &mut h.buckets {
-                *b = r.read_varint().map_err(malformed)?;
-            }
-            m.hists.insert(k, h);
-        }
-        let n_classes = r.read_varint().map_err(malformed)?;
-        for _ in 0..n_classes {
-            let id = r.read_varint().map_err(malformed)?;
-            let id = u32::try_from(id).map_err(|_| WireError::Malformed("loop id exceeds u32".into()))?;
-            let class = read_key(&mut r)?;
-            m.classes.insert(id, intern(&class));
-        }
-        if !r.is_empty() {
-            return Err(WireError::Malformed("trailing bytes".into()));
-        }
-        Ok(m)
-    }
-
     /// JSON report: `{"counters":{...},"histograms":{...}}`.
     pub fn report_json(&self) -> String {
         let mut out = String::from("{\"counters\":{");
@@ -388,35 +285,6 @@ impl MetricsRegistry {
         out
     }
 }
-
-/// Magic prefixing a [`MetricsRegistry::to_wire`] snapshot.
-const WIRE_MAGIC: [u8; 4] = *b"DMW1";
-
-/// Why a metrics wire snapshot failed to decode.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireError {
-    /// Shorter than magic + checksum.
-    Truncated,
-    /// Not a metrics wire snapshot.
-    BadMagic,
-    /// CRC-32 trailer mismatch.
-    ChecksumMismatch,
-    /// Structurally invalid contents inside a CRC-valid frame.
-    Malformed(String),
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated => write!(f, "metrics snapshot truncated"),
-            WireError::BadMagic => write!(f, "not a metrics wire snapshot (bad magic)"),
-            WireError::ChecksumMismatch => write!(f, "metrics snapshot checksum mismatch"),
-            WireError::Malformed(why) => write!(f, "malformed metrics snapshot: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
 
 impl TraceSink for MetricsRegistry {
     fn record(&mut self, ev: &Event) {
@@ -753,48 +621,6 @@ mod tests {
         h.merge(&Histogram::default());
         assert_eq!(h, with);
         assert_eq!(h.min(), 42);
-    }
-
-    #[test]
-    fn wire_snapshot_round_trips() {
-        let mut m = MetricsRegistry::new();
-        m.record(&Event::LoopDetected { loop_id: 4, end_pc: 40, cycle: 10 });
-        m.record(&Event::LoopClassified { loop_id: 4, class: "count", cycle: 12 });
-        m.record(&Event::LoopFinished { loop_id: 4, iters: 31, cycle: 90 });
-        m.observe("stage.mapping.cycles", 3);
-        m.add("big", u64::MAX);
-        let wire = m.to_wire();
-        let back = MetricsRegistry::from_wire(&wire).expect("decodes");
-        assert_eq!(back, m, "wire snapshot must be lossless");
-        // And it should merge like the original (class attribution kept).
-        let mut fleet = MetricsRegistry::new();
-        fleet.merge(&back);
-        assert_eq!(fleet.counter("class.count.covered_iters"), 31);
-    }
-
-    #[test]
-    fn wire_snapshot_rejects_damage() {
-        let m = {
-            let mut m = MetricsRegistry::new();
-            m.add("a.b", 3);
-            m.observe("h", 9);
-            m
-        };
-        let wire = m.to_wire();
-        assert_eq!(MetricsRegistry::from_wire(&[]), Err(WireError::Truncated));
-        assert_eq!(MetricsRegistry::from_wire(b"XXXX12345678"), Err(WireError::BadMagic));
-        for byte in 0..wire.len() {
-            for bit in 0..8 {
-                let mut bad = wire.clone();
-                bad[byte] ^= 1 << bit;
-                assert!(
-                    MetricsRegistry::from_wire(&bad).is_err(),
-                    "bit flip at byte {byte} bit {bit} decoded silently"
-                );
-            }
-        }
-        let truncated = &wire[..wire.len() - 1];
-        assert!(MetricsRegistry::from_wire(truncated).is_err());
     }
 
     #[test]

@@ -10,14 +10,12 @@
 //!    event, and two samplers with the same seed make identical
 //!    choices (the property that makes sampled traces queryable and
 //!    migration-stable).
-//! 3. **Metrics wire round-trip** — the registry a sampled stream
-//!    folds into survives `to_wire`/`from_wire` exactly.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use dsa_trace::{
-    decode, encode, parse_document, Collector, Event, JsonlSink, MetricsRegistry, SamplingSink,
-    SpecKind, Stage, TraceSink,
+    decode, encode, parse_document, Collector, Event, JsonlSink, SamplingSink, SpecKind, Stage,
+    TraceSink,
 };
 use proptest::prelude::*;
 
@@ -280,20 +278,6 @@ proptest! {
             .collect();
         let got: Vec<&Event> = kept.iter().collect();
         prop_assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn sampled_metrics_survive_the_wire(
-        events in prop::collection::vec(arb_event(), 0..160),
-        seed in any::<u64>(),
-    ) {
-        let mut sampler = SamplingSink::new(MetricsRegistry::new(), seed, 4);
-        for ev in &events {
-            sampler.record(ev);
-        }
-        let m = sampler.into_inner();
-        let back = MetricsRegistry::from_wire(&m.to_wire()).expect("wire decodes");
-        prop_assert_eq!(back, m);
     }
 }
 
