@@ -6,7 +6,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 use dsa_core::{Dsa, DsaConfig};
-use dsa_cpu::{CpuConfig, NullHook, Simulator, StepNull};
+use dsa_cpu::{CommitHook, CpuConfig, NullHook, Simulator, Stepped};
 use dsa_workloads::{build, BuiltWorkload, Scale, WorkloadId};
 
 fn simulate(w: &BuiltWorkload, dsa: bool) -> u64 {
@@ -60,7 +60,7 @@ fn prepared(w: &BuiltWorkload) -> Simulator {
 }
 
 /// The monomorphized DSA hook on one workload, measuring only the run
-/// loop: `Dsa::on_commit` inlines into the step loop.
+/// loop: `Dsa::blocks` and `Dsa::on_commit` inline into the driver.
 fn bench_hook_dispatch(c: &mut Criterion) {
     let mut group = c.benchmark_group("hook-dispatch");
     group.sample_size(20);
@@ -77,32 +77,36 @@ fn bench_hook_dispatch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Step-mode vs block-mode interpretation on identical scalar runs:
-/// [`StepNull`] pins the classic per-commit loop, [`NullHook`] engages
-/// the predecoded superblock fast path. Outcomes are asserted identical
-/// every iteration — this group measures the pure interpreter-shape
-/// difference that `perf_baseline` reports as wall-clock MIPS.
+/// Step-mode vs block-mode interpretation on identical runs:
+/// [`Stepped`]`(h)` pins the classic per-commit loop, `h` takes the
+/// predecoded superblocks its `blocks` answer allows — every one for
+/// [`NullHook`], those of probing and plain vectorized loops for the
+/// DSA. This group measures the pure interpreter-shape difference that
+/// `perf_baseline` reports as wall-clock MIPS.
 fn bench_step_vs_block(c: &mut Criterion) {
     let mut group = c.benchmark_group("step-vs-block");
     group.sample_size(20);
     let w = build(WorkloadId::RgbGray, dsa_compiler::Variant::Scalar, Scale::Small);
     group.bench_function("step", |b| {
-        b.iter(|| {
-            let mut sim = prepared(&w);
-            let out = sim.run_with_hook(100_000_000, &mut StepNull).expect("runs");
-            assert!(out.halted);
-            black_box(out.cycles)
-        })
+        b.iter(|| black_box(run_prepared(&w, &mut Stepped(NullHook))))
     });
-    group.bench_function("block", |b| {
-        b.iter(|| {
-            let mut sim = prepared(&w);
-            let out = sim.run_with_hook(100_000_000, &mut NullHook).expect("runs");
-            assert!(out.halted);
-            black_box(out.cycles)
-        })
+    group.bench_function("block", |b| b.iter(|| black_box(run_prepared(&w, &mut NullHook))));
+    group.bench_function("dsa-step", |b| {
+        b.iter(|| black_box(run_prepared(&w, &mut Stepped(Dsa::new(DsaConfig::full())))))
+    });
+    group.bench_function("dsa-block", |b| {
+        b.iter(|| black_box(run_prepared(&w, &mut Dsa::new(DsaConfig::full()))))
     });
     group.finish();
+}
+
+/// Runs a [`prepared`] simulator of `w` under `hook` to halt; returns
+/// the cycles.
+fn run_prepared(w: &BuiltWorkload, hook: &mut impl CommitHook) -> u64 {
+    let mut sim = prepared(w);
+    let out = sim.run_with_hook(100_000_000, hook).expect("runs");
+    assert!(out.halted);
+    out.cycles
 }
 
 /// Cost of the observability layer on the monomorphized hot loop:

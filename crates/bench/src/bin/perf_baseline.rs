@@ -1,14 +1,18 @@
 //! Wall-clock throughput baseline for the superblock interpreter
-//! (`BENCH_6.json`), in two sections:
+//! (`BENCH_6.json`), in three sections:
 //!
 //! 1. **Scalar grid** (BENCH_5 continuity): every fixed workload — the
 //!    seven paper applications plus the sentinel microkernel — is
 //!    simulated twice on the scalar system, once pinned to the classic
-//!    per-commit step loop ([`StepNull`]) and once on the predecoded
-//!    block fast path ([`NullHook`]), and the minimum-of-N wall clock
-//!    of each is reported as MIPS (committed instructions / second /
-//!    1e6).
-//! 2. **Vector section**: the four vector-heavy applications (MM,
+//!    per-commit step loop ([`Stepped`]`(NullHook)`) and once on the
+//!    predecoded block fast path ([`NullHook`]), and the minimum-of-N
+//!    wall clock of each is reported as MIPS (committed instructions /
+//!    second / 1e6).
+//! 2. **DSA section**: the same step-vs-block pair with the full DSA
+//!    attached (`Stepped(Dsa)` vs `Dsa`) on the sentinel microkernel,
+//!    whose vectorized loop steps, and on RGB-Gray, whose plain
+//!    vectorized loops retire as blocks. Run in `--micro-only` mode too.
+//! 3. **Vector section**: the four vector-heavy applications (MM,
 //!    RGB-Gray, Gaussian, Susan E) built with the hand-vectorized
 //!    variant, run in block mode once per compiled-in host-SIMD
 //!    backend (`portable`, then `sse2`/`avx2` or `neon` as detected).
@@ -20,14 +24,16 @@
 //! ```text
 //! cargo run --release -p dsa-bench --bin perf_baseline              # full grid → BENCH_6.json
 //! cargo run --release -p dsa-bench --bin perf_baseline -- \
-//!     --micro-only --reps 3 --floor 5                               # CI throughput smoke
+//!     --micro-only --reps 3 --floor 2                               # CI throughput smoke
 //! cargo run --release -p dsa-bench --bin perf_baseline -- \
 //!     --compare BENCH_5.json --tolerance 10                         # regression gate
 //! ```
 //!
-//! `--floor MIPS` asserts the block-mode sentinel throughput stays
-//! above a (deliberately generous) floor, catching order-of-magnitude
-//! regressions in CI without flaking on machine noise. `--compare PATH`
+//! `--floor X` asserts the block-mode sentinel throughput stays above a
+//! (deliberately generous) floor of X MIPS, catching order-of-magnitude
+//! regressions in CI without flaking on machine noise, and that the DSA
+//! section's RGB-Gray block/step speedup is at least X — it falls to
+//! about 1x if the engine stops taking blocks. `--compare PATH`
 //! diffs the scalar grid against a previous baseline JSON and exits
 //! non-zero if total block throughput regressed by more than
 //! `--tolerance` percent (default 10).
@@ -37,12 +43,24 @@ use std::time::Instant;
 use dsa_bench::cache::{fixed_workloads, Workload};
 use dsa_bench::FUEL;
 use dsa_compiler::Variant;
-use dsa_cpu::{CommitHook, CpuConfig, NullHook, Simd, Simulator, StepNull};
+use dsa_core::{Dsa, DsaConfig};
+use dsa_cpu::{CommitHook, CpuConfig, NullHook, Simd, Simulator, Stepped};
 use dsa_trace::json::{self, Value};
 use dsa_workloads::{build, micro, BuiltWorkload, Scale, WorkloadId};
 
 const USAGE: &str = "usage: perf_baseline [--reps N] [--out PATH] [--scale S] [--floor MIPS] \
      [--micro-only] [--compare PATH] [--tolerance PCT]";
+
+/// The DSA section's plain-loop workload: its vectorized loops retire
+/// as blocks, so its block/step ratio is the `--floor` tripwire.
+/// RGB-Gray's read 2.7–4.2x over five `--reps 3` runs on a shared
+/// 2-vCPU VM; MM's swung between 1.7x and 3x, and BitCounts' stays near
+/// 1.1x.
+const DSA_PLAIN: Workload = Workload::App(WorkloadId::RgbGray);
+
+/// The DSA-attached section: the sentinel microkernel, whose vectorized
+/// loop steps, beside [`DSA_PLAIN`].
+const DSA_WORKLOADS: [Workload; 2] = [Workload::Micro(micro::Micro::Sentinel), DSA_PLAIN];
 
 /// The vector-heavy applications measured per backend (the paper's
 /// DLP-rich kernels; the other three are control-flow bound).
@@ -113,25 +131,25 @@ fn run_once<H: CommitHook>(w: &BuiltWorkload, simd: Simd, hook: &mut H) -> (Fact
 /// two back-to-back batches) keeps slow machine-load drift from landing
 /// wholesale on one mode — the same discipline `trace_overhead_guard`
 /// uses. Every rep pair is also an equivalence check: the run facts
-/// must be bit-identical across modes and reps.
-struct Measured {
-    cycles: u64,
-    committed: u64,
-    step_secs: f64,
-    block_secs: f64,
-}
-
-fn measure(w: &BuiltWorkload, reps: u32) -> Result<Measured, String> {
+/// must be bit-identical across modes and reps. `block` builds a fresh
+/// hook per run and `Stepped(block())` is its step-mode twin.
+fn measure<H: CommitHook>(
+    workload: Workload,
+    scale: Scale,
+    reps: u32,
+    block: impl Fn() -> H,
+) -> Result<Row, String> {
+    let w = &built(workload, scale);
     let simd = Simd::active();
     // Warm-up: page-in, branch-predict the host loops, fill the shared
     // predecode cache.
-    let _ = run_once(w, simd, &mut StepNull);
-    let _ = run_once(w, simd, &mut NullHook);
+    let _ = run_once(w, simd, &mut Stepped(block()));
+    let _ = run_once(w, simd, &mut block());
     let (mut step_best, mut block_best) = (f64::INFINITY, f64::INFINITY);
     let mut facts: Option<Facts> = None;
     for _ in 0..reps {
-        let (s, s_secs) = run_once(w, simd, &mut StepNull);
-        let (b, b_secs) = run_once(w, simd, &mut NullHook);
+        let (s, s_secs) = run_once(w, simd, &mut Stepped(block()));
+        let (b, b_secs) = run_once(w, simd, &mut block());
         if s != b {
             return Err(format!(
                 "block mode diverged from step mode (cycles {} vs {}, committed {} vs {}, \
@@ -149,7 +167,8 @@ fn measure(w: &BuiltWorkload, reps: u32) -> Result<Measured, String> {
         block_best = block_best.min(b_secs);
     }
     let f = facts.expect("reps >= 1 checked at parse time");
-    Ok(Measured {
+    Ok(Row {
+        name: workload.describe(),
         cycles: f.cycles,
         committed: f.committed,
         step_secs: step_best,
@@ -249,6 +268,73 @@ impl VectorRow {
     fn host_mips(&self) -> f64 {
         self.mips(self.secs.len() - 1)
     }
+}
+
+/// Seconds summed over `rows`: `(step, block)`.
+fn totals(rows: &[Row]) -> (f64, f64) {
+    (rows.iter().map(|r| r.step_secs).sum(), rows.iter().map(|r| r.block_secs).sum())
+}
+
+/// Prints the step/block table of `rows` with a total line.
+fn print_rows(rows: &[Row]) {
+    println!(
+        "{:<12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>8}",
+        "workload", "committed", "step ms", "block ms", "step MIPS", "block MIPS", "speedup"
+    );
+    for r in rows {
+        println!(
+            "{:<12} {:>12} {:>10.3} {:>10.3} {:>10.1} {:>10.1} {:>7.2}x",
+            r.name,
+            r.committed,
+            r.step_secs * 1e3,
+            r.block_secs * 1e3,
+            r.step_mips(),
+            r.block_mips(),
+            r.speedup()
+        );
+    }
+    let (step_total, block_total) = totals(rows);
+    println!(
+        "{:<12} {:>12} {:>10.3} {:>10.3} {:>10} {:>10} {:>7.2}x",
+        "total",
+        "",
+        step_total * 1e3,
+        block_total * 1e3,
+        "",
+        "",
+        step_total / block_total
+    );
+}
+
+/// The JSON rows of `rows` (the array body, after its `[`) closed by
+/// `]` and a `totals` object.
+fn rows_json(rows: &[Row]) -> String {
+    let mut json = String::new();
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            json.push(',');
+        }
+        json.push_str(&format!(
+            "{{\"name\":\"{}\",\"committed\":{},\"cycles\":{},\
+             \"step_seconds\":{:.6},\"block_seconds\":{:.6},\
+             \"step_mips\":{:.2},\"block_mips\":{:.2},\"speedup\":{:.3}}}",
+            r.name,
+            r.committed,
+            r.cycles,
+            r.step_secs,
+            r.block_secs,
+            r.step_mips(),
+            r.block_mips(),
+            r.speedup()
+        ));
+    }
+    let (step_total, block_total) = totals(rows);
+    json.push_str(&format!(
+        "],\"totals\":{{\"step_seconds\":{step_total:.6},\
+         \"block_seconds\":{block_total:.6},\"speedup\":{:.3}}}",
+        step_total / block_total
+    ));
+    json
 }
 
 /// The numeric payload of a JSON value (`Num` carries f64 directly).
@@ -368,19 +454,20 @@ fn main() {
         .collect();
 
     let grid_start = Instant::now();
-    let mut rows = Vec::new();
-    for workload in &grid {
-        let w = built(*workload, scale);
-        let m = measure(&w, reps)
-            .unwrap_or_else(|e| fail(&format!("{}: {e}", workload.describe())));
-        rows.push(Row {
-            name: workload.describe(),
-            committed: m.committed,
-            cycles: m.cycles,
-            step_secs: m.step_secs,
-            block_secs: m.block_secs,
-        });
-    }
+    let rows: Vec<Row> = grid
+        .iter()
+        .map(|&workload| {
+            measure(workload, scale, reps, || NullHook)
+                .unwrap_or_else(|e| fail(&format!("{}: {e}", workload.describe())))
+        })
+        .collect();
+
+    // DSA section: the full DSA attached, `Stepped(Dsa)` vs `Dsa` — the
+    // engine's blocks while it probes or runs plain vectorized loops.
+    let drows = DSA_WORKLOADS.map(|workload| {
+        measure(workload, scale, reps, || Dsa::new(DsaConfig::full()))
+            .unwrap_or_else(|e| fail(&format!("{} (dsa): {e}", workload.describe())))
+    });
 
     // Vector section: hand-vectorized kernels, block mode, one column
     // per compiled-in backend (skipped for the CI micro smoke).
@@ -406,34 +493,9 @@ fn main() {
         scale.name(),
         Simd::active().name()
     );
-    println!(
-        "{:<12} {:>12} {:>10} {:>10} {:>10} {:>10} {:>8}",
-        "workload", "committed", "step ms", "block ms", "step MIPS", "block MIPS", "speedup"
-    );
-    for r in &rows {
-        println!(
-            "{:<12} {:>12} {:>10.3} {:>10.3} {:>10.1} {:>10.1} {:>7.2}x",
-            r.name,
-            r.committed,
-            r.step_secs * 1e3,
-            r.block_secs * 1e3,
-            r.step_mips(),
-            r.block_mips(),
-            r.speedup()
-        );
-    }
-    let step_total: f64 = rows.iter().map(|r| r.step_secs).sum();
-    let block_total: f64 = rows.iter().map(|r| r.block_secs).sum();
-    println!(
-        "{:<12} {:>12} {:>10.3} {:>10.3} {:>10} {:>10} {:>7.2}x",
-        "total",
-        "",
-        step_total * 1e3,
-        block_total * 1e3,
-        "",
-        "",
-        step_total / block_total
-    );
+    print_rows(&rows);
+    println!("\nfull DSA attached, Stepped(Dsa) vs Dsa:");
+    print_rows(&drows);
     println!("end-to-end grid time: {grid_secs:.2} s (incl. build + warm-up + both modes)");
 
     if !vrows.is_empty() {
@@ -464,29 +526,8 @@ fn main() {
         scale.name(),
         Simd::active().name()
     );
-    for (i, r) in rows.iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        json.push_str(&format!(
-            "{{\"name\":\"{}\",\"committed\":{},\"cycles\":{},\
-             \"step_seconds\":{:.6},\"block_seconds\":{:.6},\
-             \"step_mips\":{:.2},\"block_mips\":{:.2},\"speedup\":{:.3}}}",
-            r.name,
-            r.committed,
-            r.cycles,
-            r.step_secs,
-            r.block_secs,
-            r.step_mips(),
-            r.block_mips(),
-            r.speedup()
-        ));
-    }
-    json.push_str(&format!(
-        "],\"totals\":{{\"step_seconds\":{step_total:.6},\
-         \"block_seconds\":{block_total:.6},\"speedup\":{:.3}}}",
-        step_total / block_total
-    ));
+    json.push_str(&rows_json(&rows));
+    json.push_str(&format!(",\"dsa\":{{\"config\":\"full\",\"workloads\":[{}}}", rows_json(&drows)));
     if !vrows.is_empty() {
         json.push_str(",\"vector\":{\"variant\":\"handvec\",\"workloads\":[");
         for (i, r) in vrows.iter().enumerate() {
@@ -536,6 +577,19 @@ fn main() {
             ));
         }
         println!("floor check: {mips:.1} MIPS >= {floor:.1} MIPS");
+        let plain = drows
+            .iter()
+            .find(|r| r.name == DSA_PLAIN.describe())
+            .expect("DSA_PLAIN is one of DSA_WORKLOADS");
+        let speedup = plain.speedup();
+        if speedup < floor {
+            fail(&format!(
+                "DSA-attached {} block/step speedup {speedup:.2}x is under the {floor:.1}x \
+                 floor (the engine stopped taking blocks?)",
+                plain.name
+            ));
+        }
+        println!("floor check: DSA-attached {} block/step {speedup:.2}x >= {floor:.1}x", plain.name);
     }
 
     if let Some(path) = compare {

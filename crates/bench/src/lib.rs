@@ -16,6 +16,7 @@
 //! speedup can never come from wrong results.
 
 pub mod cache;
+pub mod cpu_clock;
 pub mod experiments;
 pub mod forge;
 pub mod supervise;

@@ -11,7 +11,7 @@ use dsa_bench::System;
 use dsa_core::oracle::DifferentialOracle;
 use dsa_core::DsaConfig;
 use dsa_cpu::{
-    BoundedOutcome, CpuConfig, DecodedProgram, Machine, NullHook, Simulator, StepNull,
+    BoundedOutcome, CpuConfig, DecodedProgram, Machine, NullHook, Simulator, Stepped,
 };
 use dsa_workloads::{BuiltWorkload, Scale};
 
@@ -39,7 +39,7 @@ fn mid_block_split(w: &BuiltWorkload, after: u64) -> Option<u64> {
         if committed >= after && mid_block {
             return Some(committed);
         }
-        match sim.run_bounded(1, &mut StepNull).expect("steps") {
+        match sim.run_bounded(1, &mut Stepped(NullHook)).expect("steps") {
             BoundedOutcome::Paused => {}
             BoundedOutcome::Halted(_) => return None,
         }
@@ -88,7 +88,7 @@ fn kill_mid_block_snapshots_stay_bit_identical() {
         // Step-mode reference, uninterrupted.
         let mut reference = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
         (w.init)(reference.machine_mut());
-        reference.run_with_hook(FUEL, &mut StepNull).expect("reference terminates");
+        reference.run_with_hook(FUEL, &mut Stepped(NullHook)).expect("reference terminates");
 
         // Block-mode run killed at the mid-block split.
         let mut first = Simulator::new(w.kernel.program.clone(), CpuConfig::default());

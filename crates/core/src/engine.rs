@@ -1871,6 +1871,22 @@ fn is_loop_branch(ev: &TraceEvent) -> bool {
 }
 
 impl CommitHook for Dsa {
+    /// The engine acts only at loop boundaries while it probes or runs a
+    /// plain vectorized loop, and every boundary is a block terminal, so
+    /// those modes take whole superblocks. Probing with coverage still
+    /// on steps, so `probe`'s stale-coverage self-check fires on the
+    /// same commit as ever. Analysis records every commit of an
+    /// iteration, and sentinel and conditional execution toggle
+    /// coverage or record mid-body, so those modes step.
+    #[inline]
+    fn blocks(&self, covered: bool) -> bool {
+        match &self.mode {
+            Mode::Probing | Mode::Poisoned => !covered,
+            Mode::Executing(x) => matches!(x.kind, ExecKind::Plain { .. }),
+            Mode::Analyzing(_) => false,
+        }
+    }
+
     fn on_commit(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>) {
         let step = match &self.mode {
             Mode::Probing => {

@@ -3,11 +3,13 @@
 //! The per-commit interpreter pays, for every dynamic instruction, a
 //! `TraceEvent` construction, a fresh dependence analysis
 //! ([`crate::timing::deps`]) and a full [`TimingModel::charge_event`].
-//! For observation-free runs (`CommitHook::PER_COMMIT == false`, e.g.
-//! the scalar baselines behind the differential oracle and every grid
-//! warm-up) none of that per-step work is observable — only the final
-//! architectural state, cycles and statistics are. [`DecodedProgram`]
-//! hoists the per-instruction analysis to decode time, once per program:
+//! Whenever the hook's `CommitHook::blocks` answer allows — always for
+//! `NullHook` (the scalar baselines behind the differential oracle and
+//! every grid warm-up), and for the DSA while it probes or runs a plain
+//! vectorized loop — none of that per-step work is observable: only the
+//! final architectural state, cycles, statistics and the block's
+//! terminal branch are. [`DecodedProgram`] hoists the per-instruction
+//! analysis to decode time, once per program:
 //!
 //! * operands are flattened ([`FastOp`]) — immediates pre-sign-extended,
 //!   `vdup` immediates pre-splatted, branch targets pre-resolved,

@@ -2,14 +2,14 @@
 
 use std::sync::Arc;
 
-use dsa_isa::Program;
+use dsa_isa::{Instr, Program};
 use dsa_mem::MemoryStats;
 
 use crate::config::CpuConfig;
 use crate::decoded::{decode_cached, DecodedProgram};
 use crate::machine::{Machine, SimError};
 use crate::timing::{InjectedOp, TimingModel, TimingStats};
-use crate::trace::TraceEvent;
+use crate::trace::{BranchOutcome, TraceEvent};
 
 /// Control surface handed to a [`CommitHook`] on every committed
 /// instruction. This is how the DSA "adjusts the timing model": it can
@@ -56,22 +56,27 @@ impl SimControl<'_> {
     }
 }
 
-/// Observer invoked after every committed instruction.
+/// Observer of the committed instruction stream.
+///
+/// The driver asks [`CommitHook::blocks`] before every commit whether
+/// the hook can take a whole superblock at once. When it can, the
+/// straight-line run retires in one [`DecodedProgram::exec_run`] and the
+/// hook sees only the block's terminal control-flow event; otherwise the
+/// driver steps and calls [`CommitHook::on_commit`] once per commit.
 pub trait CommitHook {
-    /// Whether this hook requires its [`CommitHook::on_commit`] callback
-    /// on every committed instruction.
+    /// Whether the next commits may retire as one superblock, given
+    /// whether scalar charging is currently suppressed (`covered`).
     ///
-    /// `true` (the default) keeps the exact per-commit semantics: one
-    /// [`Machine`] step, one [`TimingModel`] charge, one callback per
-    /// instruction. A hook that overrides this to `false` declares it
-    /// observes nothing per commit — `on_commit` is then **never
-    /// called** — and the simulator monomorphizes its driver into the
-    /// superblock fast path, executing straight-line runs (memory ops
-    /// included, terminated by at most one control-flow instruction)
-    /// through the shared [`DecodedProgram`] with batched timing. Final
-    /// architectural state, cycles, and all statistics are bit-identical
-    /// between the two shapes; `on_finish` still fires as usual.
-    const PER_COMMIT: bool = true;
+    /// Answering `true` declares that, until the block's last
+    /// instruction, this hook would neither react to a commit nor change
+    /// the coverage state: the straight-line body is executed without
+    /// callbacks, charged in one batch (or counted as covered), and only
+    /// the terminal `B`/`Bl`/`BxLr` — if the block ends in one — reaches
+    /// [`CommitHook::on_commit`], with the post-block machine state.
+    /// Cycles, statistics and the callbacks the hook acts on are then
+    /// bit-identical to the stepped run. Answering `false` keeps the
+    /// exact per-commit shape: one step, one charge, one callback.
+    fn blocks(&self, covered: bool) -> bool;
 
     /// Called with the committed event, the post-commit machine state and
     /// the timing control surface.
@@ -81,26 +86,65 @@ pub trait CommitHook {
     fn on_finish(&mut self, _machine: &Machine) {}
 }
 
-/// A hook that does nothing (plain scalar simulation). Opts out of
-/// per-commit callbacks, so runs with it take the superblock fast path.
+/// A hook that does nothing (plain scalar simulation); every run with it
+/// takes the superblock fast path.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NullHook;
 
 impl CommitHook for NullHook {
-    const PER_COMMIT: bool = false;
+    #[inline(always)]
+    fn blocks(&self, _covered: bool) -> bool {
+        true
+    }
 
+    #[inline(always)]
     fn on_commit(&mut self, _ev: &TraceEvent, _machine: &Machine, _ctl: &mut SimControl<'_>) {}
 }
 
-/// A do-nothing hook that, unlike [`NullHook`], keeps `PER_COMMIT =
-/// true` and therefore forces the classic one-instruction-at-a-time
-/// interpreter. Exists so equivalence tests and benchmarks can pin the
-/// stepped path and compare it against the fast path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StepNull;
+/// Pins any hook to the stepped path: forwards every call to the inner
+/// hook but never lets the driver take a block. Equivalence tests and
+/// benchmarks compare `Stepped(h)` against `h` to prove (and time) the
+/// superblock path.
+#[derive(Debug, Clone, Default)]
+pub struct Stepped<H>(pub H);
 
-impl CommitHook for StepNull {
-    fn on_commit(&mut self, _ev: &TraceEvent, _machine: &Machine, _ctl: &mut SimControl<'_>) {}
+impl<H: CommitHook> CommitHook for Stepped<H> {
+    #[inline(always)]
+    fn blocks(&self, _covered: bool) -> bool {
+        false
+    }
+
+    #[inline(always)]
+    fn on_commit(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>) {
+        self.0.on_commit(ev, machine, ctl);
+    }
+
+    fn on_finish(&mut self, machine: &Machine) {
+        self.0.on_finish(machine);
+    }
+}
+
+/// The event the stepped path would have produced for a block's terminal
+/// instruction at `pc`, or `None` if the block does not end in control
+/// flow. `taken` is [`DecodedProgram::exec_run`]'s conditional outcome
+/// and `next_pc` the post-block pc (a return's target).
+#[inline(always)]
+fn terminal_event(
+    instrs: &[Instr],
+    pc: u32,
+    taken: Option<bool>,
+    next_pc: u32,
+) -> Option<TraceEvent> {
+    let instr = *instrs.get(pc as usize)?;
+    let branch = match instr {
+        Instr::B { offset, .. } => BranchOutcome {
+            target: (pc as i64 + offset as i64) as u32,
+            taken: taken.unwrap_or(false),
+        },
+        Instr::Bl { .. } | Instr::BxLr => BranchOutcome { target: next_pc, taken: true },
+        _ => return None,
+    };
+    Some(TraceEvent { branch: Some(branch), ..TraceEvent::simple(pc, instr) })
 }
 
 /// Result of a finished simulation.
@@ -150,8 +194,8 @@ pub struct Simulator {
     machine: Machine,
     timing: TimingModel,
     program: Program,
-    /// Shared predecoded form, populated lazily on the first fast-path
-    /// run (via the process-wide [`decode_cached`] store).
+    /// Shared predecoded form, populated lazily on the first run (via
+    /// the process-wide [`decode_cached`] store).
     decoded: Option<Arc<DecodedProgram>>,
     suppress: bool,
     committed: u64,
@@ -177,8 +221,8 @@ impl Simulator {
     }
 
     /// The shared predecoded form of the program, decoding (or fetching
-    /// from the process-wide cache) on first call. Runs with a
-    /// `PER_COMMIT = false` hook do this implicitly.
+    /// from the process-wide cache) on first call. Every run does this
+    /// implicitly.
     pub fn predecode(&mut self) -> Arc<DecodedProgram> {
         match &self.decoded {
             Some(d) => Arc::clone(d),
@@ -236,12 +280,11 @@ impl Simulator {
 
     /// Runs with a commit hook for at most `fuel` committed instructions.
     ///
-    /// Generic over the hook type so the hook's [`CommitHook::PER_COMMIT`]
-    /// choice selects the loop shape at compile time: a per-commit hook
-    /// monomorphizes into the classic step loop with an inlined callback,
-    /// while an observation-free hook (e.g. [`NullHook`]) compiles into
-    /// the superblock fast path. See [`Simulator::drive`] internals for
-    /// the exact contract.
+    /// Generic over the hook type so its callbacks inline into the
+    /// driver; before each commit the hook's [`CommitHook::blocks`]
+    /// answer decides whether the next superblock retires whole or the
+    /// driver steps. See [`Simulator::drive`] internals for the exact
+    /// contract.
     ///
     /// The fuel acts as a step-budget watchdog: a program still running
     /// when it expires (e.g. a loop whose exit condition never fires)
@@ -275,46 +318,48 @@ impl Simulator {
     /// returns). Commits at most `budget` instructions, stopping early on
     /// halt; executor errors propagate before any finish handling.
     ///
-    /// `H::PER_COMMIT` selects the loop shape at monomorphization time:
+    /// Before each commit the hook's [`CommitHook::blocks`] picks the
+    /// shape:
     ///
-    /// * **per-commit** (`true`): the classic loop — one
-    ///   [`Machine::step_slice`], one timing charge, one
-    ///   [`CommitHook::on_commit`] per instruction.
-    /// * **superblock** (`false`): straight-line runs from the shared
-    ///   [`DecodedProgram`] — memory ops included, plus at most one
-    ///   terminal control-flow instruction — execute whole
-    ///   ([`DecodedProgram::exec_run`]) and are charged in one
-    ///   [`TimingModel::charge_block`] fed the recorded address stream
-    ///   and branch outcome; everything else (`halt`, fallible vector
-    ///   shapes) single-steps. A run is
-    ///   taken only when it fits the remaining budget — never splitting a
-    ///   block across the boundary — so exhaustion still lands on the
-    ///   exact commit count and the machine state at exit is the same
-    ///   architecturally-exact snapshot point the stepped loop produces.
-    ///   Covered (suppressed) commits also single-step, since coverage
-    ///   accounting is per-event.
+    /// * **superblock** (`true`): the straight-line run at the pc from
+    ///   the shared [`DecodedProgram`] — memory ops included, plus at
+    ///   most one terminal control-flow instruction — executes whole
+    ///   ([`DecodedProgram::exec_run`]). Uncovered runs are charged in
+    ///   one [`TimingModel::charge_block`] fed the recorded address
+    ///   stream and branch outcome; covered runs only add to
+    ///   [`TimingStats::covered`]. The hook then sees the terminal's
+    ///   event, if any. A run is taken only when it fits the remaining
+    ///   budget — never splitting a block across the boundary — so
+    ///   exhaustion still lands on the exact commit count and the
+    ///   machine state at exit is the same architecturally-exact
+    ///   snapshot point the stepped loop produces.
+    /// * **step** (`false`, or no run at the pc: `halt`, fallible vector
+    ///   shapes): one [`Machine::step_slice`], one timing charge, one
+    ///   [`CommitHook::on_commit`].
     #[inline(always)]
     fn drive<H: CommitHook + ?Sized>(
         &mut self,
         budget: u64,
         hook: &mut H,
     ) -> Result<(), SimError> {
+        let decoded = self.predecode();
         // Borrow the instruction slice once; `machine`/`timing` are
         // disjoint fields, so the hot loop fetches with a single bounds
         // check and no per-step `Program` indirection.
-        let decoded = if H::PER_COMMIT { None } else { Some(self.predecode()) };
         let instrs = self.program.as_slice();
         let mut remaining = budget;
         // Scratch address stream, reused across blocks to avoid
         // per-block allocation.
         let mut mem_addrs: Vec<u32> = Vec::new();
         while !self.machine.is_halted() && remaining > 0 {
-            if let Some(decoded) = &decoded {
-                let pc = self.machine.pc();
-                let n = decoded.run_len(pc);
-                if n > 0 && (n as u64) <= remaining && !self.suppress {
-                    mem_addrs.clear();
-                    let taken = decoded.exec_run(&mut self.machine, pc, n, &mut mem_addrs);
+            let pc = self.machine.pc();
+            let n = if hook.blocks(self.suppress) { decoded.run_len(pc) } else { 0 };
+            let ev = if n > 0 && (n as u64) <= remaining {
+                mem_addrs.clear();
+                let taken = decoded.exec_run(&mut self.machine, pc, n, &mut mem_addrs);
+                if self.suppress {
+                    self.timing.note_covered(n as u64);
+                } else {
                     self.timing.charge_block(
                         decoded.run_entries(pc, n),
                         pc,
@@ -322,24 +367,27 @@ impl Simulator {
                         &mem_addrs,
                         taken,
                     );
-                    self.committed += n as u64;
-                    remaining -= n as u64;
-                    continue;
                 }
-            }
-            remaining -= 1;
-            let ev = self.machine.step_slice(instrs)?;
-            self.committed += 1;
-            if self.suppress {
-                self.timing.note_covered(&ev);
+                self.committed += n as u64;
+                remaining -= n as u64;
+                let last = pc.wrapping_add(n - 1);
+                match terminal_event(instrs, last, taken, self.machine.pc()) {
+                    Some(ev) => ev,
+                    None => continue,
+                }
             } else {
-                self.timing.charge_event(&ev);
-            }
-            if H::PER_COMMIT {
-                let mut ctl =
-                    SimControl { timing: &mut self.timing, suppress: &mut self.suppress };
-                hook.on_commit(&ev, &self.machine, &mut ctl);
-            }
+                remaining -= 1;
+                let ev = self.machine.step_slice(instrs)?;
+                self.committed += 1;
+                if self.suppress {
+                    self.timing.note_covered(1);
+                } else {
+                    self.timing.charge_event(&ev);
+                }
+                ev
+            };
+            let mut ctl = SimControl { timing: &mut self.timing, suppress: &mut self.suppress };
+            hook.on_commit(&ev, &self.machine, &mut ctl);
         }
         Ok(())
     }
@@ -500,6 +548,9 @@ mod tests {
     fn hook_sees_every_commit() {
         struct Counter(u64);
         impl CommitHook for Counter {
+            fn blocks(&self, _covered: bool) -> bool {
+                false
+            }
             fn on_commit(&mut self, _: &TraceEvent, _: &Machine, _: &mut SimControl<'_>) {
                 self.0 += 1;
             }
@@ -514,6 +565,9 @@ mod tests {
     fn coverage_suppresses_charging() {
         struct CoverAll;
         impl CommitHook for CoverAll {
+            fn blocks(&self, _covered: bool) -> bool {
+                false
+            }
             fn on_commit(&mut self, _: &TraceEvent, _: &Machine, ctl: &mut SimControl<'_>) {
                 ctl.begin_coverage();
             }

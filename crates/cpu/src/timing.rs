@@ -809,10 +809,10 @@ impl TimingModel {
         debug_assert_eq!(next_addr, mem_addrs.len(), "address stream fully consumed");
     }
 
-    /// Records that a committed instruction was covered by DSA vector
-    /// execution and therefore not charged on the scalar pipeline.
-    pub fn note_covered(&mut self, _ev: &TraceEvent) {
-        self.stats.covered += 1;
+    /// Records that `n` committed instructions were covered by DSA
+    /// vector execution and therefore not charged on the scalar pipeline.
+    pub fn note_covered(&mut self, n: u64) {
+        self.stats.covered += n;
     }
 
     /// Charges operations injected by the DSA directly into the Issue
@@ -972,7 +972,7 @@ mod tests {
         let mut t = TimingModel::new(CpuConfig::default());
         let before = t.cycles();
         for _ in 0..100 {
-            t.note_covered(&TraceEvent::simple(0, Instr::Nop));
+            t.note_covered(1);
         }
         assert_eq!(t.cycles(), before);
         assert_eq!(t.stats().covered, 100);

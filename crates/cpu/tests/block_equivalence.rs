@@ -1,14 +1,14 @@
 //! The acceptance gate for the superblock fast path: for random
 //! programs (scalar + vector, loops, memory traffic), a block-mode run
-//! (`NullHook`, `PER_COMMIT = false`) must be **bit-identical** to a
-//! step-mode run (`StepNull`, the classic per-commit loop) in
+//! (`NullHook`) must be **bit-identical** to a step-mode run
+//! (`Stepped(NullHook)`, the classic per-commit loop) in
 //! architectural digest, cycles, committed count, `TimingStats` and
 //! `MemoryStats` — on clean completion, on fuel exhaustion, and across
 //! pause points that land in the middle of straight-line blocks.
 
 use dsa_cpu::{
     BoundedOutcome, CpuConfig, DecodedProgram, Machine, NullHook, SimError, Simd, Simulator,
-    StepNull,
+    Stepped,
 };
 use dsa_isa::{Asm, Cond, ElemType, Program, Reg, VecOp};
 use dsa_mem::MemoryConfig;
@@ -91,7 +91,7 @@ proptest! {
     ) {
         let p = program_from(&seed, trip);
         let mut step = sim_for(&p);
-        let step_out = step.run_with_hook(5_000_000, &mut StepNull);
+        let step_out = step.run_with_hook(5_000_000, &mut Stepped(NullHook));
         let mut block = sim_for(&p);
         let block_out = block.run_with_hook(5_000_000, &mut NullHook);
         prop_assert!(step_out.is_ok());
@@ -109,7 +109,7 @@ proptest! {
         // Never-halting loop: trip count far above what fuel allows.
         let p = program_from(&seed, 10_000);
         let mut step = sim_for(&p);
-        let step_out = step.run_with_hook(fuel, &mut StepNull);
+        let step_out = step.run_with_hook(fuel, &mut Stepped(NullHook));
         let mut block = sim_for(&p);
         let block_out = block.run_with_hook(fuel, &mut NullHook);
         prop_assert!(step_out.is_err());
@@ -131,7 +131,7 @@ proptest! {
     ) {
         let p = program_from(&seed, trip);
         let mut reference = sim_for(&p);
-        reference.run_with_hook(5_000_000, &mut StepNull).expect("terminates");
+        reference.run_with_hook(5_000_000, &mut Stepped(NullHook)).expect("terminates");
 
         let mut first = sim_for(&p);
         match first.run_bounded(split, &mut NullHook).expect("no exec error") {
@@ -200,7 +200,7 @@ proptest! {
     ) {
         let p = program_from(&seed, trip);
         let mut reference = sim_for_backend(&p, Simd::portable());
-        let ref_out = reference.run_with_hook(5_000_000, &mut StepNull);
+        let ref_out = reference.run_with_hook(5_000_000, &mut Stepped(NullHook));
         prop_assert!(ref_out.is_ok());
         let ref_out = ref_out.expect("checked");
         for &be in Simd::available() {
@@ -238,7 +238,7 @@ fn invalid_vshr_fails_identically_in_both_modes() {
     a.halt();
     let p = a.finish();
     let mut step = sim_for(&p);
-    let step_out = step.run_with_hook(1_000, &mut StepNull);
+    let step_out = step.run_with_hook(1_000, &mut Stepped(NullHook));
     let mut block = sim_for(&p);
     let block_out = block.run_with_hook(1_000, &mut NullHook);
     assert!(step_out.is_err());
@@ -267,7 +267,7 @@ fn icache_stats_identical_across_line_boundaries() {
     let p = a.finish();
 
     let mut step = sim_for(&p);
-    let s = step.run_with_hook(1_000_000, &mut StepNull).expect("ok");
+    let s = step.run_with_hook(1_000_000, &mut Stepped(NullHook)).expect("ok");
     let mut block = sim_for(&p);
     let b = block.run_with_hook(1_000_000, &mut NullHook).expect("ok");
     assert_eq!(s.mem.l1i, b.mem.l1i, "L1I stats");
@@ -289,7 +289,7 @@ fn equivalence_holds_with_small_icache_lines() {
         ..CpuConfig::default()
     };
     let mut step = Simulator::new(p.clone(), config);
-    let s = step.run_with_hook(1_000_000, &mut StepNull).expect("ok");
+    let s = step.run_with_hook(1_000_000, &mut Stepped(NullHook)).expect("ok");
     let mut block = Simulator::new(p, config);
     let b = block.run_with_hook(1_000_000, &mut NullHook).expect("ok");
     assert_eq!(s, b);
