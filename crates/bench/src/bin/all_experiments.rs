@@ -1,44 +1,34 @@
-//! Runs every experiment of the reproduction in sequence — the paper's
-//! complete evaluation section.
+//! Renders the paper's evaluation section: every table, figure and
+//! ablation of [`dsa_bench::experiments::SECTIONS`], or only the ones
+//! named on the command line (in table order).
 //!
-//! Before any figure renders, the full (workload × system) grid is
-//! simulated once in parallel ([`dsa_bench::cache`]); the figures then
+//! Before any section renders, the full (workload × system) grid is
+//! simulated once in parallel ([`dsa_bench::cache`]); the sections then
 //! read memoized results. `DSA_JOBS=<n>` caps the warm-up threads
 //! (default: all cores). Tables go to stdout; per-section wall-clock
-//! and cache statistics go to stderr so piped output stays clean.
+//! and cache statistics go to stderr so piped output stays clean. A
+//! failed section leaves `# INCOMPLETE: <section>: <error>` on stdout
+//! in place of its table and makes the run exit 1; an unknown section
+//! name exits 2 before anything is simulated.
+//!
+//! ```text
+//! all_experiments [SECTION...]
+//! ```
 use std::time::Instant;
 
 use dsa_bench::cache;
-use dsa_bench::experiments as e;
-use dsa_bench::{RunError, Supervisor, SupervisorPolicy, System};
-
-type Section = (&'static str, fn() -> Result<String, RunError>);
+use dsa_bench::experiments::SECTIONS;
+use dsa_bench::{Supervisor, SupervisorPolicy};
 
 fn main() {
-    let sections: [Section; 18] = [
-        ("table_setups", e::table_setups),
-        ("table2_techniques", e::table2_techniques),
-        ("a1_fig12_performance", e::a1_fig12_performance),
-        ("a1_table3_area", e::a1_table3_area),
-        ("neon_parallelism", e::neon_parallelism),
-        ("a2_fig16_extended", e::a2_fig16_extended),
-        ("a2_table3_latency", || {
-            e::dsa_latency_table(System::DsaExtended, "A2 Table 3 - DSA latency")
-        }),
-        ("a3_fig7_loop_census", e::a3_fig7_loop_census),
-        ("a3_fig8_performance", e::a3_fig8_performance),
-        ("a3_fig9_energy", e::a3_fig9_energy),
-        ("a3_table2_latency", || {
-            e::dsa_latency_table(System::DsaFull, "A3 Table 2 - DSA detection latency")
-        }),
-        ("a3_table3_dsa_energy", e::a3_table3_dsa_energy),
-        ("table1_inhibitors", e::table1_inhibitors),
-        ("ablation_leftovers", e::ablation_leftovers),
-        ("ablation_partial", e::ablation_partial),
-        ("ablation_dsa_cache", e::ablation_dsa_cache),
-        ("ablation_sentinel", e::ablation_sentinel),
-        ("ablation_hardware", e::ablation_hardware),
-    ];
+    let wanted: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = wanted.iter().find(|w| !SECTIONS.iter().any(|(name, _)| name == w)) {
+        eprintln!("all_experiments: unknown section `{unknown}`; sections:");
+        for (name, _) in SECTIONS {
+            eprintln!("  {name}");
+        }
+        std::process::exit(2);
+    }
 
     let total = Instant::now();
     let jobs = cache::jobs_from_env();
@@ -53,7 +43,10 @@ fn main() {
     eprintln!("warm-up: {:.2}s", warm.elapsed().as_secs_f64());
 
     let mut failed = 0u32;
-    for (name, section) in sections {
+    for (name, section) in SECTIONS {
+        if !wanted.is_empty() && !wanted.iter().any(|w| w == name) {
+            continue;
+        }
         let t = Instant::now();
         let section = section();
         eprintln!("{name}: {:.2}s", t.elapsed().as_secs_f64());
@@ -61,6 +54,7 @@ fn main() {
             Ok(text) => println!("{text}"),
             Err(e) => {
                 failed += 1;
+                println!("# INCOMPLETE: {name}: {e}");
                 eprintln!("{name}: error: {e}");
             }
         }

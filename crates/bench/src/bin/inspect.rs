@@ -18,7 +18,7 @@
 use dsa_bench::{improvement_pct, run_built, System, FUEL};
 use dsa_compiler::Variant;
 use dsa_core::Dsa;
-use dsa_cpu::{CpuConfig, Simulator};
+use dsa_cpu::CpuConfig;
 use dsa_trace::{
     perfetto_path, trace_path_from_env, Fanout, JsonlSink, LoopTableSink, PerfettoSink, Shared,
     SharedMetrics, TraceSink,
@@ -162,11 +162,7 @@ fn run_traced(
     }
     let shared = Shared::new(fan);
 
-    let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-    (w.init)(sim.machine_mut());
-    for buf in w.kernel.layout.bufs() {
-        sim.warm_region(buf.base, buf.size_bytes());
-    }
+    let mut sim = w.simulator(CpuConfig::default());
     let mut dsa = Dsa::new(cfg.with_trace());
     dsa.attach_sink(shared.clone());
     let mut boundary = shared.clone();

@@ -44,7 +44,7 @@ use dsa_bench::cache::{fixed_workloads, Workload};
 use dsa_bench::FUEL;
 use dsa_compiler::Variant;
 use dsa_core::{Dsa, DsaConfig};
-use dsa_cpu::{CommitHook, CpuConfig, NullHook, Simd, Simulator, Stepped};
+use dsa_cpu::{CommitHook, CpuConfig, NullHook, Simd, Stepped};
 use dsa_trace::json::{self, Value};
 use dsa_workloads::{build, micro, BuiltWorkload, Scale, WorkloadId};
 
@@ -96,12 +96,8 @@ struct Facts {
 /// One timed run under `hook` with the machine pinned to `simd`;
 /// returns the run facts and wall-clock seconds.
 fn run_once<H: CommitHook>(w: &BuiltWorkload, simd: Simd, hook: &mut H) -> (Facts, f64) {
-    let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
+    let mut sim = w.simulator(CpuConfig::default());
     sim.machine_mut().set_simd(simd);
-    (w.init)(sim.machine_mut());
-    for buf in w.kernel.layout.bufs() {
-        sim.warm_region(buf.base, buf.size_bytes());
-    }
     let t = Instant::now();
     let out = sim
         .run_with_hook(FUEL, hook)

@@ -74,14 +74,10 @@ fn fail(msg: &str) -> ! {
 /// A simulator of the workload, inputs in place and L2-warm; on
 /// `machine` when resuming.
 fn prepared(w: &BuiltWorkload, machine: Option<Machine>) -> Simulator {
-    let mut sim = match machine {
-        Some(m) => Simulator::with_machine(w.kernel.program.clone(), CpuConfig::default(), m),
-        None => {
-            let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-            (w.init)(sim.machine_mut());
-            sim
-        }
+    let Some(m) = machine else {
+        return w.simulator(CpuConfig::default());
     };
+    let mut sim = Simulator::with_machine(w.kernel.program.clone(), CpuConfig::default(), m);
     for buf in w.kernel.layout.bufs() {
         sim.warm_region(buf.base, buf.size_bytes());
     }

@@ -1,7 +1,7 @@
 //! One function per paper table/figure; each returns the rendered text
-//! that the corresponding binary prints (see `src/bin/`), or the
-//! [`RunError`] that stopped it — binaries route either through
-//! [`crate::emit`].
+//! or the [`RunError`] that stopped it. [`SECTIONS`] lists them in
+//! print order under the names `all_experiments` takes on its command
+//! line.
 
 use dsa_core::{Dsa, DsaConfig, LoopClass};
 use dsa_cpu::{CpuConfig, Simulator};
@@ -10,6 +10,33 @@ use dsa_workloads::{micro, Scale, WorkloadId};
 
 use crate::cache::{run_cached, run_micro_cached};
 use crate::{geomean_improvement, improvement_pct, render_table, RunError, System};
+
+/// One renderable section: its name and the function that renders it.
+pub type Section = (&'static str, fn() -> Result<String, RunError>);
+
+/// Every paper table, figure and ablation in print order. The names
+/// are the runner names of DESIGN.md's experiment index.
+pub const SECTIONS: &[Section] = &[
+    ("table_setups", table_setups),
+    ("table2_techniques", table2_techniques),
+    ("a1_fig12_performance", a1_fig12_performance),
+    ("a1_table3_area", a1_table3_area),
+    ("a1_fig11_parallelism", a1_fig11_parallelism),
+    ("a2_fig16_extended", a2_fig16_extended),
+    ("a2_table3_latency", a2_table3_latency),
+    ("a3_fig7_loop_census", a3_fig7_loop_census),
+    ("a3_fig8_performance", a3_fig8_performance),
+    ("a3_fig9_energy", a3_fig9_energy),
+    ("a3_table2_latency", a3_table2_latency),
+    ("a3_table3_dsa_energy", a3_table3_dsa_energy),
+    ("table1_inhibitors", table1_inhibitors),
+    ("ablation_leftovers", ablation_leftovers),
+    ("ablation_partial", ablation_partial),
+    ("ablation_dsa_cache", ablation_dsa_cache),
+    ("ablation_sentinel", ablation_sentinel),
+    ("ablation_hardware", ablation_hardware),
+    ("calibrate", calibrate),
+];
 
 fn pct(v: f64) -> String {
     format!("{v:+.1}%")
@@ -184,9 +211,18 @@ pub fn a2_fig16_extended() -> Result<String, RunError> {
     ))
 }
 
-/// E4/E8 — DSA detection latency as a fraction of execution time
-/// (A2 Table 3 / A3 Table 2).
-pub fn dsa_latency_table(system: System, title: &str) -> Result<String, RunError> {
+/// E4 — Article 2 Table 3: DSA detection latency (extended DSA).
+pub fn a2_table3_latency() -> Result<String, RunError> {
+    dsa_latency_table(System::DsaExtended, "A2 Table 3 - DSA latency")
+}
+
+/// E8 — Article 3 Table 2: DSA detection latency (full DSA).
+pub fn a3_table2_latency() -> Result<String, RunError> {
+    dsa_latency_table(System::DsaFull, "A3 Table 2 - DSA detection latency")
+}
+
+/// DSA detection latency as a fraction of execution time.
+fn dsa_latency_table(system: System, title: &str) -> Result<String, RunError> {
     let mut rows = Vec::new();
     for id in WorkloadId::all() {
         let r = run_cached(id, system, Scale::Paper)?;
@@ -520,7 +556,7 @@ pub fn ablation_dsa_cache() -> Result<String, RunError> {
 
 /// A1 Figure 11 — NEON type-dependent parallelism: the same kernel over
 /// 8-, 16- and 32-bit elements exercises 16, 8 and 4 lanes.
-pub fn neon_parallelism() -> Result<String, RunError> {
+pub fn a1_fig11_parallelism() -> Result<String, RunError> {
     use dsa_compiler::DataType;
     let n = 8192u32;
     let mut rows = Vec::new();
@@ -704,6 +740,36 @@ pub fn ablation_sentinel() -> Result<String, RunError> {
     Ok(format!(
         "Ablation — sentinel speculative range across executions (shared DSA cache)\n\n{}",
         render_table(&["execution", "actual length", "cycles", "lanes discarded", "vectorized so far"], &rows)
+    ))
+}
+
+/// Calibration probe: the full (workload × system) cycle matrix at
+/// paper scale, against which the timing and energy constants are tuned
+/// to the paper's reported shapes.
+pub fn calibrate() -> Result<String, RunError> {
+    let systems = [
+        System::AutoVec,
+        System::HandVec,
+        System::DsaOriginal,
+        System::DsaExtended,
+        System::DsaFull,
+    ];
+    let mut rows = Vec::new();
+    for id in WorkloadId::all() {
+        let base = run_cached(id, System::Original, Scale::Paper)?;
+        let mut row = vec![id.name().to_string(), base.cycles().to_string()];
+        for sys in systems {
+            let r = run_cached(id, sys, Scale::Paper)?;
+            row.push(format!("{} ({:+.1}%)", r.cycles(), improvement_pct(base.cycles(), r.cycles())));
+        }
+        // Energy saving of the full DSA vs original.
+        let dsa = run_cached(id, System::DsaFull, Scale::Paper)?;
+        row.push(pct(dsa.energy.saving_vs(&base.energy)));
+        rows.push(row);
+    }
+    Ok(render_table(
+        &["workload", "original", "autovec", "handvec", "dsa-orig", "dsa-ext", "dsa-full", "energy-saving"],
+        &rows,
     ))
 }
 

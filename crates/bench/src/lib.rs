@@ -30,7 +30,7 @@ use std::io::Write as _;
 
 use dsa_compiler::Variant;
 use dsa_core::{Dsa, DsaConfig, DsaStats, LoopCensus, SnapshotError};
-use dsa_cpu::{CpuConfig, RunOutcome, SimError, Simulator};
+use dsa_cpu::{CpuConfig, RunOutcome, SimError};
 use dsa_energy::{EnergyBreakdown, EnergyModel, EnergyTable};
 use dsa_trace::{MetricsRegistry, SharedMetrics};
 use dsa_workloads::{build, BuiltWorkload, Scale, WorkloadId};
@@ -116,22 +116,10 @@ impl From<SnapshotError> for RunError {
     }
 }
 
-/// Prints an experiment's output, or reports its error cleanly:
-/// everything already printed is flushed, a trailing diagnostic marks
-/// the output as partial on *stdout* (so a redirected table is visibly
-/// incomplete, not silently truncated), the message goes to stderr, and
-/// the process exits 1 with no backtrace. Shared by every `dsa-bench`
-/// binary so a failed run reads like a diagnostic, not a crash.
-pub fn emit(section: Result<String, RunError>) {
-    match section {
-        Ok(text) => println!("{text}"),
-        Err(e) => fail(&format!("error: {e}")),
-    }
-}
-
-/// The shared failure exit path: prints `# INCOMPLETE: <message>` to
-/// stdout (flushed, so partial tables carry an in-band marker), the
-/// message itself to stderr (flushed), then exits 1.
+/// The shared failure exit path of the `dsa-bench` binaries: prints
+/// `# INCOMPLETE: <message>` to stdout (flushed, so a redirected table
+/// is visibly incomplete, not silently truncated), the message itself
+/// to stderr (flushed), then exits 1 with no backtrace.
 pub fn fail(message: &str) -> ! {
     let mut out = std::io::stdout();
     let _ = writeln!(out, "# INCOMPLETE: {message}");
@@ -225,13 +213,7 @@ impl RunResult {
 /// [`RunError::WrongResult`] if the final state differs from the
 /// workload's golden reference.
 pub fn run_built(w: &BuiltWorkload, system: System) -> Result<RunResult, RunError> {
-    let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-    (w.init)(sim.machine_mut());
-    // Inputs are L2-resident, as left behind by the input phase that
-    // produced them.
-    for buf in w.kernel.layout.bufs() {
-        sim.warm_region(buf.base, buf.size_bytes());
-    }
+    let mut sim = w.simulator(CpuConfig::default());
     let (outcome, dsa, metrics) = match system.dsa_config() {
         None => (sim.run(FUEL)?, None, None),
         Some(cfg) => {

@@ -60,11 +60,7 @@ fn drive<H: CommitHook>(
 
 fn observe(workload: Workload, system: System, cfg: DsaConfig, shape: Shape) -> Observed {
     let w = workload.build(system, Scale::Small);
-    let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-    (w.init)(sim.machine_mut());
-    for buf in w.kernel.layout.bufs() {
-        sim.warm_region(buf.base, buf.size_bytes());
-    }
+    let mut sim = w.simulator(CpuConfig::default());
     let sink = Shared::new(Collector::new());
     let mut dsa = Dsa::new(cfg.with_trace());
     dsa.attach_sink(sink.clone());

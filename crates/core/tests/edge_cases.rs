@@ -312,11 +312,7 @@ fn sentinel_speculation_always_profitable_on_long_strings() {
     use dsa_workloads::Scale;
     let w = build(Micro::Sentinel, Variant::Scalar, Scale::Paper);
     let run_once = |with_dsa: bool| -> (u64, u64) {
-        let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-        (w.init)(sim.machine_mut());
-        for buf in w.kernel.layout.bufs() {
-            sim.warm_region(buf.base, buf.size_bytes());
-        }
+        let mut sim = w.simulator(CpuConfig::default());
         let out = if with_dsa {
             let mut dsa = Dsa::new(DsaConfig::full());
             let o = sim.run_with_hook(100_000_000, &mut dsa).expect("runs");

@@ -237,8 +237,7 @@ fn engine_for_slice(
         return Ok(engine);
     }
     let w = spec.workload.build(spec.system, spec.scale);
-    let program = w.kernel.program.clone();
-    let digest = program.content_hash();
+    let digest = w.kernel.program.content_hash();
     let config = spec.system.dsa_config();
     let attached = config.is_some();
     // Non-DSA sessions still snapshot through a pristine full-config
@@ -246,13 +245,7 @@ fn engine_for_slice(
     let capture_cfg = config.unwrap_or_else(DsaConfig::full);
     let mut engine = match state.checkpoint.as_deref() {
         None => {
-            let mut sim = Simulator::new(program, CpuConfig::default());
-            (w.init)(sim.machine_mut());
-            // Inputs are L2-resident, as left behind by the input phase
-            // that produced them (same premise as `run_built`).
-            for buf in w.kernel.layout.bufs() {
-                sim.warm_region(buf.base, buf.size_bytes());
-            }
+            let sim = w.simulator(CpuConfig::default());
             Engine { sim, dsa: Dsa::new(capture_cfg), attached, prior_commits: 0 }
         }
         Some(bytes) => {
@@ -262,7 +255,7 @@ fn engine_for_slice(
                 return Err(RunError::Snapshot(SnapshotError::ConfigMismatch));
             }
             let (dsa, machine) = Dsa::restore(snap, capture_cfg).map_err(RunError::Snapshot)?;
-            let sim = Simulator::with_machine(program, CpuConfig::default(), machine);
+            let sim = Simulator::with_machine(w.kernel.program, CpuConfig::default(), machine);
             Engine { sim, dsa, attached, prior_commits: meta.commits }
         }
     };

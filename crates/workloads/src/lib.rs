@@ -44,7 +44,7 @@ mod rgb_gray;
 mod susan;
 
 use dsa_compiler::{Kernel, Variant};
-use dsa_cpu::Machine;
+use dsa_cpu::{CpuConfig, Machine, Simulator};
 
 /// The seven applications of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -157,6 +157,18 @@ impl std::fmt::Debug for BuiltWorkload {
 }
 
 impl BuiltWorkload {
+    /// A simulator on `cfg` loaded with this workload's inputs. The
+    /// input buffers are L2-resident, as left behind by the input phase
+    /// that produced them: every measured run starts from this state.
+    pub fn simulator(&self, cfg: CpuConfig) -> Simulator {
+        let mut sim = Simulator::new(self.kernel.program.clone(), cfg);
+        (self.init)(sim.machine_mut());
+        for buf in self.kernel.layout.bufs() {
+            sim.warm_region(buf.base, buf.size_bytes());
+        }
+        sim
+    }
+
     /// Whether the machine's output region matches the reference result.
     pub fn check(&self, machine: &Machine) -> bool {
         self.actual(machine) == self.expected

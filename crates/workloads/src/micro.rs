@@ -1,6 +1,6 @@
 //! Microkernels: one minimal kernel per loop class, used by the
 //! per-loop-type experiments (DSA energy per scenario, Table-1
-//! inhibitor demonstration) and the ablation benches.
+//! inhibitor demonstration) and the ablation sections.
 
 use dsa_compiler::{
     regs, BinOp, Body, CmpOp, DataType, Expr, KernelBuilder, LoopIr, Trip, Variant,

@@ -9,17 +9,13 @@
 
 use dsa_suite::compiler::{analyze_autovec, Variant};
 use dsa_suite::core::{Dsa, DsaConfig};
-use dsa_suite::cpu::{CpuConfig, Simulator};
+use dsa_suite::cpu::CpuConfig;
 use dsa_suite::workloads::micro::{build, Micro};
 use dsa_suite::workloads::Scale;
 
 fn cycles(micro: Micro, dsa_config: Option<DsaConfig>) -> u64 {
     let w = build(micro, Variant::Scalar, Scale::Paper);
-    let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-    (w.init)(sim.machine_mut());
-    for buf in w.kernel.layout.bufs() {
-        sim.warm_region(buf.base, buf.size_bytes());
-    }
+    let mut sim = w.simulator(CpuConfig::default());
     let out = match dsa_config {
         Some(cfg) => {
             let mut dsa = Dsa::new(cfg);

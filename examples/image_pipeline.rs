@@ -9,16 +9,12 @@
 
 use dsa_suite::compiler::Variant;
 use dsa_suite::core::{Dsa, DsaConfig};
-use dsa_suite::cpu::{CpuConfig, Simulator};
+use dsa_suite::cpu::CpuConfig;
 use dsa_suite::workloads::{build, Scale, WorkloadId};
 
 fn run(id: WorkloadId, variant: Variant, dsa_config: Option<DsaConfig>) -> u64 {
     let w = build(id, variant, Scale::Paper);
-    let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-    (w.init)(sim.machine_mut());
-    for buf in w.kernel.layout.bufs() {
-        sim.warm_region(buf.base, buf.size_bytes());
-    }
+    let mut sim = w.simulator(CpuConfig::default());
     let outcome = match dsa_config {
         Some(cfg) => {
             let mut dsa = Dsa::new(cfg);

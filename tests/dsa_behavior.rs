@@ -4,7 +4,7 @@
 
 use dsa_suite::compiler::Variant;
 use dsa_suite::core::{Dsa, DsaConfig, LoopClass};
-use dsa_suite::cpu::{CpuConfig, RunOutcome, Simulator};
+use dsa_suite::cpu::{CpuConfig, RunOutcome};
 use dsa_suite::energy::{AreaModel, EnergyModel, EnergyTable};
 use dsa_suite::workloads::micro::{build, Micro};
 use dsa_suite::workloads::Scale;
@@ -12,11 +12,7 @@ use dsa_suite::workloads::Scale;
 fn run_micro(m: Micro, cfg: DsaConfig) -> (RunOutcome, Dsa) {
     let w = build(m, Variant::Scalar, Scale::Small);
     let mut dsa = Dsa::new(cfg);
-    let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-    (w.init)(sim.machine_mut());
-    for buf in w.kernel.layout.bufs() {
-        sim.warm_region(buf.base, buf.size_bytes());
-    }
+    let mut sim = w.simulator(CpuConfig::default());
     let out = sim.run_with_hook(100_000_000, &mut dsa).expect("runs");
     assert!(out.halted);
     assert!(w.check(sim.machine()), "micro {} wrong result", m.name());
@@ -79,11 +75,7 @@ fn vectorization_saves_energy() {
     let model = EnergyModel::new(EnergyTable::default());
     let (out_plain, _) = {
         let w = build(Micro::Count, Variant::Scalar, Scale::Small);
-        let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-        (w.init)(sim.machine_mut());
-        for buf in w.kernel.layout.bufs() {
-            sim.warm_region(buf.base, buf.size_bytes());
-        }
+        let mut sim = w.simulator(CpuConfig::default());
         (sim.run(100_000_000).expect("runs"), ())
     };
     let (out_dsa, dsa) = run_micro(Micro::Count, DsaConfig::full());

@@ -4,15 +4,11 @@
 
 use dsa_suite::compiler::Variant;
 use dsa_suite::core::{Dsa, DsaConfig};
-use dsa_suite::cpu::{CpuConfig, Simulator};
+use dsa_suite::cpu::CpuConfig;
 use dsa_suite::workloads::{build, BuiltWorkload, Scale, WorkloadId};
 
 fn run(w: &BuiltWorkload, dsa: Option<DsaConfig>) -> u64 {
-    let mut sim = Simulator::new(w.kernel.program.clone(), CpuConfig::default());
-    (w.init)(sim.machine_mut());
-    for buf in w.kernel.layout.bufs() {
-        sim.warm_region(buf.base, buf.size_bytes());
-    }
+    let mut sim = w.simulator(CpuConfig::default());
     let out = match dsa {
         Some(cfg) => {
             let mut hook = Dsa::new(cfg);
