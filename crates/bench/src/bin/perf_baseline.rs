@@ -10,8 +10,10 @@
 //!    second / 1e6).
 //! 2. **DSA section**: the same step-vs-block pair with the full DSA
 //!    attached (`Stepped(Dsa)` vs `Dsa`) on the sentinel microkernel,
-//!    whose vectorized loop steps, and on RGB-Gray, whose plain
-//!    vectorized loops retire as blocks. Run in `--micro-only` mode too.
+//!    whose vectorized loop steps; on RGB-Gray, whose plain vectorized
+//!    loops retire as blocks; and on the conditional microkernel and
+//!    BitCounts, whose conditional loops retire as blocks too. Run in
+//!    `--micro-only` mode too.
 //! 3. **Vector section**: the four vector-heavy applications (MM,
 //!    RGB-Gray, Gaussian, Susan E) built with the hand-vectorized
 //!    variant, run in block mode once per compiled-in host-SIMD
@@ -34,9 +36,11 @@
 //! regressions in CI without flaking on machine noise, and that the DSA
 //! section's RGB-Gray block/step speedup is at least X — it falls to
 //! about 1x if the engine stops taking blocks. `--compare PATH`
-//! diffs the scalar grid against a previous baseline JSON and exits
-//! non-zero if total block throughput regressed by more than
-//! `--tolerance` percent (default 10).
+//! diffs the scalar grid and the DSA section, row by row by name,
+//! against a previous baseline JSON and exits non-zero if either
+//! section's total block throughput over the rows both files have
+//! regressed by more than `--tolerance` percent (default 10). A
+//! baseline without a DSA section gates the scalar grid only.
 
 use std::time::Instant;
 
@@ -59,8 +63,14 @@ const USAGE: &str = "usage: perf_baseline [--reps N] [--out PATH] [--scale S] [-
 const DSA_PLAIN: Workload = Workload::App(WorkloadId::RgbGray);
 
 /// The DSA-attached section: the sentinel microkernel, whose vectorized
-/// loop steps, beside [`DSA_PLAIN`].
-const DSA_WORKLOADS: [Workload; 2] = [Workload::Micro(micro::Micro::Sentinel), DSA_PLAIN];
+/// loop steps, beside [`DSA_PLAIN`], and the conditional microkernel and
+/// BitCounts, whose conditional loops retire as blocks.
+const DSA_WORKLOADS: [Workload; 4] = [
+    Workload::Micro(micro::Micro::Sentinel),
+    DSA_PLAIN,
+    Workload::Micro(micro::Micro::Conditional),
+    Workload::App(WorkloadId::BitCounts),
+];
 
 /// The vector-heavy applications measured per backend (the paper's
 /// DLP-rich kernels; the other three are control-flow bound).
@@ -341,28 +351,26 @@ fn as_f64(v: &Value) -> Option<f64> {
     }
 }
 
-/// Diffs the freshly measured scalar grid against a previous baseline
-/// JSON (`--compare`). Prints a per-workload regression/improvement
-/// table and returns the old and new **total** block MIPS (total
-/// committed / total block seconds), the gate `main` enforces.
-fn compare_against(path: &str, rows: &[Row]) -> (f64, f64) {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
-    let old = json::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
-    let old_rows = old
-        .get("workloads")
-        .and_then(|w| match w {
-            Value::Arr(rows) => Some(rows.as_slice()),
-            _ => None,
-        })
-        .unwrap_or_else(|| fail(&format!("{path}: no `workloads` array")));
+/// The `workloads` array of a baseline JSON object.
+fn workload_rows(v: &Value) -> Option<&[Value]> {
+    match v.get("workloads")? {
+        Value::Arr(rows) => Some(rows.as_slice()),
+        _ => None,
+    }
+}
 
-    println!("\ncomparison against {path}:");
+/// Diffs freshly measured `rows` against a baseline's rows by name.
+/// Prints a per-workload regression/improvement table and returns the
+/// old and new **total** block MIPS (total committed / total block
+/// seconds) over the rows both sides have — the gate `main` enforces —
+/// or `None` when they share no row.
+fn compare_rows(path: &str, old_rows: &[Value], rows: &[Row]) -> Option<(f64, f64)> {
     println!(
         "{:<16} {:>10} {:>10} {:>8}",
         "workload", "old MIPS", "new MIPS", "delta"
     );
     let (mut old_committed, mut old_secs) = (0.0, 0.0);
+    let (mut new_committed, mut new_secs) = (0.0, 0.0);
     for r in rows {
         let old_row = old_rows.iter().find(|o| o.get("name").and_then(Value::as_str) == Some(r.name));
         let Some(old_row) = old_row else {
@@ -376,6 +384,8 @@ fn compare_against(path: &str, rows: &[Row]) -> (f64, f64) {
         }
         old_committed += committed;
         old_secs += secs;
+        new_committed += r.committed as f64;
+        new_secs += r.block_secs;
         let old_mips = committed / secs / 1e6;
         let delta = (r.block_mips() / old_mips - 1.0) * 100.0;
         println!(
@@ -386,12 +396,46 @@ fn compare_against(path: &str, rows: &[Row]) -> (f64, f64) {
             delta
         );
     }
-    if old_secs <= 0.0 {
-        fail(&format!("{path}: no workloads in common with this grid"));
+    (old_secs > 0.0).then(|| (old_committed / old_secs / 1e6, new_committed / new_secs / 1e6))
+}
+
+/// `--compare`: diffs the scalar grid and the DSA section against the
+/// baseline at `path` and fails if either section's total block MIPS
+/// fell by more than `tolerance` percent.
+fn compare_against(path: &str, rows: &[Row], drows: &[Row], tolerance: f64) {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| fail(&format!("cannot read {path}: {e}")));
+    let old = json::parse(&text).unwrap_or_else(|e| fail(&format!("{path}: {e}")));
+    let old_rows =
+        workload_rows(&old).unwrap_or_else(|| fail(&format!("{path}: no `workloads` array")));
+
+    println!("\ncomparison against {path}, scalar grid:");
+    let scalar = compare_rows(path, old_rows, rows)
+        .unwrap_or_else(|| fail(&format!("{path}: no workloads in common with this grid")));
+    let mut gates = vec![("scalar grid", scalar)];
+    match old.get("dsa").and_then(workload_rows) {
+        Some(old_drows) => {
+            println!("\ncomparison against {path}, full DSA attached:");
+            match compare_rows(path, old_drows, drows) {
+                Some(totals) => gates.push(("DSA section", totals)),
+                None => println!("no DSA workloads in common; DSA section not gated"),
+            }
+        }
+        None => println!("\n{path} has no DSA section; DSA section not gated"),
     }
-    let new_committed: f64 = rows.iter().map(|r| r.committed as f64).sum();
-    let new_secs: f64 = rows.iter().map(|r| r.block_secs).sum();
-    (old_committed / old_secs / 1e6, new_committed / new_secs / 1e6)
+    for (section, (old_total, new_total)) in gates {
+        let delta = (new_total / old_total - 1.0) * 100.0;
+        println!(
+            "{section} total block MIPS: {old_total:.1} -> {new_total:.1} ({delta:+.1}%), \
+             tolerance -{tolerance:.1}%"
+        );
+        if new_total < old_total * (1.0 - tolerance / 100.0) {
+            fail(&format!(
+                "{section} total block MIPS regressed {:.1}% (past the {tolerance:.1}% tolerance)",
+                -delta
+            ));
+        }
+    }
 }
 
 fn main() {
@@ -459,7 +503,7 @@ fn main() {
         .collect();
 
     // DSA section: the full DSA attached, `Stepped(Dsa)` vs `Dsa` — the
-    // engine's blocks while it probes or runs plain vectorized loops.
+    // engine blocks while it probes or runs plain or conditional loops.
     let drows = DSA_WORKLOADS.map(|workload| {
         measure(workload, scale, reps, || Dsa::new(DsaConfig::full()))
             .unwrap_or_else(|e| fail(&format!("{} (dsa): {e}", workload.describe())))
@@ -589,17 +633,6 @@ fn main() {
     }
 
     if let Some(path) = compare {
-        let (old_total, new_total) = compare_against(&path, &rows);
-        let delta = (new_total / old_total - 1.0) * 100.0;
-        println!(
-            "total block MIPS: {old_total:.1} -> {new_total:.1} ({delta:+.1}%), \
-             tolerance -{tolerance:.1}%"
-        );
-        if new_total < old_total * (1.0 - tolerance / 100.0) {
-            fail(&format!(
-                "total block MIPS regressed {:.1}% (past the {tolerance:.1}% tolerance)",
-                -delta
-            ));
-        }
+        compare_against(&path, &rows, &drows, tolerance);
     }
 }

@@ -6,17 +6,25 @@
 //! `DsaStats`, the loop census and the byte-exact `dsa-trace/v1` JSONL
 //! event stream.
 //!
-//! Three sweeps: every DSA combo of `paper_grid()`; every grid workload
+//! Four sweeps: every DSA combo of `paper_grid()`; every grid workload
 //! under `FaultPlan::all(seed)` for three seeds (stale coverage, corrupt
-//! templates and poisoning all take the stepped fallbacks); and
-//! `run_bounded` slices of an odd budget, so pauses land mid-block.
+//! templates and poisoning all take the stepped fallbacks); `run_bounded`
+//! slices of an odd budget, so pauses land mid-block; and forge-generated
+//! programs from fixed seeds, whose else-arms, conditional nests and
+//! conditional dynamic ranges the grid lacks.
+
+use std::cell::Cell;
 
 use dsa_bench::cache::{paper_grid, Workload};
+use dsa_bench::forge::{lower, Campaign, ForgeProgram};
 use dsa_bench::{System, FUEL};
 use dsa_core::{Dsa, DsaConfig, DsaStats, FaultPlan, LoopCensus};
-use dsa_cpu::{BoundedOutcome, CommitHook, CpuConfig, RunOutcome, Simulator, Stepped};
+use dsa_cpu::{
+    BoundedOutcome, CommitHook, CpuConfig, Machine, RunOutcome, SimControl, Simulator, Stepped,
+    TraceEvent,
+};
 use dsa_trace::{Collector, Shared};
-use dsa_workloads::Scale;
+use dsa_workloads::{micro, Scale};
 
 /// An odd slice, so pause points drift across block boundaries.
 const SLICE: u64 = 997;
@@ -58,9 +66,9 @@ fn drive<H: CommitHook>(
     }
 }
 
-fn observe(workload: Workload, system: System, cfg: DsaConfig, shape: Shape) -> Observed {
-    let w = workload.build(system, Scale::Small);
-    let mut sim = w.simulator(CpuConfig::default());
+/// Runs `sim` to halt under `cfg` in `shape`; returns what it observed
+/// and the finished simulator.
+fn run_shape(mut sim: Simulator, cfg: DsaConfig, shape: Shape) -> (Observed, Simulator) {
     let sink = Shared::new(Collector::new());
     let mut dsa = Dsa::new(cfg.with_trace());
     dsa.attach_sink(sink.clone());
@@ -74,20 +82,34 @@ fn observe(workload: Workload, system: System, cfg: DsaConfig, shape: Shape) -> 
         }
     };
     dsa.finish_trace();
+    let jsonl = sink.with(|c| c.events.iter().map(|e| e.to_json_line() + "\n").collect());
+    let observed = Observed {
+        outcome,
+        digest: sim.machine().arch_digest(),
+        stats: dsa.stats(),
+        census: dsa.census(),
+        jsonl,
+    };
+    (observed, sim)
+}
+
+fn observe(workload: Workload, system: System, cfg: DsaConfig, shape: Shape) -> Observed {
+    let w = workload.build(system, Scale::Small);
+    let (observed, sim) = run_shape(w.simulator(CpuConfig::default()), cfg, shape);
     assert!(
         w.check(sim.machine()),
         "{} under {} ({shape:?}): wrong result",
         workload.describe(),
         system.name()
     );
-    let jsonl = sink.with(|c| c.events.iter().map(|e| e.to_json_line() + "\n").collect());
-    Observed {
-        outcome,
-        digest: sim.machine().arch_digest(),
-        stats: dsa.stats(),
-        census: dsa.census(),
-        jsonl,
-    }
+    observed
+}
+
+/// A forge program under the full DSA, on the oracle's initial state.
+fn observe_forge(prog: &ForgeProgram, shape: Shape) -> Observed {
+    let mut sim = Simulator::new(prog.kernel.program.clone(), CpuConfig::default());
+    prog.init()(sim.machine_mut());
+    run_shape(sim, DsaConfig::full(), shape).0
 }
 
 fn assert_same(what: &str, stepped: &Observed, other: &Observed) {
@@ -145,4 +167,74 @@ fn sliced_runs_pause_mid_block_bit_identically() {
         let sliced = observe(workload, System::DsaFull, cfg, Shape::Sliced);
         assert_same(&what, &stepped, &sliced);
     }
+}
+
+#[test]
+fn forge_programs_block_bit_identically() {
+    // Five seeds of 32 distinct programs, each run three ways: about a
+    // second of a debug build.
+    const SEEDS: [u64; 5] = [1, 2, 3, 5, 8];
+    const PROGRAMS: usize = 32;
+    let mut conditional_launches = 0;
+    for seed in SEEDS {
+        let campaign = Campaign { seed, budget: PROGRAMS, jobs: 1, config: DsaConfig::full() };
+        let (corpus, _) = campaign.corpus();
+        for spec in &corpus {
+            let prog = lower(spec);
+            let what = format!("forge seed {seed} program {:#018x}", spec.structural_hash());
+            let stepped = observe_forge(&prog, Shape::Stepped);
+            let block = observe_forge(&prog, Shape::Block);
+            assert_same(&what, &stepped, &block);
+            let sliced = observe_forge(&prog, Shape::Sliced);
+            assert_same(&format!("{what} in {SLICE}-commit slices"), &stepped, &sliced);
+            conditional_launches += block
+                .jsonl
+                .lines()
+                .filter(|l| {
+                    l.contains("\"type\":\"loop-vectorized\"")
+                        && l.contains("\"class\":\"conditional\"")
+                })
+                .count();
+        }
+    }
+    assert!(conditional_launches > 0, "the sweep vectorized no conditional loop");
+}
+
+/// Counts the commits a hook takes one at a time: callbacks that follow
+/// a `blocks` answer of `false`.
+struct CountStepped {
+    dsa: Dsa,
+    last_blocks: Cell<bool>,
+    stepped: u64,
+}
+
+impl CommitHook for CountStepped {
+    fn blocks(&self, covered: bool) -> bool {
+        let b = self.dsa.blocks(covered);
+        self.last_blocks.set(b);
+        b
+    }
+
+    fn on_commit(&mut self, ev: &TraceEvent, machine: &Machine, ctl: &mut SimControl<'_>) {
+        self.stepped += u64::from(!self.last_blocks.get());
+        self.dsa.on_commit(ev, machine, ctl);
+    }
+}
+
+#[test]
+fn conditional_execution_takes_blocks() {
+    let w = Workload::Micro(micro::Micro::Conditional).build(System::DsaFull, Scale::Small);
+    let mut sim = w.simulator(CpuConfig::default());
+    let dsa = Dsa::new(DsaConfig::full());
+    let mut hook = CountStepped { dsa, last_blocks: Cell::new(false), stepped: 0 };
+    let out = sim.run_with_hook(FUEL, &mut hook).expect("run halts");
+    assert!(w.check(sim.machine()));
+    assert_eq!(hook.dsa.stats().loops_vectorized, 1, "the conditional loop vectorized");
+    // Only the analysis iterations step; the covered body retires whole.
+    assert!(
+        hook.stepped * 5 < out.committed,
+        "{} of {} commits stepped",
+        hook.stepped,
+        out.committed
+    );
 }

@@ -13,7 +13,9 @@ use crate::config::DsaConfig;
 use crate::faults::{FaultSchedule, FaultSite, FaultState};
 use crate::snapshot::{EngineState, Snapshot, SnapshotError};
 use crate::plan::{self, ArmTemplate, LoopTemplate, OpMix, StreamTemplate};
-use crate::profile::{CmpObs, IterationProfile, IterationRecorder};
+use crate::profile::{
+    find_access, path_step, push_access, CmpObs, IterationProfile, IterationRecorder, StreamInfo,
+};
 use crate::stats::{DsaStats, LoopCensus, LoopClass};
 
 /// Upper bound on a stored sentinel speculative range. Real ranges track
@@ -196,7 +198,12 @@ enum ExecKind {
         window_arms: BTreeMap<u64, Vec<(StreamTemplate, u32)>>,
         /// Iterations covered in the current window.
         window_fill: u32,
-        rec: IterationRecorder,
+        /// Path hash of the current iteration so far
+        /// ([`path_step`]'s rule).
+        path: u64,
+        /// The current iteration's accesses, numbered by occurrence;
+        /// cleared, not reallocated, at every boundary.
+        accesses: Vec<StreamInfo>,
         injected_elems: u32,
     },
 }
@@ -517,7 +524,7 @@ impl Dsa {
             dsa_cycles: 0,
             cycle,
         });
-        match self.cache.probe(id).cloned() {
+        match self.cache.probe(id) {
             // A cached negative verdict ends detection immediately — the
             // probe is pipelined with the core and costs nothing.
             Some(CachedKind::NonVectorizable(_)) => {
@@ -530,7 +537,10 @@ impl Dsa {
                     cycle,
                 });
             }
-            Some(CachedKind::Vectorizable(mut t)) => {
+            Some(CachedKind::Vectorizable(t)) => {
+                // The one template copy of a hit: execution keeps it, and
+                // fault injection corrupts it, never the cached entry.
+                let mut t = t.clone();
                 let dsa_cycles = self.config.dsa_cache_latency as u64;
                 self.stats.detection_cycles += dsa_cycles;
                 self.tracer.emit(|| Event::CacheAccess {
@@ -560,11 +570,13 @@ impl Dsa {
                         }
                     }
                 }
+                // The hit path reads only this iteration's accesses and
+                // closing compare, so its body goes unclassified.
                 self.mode = Mode::Analyzing(Box::new(Analysis {
                     id,
                     end_pc: ev.pc,
                     iter: 1,
-                    rec: IterationRecorder::new(id, ev.pc),
+                    rec: IterationRecorder::accesses_only(id, ev.pc),
                     collected: None,
                     hit: Some(t),
                     cond: None,
@@ -694,6 +706,8 @@ impl Dsa {
         let a = expect_mode!(self, Analyzing, "finish_iteration");
         let closing_unconditional = matches!(ev.instr, Instr::B { cond: Cond::Al, .. });
         let index_reg = a.rec.last_cmp_reg();
+        // A hit analysis ends after this iteration; every other one
+        // records whole iterations.
         let rec = std::mem::replace(&mut a.rec, IterationRecorder::new(a.id, a.end_pc));
         let mut profile = rec.finish(index_reg);
         a.iter += 1;
@@ -739,8 +753,9 @@ impl Dsa {
             return Ok(());
         }
 
-        // Cache-hit fast path: one collection iteration, then execute.
-        if let Some(t) = a.hit.clone() {
+        // Cache-hit fast path: one collection iteration, then execute
+        // (every branch of `hit_execute` leaves analysis).
+        if let Some(t) = a.hit.take() {
             self.stats.stage_store_id_execution += 1;
             self.tracer.emit(|| Event::StageActivated {
                 stage: Stage::StoreIdExecution,
@@ -864,7 +879,7 @@ impl Dsa {
     fn trip_info(
         c2: Option<CmpObs>,
         c3: Option<CmpObs>,
-    ) -> Option<(i64 /* step */, i64 /* remaining after the later obs */, bool /* imm */)> {
+    ) -> Option<(i64 /* remaining after the later obs */, bool /* imm */)> {
         let (c2, c3) = (c2?, c3?);
         if c2.pc != c3.pc || c2.rhs != c3.rhs || c2.rhs_is_imm != c3.rhs_is_imm {
             return None;
@@ -877,7 +892,7 @@ impl Dsa {
         if diff < 0 || diff % step != 0 {
             return None;
         }
-        Some((step, diff / step, c3.rhs_is_imm))
+        Some((diff / step, c3.rhs_is_imm))
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -925,18 +940,16 @@ impl Dsa {
         }
 
         // Trip prediction.
-        let (trip_step, remaining_after3, rhs_is_imm, budget);
+        let (remaining_after3, rhs_is_imm, budget);
         let lanes = 16 / elem as u32;
         if sentinel {
             let spec = lanes; // first encounter: one full vector
             budget = spec;
-            trip_step = 1;
             remaining_after3 = spec as i64;
             rhs_is_imm = false;
         } else {
             match Self::trip_info(p2.closing_cmp, p3.closing_cmp) {
-                Some((step, rem, imm)) => {
-                    trip_step = step;
+                Some((rem, imm)) => {
                     remaining_after3 = rem;
                     rhs_is_imm = imm;
                     budget = 0;
@@ -1047,7 +1060,6 @@ impl Dsa {
         // Iterations 1–3 ran scalar during analysis; everything after the
         // iteration-3 closing compare is vectorized.
         let count = if sentinel { budget } else { remaining_after3 as u32 };
-        let _ = trip_step;
         self.launch(template, bases, count, ctl)
     }
 
@@ -1343,7 +1355,7 @@ impl Dsa {
         }
 
         // Remaining outer iterations from the outer closing compare.
-        let Some((_, remaining_outer, rhs_is_imm)) =
+        let Some((remaining_outer, rhs_is_imm)) =
             Self::trip_info(p2.closing_cmp, profile.closing_cmp)
         else {
             self.give_up(id, LoopClass::Nest, "irregular-trip", ctl);
@@ -1495,17 +1507,11 @@ impl Dsa {
             return Ok(());
         }
         for arm in &arms {
-            let streams: Vec<cidp::Stream> = arm
-                .streams
-                .iter()
-                .map(|s| cidp::Stream { addr2: 0, gap: s.gap, is_write: s.is_write, bytes: s.bytes })
-                .collect();
             // Per-arm gap sanity: unit stride only.
             if arm.streams.iter().any(|s| s.gap != elem as i64 && s.gap != 0) {
                 self.give_up(id, LoopClass::Conditional, "non-unit-stride", ctl);
                 return Ok(());
             }
-            let _ = streams;
             self.stats.cidp_evaluations += 1;
             self.stats.detection_cycles += self.config.cidp_latency as u64;
             let (cidp_lat, cycle) = (self.config.cidp_latency, ctl.cycles());
@@ -1575,7 +1581,8 @@ impl Dsa {
                 template,
                 window_arms: BTreeMap::new(),
                 window_fill: 0,
-                rec: IterationRecorder::new(id, end_pc),
+                path: 0,
+                accesses: Vec::new(),
                 injected_elems: 0,
             },
             iters: 0,
@@ -1665,11 +1672,18 @@ impl Dsa {
                 template,
                 window_arms,
                 window_fill,
-                rec,
+                path,
+                accesses,
                 injected_elems,
             } => {
                 let lanes = template.lanes();
-                rec.record(ev, machine);
+                // The commits a superblock retired before `ev` are never
+                // control flow: only their accesses matter here.
+                for r in ctl.retired().iter() {
+                    push_access(accesses, &r);
+                }
+                push_access(accesses, ev);
+                path_step(path, x.lo, x.hi, ev);
                 if boundary {
                     self.stats.array_map_accesses += 1;
                     self.stats.detection_cycles += self.config.array_map_latency as u64;
@@ -1683,60 +1697,58 @@ impl Dsa {
                         dsa_cycles: map_lat as u64,
                         cycle,
                     });
-                    let idx_reg = rec.last_cmp_reg();
-                    let r = std::mem::replace(rec, IterationRecorder::new(x.lo, x.hi));
-                    let p = r.finish(idx_reg);
-                    let path = p.path;
+                    let path = std::mem::take(path);
                     // First time this arm appears within the current
                     // window: remember its stream bases, rewound to the
                     // window start.
                     if let std::collections::btree_map::Entry::Vacant(slot) =
                         window_arms.entry(path)
                     {
-                        let arm = template
-                            .arms
-                            .iter()
-                            .find(|a| a.path == path)
-                            .cloned()
-                            .unwrap_or_else(|| ArmTemplate {
-                                path,
-                                streams: p
-                                    .accesses
-                                    .iter()
-                                    .map(|s| StreamTemplate {
-                                        pc: s.pc,
-                                        occ: s.occ,
-                                        is_write: s.is_write,
-                                        bytes: s.bytes,
-                                        gap: template.elem_bytes as i64,
-                                    })
-                                    .collect(),
-                                ops: OpMix {
-                                    alu: p.body.vec_alu,
-                                    mul: p.body.vec_mul,
-                                    shift: p.body.vec_shift,
-                                },
-                            });
                         let fill = *window_fill as i64;
-                        let bases: Vec<(StreamTemplate, u32)> = arm
-                            .streams
-                            .iter()
-                            .filter_map(|s| {
-                                p.find(s.pc, s.occ)
-                                    .map(|obs| (*s, (obs.addr as i64 - s.gap * fill) as u32))
-                            })
-                            .collect();
-                        if bases.len() == arm.streams.len() {
-                            slot.insert(bases);
+                        let rewind =
+                            |s: StreamTemplate, addr: u32| (s, (addr as i64 - s.gap * fill) as u32);
+                        match template.arms.iter().find(|a| a.path == path) {
+                            Some(arm) => {
+                                let bases: Vec<(StreamTemplate, u32)> = arm
+                                    .streams
+                                    .iter()
+                                    .filter_map(|s| {
+                                        find_access(accesses, s.pc, s.occ)
+                                            .map(|obs| rewind(*s, obs.addr))
+                                    })
+                                    .collect();
+                                if bases.len() == arm.streams.len() {
+                                    slot.insert(bases);
+                                }
+                            }
+                            // An arm the template lacks: every access of
+                            // this iteration is one of its unit streams.
+                            None => {
+                                let gap = template.elem_bytes as i64;
+                                slot.insert(
+                                    accesses
+                                        .iter()
+                                        .map(|s| {
+                                            let st = StreamTemplate {
+                                                pc: s.pc,
+                                                occ: s.occ,
+                                                is_write: s.is_write,
+                                                bytes: s.bytes,
+                                                gap,
+                                            };
+                                            rewind(st, s.addr)
+                                        })
+                                        .collect(),
+                                );
+                            }
                         }
                     }
+                    accesses.clear();
                     *window_fill += 1;
                     // Window complete: vectorize every accessed condition
                     // over it and let the Array Maps select lanes.
                     if *window_fill == lanes {
-                        let arms: Vec<(u64, Vec<(StreamTemplate, u32)>)> =
-                            std::mem::take(window_arms).into_iter().collect();
-                        for (path, bases) in arms {
+                        for (path, bases) in std::mem::take(window_arms) {
                             let ops = template
                                 .arms
                                 .iter()
@@ -1871,18 +1883,23 @@ fn is_loop_branch(ev: &TraceEvent) -> bool {
 }
 
 impl CommitHook for Dsa {
-    /// The engine acts only at loop boundaries while it probes or runs a
-    /// plain vectorized loop, and every boundary is a block terminal, so
-    /// those modes take whole superblocks. Probing with coverage still
-    /// on steps, so `probe`'s stale-coverage self-check fires on the
-    /// same commit as ever. Analysis records every commit of an
-    /// iteration, and sentinel and conditional execution toggle
-    /// coverage or record mid-body, so those modes step.
+    /// The engine takes whole superblocks in three modes. While it
+    /// probes or runs a plain vectorized loop it acts only at loop
+    /// boundaries, and every boundary is a block terminal. While it
+    /// runs a conditional loop, coverage stays on for the whole body,
+    /// every arm boundary is a `B` terminal, and the accesses of the
+    /// commits before a terminal come from [`SimControl::retired`].
+    /// Probing with coverage still on steps, so `probe`'s
+    /// stale-coverage self-check fires on the same commit as ever.
+    /// Analysis reads register values at every compare, and sentinel
+    /// execution toggles coverage mid-body, so those two modes step.
     #[inline]
     fn blocks(&self, covered: bool) -> bool {
         match &self.mode {
             Mode::Probing | Mode::Poisoned => !covered,
-            Mode::Executing(x) => matches!(x.kind, ExecKind::Plain { .. }),
+            Mode::Executing(x) => {
+                matches!(x.kind, ExecKind::Plain { .. } | ExecKind::Conditional { .. })
+            }
             Mode::Analyzing(_) => false,
         }
     }

@@ -1,10 +1,10 @@
 //! Per-iteration profiling: what the Data Collection stage extracts from
 //! the committed instruction stream.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use dsa_cpu::{Machine, TraceEvent};
-use dsa_isa::{AluOp, Instr, Operand, Reg};
+use dsa_isa::{AluOp, Cond, Instr, Operand, Reg};
 
 /// One data-memory access stream observation: the `occ`-th access by the
 /// instruction at `pc` within one iteration.
@@ -113,7 +113,7 @@ pub struct IterationProfile {
 impl IterationProfile {
     /// Finds the observation matching `(pc, occ)`.
     pub fn find(&self, pc: u32, occ: u8) -> Option<&StreamInfo> {
-        self.accesses.iter().find(|s| s.pc == pc && s.occ == occ)
+        find_access(&self.accesses, pc, occ)
     }
 
     /// The class of body this iteration suggests.
@@ -139,13 +139,82 @@ pub enum BodyClass {
     Function,
 }
 
+/// The role a committed conditional branch plays in one iteration of
+/// the loop `[lo..=hi]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum BranchRole {
+    /// A branch leaving the loop: the sentinel stop check (or a guarded
+    /// early exit).
+    Exit,
+    /// In-body conditional control flow: it selects an arm.
+    Arm,
+}
+
+/// The path-hash rule: folds `ev` into `path`, the running hash of the
+/// conditional-branch path one iteration of the loop `[lo..=hi]` takes
+/// (see [`IterationProfile::path`]), and reports the role of a
+/// conditional branch. Only arm branches move the hash; both their
+/// direction and their PC identify the arm. Analysis (through
+/// [`IterationRecorder`]) and conditional execution share this one
+/// rule, so an arm hashes the same in both.
+#[inline]
+pub(crate) fn path_step(path: &mut u64, lo: u32, hi: u32, ev: &TraceEvent) -> Option<BranchRole> {
+    let Instr::B { cond, .. } = ev.instr else { return None };
+    if cond == Cond::Al {
+        return None;
+    }
+    let b = ev.branch?;
+    let in_range = |pc: u32| (lo..=hi).contains(&pc);
+    if in_range(ev.pc) && !in_range(b.target) {
+        Some(BranchRole::Exit)
+    } else if b.target > ev.pc {
+        *path = path
+            .wrapping_mul(0x0000_0100_0000_01b3)
+            .wrapping_add(((ev.pc as u64) << 1) | b.taken as u64);
+        Some(BranchRole::Arm)
+    } else {
+        None
+    }
+}
+
+/// The observation matching `(pc, occ)` in an iteration's accesses.
+#[inline]
+pub(crate) fn find_access(accesses: &[StreamInfo], pc: u32, occ: u8) -> Option<&StreamInfo> {
+    accesses.iter().find(|s| s.pc == pc && s.occ == occ)
+}
+
+/// Appends `ev`'s data-memory access, if it made one, to an
+/// iteration's ordered access list, numbered by how many accesses the
+/// same PC already made in the iteration. Returns whether it did.
+#[inline]
+pub(crate) fn push_access(accesses: &mut Vec<StreamInfo>, ev: &TraceEvent) -> bool {
+    let Some(acc) = ev.read.or(ev.write) else { return false };
+    let occ = accesses.iter().rev().find(|s| s.pc == ev.pc).map_or(0, |s| s.occ + 1);
+    accesses.push(StreamInfo {
+        pc: ev.pc,
+        occ,
+        is_write: ev.write.is_some(),
+        bytes: acc.bytes,
+        addr: acc.addr,
+    });
+    true
+}
+
 /// Records one iteration of the loop `[lo..=hi]` from commit events.
+///
+/// A recorder made by [`IterationRecorder::new`] keeps everything Data
+/// Collection and Dependency Analysis read. One made by
+/// [`IterationRecorder::accesses_only`] keeps only the ordered accesses
+/// and the closing compare — all that the DSA-cache hit path reads —
+/// and its [`IterationRecorder::finish`] skips body classification.
 #[derive(Debug)]
 pub struct IterationRecorder {
     lo: u32,
     hi: u32,
+    /// Whether the whole iteration is recorded (not only accesses and
+    /// the closing compare).
+    full: bool,
     accesses: Vec<StreamInfo>,
-    occ: HashMap<u32, u8>,
     instrs: Vec<(u32, Instr)>,
     base_regs: HashSet<Reg>,
     last_cmp: Option<(CmpObs, Option<Reg>)>,
@@ -163,13 +232,14 @@ pub struct IterationRecorder {
 }
 
 impl IterationRecorder {
-    /// Creates a recorder for the loop body `[lo..=hi]`.
+    /// Creates a recorder for the loop body `[lo..=hi]` that records the
+    /// whole iteration.
     pub fn new(lo: u32, hi: u32) -> IterationRecorder {
         IterationRecorder {
             lo,
             hi,
+            full: true,
             accesses: Vec::new(),
-            occ: HashMap::new(),
             instrs: Vec::new(),
             base_regs: HashSet::new(),
             last_cmp: None,
@@ -185,6 +255,14 @@ impl IterationRecorder {
         }
     }
 
+    /// Creates a recorder for the loop body `[lo..=hi]` that keeps only
+    /// the ordered accesses and the closing compare. The profile it
+    /// finishes carries a default [`BodyProfile`] and no PC, branch or
+    /// call observations.
+    pub fn accesses_only(lo: u32, hi: u32) -> IterationRecorder {
+        IterationRecorder { full: false, ..IterationRecorder::new(lo, hi) }
+    }
+
     fn in_range(&self, pc: u32) -> bool {
         (self.lo..=self.hi).contains(&pc)
     }
@@ -192,6 +270,29 @@ impl IterationRecorder {
     /// Feeds one committed event (the closing backward branch itself
     /// should *not* be fed; it delimits iterations).
     pub fn record(&mut self, ev: &TraceEvent, machine: &Machine) {
+        if let Instr::Cmp { rn, src2 } = ev.instr {
+            let lhs = machine.reg(rn) as i32 as i64;
+            let (rhs, rhs_is_imm) = match src2 {
+                Operand::Reg(rm) => (machine.reg(rm) as i32 as i64, false),
+                Operand::Imm(v) => (v as i64, true),
+            };
+            self.last_cmp = Some((CmpObs { pc: ev.pc, lhs, rhs, rhs_is_imm }, Some(rn)));
+        }
+        if push_access(&mut self.accesses, ev) && self.full {
+            match ev.instr {
+                Instr::Ldr { rn, .. }
+                | Instr::Str { rn, .. }
+                | Instr::LdrReg { rn, .. }
+                | Instr::StrReg { rn, .. } => {
+                    self.base_regs.insert(rn);
+                }
+                _ => {}
+            }
+        }
+        if !self.full {
+            return;
+        }
+
         self.n_events += 1;
         if self.in_range(ev.pc) {
             self.pcs.insert(ev.pc);
@@ -203,64 +304,52 @@ impl IterationRecorder {
         }
         self.instrs.push((ev.pc, ev.instr));
 
-        if let Some(acc) = ev.read.or(ev.write) {
-            let occ = self.occ.entry(ev.pc).or_insert(0);
-            self.accesses.push(StreamInfo {
-                pc: ev.pc,
-                occ: *occ,
-                is_write: ev.write.is_some(),
-                bytes: acc.bytes,
-                addr: acc.addr,
-            });
-            *occ += 1;
-            match ev.instr {
-                Instr::Ldr { rn, .. }
-                | Instr::Str { rn, .. }
-                | Instr::LdrReg { rn, .. }
-                | Instr::StrReg { rn, .. } => {
-                    self.base_regs.insert(rn);
-                }
-                _ => {}
-            }
-        }
-
         match ev.instr {
             Instr::Mov { rd, rm } => self.movs.push((rd, rm)),
-            Instr::Cmp { rn, src2 } => {
-                let lhs = machine.reg(rn) as i32 as i64;
-                let (rhs, rhs_is_imm) = match src2 {
-                    Operand::Reg(rm) => (machine.reg(rm) as i32 as i64, false),
-                    Operand::Imm(v) => (v as i64, true),
-                };
-                self.last_cmp =
-                    Some((CmpObs { pc: ev.pc, lhs, rhs, rhs_is_imm }, Some(rn)));
-            }
             Instr::Bl { .. } => self.has_call = true,
-            Instr::B { cond, .. } if cond != dsa_isa::Cond::Al => {
-                if let Some(b) = ev.branch {
-                    if self.in_range(ev.pc) && !self.in_range(b.target) {
-                        // Conditional branch leaving the loop: the
-                        // sentinel stop check (or a guarded early exit).
-                        self.exit_check_pc = Some(ev.pc);
-                    } else if b.target > ev.pc {
-                        // In-body conditional control flow: both the
-                        // direction and the branch PC identify the arm.
-                        self.cond_branches += 1;
-                        self.cond_branch_pcs.push(ev.pc);
-                        self.path = self
-                            .path
-                            .wrapping_mul(0x0000_0100_0000_01b3)
-                            .wrapping_add(((ev.pc as u64) << 1) | b.taken as u64);
-                    }
+            _ => match path_step(&mut self.path, self.lo, self.hi, ev) {
+                Some(BranchRole::Exit) => self.exit_check_pc = Some(ev.pc),
+                Some(BranchRole::Arm) => {
+                    self.cond_branches += 1;
+                    self.cond_branch_pcs.push(ev.pc);
                 }
-            }
-            _ => {}
+                None => {}
+            },
         }
     }
 
-    /// Finalises the iteration and classifies its operations.
+    /// Finalises the iteration and classifies its operations (a
+    /// recorder made by [`IterationRecorder::accesses_only`] skips the
+    /// classification).
     pub fn finish(self, index_reg: Option<Reg>) -> IterationProfile {
         let mut body = BodyProfile::default();
+        let mut value_op_pcs = Vec::new();
+        if self.full {
+            self.classify(index_reg, &mut body, &mut value_op_pcs);
+        }
+        IterationProfile {
+            accesses: self.accesses,
+            closing_cmp: self.last_cmp.map(|(c, _)| c),
+            path: self.path,
+            cond_branches: self.cond_branches,
+            pcs: self.pcs,
+            body,
+            has_call: self.has_call,
+            callee_range: self.callee_range,
+            exit_check_pc: self.exit_check_pc,
+            value_op_pcs,
+            cond_branch_pcs: self.cond_branch_pcs,
+            n_events: self.n_events,
+        }
+    }
+
+    /// Fills `body` and `value_op_pcs` from the recorded instructions.
+    fn classify(
+        &self,
+        index_reg: Option<Reg>,
+        body: &mut BodyProfile,
+        value_op_pcs: &mut Vec<u32>,
+    ) {
         let mut widths: HashSet<u8> = HashSet::new();
         for s in &self.accesses {
             widths.insert(s.bytes);
@@ -301,7 +390,6 @@ impl IterationRecorder {
             set
         };
 
-        let mut value_op_pcs = Vec::new();
         for (pc, instr) in &self.instrs {
             match instr {
                 Instr::Alu { op, rd, .. } => {
@@ -344,21 +432,6 @@ impl IterationRecorder {
                 // is already vectorized; the DSA leaves it alone.
                 _ => body.nonvec += 1,
             }
-        }
-
-        IterationProfile {
-            accesses: self.accesses,
-            closing_cmp: self.last_cmp.map(|(c, _)| c),
-            path: self.path,
-            cond_branches: self.cond_branches,
-            pcs: self.pcs,
-            body,
-            has_call: self.has_call,
-            callee_range: self.callee_range,
-            exit_check_pc: self.exit_check_pc,
-            value_op_pcs,
-            cond_branch_pcs: self.cond_branch_pcs,
-            n_events: self.n_events,
         }
     }
 
@@ -493,6 +566,63 @@ mod tests {
         assert_eq!(p.callee_range, Some((112, 113)));
         assert_eq!(p.body.vec_mul, 1);
         assert_eq!(p.body_class(), BodyClass::Function);
+    }
+
+    #[test]
+    fn accesses_only_keeps_what_the_hit_path_reads() {
+        let mut m = machine();
+        m.set_reg(Reg::R0, 7);
+        let events = [
+            ld(10, Reg::R6, Reg::R2, 0x100),
+            alu(11, AluOp::Add, Reg::R6),
+            st(12, Reg::R6, Reg::R4, 0x300),
+            ld(10, Reg::R6, Reg::R2, 0x104),
+            TraceEvent::simple(13, Instr::Cmp { rn: Reg::R0, src2: Operand::Imm(40) }),
+        ];
+        let (mut full, mut lean) =
+            (IterationRecorder::new(10, 20), IterationRecorder::accesses_only(10, 20));
+        for ev in &events {
+            full.record(ev, &m);
+            lean.record(ev, &m);
+        }
+        let (full, lean) = (full.finish(Some(Reg::R0)), lean.finish(Some(Reg::R0)));
+        assert_eq!(lean.accesses, full.accesses);
+        assert_eq!(lean.find(10, 1).map(|s| s.addr), Some(0x104));
+        assert_eq!(lean.closing_cmp, full.closing_cmp);
+        assert_eq!(lean.closing_cmp.map(|c| (c.lhs, c.rhs)), Some((7, 40)));
+        assert_eq!(full.body.vec_alu, 1);
+        assert_eq!(lean.body, BodyProfile::default(), "classification skipped");
+        assert!(lean.pcs.is_empty());
+    }
+
+    #[test]
+    fn path_step_is_the_recorders_rule() {
+        let m = machine();
+        let branch = |pc: u32, target: u32, taken: bool| {
+            let mut ev = TraceEvent::simple(pc, Instr::B { cond: Cond::Ge, offset: 1 });
+            ev.branch = Some(BranchOutcome { target, taken });
+            ev
+        };
+        let events = [branch(12, 15, true), branch(16, 40, false), branch(17, 19, false)];
+        let mut r = IterationRecorder::new(10, 20);
+        let mut path = 0;
+        let mut roles = Vec::new();
+        for ev in &events {
+            r.record(ev, &m);
+            roles.push(path_step(&mut path, 10, 20, ev));
+        }
+        assert_eq!(roles, [Some(BranchRole::Arm), Some(BranchRole::Exit), Some(BranchRole::Arm)]);
+        let p = r.finish(None);
+        assert_eq!(p.path, path);
+        assert_eq!(p.cond_branch_pcs, vec![12, 17]);
+        assert_eq!(p.exit_check_pc, Some(16));
+        // An unconditional branch and a backward branch leave the hash.
+        let mut other = path;
+        let mut b_al = TraceEvent::simple(14, Instr::B { cond: Cond::Al, offset: 2 });
+        b_al.branch = Some(BranchOutcome { target: 16, taken: true });
+        assert_eq!(path_step(&mut other, 10, 20, &b_al), None);
+        assert_eq!(path_step(&mut other, 10, 20, &branch(20, 10, true)), None);
+        assert_eq!(other, path);
     }
 
     #[test]

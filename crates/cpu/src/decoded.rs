@@ -6,10 +6,12 @@
 //! Whenever the hook's `CommitHook::blocks` answer allows — always for
 //! `NullHook` (the scalar baselines behind the differential oracle and
 //! every grid warm-up), and for the DSA while it probes or runs a plain
-//! vectorized loop — none of that per-step work is observable: only the
-//! final architectural state, cycles, statistics and the block's
-//! terminal branch are. [`DecodedProgram`] hoists the per-instruction
-//! analysis to decode time, once per program:
+//! or conditional vectorized loop — none of that per-step work is
+//! observable: only the final architectural state, cycles, statistics,
+//! the block's terminal branch and the retired commits' pcs,
+//! instructions and addresses (`SimControl::retired`) are.
+//! [`DecodedProgram`] hoists the per-instruction analysis to decode
+//! time, once per program:
 //!
 //! * operands are flattened ([`FastOp`]) — immediates pre-sign-extended,
 //!   `vdup` immediates pre-splatted, branch targets pre-resolved,

@@ -56,7 +56,7 @@ pub use simd::{BackendKind, Simd, SimdBackend};
 pub use vec128::LaneError;
 pub use predictor::BranchPredictor;
 pub use simulator::{
-    BoundedOutcome, CommitHook, NullHook, RunOutcome, SimControl, Simulator, Stepped,
+    BoundedOutcome, CommitHook, NullHook, Retired, RunOutcome, SimControl, Simulator, Stepped,
 };
 pub use timing::{ClassCounts, InjectedOp, TimingModel, TimingStats};
 pub use trace::{BranchOutcome, MemAccess, TraceEvent};

@@ -4,7 +4,7 @@ use dsa_isa::{AddrMode, AluOp, Cond, Instr, MemSize, Operand, Program, QReg, Reg
 use dsa_mem::MainMemory;
 
 use crate::simd::Simd;
-use crate::trace::{BranchOutcome, MemAccess, TraceEvent};
+use crate::trace::{BranchOutcome, TraceEvent};
 use crate::vec128::LaneError;
 
 /// NZCV condition flags.
@@ -346,7 +346,7 @@ impl Machine {
     /// # Errors
     ///
     /// Same contract as [`Machine::step`].
-    #[inline]
+    #[inline(always)]
     pub fn step_slice(&mut self, instrs: &[Instr]) -> Result<TraceEvent, ExecError> {
         if self.halted {
             return Err(ExecError::Halted);
@@ -356,6 +356,9 @@ impl Machine {
             instrs.get(pc as usize).copied().ok_or(ExecError::PcOutOfRange { pc })?;
         let mut ev = TraceEvent::simple(pc, instr);
         let mut next_pc = pc.wrapping_add(1);
+        // The effective address of a memory access; its width and
+        // direction come from `Instr::mem_shape`, once, below.
+        let mut mem_addr = None;
 
         match instr {
             Instr::Nop => {}
@@ -402,7 +405,7 @@ impl Machine {
                     self.set_reg(rn, nb);
                 }
                 self.set_reg(rd, v);
-                ev.read = Some(MemAccess { addr, bytes: size.bytes() as u8 });
+                mem_addr = Some(addr);
             }
             Instr::Str { rs, rn, mode, size } => {
                 let (addr, wb) = self.resolve(rn, mode);
@@ -411,18 +414,18 @@ impl Machine {
                 if let Some(nb) = wb {
                     self.set_reg(rn, nb);
                 }
-                ev.write = Some(MemAccess { addr, bytes: size.bytes() as u8 });
+                mem_addr = Some(addr);
             }
             Instr::LdrReg { rd, rn, rm, lsl, size } => {
                 let addr = self.reg(rn).wrapping_add(self.reg(rm) << lsl);
                 let v = self.load_sized(addr, size);
                 self.set_reg(rd, v);
-                ev.read = Some(MemAccess { addr, bytes: size.bytes() as u8 });
+                mem_addr = Some(addr);
             }
             Instr::StrReg { rs, rn, rm, lsl, size } => {
                 let addr = self.reg(rn).wrapping_add(self.reg(rm) << lsl);
                 self.store_sized(addr, size, self.reg(rs));
-                ev.write = Some(MemAccess { addr, bytes: size.bytes() as u8 });
+                mem_addr = Some(addr);
             }
             Instr::Vld1 { qd, rn, writeback, .. } => {
                 let addr = self.reg(rn);
@@ -431,7 +434,7 @@ impl Machine {
                 if writeback {
                     self.set_reg(rn, addr.wrapping_add(16));
                 }
-                ev.read = Some(MemAccess { addr, bytes: 16 });
+                mem_addr = Some(addr);
             }
             Instr::Vst1 { qs, rn, writeback, .. } => {
                 let addr = self.reg(rn);
@@ -439,7 +442,7 @@ impl Machine {
                 if writeback {
                     self.set_reg(rn, addr.wrapping_add(16));
                 }
-                ev.write = Some(MemAccess { addr, bytes: 16 });
+                mem_addr = Some(addr);
             }
             Instr::Vld1Lane { qd, lane, rn, writeback, et } => {
                 let addr = self.reg(rn);
@@ -452,7 +455,7 @@ impl Machine {
                 if writeback {
                     self.set_reg(rn, addr.wrapping_add(et.lane_bytes()));
                 }
-                ev.read = Some(MemAccess { addr, bytes: et.lane_bytes() as u8 });
+                mem_addr = Some(addr);
             }
             Instr::Vst1Lane { qs, lane, rn, writeback, et } => {
                 let addr = self.reg(rn);
@@ -464,7 +467,7 @@ impl Machine {
                 if writeback {
                     self.set_reg(rn, addr.wrapping_add(et.lane_bytes()));
                 }
-                ev.write = Some(MemAccess { addr, bytes: et.lane_bytes() as u8 });
+                mem_addr = Some(addr);
             }
             Instr::Vop { op, et, qd, qn, qm } => {
                 let v = self.simd.apply(op, et, self.qreg(qn), self.qreg(qm));
@@ -507,6 +510,9 @@ impl Machine {
             }
         }
 
+        if let Some(addr) = mem_addr {
+            ev.record_access(addr);
+        }
         self.set_pc(next_pc);
         Ok(ev)
     }
@@ -636,6 +642,7 @@ pub struct MachineState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::MemAccess;
     use dsa_isa::{Asm, ElemType, VecOp};
 
     fn run_to_halt(program: &Program) -> Machine {

@@ -11,17 +11,23 @@ use crate::machine::{Machine, SimError};
 use crate::timing::{InjectedOp, TimingModel, TimingStats};
 use crate::trace::{BranchOutcome, TraceEvent};
 
-/// Control surface handed to a [`CommitHook`] on every committed
-/// instruction. This is how the DSA "adjusts the timing model": it can
-/// suppress scalar charging of covered iterations, inject vector work
-/// into the Issue stage, and charge pipeline flushes.
+/// Control surface handed to a [`CommitHook`] on every callback. This
+/// is how the DSA "adjusts the timing model": it can suppress scalar
+/// charging of covered iterations, inject vector work into the Issue
+/// stage, and charge pipeline flushes. It also carries the read-only
+/// [`Retired`] view of the commits a superblock retired without a
+/// callback of their own ([`SimControl::retired`]).
 #[derive(Debug)]
 pub struct SimControl<'a> {
     timing: &'a mut TimingModel,
     suppress: &'a mut bool,
+    /// The program text and the run behind [`SimControl::retired`],
+    /// sliced only when a hook asks.
+    instrs: &'a [Instr],
+    run: &'a RetiredRun,
 }
 
-impl SimControl<'_> {
+impl<'a> SimControl<'a> {
     /// From the next committed instruction on, events are functionally
     /// executed but not charged on the scalar pipeline (their work is
     /// represented by injected vector operations instead).
@@ -54,6 +60,59 @@ impl SimControl<'_> {
     pub fn cycles(&self) -> u64 {
         self.timing.cycles()
     }
+
+    /// The commits retired since the hook's previous callback, in
+    /// program order, all before the event of this one: the body of the
+    /// superblock whose terminal this callback delivers, or a block
+    /// that ended without control flow and is followed by this stepped
+    /// commit. Empty for a stepped commit that follows a callback.
+    pub fn retired(&self) -> Retired<'a> {
+        let run = self.run;
+        let start = run.pc as usize;
+        Retired { pc: run.pc, instrs: &self.instrs[start..start + run.len as usize], mem: &run.mem }
+    }
+}
+
+/// A read-only view of straight-line commits a superblock retired
+/// without callbacks: their pcs and instructions come from the program
+/// text, their accesses from [`DecodedProgram::exec_run`]'s address
+/// stream. None of them is control flow, so each rebuilds, through
+/// [`Retired::iter`], into exactly the [`TraceEvent`] the stepped path
+/// would have delivered. Reading it costs nothing until it is iterated.
+#[derive(Debug, Clone, Copy)]
+pub struct Retired<'a> {
+    pc: u32,
+    instrs: &'a [Instr],
+    mem: &'a [u32],
+}
+
+impl<'a> Retired<'a> {
+    /// The retired commits as trace events: pc, instruction and the
+    /// read or write each made ([`Instr::mem_shape`] gives its width).
+    pub fn iter(&self) -> impl Iterator<Item = TraceEvent> + 'a {
+        let mut mem = self.mem.iter();
+        let pc = self.pc;
+        self.instrs.iter().zip(pc..).map(move |(&instr, pc)| {
+            let mut ev = TraceEvent::simple(pc, instr);
+            if instr.touches_memory() {
+                if let Some(&addr) = mem.next() {
+                    ev.record_access(addr);
+                }
+            }
+            ev
+        })
+    }
+}
+
+/// The simulator's side of [`Retired`]: the last superblock's start pc,
+/// how many of its commits are still unseen by the hook, and its
+/// address stream (reused across blocks).
+#[derive(Debug, Clone, Default)]
+struct RetiredRun {
+    pc: u32,
+    /// Commits pending for the next callback (0 right after one).
+    len: u32,
+    mem: Vec<u32>,
 }
 
 /// Observer of the committed instruction stream.
@@ -61,21 +120,29 @@ impl SimControl<'_> {
 /// The driver asks [`CommitHook::blocks`] before every commit whether
 /// the hook can take a whole superblock at once. When it can, the
 /// straight-line run retires in one [`DecodedProgram::exec_run`] and the
-/// hook sees only the block's terminal control-flow event; otherwise the
-/// driver steps and calls [`CommitHook::on_commit`] once per commit.
+/// hook is called back only for the block's terminal control-flow
+/// event, with the commits before it in [`SimControl::retired`];
+/// otherwise the driver steps and calls [`CommitHook::on_commit`] once
+/// per commit.
 pub trait CommitHook {
     /// Whether the next commits may retire as one superblock, given
     /// whether scalar charging is currently suppressed (`covered`).
     ///
     /// Answering `true` declares that, until the block's last
-    /// instruction, this hook would neither react to a commit nor change
-    /// the coverage state: the straight-line body is executed without
-    /// callbacks, charged in one batch (or counted as covered), and only
-    /// the terminal `B`/`Bl`/`BxLr` — if the block ends in one — reaches
-    /// [`CommitHook::on_commit`], with the post-block machine state.
-    /// Cycles, statistics and the callbacks the hook acts on are then
-    /// bit-identical to the stepped run. Answering `false` keeps the
-    /// exact per-commit shape: one step, one charge, one callback.
+    /// instruction, this hook would neither change the coverage state
+    /// nor need the machine state of a single commit: the straight-line
+    /// body is executed without callbacks, charged in one batch (or
+    /// counted as covered), and only the terminal `B`/`Bl`/`BxLr` — if
+    /// the block ends in one — reaches [`CommitHook::on_commit`], with
+    /// the post-block machine state. The body's commits are not hidden:
+    /// that callback's [`SimControl::retired`] rebuilds them (pc,
+    /// instruction, access). A block that ends without control flow
+    /// (before `halt` or a vector shape that must step) stays in the
+    /// view until the next callback — the stepped commit after it, in
+    /// this run or the next slice. Cycles, statistics and the callbacks
+    /// the hook acts on are then bit-identical to the stepped run.
+    /// Answering `false` keeps the exact per-commit shape: one step, one
+    /// charge, one callback.
     fn blocks(&self, covered: bool) -> bool;
 
     /// Called with the committed event, the post-commit machine state and
@@ -199,6 +266,10 @@ pub struct Simulator {
     decoded: Option<Arc<DecodedProgram>>,
     suppress: bool,
     committed: u64,
+    /// The commits behind [`SimControl::retired`]; kept across
+    /// [`Simulator::run_bounded`] slices so a block that ends a slice
+    /// without a terminal reaches the hook in the next one.
+    retired: RetiredRun,
 }
 
 impl Simulator {
@@ -217,6 +288,7 @@ impl Simulator {
             decoded: None,
             suppress: false,
             committed: 0,
+            retired: RetiredRun::default(),
         }
     }
 
@@ -328,7 +400,9 @@ impl Simulator {
     ///   one [`TimingModel::charge_block`] fed the recorded address
     ///   stream and branch outcome; covered runs only add to
     ///   [`TimingStats::covered`]. The hook then sees the terminal's
-    ///   event, if any. A run is taken only when it fits the remaining
+    ///   event, if any, with the rest of the run in
+    ///   [`SimControl::retired`]; a run without a terminal stays there
+    ///   for the next callback. A run is taken only when it fits the remaining
     ///   budget — never splitting a block across the boundary — so
     ///   exhaustion still lands on the exact commit count and the
     ///   machine state at exit is the same architecturally-exact
@@ -348,15 +422,16 @@ impl Simulator {
         // check and no per-step `Program` indirection.
         let instrs = self.program.as_slice();
         let mut remaining = budget;
-        // Scratch address stream, reused across blocks to avoid
-        // per-block allocation.
-        let mut mem_addrs: Vec<u32> = Vec::new();
         while !self.machine.is_halted() && remaining > 0 {
             let pc = self.machine.pc();
             let n = if hook.blocks(self.suppress) { decoded.run_len(pc) } else { 0 };
             let ev = if n > 0 && (n as u64) <= remaining {
-                mem_addrs.clear();
-                let taken = decoded.exec_run(&mut self.machine, pc, n, &mut mem_addrs);
+                // Runs are maximal, so one without a terminal is always
+                // followed by a stepped commit: nothing is pending here.
+                debug_assert_eq!(self.retired.len, 0, "a retired run was never delivered");
+                let mem = &mut self.retired.mem;
+                mem.clear();
+                let taken = decoded.exec_run(&mut self.machine, pc, n, mem);
                 if self.suppress {
                     self.timing.note_covered(n as u64);
                 } else {
@@ -364,16 +439,23 @@ impl Simulator {
                         decoded.run_entries(pc, n),
                         pc,
                         decoded.block_counts(pc),
-                        &mem_addrs,
+                        mem,
                         taken,
                     );
                 }
                 self.committed += n as u64;
                 remaining -= n as u64;
                 let last = pc.wrapping_add(n - 1);
+                self.retired.pc = pc;
                 match terminal_event(instrs, last, taken, self.machine.pc()) {
-                    Some(ev) => ev,
-                    None => continue,
+                    Some(ev) => {
+                        self.retired.len = n - 1;
+                        ev
+                    }
+                    None => {
+                        self.retired.len = n;
+                        continue;
+                    }
                 }
             } else {
                 remaining -= 1;
@@ -386,8 +468,14 @@ impl Simulator {
                 }
                 ev
             };
-            let mut ctl = SimControl { timing: &mut self.timing, suppress: &mut self.suppress };
+            let mut ctl = SimControl {
+                timing: &mut self.timing,
+                suppress: &mut self.suppress,
+                instrs,
+                run: &self.retired,
+            };
             hook.on_commit(&ev, &self.machine, &mut ctl);
+            self.retired.len = 0;
         }
         Ok(())
     }

@@ -43,6 +43,23 @@ impl TraceEvent {
         TraceEvent { pc, instr, read: None, write: None, branch: None }
     }
 
+    /// Records the data-memory access the instruction made at `addr`:
+    /// a read or a write of the width [`Instr::mem_shape`] gives (a
+    /// no-op for an instruction that does not touch memory). The
+    /// stepped executor and the retired-commit view of a superblock
+    /// both build their accesses here.
+    #[inline(always)]
+    pub(crate) fn record_access(&mut self, addr: u32) {
+        if let Some((writes, bytes)) = self.instr.mem_shape() {
+            let access = Some(MemAccess { addr, bytes });
+            if writes {
+                self.write = access;
+            } else {
+                self.read = access;
+            }
+        }
+    }
+
     /// Whether this event is a taken backward branch — the loop-closing
     /// signature the DSA's Loop Detection stage keys on.
     pub fn is_backward_taken_branch(&self) -> bool {

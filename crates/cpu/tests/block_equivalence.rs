@@ -4,13 +4,15 @@
 //! (`Stepped(NullHook)`, the classic per-commit loop) in
 //! architectural digest, cycles, committed count, `TimingStats` and
 //! `MemoryStats` — on clean completion, on fuel exhaustion, and across
-//! pause points that land in the middle of straight-line blocks.
+//! pause points that land in the middle of straight-line blocks. A
+//! block-taking hook must also see, through `SimControl::retired` plus
+//! the terminal, exactly the event stream a stepped hook sees.
 
 use dsa_cpu::{
-    BoundedOutcome, CpuConfig, DecodedProgram, Machine, NullHook, SimError, Simd, Simulator,
-    Stepped,
+    BoundedOutcome, CommitHook, CpuConfig, DecodedProgram, Machine, NullHook, SimControl, SimError,
+    Simd, Simulator, Stepped, TraceEvent,
 };
-use dsa_isa::{Asm, Cond, ElemType, Program, Reg, VecOp};
+use dsa_isa::{AddrMode, Asm, Cond, ElemType, Instr, MemSize, Program, QReg, Reg, VecOp};
 use dsa_mem::MemoryConfig;
 use proptest::prelude::*;
 
@@ -294,4 +296,115 @@ fn equivalence_holds_with_small_icache_lines() {
     let b = block.run_with_hook(1_000_000, &mut NullHook).expect("ok");
     assert_eq!(s, b);
     assert_eq!(step.machine().arch_digest(), block.machine().arch_digest());
+}
+
+/// A loop touching memory in every width — `ldr`/`str` B/H/W, the
+/// register-indexed forms, whole-register `vld1`/`vst1` and the lane
+/// forms — with an arm branch, a call and a return, then a tail run that
+/// ends without a terminal because `halt` must step.
+fn every_width_program() -> Program {
+    let mut a = Asm::new();
+    let (skip, func) = (a.new_label(), a.new_label());
+    a.mov_imm(Reg::R0, 0);
+    a.mov_imm(Reg::R2, 0x4000);
+    a.mov_imm(Reg::R3, 0x6000);
+    a.mov_imm(Reg::R9, 3);
+    let top = a.here();
+    a.ldr(Reg::R4, Reg::R2, 0);
+    a.ldrb(Reg::R5, Reg::R2, 1);
+    a.ldrh_post(Reg::R6, Reg::R2, 2);
+    a.str(Reg::R4, Reg::R3, 0);
+    a.strb(Reg::R5, Reg::R3, 5);
+    a.emit(Instr::Str { rs: Reg::R6, rn: Reg::R3, mode: AddrMode::Offset(6), size: MemSize::H });
+    a.ldr_idx(Reg::R7, Reg::R3, Reg::R9, 2, MemSize::W);
+    a.str_idx(Reg::R7, Reg::R3, Reg::R9, 1, MemSize::H);
+    a.ldr_idx(Reg::R8, Reg::R2, Reg::R9, 0, MemSize::B);
+    a.vld1(QReg::Q2, Reg::R3, false, ElemType::I32);
+    a.vst1(QReg::Q2, Reg::R2, true, ElemType::I8);
+    let (r3, et) = (Reg::R3, ElemType::I16);
+    a.emit(Instr::Vld1Lane { qd: QReg::Q3, lane: 1, rn: r3, writeback: false, et });
+    let et = ElemType::I8;
+    a.emit(Instr::Vst1Lane { qs: QReg::Q3, lane: 0, rn: r3, writeback: true, et });
+    let et = ElemType::I32;
+    a.emit(Instr::Vst1Lane { qs: QReg::Q2, lane: 3, rn: r3, writeback: false, et });
+    a.and_imm(Reg::R10, Reg::R0, 1);
+    a.cmp_imm(Reg::R10, 0);
+    a.b_to(Cond::Eq, skip);
+    a.add_imm(Reg::R11, Reg::R11, 1);
+    a.bind(skip);
+    a.bl(func);
+    a.add_imm(Reg::R0, Reg::R0, 1);
+    a.cmp_imm(Reg::R0, 20);
+    a.b_to(Cond::Ne, top);
+    a.mov_imm(Reg::R1, 5);
+    a.str(Reg::R1, Reg::R3, 8);
+    a.halt();
+    a.bind(func);
+    a.ldr(Reg::R12, Reg::R3, 4);
+    a.add_imm(Reg::R12, Reg::R12, 1);
+    a.bx_lr();
+    a.finish()
+}
+
+/// Rebuilds the committed event stream from whatever the driver hands
+/// it: the retired-commit view, then the callback's own event.
+#[derive(Default)]
+struct Rebuild {
+    events: Vec<TraceEvent>,
+    /// Callbacks whose view held at least one commit.
+    viewed: u32,
+}
+
+impl CommitHook for Rebuild {
+    fn blocks(&self, _covered: bool) -> bool {
+        true
+    }
+
+    fn on_commit(&mut self, ev: &TraceEvent, _: &Machine, ctl: &mut SimControl<'_>) {
+        let before = self.events.len();
+        self.events.extend(ctl.retired().iter());
+        self.viewed += u32::from(self.events.len() > before);
+        self.events.push(*ev);
+    }
+}
+
+#[test]
+fn retired_view_rebuilds_the_stepped_event_stream() {
+    let p = every_width_program();
+    let mut reference = Stepped(Rebuild::default());
+    let ref_out = sim_for(&p).run_with_hook(100_000, &mut reference).expect("halts");
+    let stepped = reference.0.events;
+    assert_eq!(stepped.len() as u64, ref_out.committed);
+    assert_eq!(reference.0.viewed, 0, "a stepped hook never gets a view");
+    let widths: std::collections::BTreeSet<u8> =
+        stepped.iter().filter_map(|e| e.read.or(e.write)).map(|m| m.bytes).collect();
+    assert_eq!(widths.into_iter().collect::<Vec<_>>(), vec![1, 2, 4, 16], "every width");
+    assert!(stepped.last().is_some_and(|e| e.instr == Instr::Halt));
+
+    let mut block = Rebuild::default();
+    let out = sim_for(&p).run_with_hook(100_000, &mut block).expect("halts");
+    assert_eq!(out, ref_out);
+    assert!(block.viewed > 0, "blocks were taken");
+    assert_eq!(block.events, stepped, "straight through");
+
+    // Odd slices: pauses land mid-block, and a slice that ends on the
+    // terminal-less tail run carries it to the next slice's callback.
+    let mut carried = 0;
+    for slice in 2..=40 {
+        let mut sim = sim_for(&p);
+        let mut hook = Rebuild::default();
+        loop {
+            match sim.run_bounded(slice, &mut hook).expect("no exec error") {
+                BoundedOutcome::Halted(out) => {
+                    assert_eq!(out, ref_out, "slice {slice}");
+                    break;
+                }
+                BoundedOutcome::Paused => {
+                    carried += u32::from(hook.events.len() as u64 != sim.committed());
+                }
+            }
+        }
+        assert_eq!(hook.events, stepped, "slice {slice}");
+    }
+    assert!(carried > 0, "no slice paused with a run still in the view");
 }

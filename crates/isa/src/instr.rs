@@ -467,17 +467,29 @@ impl Instr {
     /// consult the cache model when its timing is charged). Instruction
     /// fetch is not counted — every instruction fetches.
     pub fn touches_memory(&self) -> bool {
-        matches!(
-            self,
-            Instr::Ldr { .. }
-                | Instr::Str { .. }
-                | Instr::LdrReg { .. }
-                | Instr::StrReg { .. }
-                | Instr::Vld1 { .. }
-                | Instr::Vst1 { .. }
-                | Instr::Vld1Lane { .. }
-                | Instr::Vst1Lane { .. }
-        )
+        self.mem_shape().is_some()
+    }
+
+    /// The data-memory access this instruction makes, as `(writes,
+    /// bytes)`: whether it is a store, and its width — the scalar size,
+    /// 16 for a whole-register `vld1`/`vst1`, the lane width for the
+    /// lane forms. `None` for instructions that do not touch memory.
+    /// The one rule every committed-access record is built from.
+    #[inline]
+    pub fn mem_shape(&self) -> Option<(bool, u8)> {
+        match *self {
+            Instr::Ldr { size, .. } | Instr::LdrReg { size, .. } => {
+                Some((false, size.bytes() as u8))
+            }
+            Instr::Str { size, .. } | Instr::StrReg { size, .. } => {
+                Some((true, size.bytes() as u8))
+            }
+            Instr::Vld1 { .. } => Some((false, 16)),
+            Instr::Vst1 { .. } => Some((true, 16)),
+            Instr::Vld1Lane { et, .. } => Some((false, et.lane_bytes() as u8)),
+            Instr::Vst1Lane { et, .. } => Some((true, et.lane_bytes() as u8)),
+            _ => None,
+        }
     }
 
     /// For PC-relative branches, the target given the instruction's own PC.
@@ -609,6 +621,47 @@ mod tests {
         assert_eq!(Instr::Nop.branch_target(10), None);
         assert!(b.is_control());
         assert!(Instr::BxLr.is_control());
+    }
+
+    #[test]
+    fn memory_shapes() {
+        let (r, q) = (Reg::R1, QReg::Q2);
+        for (size, bytes) in [(MemSize::B, 1), (MemSize::H, 2), (MemSize::W, 4)] {
+            let mode = AddrMode::Offset(0);
+            let ldr = Instr::Ldr { rd: r, rn: r, mode, size };
+            let str = Instr::Str { rs: r, rn: r, mode, size };
+            let ldr_reg = Instr::LdrReg { rd: r, rn: r, rm: r, lsl: 2, size };
+            let str_reg = Instr::StrReg { rs: r, rn: r, rm: r, lsl: 2, size };
+            assert_eq!(ldr.mem_shape(), Some((false, bytes)), "{ldr}");
+            assert_eq!(str.mem_shape(), Some((true, bytes)), "{str}");
+            assert_eq!(ldr_reg.mem_shape(), Some((false, bytes)), "{ldr_reg}");
+            assert_eq!(str_reg.mem_shape(), Some((true, bytes)), "{str_reg}");
+        }
+        for et in ElemType::ALL {
+            let vld = Instr::Vld1 { qd: q, rn: r, writeback: true, et };
+            let vst = Instr::Vst1 { qs: q, rn: r, writeback: false, et };
+            assert_eq!(vld.mem_shape(), Some((false, 16)), "{vld}");
+            assert_eq!(vst.mem_shape(), Some((true, 16)), "{vst}");
+            let lane = et.lane_bytes() as u8;
+            let vld_lane = Instr::Vld1Lane { qd: q, lane: 1, rn: r, writeback: true, et };
+            let vst_lane = Instr::Vst1Lane { qs: q, lane: 0, rn: r, writeback: false, et };
+            assert_eq!(vld_lane.mem_shape(), Some((false, lane)), "{vld_lane}");
+            assert_eq!(vst_lane.mem_shape(), Some((true, lane)), "{vst_lane}");
+        }
+        let no_mem = [
+            Instr::Nop,
+            Instr::Halt,
+            Instr::Mov { rd: r, rm: r },
+            Instr::Cmp { rn: r, src2: Operand::Imm(3) },
+            Instr::B { cond: Cond::Ne, offset: -2 },
+            Instr::Bl { offset: 4 },
+            Instr::BxLr,
+            Instr::Vmov { qd: q, qm: q },
+        ];
+        for i in no_mem {
+            assert_eq!(i.mem_shape(), None, "{i}");
+            assert!(!i.touches_memory(), "{i}");
+        }
     }
 
     #[test]
