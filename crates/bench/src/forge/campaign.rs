@@ -4,16 +4,22 @@
 //! generated corpus, each campaign seed also sweeps the eight fixed
 //! workloads through the per-site fault checks ([`super::workload`]).
 //!
+//! The three phases share one scalar [`Reference`]: the program runs
+//! scalar-only once, and each phase simulates only its DSA-attached
+//! runs and compares them with it. A program costs one scalar run and
+//! four DSA runs (clean, faulted, uninterrupted, and the interrupted
+//! run split across its snapshot).
+//!
 //! The phases, and what each one can catch:
 //!
-//! 1. **Clean** — [`DifferentialOracle::check_with`] with a trace sink
-//!    attached: liveness (the DSA must never prevent a program from
-//!    halting), poison correctness (a degraded run must still match),
-//!    and the per-class coverage signal.
+//! 1. **Clean** — [`DifferentialOracle::check_against`] with a trace
+//!    sink attached: liveness (the DSA must never prevent a program
+//!    from halting), poison correctness (a degraded run must still
+//!    match), and the per-class coverage signal.
 //! 2. **Faulted** — the same check under a seed-derived
 //!    [`FaultSchedule`]: injected detector faults must degrade, never
 //!    diverge or wedge.
-//! 3. **Resume** — [`DifferentialOracle::check_resume`] with a
+//! 3. **Resume** — [`DifferentialOracle::resume_against`] with a
 //!    seed-derived kill point: the kill→snapshot→restore→resume path
 //!    must reach the bit-identical final state. This is the phase with
 //!    real architectural teeth — vectorization itself is timing
@@ -21,8 +27,9 @@
 //!    own serialization — and it is the phase that catches the planted
 //!    [`TestBug::CorruptRestore`](dsa_core::TestBug).
 //!
-//! [`DifferentialOracle::check_with`]: DifferentialOracle::check_with
-//! [`DifferentialOracle::check_resume`]: DifferentialOracle::check_resume
+//! [`Reference`]: dsa_core::Reference
+//! [`DifferentialOracle::check_against`]: DifferentialOracle::check_against
+//! [`DifferentialOracle::resume_against`]: DifferentialOracle::resume_against
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -135,9 +142,9 @@ pub struct ProgramOutcome {
     pub vectorized: Vec<&'static str>,
 }
 
-/// Runs one program's three phases under `config`. Never panics on a
-/// well-formed spec; lowering panics on malformed specs are the
-/// caller's (supervisor's) concern.
+/// Runs one program's three phases under `config`, all against one
+/// scalar reference run. Never panics on a well-formed spec; lowering
+/// panics on malformed specs are the caller's (supervisor's) concern.
 pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
     let prog = lower(spec);
     let oracle = DifferentialOracle::new(FORGE_FUEL);
@@ -149,11 +156,14 @@ pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
         vectorized: Vec::new(),
     };
 
+    // One scalar reference serves all three phases.
+    let reference = oracle.reference(&prog.kernel.program, prog.init());
+
     // Phase 1: clean differential check, with coverage folding.
     let sink = Shared::new(Collector::new());
     let mut dsa = Dsa::new(config);
     dsa.attach_sink(sink.clone());
-    let clean = oracle.check_with(&prog.kernel.program, &mut dsa, prog.init());
+    let clean = oracle.check_against(&reference, &mut dsa, prog.init());
     sink.with(|c| {
         for ev in &c.events {
             match ev {
@@ -174,7 +184,7 @@ pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
     // Phase 2: the same check under a seed-derived fault schedule.
     let mut faulted = Dsa::new(config);
     faulted.arm_schedule(fault_schedule(spec.seed));
-    let fr = oracle.check_with(&prog.kernel.program, &mut faulted, prog.init());
+    let fr = oracle.check_against(&reference, &mut faulted, prog.init());
     match grade(&fr.verdict, (ForgeFailure::FaultMismatch, ForgeFailure::FaultDsaFailed)) {
         Ok(inconclusive) => out.inconclusive += u32::from(inconclusive),
         Err(f) => {
@@ -184,7 +194,7 @@ pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
     }
 
     // Phase 3: kill → snapshot → restore → resume, bit-compared.
-    let rr = oracle.check_resume(&prog.kernel.program, config, prog.init(), kill_at(spec.seed));
+    let rr = oracle.resume_against(&reference, config, prog.init(), kill_at(spec.seed));
     match grade(&rr.verdict, (ForgeFailure::ResumeMismatch, ForgeFailure::ResumeDsaFailed)) {
         Ok(inconclusive) => out.inconclusive += u32::from(inconclusive),
         Err(f) => out.failure = Some(f),

@@ -12,16 +12,18 @@
 //!    and programs are deduplicated by a structural FNV hash that
 //!    ignores the seed, so the campaign never spends budget running
 //!    the same detector stimulus twice.
-//! 3. **Campaign** ([`campaign`]): each program runs three supervised
-//!    differential phases — a clean [`DifferentialOracle::check_with`]
-//!    pass (with a trace sink folding per-class coverage), a pass
-//!    under a seed-derived [`FaultSchedule`], and a mid-run
-//!    kill→snapshot→restore [`check_resume`] pass. Programs fan out
+//! 3. **Campaign** ([`campaign`]): each program runs one scalar
+//!    [`Reference`] and three supervised differential phases against
+//!    it — a clean [`DifferentialOracle::check_against`] pass (with a
+//!    trace sink folding per-class coverage), a pass under a
+//!    seed-derived [`FaultSchedule`], and a mid-run
+//!    kill→snapshot→restore [`resume_against`] pass. Programs fan out
 //!    across `DSA_JOBS` workers behind the crash-isolating
 //!    [`Supervisor`](crate::Supervisor).
 //!    Each campaign seed also sweeps the eight fixed workloads
 //!    ([`workload`]) through a clean check, the per-site fault sweep
-//!    and a kill/resume check, tallying a per-site table.
+//!    and a kill/resume check, tallying a per-site table; a workload's
+//!    whole sweep shares one scalar reference too.
 //! 4. **Shrink** ([`shrink`]): a failing program is ddmin-minimized —
 //!    drop loops, simplify bodies, shrink trips — while the failure
 //!    still reproduces, then serialized as a `dsa-forge/v1` JSON
@@ -34,8 +36,9 @@
 //! can observe — `forge --inject-bug` must find it, shrink it, and
 //! the committed reproducer must keep reproducing it forever.
 //!
-//! [`DifferentialOracle::check_with`]: dsa_core::DifferentialOracle::check_with
-//! [`check_resume`]: dsa_core::DifferentialOracle::check_resume
+//! [`Reference`]: dsa_core::Reference
+//! [`DifferentialOracle::check_against`]: dsa_core::DifferentialOracle::check_against
+//! [`resume_against`]: dsa_core::DifferentialOracle::resume_against
 //! [`FaultSchedule`]: dsa_core::FaultSchedule
 
 pub mod campaign;

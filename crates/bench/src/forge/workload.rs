@@ -10,7 +10,7 @@
 //!    [`FaultPlan::only`] for each of the five [`FaultSite`]s, all
 //!    seeded by the campaign seed. Firings, degradations and
 //!    poisonings fold into a [`SiteTable`].
-//! 3. **Resume** — one [`check_resume`] at a seed-derived kill point
+//! 3. **Resume** — one [`resume_against`] at a seed-derived kill point
 //!    inside the workload's run ([`workload_kill_at`]), with
 //!    [`FaultPlan::all`] armed on every engine, the restored one
 //!    included.
@@ -21,6 +21,11 @@
 //! loop's template cached from earlier entrances, and no cold engine
 //! reaches that. This is the only campaign path that fires it.
 //!
+//! Every check of a workload's sweep compares against one scalar
+//! [`Reference`] run of the workload: the sentinel's three entrances,
+//! the fault sweep, and the resume check, which also takes its kill
+//! point from the reference's commit count.
+//!
 //! Unlike a generated program, a fixed workload must never end
 //! inconclusive: each one halts well inside [`FUEL`], so a starved
 //! scalar reference means the harness or simulator broke, and it is
@@ -29,12 +34,11 @@
 //! A failing case is already minimal — one workload, one seed, one
 //! phase, one site — so it is written as a reproducer unshrunk.
 //!
-//! [`check_resume`]: DifferentialOracle::check_resume
+//! [`resume_against`]: DifferentialOracle::resume_against
 
 use dsa_core::{
-    splitmix64, DifferentialOracle, Dsa, DsaConfig, FaultPlan, FaultSite, OracleVerdict,
+    splitmix64, DifferentialOracle, Dsa, DsaConfig, FaultPlan, FaultSite, OracleVerdict, Reference,
 };
-use dsa_cpu::Simulator;
 use dsa_trace::json::Value;
 use dsa_workloads::{micro::Micro, BuiltWorkload, Scale};
 
@@ -226,11 +230,13 @@ impl WorkloadCase {
     }
 
     /// Runs this check on `w` (this case's workload, built scalar at
-    /// `Scale::Small`) under `config`, folding fault-phase counts into
+    /// `Scale::Small`) under `config` against `reference`, the scalar
+    /// run of `w` ([`reference`]), folding fault-phase counts into
     /// `sites`.
     fn check(
         &self,
         w: &BuiltWorkload,
+        reference: &Reference,
         config: DsaConfig,
         sites: &mut SiteTable,
     ) -> Result<(), ForgeFailure> {
@@ -238,13 +244,11 @@ impl WorkloadCase {
         let failures = self.phase.failures();
         let site = match self.phase {
             Phase::Resume => {
-                let mut sim = Simulator::new(w.kernel.program.clone(), oracle.cpu);
-                (w.init)(sim.machine_mut());
                 // A failing scalar run is reported by the oracle below.
-                let committed = sim.run(FUEL).map_or(0, |o| o.committed);
+                let committed = reference.outcome().map_or(0, |o| o.committed);
                 let split = workload_kill_at(self.seed, committed);
                 let faulted = config.with_faults(FaultPlan::all(self.seed));
-                let report = oracle.check_resume(&w.kernel.program, faulted, &w.init, split);
+                let report = oracle.resume_against(reference, faulted, &w.init, split);
                 return grade_workload(&report.verdict, failures);
             }
             Phase::Clean => None,
@@ -258,7 +262,7 @@ impl WorkloadCase {
         let mut dsa = Dsa::new(config);
         let (mut checks, mut failure) = (0, None);
         for _ in 0..self.entrances() {
-            let report = oracle.check_with(&w.kernel.program, &mut dsa, &w.init);
+            let report = oracle.check_against(reference, &mut dsa, &w.init);
             checks += 1;
             if let Err(f) = grade_workload(&report.verdict, failures) {
                 failure = Some(f);
@@ -280,7 +284,7 @@ impl WorkloadCase {
     /// Runs this one check under `config` and reports its failure.
     pub(crate) fn failure(&self, config: DsaConfig) -> Option<ForgeFailure> {
         let w = self.workload.build(System::Original, Scale::Small);
-        self.check(&w, config, &mut SiteTable::default()).err()
+        self.check(&w, &reference(&w), config, &mut SiteTable::default()).err()
     }
 
     /// Appends this case's artifact fields (after the schema tag).
@@ -313,6 +317,11 @@ impl WorkloadCase {
     }
 }
 
+/// The scalar run of `w` that every check of its sweep compares with.
+fn reference(w: &BuiltWorkload) -> Reference {
+    DifferentialOracle::new(FUEL).reference(&w.kernel.program, &w.init)
+}
+
 /// What one workload's sweep observed.
 #[derive(Debug, Clone)]
 pub(crate) struct WorkloadOutcome {
@@ -325,10 +334,11 @@ pub(crate) struct WorkloadOutcome {
 /// Runs `workload`'s whole sweep for campaign `seed` under `config`.
 pub(crate) fn run_workload(seed: u64, workload: Workload, config: DsaConfig) -> WorkloadOutcome {
     let w = workload.build(System::Original, Scale::Small);
+    let reference = reference(&w);
     let mut out = WorkloadOutcome { sites: SiteTable::default(), failure: None };
     for phase in Phase::sweep() {
         let case = WorkloadCase { seed, workload, phase };
-        if let Err(f) = case.check(&w, config, &mut out.sites) {
+        if let Err(f) = case.check(&w, &reference, config, &mut out.sites) {
             out.failure = Some((case, f));
             break;
         }
@@ -339,6 +349,39 @@ pub(crate) fn run_workload(seed: u64, workload: Workload, config: DsaConfig) -> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsa_cpu::Simulator;
+
+    #[test]
+    fn a_shared_reference_changes_no_report() {
+        // Every report field (verdict, digests, cycles, stats, poison)
+        // is the same whether a check builds its own scalar reference or
+        // shares one: clean, under every fault site, over repeated
+        // entrances through one engine, and across a snapshot.
+        let oracle = DifferentialOracle::new(FUEL);
+        let seed = 3;
+        for workload in crate::cache::fixed_workloads() {
+            let w = workload.build(System::Original, Scale::Small);
+            let program = &w.kernel.program;
+            let shared = reference(&w);
+            let name = workload.describe();
+            for config in [DsaConfig::full(), DsaConfig::full().with_faults(FaultPlan::all(seed))] {
+                let (mut own, mut reused) = (Dsa::new(config), Dsa::new(config));
+                for entrance in 0..2 {
+                    let per_call = oracle.check_with(program, &mut own, &w.init);
+                    let against = oracle.check_against(&shared, &mut reused, &w.init);
+                    assert_eq!(per_call, against, "{name}: entrance {entrance} under {config:?}");
+                    assert!(per_call.holds(), "{name}: {per_call}");
+                }
+            }
+            let committed = shared.outcome().expect("halts").committed;
+            let split = workload_kill_at(seed, committed);
+            let faulted = DsaConfig::full().with_faults(FaultPlan::all(seed));
+            let per_call = oracle.check_resume(program, faulted, &w.init, split);
+            let against = oracle.resume_against(&shared, faulted, &w.init, split);
+            assert_eq!(per_call, against, "{name}: resume at {split}");
+            assert!(per_call.holds(), "{name}: {per_call}");
+        }
+    }
 
     #[test]
     fn phase_names_round_trip() {

@@ -79,7 +79,7 @@ pub use config::{DsaConfig, FeatureSet, LeftoverPolicy, TestBug};
 pub use engine::{Dsa, EngineError, Restored};
 pub use faults::{splitmix64, BurstWindow, FaultPlan, FaultSchedule, FaultSite, FaultState};
 pub use snapshot::{SessionMeta, Snapshot, SnapshotError};
-pub use oracle::{DifferentialOracle, OracleReport, OracleVerdict};
+pub use oracle::{DifferentialOracle, OracleReport, OracleVerdict, Reference};
 pub use plan::{build_plan, ArmTemplate, LoopTemplate, OpMix, StreamTemplate, TemplateDefect, VectorPlan};
 pub use profile::{BodyClass, BodyProfile, IterationProfile, StreamInfo};
 pub use stats::{DsaStats, LoopCensus, LoopClass};

@@ -9,8 +9,18 @@
 //! [`FaultPlan`](crate::FaultPlan)), and compares the complete final
 //! architectural state — scalar and vector register files, flags, and
 //! every allocated byte of memory — bit for bit.
+//!
+//! The scalar run is the [`Reference`]. It depends only on the program
+//! and its initial state, so a caller checking one program several
+//! ways (clean, under faults, across a snapshot) runs it once with
+//! [`DifferentialOracle::reference`] and compares each DSA-attached
+//! run against it ([`DifferentialOracle::check_against`],
+//! [`DifferentialOracle::resume_against`]). The one-shot
+//! [`DifferentialOracle::check_with`] and
+//! [`DifferentialOracle::check_resume`] build a reference and go
+//! through the same comparison, so both ways give the same report.
 
-use dsa_cpu::{BoundedOutcome, CpuConfig, Machine, NullHook, SimError, Simulator};
+use dsa_cpu::{BoundedOutcome, CpuConfig, Machine, NullHook, RunOutcome, SimError, Simulator};
 use dsa_isa::Program;
 
 use crate::config::DsaConfig;
@@ -45,7 +55,7 @@ pub enum OracleVerdict {
 }
 
 /// Full report from one oracle check.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OracleReport {
     /// The comparison verdict.
     pub verdict: OracleVerdict,
@@ -101,6 +111,30 @@ impl std::fmt::Display for OracleReport {
     }
 }
 
+/// The scalar reference of one program: the finished `NullHook`
+/// simulator, its outcome and the `arch_digest` of its final state,
+/// each computed once. A campaign that checks one program several ways
+/// — clean, under faults, across a snapshot — builds one `Reference`
+/// and compares every DSA-attached run against it; the simulation is
+/// deterministic, so a second scalar run would repeat it exactly.
+#[derive(Debug)]
+pub struct Reference {
+    sim: Simulator,
+    run: Result<RunOutcome, SimError>,
+    digest: u64,
+}
+
+impl Reference {
+    /// How the scalar run ended.
+    pub fn outcome(&self) -> Result<RunOutcome, SimError> {
+        self.run
+    }
+
+    fn cycles(&self) -> u64 {
+        self.run.map_or(0, |o| o.cycles)
+    }
+}
+
 /// Runs a program twice — scalar-only and DSA-attached — and compares
 /// final architectural state bit for bit.
 #[derive(Debug, Clone, Copy)]
@@ -115,6 +149,21 @@ impl DifferentialOracle {
     /// An oracle with the given step budget and the default CPU model.
     pub fn new(fuel: u64) -> DifferentialOracle {
         DifferentialOracle { fuel, cpu: CpuConfig::default() }
+    }
+
+    /// Runs `program` scalar-only from the state `init` seeds: the
+    /// [`Reference`] that [`check_against`](Self::check_against) and
+    /// [`resume_against`](Self::resume_against) compare with. Those
+    /// calls must seed their DSA-attached runs with the same `init`.
+    pub fn reference<F>(&self, program: &Program, init: F) -> Reference
+    where
+        F: Fn(&mut Machine),
+    {
+        let mut sim = Simulator::new(program.clone(), self.cpu);
+        init(sim.machine_mut());
+        let run = sim.run_with_hook(self.fuel, &mut NullHook);
+        let digest = sim.machine().arch_digest();
+        Reference { sim, run, digest }
     }
 
     /// Checks `program` under `config`. `init` seeds identical initial
@@ -139,29 +188,32 @@ impl DifferentialOracle {
     where
         F: Fn(&mut Machine),
     {
-        // Scalar reference.
-        let mut scalar = Simulator::new(program.clone(), self.cpu);
-        init(scalar.machine_mut());
-        let scalar_run = scalar.run_with_hook(self.fuel, &mut NullHook);
+        let reference = self.reference(program, &init);
+        self.check_against(&reference, dsa, init)
+    }
 
-        // DSA-attached run on identical initial state.
-        let mut vec = Simulator::new(program.clone(), self.cpu);
+    /// [`check_with`](Self::check_with) against a [`Reference`] already
+    /// run: only the DSA-attached run of the reference's program is
+    /// simulated. The report is the one `check_with` gives.
+    pub fn check_against<F>(&self, reference: &Reference, dsa: &mut Dsa, init: F) -> OracleReport
+    where
+        F: Fn(&mut Machine),
+    {
+        let mut vec = Simulator::new(reference.sim.program().clone(), self.cpu);
         init(vec.machine_mut());
         let dsa_run = vec.run_with_hook(self.fuel, dsa);
-
-        let scalar_digest = scalar.machine().arch_digest();
         let dsa_digest = vec.machine().arch_digest();
-        let verdict = match (&scalar_run, &dsa_run) {
+        let verdict = match (&reference.run, &dsa_run) {
             (Err(e), _) => Self::scalar_verdict(*e),
             (Ok(_), Err(e)) => OracleVerdict::DsaFailed(*e),
-            (Ok(_), Ok(_)) => Self::compare(scalar.machine(), vec.machine()),
+            (Ok(_), Ok(_)) => Self::compare(reference, vec.machine(), dsa_digest),
         };
         OracleReport {
             verdict,
-            scalar_digest,
+            scalar_digest: reference.digest,
             dsa_digest,
-            scalar_cycles: scalar_run.map(|o| o.cycles).unwrap_or(0),
-            dsa_cycles: dsa_run.map(|o| o.cycles).unwrap_or(0),
+            scalar_cycles: reference.cycles(),
+            dsa_cycles: dsa_run.map_or(0, |o| o.cycles),
             stats: dsa.stats(),
             poisoned: dsa.poisoned(),
         }
@@ -189,10 +241,24 @@ impl DifferentialOracle {
     where
         F: Fn(&mut Machine),
     {
-        // Scalar reference.
-        let mut scalar = Simulator::new(program.clone(), self.cpu);
-        init(scalar.machine_mut());
-        let scalar_run = scalar.run_with_hook(self.fuel, &mut NullHook);
+        let reference = self.reference(program, &init);
+        self.resume_against(&reference, config, init, split)
+    }
+
+    /// [`check_resume`](Self::check_resume) against a [`Reference`]
+    /// already run: only the uninterrupted and the interrupted DSA runs
+    /// are simulated. The report is the one `check_resume` gives.
+    pub fn resume_against<F>(
+        &self,
+        reference: &Reference,
+        config: DsaConfig,
+        init: F,
+        split: u64,
+    ) -> OracleReport
+    where
+        F: Fn(&mut Machine),
+    {
+        let program = reference.sim.program();
 
         // Uninterrupted DSA run.
         let mut full = Simulator::new(program.clone(), self.cpu);
@@ -206,15 +272,12 @@ impl DifferentialOracle {
         init(first.machine_mut());
         let mut first_dsa = Dsa::new(config);
         let pause = first.run_bounded(split, &mut first_dsa);
-        let resumed_run: Result<dsa_cpu::RunOutcome, SimError> = match pause {
+        let resumed_run: Result<RunOutcome, SimError> = match pause {
             Err(e) => Err(e),
             Ok(BoundedOutcome::Halted(out)) => {
                 // Program finished before the split point; the "resumed"
                 // run is just the finished run.
-                let digest_holder = first;
-                return self.resume_report(
-                    scalar, scalar_run, full, full_run, digest_holder, Ok(out), first_dsa,
-                );
+                return self.resume_report(reference, &full, full_run, &first, Ok(out), &first_dsa);
             }
             Ok(BoundedOutcome::Paused) => {
                 let bytes = Snapshot::capture(&first_dsa, first.machine()).to_bytes();
@@ -230,61 +293,57 @@ impl DifferentialOracle {
                         let mut second =
                             Simulator::with_machine(program.clone(), self.cpu, machine2);
                         let run = second.run_with_hook(self.fuel, &mut dsa2);
-                        return self.resume_report(
-                            scalar, scalar_run, full, full_run, second, run, dsa2,
-                        );
+                        return self.resume_report(reference, &full, full_run, &second, run, &dsa2);
                     }
                 }
             }
         };
         // Pause-phase failure (executor error or unrestorable snapshot).
-        let scalar_digest = scalar.machine().arch_digest();
         OracleReport {
-            verdict: match (&scalar_run, &resumed_run) {
+            verdict: match (&reference.run, &resumed_run) {
                 (Err(e), _) => Self::scalar_verdict(*e),
                 (_, Err(e)) => OracleVerdict::DsaFailed(*e),
                 _ => OracleVerdict::Mismatch { component: "regs" },
             },
-            scalar_digest,
+            scalar_digest: reference.digest,
             dsa_digest: 0,
-            scalar_cycles: scalar_run.map(|o| o.cycles).unwrap_or(0),
+            scalar_cycles: reference.cycles(),
             dsa_cycles: 0,
             stats: DsaStats::default(),
             poisoned: None,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn resume_report(
         &self,
-        scalar: Simulator,
-        scalar_run: Result<dsa_cpu::RunOutcome, SimError>,
-        full: Simulator,
-        full_run: Result<dsa_cpu::RunOutcome, SimError>,
-        resumed: Simulator,
-        resumed_run: Result<dsa_cpu::RunOutcome, SimError>,
-        resumed_dsa: Dsa,
+        reference: &Reference,
+        full: &Simulator,
+        full_run: Result<RunOutcome, SimError>,
+        resumed: &Simulator,
+        resumed_run: Result<RunOutcome, SimError>,
+        resumed_dsa: &Dsa,
     ) -> OracleReport {
-        let scalar_digest = scalar.machine().arch_digest();
         let dsa_digest = resumed.machine().arch_digest();
-        let verdict = match (&scalar_run, (&full_run, &resumed_run)) {
+        let verdict = match (&reference.run, (&full_run, &resumed_run)) {
             (Err(e), _) => Self::scalar_verdict(*e),
             (Ok(_), (Err(e), _)) | (Ok(_), (_, Err(e))) => OracleVerdict::DsaFailed(*e),
             (Ok(_), (Ok(_), Ok(_))) => {
                 // Resumed vs scalar, then uninterrupted vs scalar: all
                 // three final states must agree bit for bit.
-                match Self::compare(scalar.machine(), resumed.machine()) {
-                    OracleVerdict::Match => Self::compare(scalar.machine(), full.machine()),
+                match Self::compare(reference, resumed.machine(), dsa_digest) {
+                    OracleVerdict::Match => {
+                        Self::compare(reference, full.machine(), full.machine().arch_digest())
+                    }
                     diverged => diverged,
                 }
             }
         };
         OracleReport {
             verdict,
-            scalar_digest,
+            scalar_digest: reference.digest,
             dsa_digest,
-            scalar_cycles: scalar_run.map(|o| o.cycles).unwrap_or(0),
-            dsa_cycles: resumed_run.map(|o| o.cycles).unwrap_or(0),
+            scalar_cycles: reference.cycles(),
+            dsa_cycles: resumed_run.map_or(0, |o| o.cycles),
             stats: resumed_dsa.stats(),
             poisoned: resumed_dsa.poisoned(),
         }
@@ -301,14 +360,17 @@ impl DifferentialOracle {
         }
     }
 
-    fn compare(scalar: &Machine, dsa: &Machine) -> OracleVerdict {
+    /// Compares a DSA-attached run's final machine, whose `arch_digest`
+    /// is `dsa_digest`, with the reference's.
+    fn compare(reference: &Reference, dsa: &Machine, dsa_digest: u64) -> OracleVerdict {
+        let scalar = reference.sim.machine();
         if scalar.regs() != dsa.regs() {
             return OracleVerdict::Mismatch { component: "regs" };
         }
         if scalar.qregs() != dsa.qregs() {
             return OracleVerdict::Mismatch { component: "qregs" };
         }
-        if scalar.arch_digest() != dsa.arch_digest() {
+        if reference.digest != dsa_digest {
             // Registers agreed, so the digests diverged over flags or
             // memory contents; memory is by far the larger component.
             return OracleVerdict::Mismatch { component: "memory" };
@@ -403,6 +465,20 @@ mod tests {
             matches!(report.verdict, OracleVerdict::Mismatch { .. }),
             "planted bug must diverge: {report}"
         );
+        // Through one shared reference, as a campaign checks a program:
+        // the clean and plain checks still match, the resume check still
+        // diverges, and every report equals its one-shot counterpart.
+        let reference = oracle.reference(&kernel.program, init);
+        let shared_clean = oracle.resume_against(&reference, DsaConfig::full(), init, 500);
+        assert_eq!(shared_clean, clean);
+        let shared_plain = oracle.check_against(&reference, &mut Dsa::new(config), init);
+        assert_eq!(shared_plain, plain);
+        let shared = oracle.resume_against(&reference, config, init, 500);
+        assert!(
+            matches!(shared.verdict, OracleVerdict::Mismatch { .. }),
+            "planted bug must diverge through a shared reference: {shared}"
+        );
+        assert_eq!(shared, report);
     }
 
     #[test]

@@ -209,6 +209,12 @@ impl DecodedProgram {
     /// Predecodes `program`. Prefer [`decode_cached`] outside of tests —
     /// decoding is O(program length) but shared across runs there.
     pub fn decode(program: &Program) -> DecodedProgram {
+        DecodedProgram::decode_hashed(program, program.content_hash())
+    }
+
+    /// [`decode`](Self::decode) with the program's
+    /// [`Program::content_hash`] already computed (the cache key).
+    fn decode_hashed(program: &Program, hash: u64) -> DecodedProgram {
         let mut entries: Vec<DecodedInstr> = program
             .iter()
             .enumerate()
@@ -254,7 +260,7 @@ impl DecodedProgram {
         let block_delta = (0..entries.len())
             .map(|pc| counts_prefix[pc + run_len[pc] as usize].diff(&counts_prefix[pc]))
             .collect();
-        DecodedProgram { entries, run_len, block_delta, hash: program.content_hash() }
+        DecodedProgram { entries, run_len, block_delta, hash }
     }
 
     /// The [`Program::content_hash`] this was decoded from.
@@ -511,7 +517,7 @@ pub fn decode_cached(program: &Program) -> Arc<DecodedProgram> {
     if let Some((_, decoded)) = bucket.iter().find(|(p, _)| p == program) {
         return Arc::clone(decoded);
     }
-    let decoded = Arc::new(DecodedProgram::decode(program));
+    let decoded = Arc::new(DecodedProgram::decode_hashed(program, hash));
     bucket.push((program.clone(), Arc::clone(&decoded)));
     decoded
 }

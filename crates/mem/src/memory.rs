@@ -151,16 +151,43 @@ impl MainMemory {
         self.write_n(addr, bytes);
     }
 
-    /// Copies a byte slice into memory starting at `addr`.
+    /// Copies a byte slice into memory starting at `addr`, one page
+    /// lookup per page touched. Every touched page is allocated, zero
+    /// bytes included, as by [`write_u8`](Self::write_u8).
     pub fn write_bytes(&mut self, addr: u32, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u32), b);
+        let mut addr = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let (page, off) = split(addr);
+            let n = rest.len().min(PAGE_SIZE - off);
+            self.page_mut(page)[off..off + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            addr = addr.wrapping_add(n as u32);
         }
     }
 
     /// Reads `len` bytes starting at `addr`.
     pub fn read_bytes(&self, addr: u32, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(addr.wrapping_add(i as u32))).collect()
+        let mut out = Vec::with_capacity(len);
+        self.scan(addr, len, |chunk| out.extend_from_slice(chunk));
+        out
+    }
+
+    /// Visits the `len` bytes starting at `addr` in address order, one
+    /// page lookup per page: `visit` gets each page's share as one
+    /// slice, zeros for a page never written. Allocates nothing.
+    pub fn scan(&self, addr: u32, len: usize, mut visit: impl FnMut(&[u8])) {
+        static ZERO_PAGE: [u8; PAGE_SIZE] = [0; PAGE_SIZE];
+        let mut addr = addr;
+        let mut rest = len;
+        while rest > 0 {
+            let (page, off) = split(addr);
+            let n = rest.min(PAGE_SIZE - off);
+            let bytes = self.pages.get(&page).map_or(&ZERO_PAGE, |p| &**p);
+            visit(&bytes[off..off + n]);
+            rest -= n;
+            addr = addr.wrapping_add(n as u32);
+        }
     }
 
     /// Number of pages that have been touched by a write.
@@ -258,6 +285,48 @@ mod tests {
         let mut m = MainMemory::new();
         m.write_bytes(10, &[1, 2, 3, 4]);
         assert_eq!(m.read_bytes(10, 4), vec![1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn bulk_bytes_match_the_per_byte_path_across_pages() {
+        // Spans that start and end mid-page, cover whole pages, and wrap
+        // around the top of the address space.
+        let spans: [(u32, usize); 5] = [
+            (PAGE_BYTES as u32 - 3, 7),
+            (3 * PAGE_BYTES as u32 + 100, 2 * PAGE_BYTES + 50),
+            (8 * PAGE_BYTES as u32, PAGE_BYTES),
+            (u32::MAX - 5, 12),
+            (40, 0),
+        ];
+        for (addr, len) in spans {
+            for zeros in [false, true] {
+                let data: Vec<u8> =
+                    (0..len).map(|i| if zeros { 0 } else { (i * 7 + 1) as u8 }).collect();
+                let mut bulk = MainMemory::new();
+                bulk.write_u32(6 * PAGE_BYTES as u32, 0xAB); // an unrelated page
+                let mut bytewise = bulk.clone();
+                bulk.write_bytes(addr, &data);
+                for (i, &b) in data.iter().enumerate() {
+                    bytewise.write_u8(addr.wrapping_add(i as u32), b);
+                }
+                let what = format!("{len} bytes at {addr:#x}, zeros {zeros}");
+                assert_eq!(bulk.allocated_pages(), bytewise.allocated_pages(), "{what}");
+                assert_eq!(bulk.digest(), bytewise.digest(), "{what}");
+                assert_eq!(bulk.read_bytes(addr, len), data, "{what}");
+                // A read one page beyond the span crosses unwritten
+                // pages and allocates none of them.
+                let pages = bulk.allocated_pages();
+                let wide =
+                    bulk.read_bytes(addr.wrapping_sub(PAGE_BYTES as u32), len + 2 * PAGE_BYTES);
+                let per_byte: Vec<u8> = (0..len + 2 * PAGE_BYTES)
+                    .map(|i| {
+                        bulk.read_u8(addr.wrapping_sub(PAGE_BYTES as u32).wrapping_add(i as u32))
+                    })
+                    .collect();
+                assert_eq!(wide, per_byte, "{what}");
+                assert_eq!(bulk.allocated_pages(), pages, "{what}: reads never allocate");
+            }
+        }
     }
 
     #[test]

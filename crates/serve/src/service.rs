@@ -253,14 +253,10 @@ impl ServiceInner {
     }
 
     /// The store key identifying `spec`'s result content: program-text
-    /// digest, DSA-config fingerprint, scale.
-    pub fn content_key(&self, spec: &JobSpec) -> ContentKey {
-        let w = spec.workload.build(spec.system, spec.scale);
-        ContentKey {
-            program: w.kernel.program.content_hash(),
-            config: fingerprint(&spec.system.dsa_config()),
-            scale: spec.scale,
-        }
+    /// digest (`program`, the `content_hash` of the session's one
+    /// build), DSA-config fingerprint, scale.
+    pub fn content_key(&self, spec: &JobSpec, program: u64) -> ContentKey {
+        ContentKey { program, config: fingerprint(&spec.system.dsa_config()), scale: spec.scale }
     }
 
     /// Whether `s` may migrate off `from`: under the migration limit

@@ -17,6 +17,13 @@
 //! with jittered backoff, and counted against the workload's breaker,
 //! while the session's checkpoint survives in shared state outside the
 //! crash boundary.
+//!
+//! A shard builds the job's workload and hashes its program once, when
+//! it takes the session ([`SessionState::new`]). The result-store key,
+//! the engine a slice (re)builds or restores, the golden check at halt
+//! and every checkpoint's [`SessionMeta::program_digest`] all use that
+//! one build. Only a migration builds again, on the shard that adopts
+//! the session.
 
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::mpsc::Sender;
@@ -26,7 +33,7 @@ use std::time::Instant;
 use dsa_core::{Dsa, DsaConfig, SessionMeta, Snapshot, SnapshotError};
 use dsa_cpu::{BoundedOutcome, CpuConfig, NullHook, Simulator};
 use dsa_trace::{MetricsRegistry, SamplingSink, SharedMetrics};
-use dsa_workloads::{checksum, Scale};
+use dsa_workloads::{checksum, BuiltWorkload, Scale};
 
 use dsa_bench::cache::Workload;
 use dsa_bench::{RunError, System};
@@ -152,7 +159,15 @@ pub struct Engine {
 /// closure inside `Supervisor::call` takes the engine out, runs one
 /// slice, and puts it back; a panicking slice loses the engine but
 /// never the checkpoint.
+///
+/// It also holds the job's built workload and the
+/// [`content_hash`](dsa_isa::Program::content_hash) of its program,
+/// made once when the shard takes the session: the store key, every
+/// engine (re)build, the halt check and every checkpoint's
+/// [`SessionMeta`] read them from here.
 pub struct SessionState {
+    workload: BuiltWorkload,
+    digest: u64,
     inner: Mutex<StateInner>,
 }
 
@@ -186,12 +201,23 @@ pub enum Slice {
 }
 
 impl SessionState {
-    /// Starts slice execution for `session` (adopting its checkpoint,
-    /// if migration brought one along).
-    pub fn new(checkpoint: Option<Vec<u8>>, resumed: bool) -> SessionState {
+    /// Starts slice execution of `spec`: builds its workload and hashes
+    /// the program, adopting `checkpoint` if migration brought one
+    /// along.
+    pub fn new(spec: &JobSpec, checkpoint: Option<Vec<u8>>, resumed: bool) -> SessionState {
+        let workload = spec.workload.build(spec.system, spec.scale);
+        let digest = workload.kernel.program.content_hash();
         SessionState {
+            workload,
+            digest,
             inner: Mutex::new(StateInner { live: None, checkpoint, resumed, slices: 0 }),
         }
+    }
+
+    /// [`content_hash`](dsa_isa::Program::content_hash) of the job's
+    /// program.
+    pub(crate) fn program_digest(&self) -> u64 {
+        self.digest
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, StateInner> {
@@ -224,20 +250,21 @@ impl SessionState {
     }
 }
 
-/// Builds or restores the engine for one slice. When `telemetry` is
+/// Builds or restores the engine for one slice from `w`, the job's
+/// workload, whose program hashes to `digest`. When `telemetry` is
 /// enabled and the system actually hooks commits, the engine gets a
 /// sampling sink: events observe, never steer, so cycles and checksums
 /// are bit-identical with and without it.
 fn engine_for_slice(
     spec: &JobSpec,
+    w: &BuiltWorkload,
+    digest: u64,
     state: &mut StateInner,
     telemetry: &SliceTelemetry,
 ) -> Result<Engine, RunError> {
     if let Some(engine) = state.live.take() {
         return Ok(engine);
     }
-    let w = spec.workload.build(spec.system, spec.scale);
-    let digest = w.kernel.program.content_hash();
     let config = spec.system.dsa_config();
     let attached = config.is_some();
     // Non-DSA sessions still snapshot through a pristine full-config
@@ -255,7 +282,8 @@ fn engine_for_slice(
                 return Err(RunError::Snapshot(SnapshotError::ConfigMismatch));
             }
             let (dsa, machine) = Dsa::restore(snap, capture_cfg).map_err(RunError::Snapshot)?;
-            let sim = Simulator::with_machine(w.kernel.program, CpuConfig::default(), machine);
+            let sim =
+                Simulator::with_machine(w.kernel.program.clone(), CpuConfig::default(), machine);
             Engine { sim, dsa, attached, prior_commits: meta.commits }
         }
     };
@@ -290,7 +318,7 @@ pub fn run_slice(
     let mut engine = {
         let mut inner = state.lock();
         inner.slices += 1;
-        engine_for_slice(spec, &mut inner, telemetry)?
+        engine_for_slice(spec, &state.workload, state.digest, &mut inner, telemetry)?
     };
     if session.panics_left.load(Ordering::Relaxed) > 0 {
         session.panics_left.fetch_sub(1, Ordering::Relaxed);
@@ -319,7 +347,7 @@ pub fn run_slice(
     .map_err(RunError::Sim)?;
     match bounded {
         BoundedOutcome::Halted(out) => {
-            let w = spec.workload.build(spec.system, spec.scale);
+            let w = &state.workload;
             let (base, len) = w.out_region;
             let got = checksum(engine.sim.machine(), base, len);
             if got != w.expected {
@@ -341,7 +369,7 @@ pub fn run_slice(
             let snap = Snapshot::capture(&engine.dsa, engine.sim.machine()).to_bytes();
             let meta = SessionMeta {
                 job_id: session.id,
-                program_digest: engine.sim.program().content_hash(),
+                program_digest: state.digest,
                 commits,
                 migrations: u64::from(session.migrations),
                 shard,
@@ -407,7 +435,7 @@ mod tests {
     ) -> (u64, bool, u64) {
         let sp = spec(system);
         let (s, _rx) = session(sp);
-        let state = SessionState::new(None, false);
+        let state = SessionState::new(&sp, None, false);
         loop {
             match run_slice(&sp, &state, &s, 0, budget, telemetry).expect("slice runs") {
                 Slice::Done { checksum, cycles, .. } => {
@@ -485,7 +513,7 @@ mod tests {
     fn checkpoint_envelopes_carry_session_identity() {
         let sp = spec(System::DsaFull);
         let (s, _rx) = session(sp);
-        let state = SessionState::new(None, false);
+        let state = SessionState::new(&sp, None, false);
         match run_slice(&sp, &state, &s, 3, 200, &SliceTelemetry::off()).expect("slice runs") {
             Slice::Done { .. } => panic!("budget 200 must pause first"),
             Slice::Paused { commits, .. } => assert_eq!(commits, 200),
@@ -502,7 +530,7 @@ mod tests {
         let mut sp = spec(System::Original);
         sp.panic_slices = 1;
         let (s, _rx) = session(sp);
-        let state = SessionState::new(None, false);
+        let state = SessionState::new(&sp, None, false);
         let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_slice(&sp, &state, &s, 0, 1_000, &SliceTelemetry::off())
         }));

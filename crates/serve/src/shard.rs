@@ -181,7 +181,9 @@ impl Shard {
             );
             return Disposition::Completed;
         }
-        let key = svc.content_key(&s.spec);
+        // The one build of this job's workload on this shard.
+        let state = SessionState::new(&s.spec, s.checkpoint.take(), s.resumed);
+        let key = svc.content_key(&s.spec, state.program_digest());
         let use_store = s.spec.cacheable && s.spec.panic_slices == 0;
         if use_store {
             if let Some(hit) = svc.store().lookup(key) {
@@ -189,7 +191,6 @@ impl Shard {
                 return Disposition::Completed;
             }
         }
-        let state = SessionState::new(s.checkpoint.take(), s.resumed);
         loop {
             if self.is_killed() {
                 // Crash model: the live engine dies with the shard;

@@ -180,13 +180,15 @@ impl BuiltWorkload {
     }
 }
 
-/// FNV-1a checksum of a memory region.
+/// FNV-1a checksum of a memory region, scanned one page at a time.
 pub fn checksum(machine: &Machine, base: u32, len_bytes: u32) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for i in 0..len_bytes {
-        h ^= machine.mem.read_u8(base + i) as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    machine.mem.scan(base, len_bytes as usize, |chunk| {
+        for &b in chunk {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    });
     h
 }
 
@@ -223,6 +225,14 @@ mod tests {
         m.mem.write_bytes(0x100, &[1, 2, 3, 4]);
         assert_eq!(checksum(&m, 0x100, 4), checksum_bytes(&[1, 2, 3, 4]));
         assert_ne!(checksum(&m, 0x100, 4), checksum_bytes(&[1, 2, 3, 5]));
+        // Across page boundaries and unwritten pages: the page-wise scan
+        // folds the same bytes, in order, and allocates nothing.
+        let data: Vec<u8> = (0..9_000u32).map(|i| (i * 13 + 5) as u8).collect();
+        m.mem.write_bytes(0x2ff0, &data);
+        let pages = m.mem.allocated_pages();
+        let (base, len) = (0x2000, 0x5000);
+        assert_eq!(checksum(&m, base, len), checksum_bytes(&m.mem.read_bytes(base, len as usize)));
+        assert_eq!(m.mem.allocated_pages(), pages);
     }
 
     #[test]
