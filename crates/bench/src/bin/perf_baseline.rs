@@ -16,12 +16,10 @@
 //!    `--micro-only` mode too.
 //! 3. **Vector section**: the four vector-heavy applications (MM,
 //!    RGB-Gray, Gaussian, Susan E) built with the hand-vectorized
-//!    variant, run in block mode once per compiled-in host-SIMD
-//!    backend (`portable`, then `sse2`/`avx2` or `neon` as detected).
-//!    Every rep is an equivalence gate before it is a timing sample:
-//!    cycles, committed count, architectural digest and output checksum
-//!    must be bit-identical across backends and reps — the backend is a
-//!    pure host-execution change.
+//!    variant, whose lane math runs through `dsa_cpu::vec128`, timed in
+//!    block mode. Every rep is an equivalence gate before it is a timing
+//!    sample: cycles, committed count, architectural digest and output
+//!    checksum must be bit-identical across reps.
 //!
 //! ```text
 //! cargo run --release -p dsa-bench --bin perf_baseline              # full grid → BENCH_6.json
@@ -48,7 +46,7 @@ use dsa_bench::cache::{fixed_workloads, Workload};
 use dsa_bench::FUEL;
 use dsa_compiler::Variant;
 use dsa_core::{Dsa, DsaConfig};
-use dsa_cpu::{CommitHook, CpuConfig, NullHook, Simd, Stepped};
+use dsa_cpu::{CommitHook, CpuConfig, NullHook, Stepped};
 use dsa_trace::json::{self, Value};
 use dsa_workloads::{build, micro, BuiltWorkload, Scale, WorkloadId};
 
@@ -72,7 +70,7 @@ const DSA_WORKLOADS: [Workload; 4] = [
     Workload::App(WorkloadId::BitCounts),
 ];
 
-/// The vector-heavy applications measured per backend (the paper's
+/// The vector-heavy applications of the vector section (the paper's
 /// DLP-rich kernels; the other three are control-flow bound).
 const VECTOR_APPS: [WorkloadId; 4] =
     [WorkloadId::MatMul, WorkloadId::RgbGray, WorkloadId::Gaussian, WorkloadId::SusanEdges];
@@ -103,11 +101,10 @@ struct Facts {
     digest: u64,
 }
 
-/// One timed run under `hook` with the machine pinned to `simd`;
-/// returns the run facts and wall-clock seconds.
-fn run_once<H: CommitHook>(w: &BuiltWorkload, simd: Simd, hook: &mut H) -> (Facts, f64) {
+/// One timed run under `hook`; returns the run facts and wall-clock
+/// seconds.
+fn run_once<H: CommitHook>(w: &BuiltWorkload, hook: &mut H) -> (Facts, f64) {
     let mut sim = w.simulator(CpuConfig::default());
-    sim.machine_mut().set_simd(simd);
     let t = Instant::now();
     let out = sim
         .run_with_hook(FUEL, hook)
@@ -115,13 +112,6 @@ fn run_once<H: CommitHook>(w: &BuiltWorkload, simd: Simd, hook: &mut H) -> (Fact
     let secs = t.elapsed().as_secs_f64();
     if !out.halted || !w.check(sim.machine()) {
         fail("workload produced a wrong result");
-    }
-    if out.simd_backend != simd.name() {
-        fail(&format!(
-            "backend pin did not hold: asked for {}, ran {}",
-            simd.name(),
-            out.simd_backend
-        ));
     }
     let facts = Facts {
         cycles: out.cycles,
@@ -146,16 +136,15 @@ fn measure<H: CommitHook>(
     block: impl Fn() -> H,
 ) -> Result<Row, String> {
     let w = &built(workload, scale);
-    let simd = Simd::active();
     // Warm-up: page-in, branch-predict the host loops, fill the shared
     // predecode cache.
-    let _ = run_once(w, simd, &mut Stepped(block()));
-    let _ = run_once(w, simd, &mut block());
+    let _ = run_once(w, &mut Stepped(block()));
+    let _ = run_once(w, &mut block());
     let (mut step_best, mut block_best) = (f64::INFINITY, f64::INFINITY);
     let mut facts: Option<Facts> = None;
     for _ in 0..reps {
-        let (s, s_secs) = run_once(w, simd, &mut Stepped(block()));
-        let (b, b_secs) = run_once(w, simd, &mut block());
+        let (s, s_secs) = run_once(w, &mut Stepped(block()));
+        let (b, b_secs) = run_once(w, &mut block());
         if s != b {
             return Err(format!(
                 "block mode diverged from step mode (cycles {} vs {}, committed {} vs {}, \
@@ -182,58 +171,23 @@ fn measure<H: CommitHook>(
     })
 }
 
-/// Per-backend min-of-N block-mode wall clock for one hand-vectorized
-/// workload. Backends are interleaved inside each rep (portable, sse2,
-/// avx2, portable, ...) for the same drift resistance as the scalar
-/// grid, and every sample is an identity gate: cycles, committed count,
-/// checksum and architectural digest must match the portable reference
-/// bit for bit.
-struct VectorMeasured {
-    cycles: u64,
-    committed: u64,
-    /// `(backend, min-of-N seconds)` in `Simd::available()` order —
-    /// portable first, best host backend last.
-    secs: Vec<(Simd, f64)>,
-}
-
-fn measure_vector(w: &BuiltWorkload, reps: u32) -> Result<VectorMeasured, String> {
-    let backends = Simd::available();
-    for &be in backends {
-        let _ = run_once(w, be, &mut NullHook);
-    }
-    let mut best = vec![f64::INFINITY; backends.len()];
+/// Min-of-N block-mode wall clock for one hand-vectorized workload.
+/// Every rep is an identity gate: cycles, committed count, checksum and
+/// architectural digest must match the first rep bit for bit.
+fn measure_vector(name: &'static str, w: &BuiltWorkload, reps: u32) -> Result<VectorRow, String> {
+    let _ = run_once(w, &mut NullHook);
+    let mut secs = f64::INFINITY;
     let mut facts: Option<Facts> = None;
     for _ in 0..reps {
-        for (i, &be) in backends.iter().enumerate() {
-            let (f, secs) = run_once(w, be, &mut NullHook);
-            if let Some(prev) = facts {
-                if prev != f {
-                    return Err(format!(
-                        "backend {} diverged from {} (cycles {} vs {}, committed {} vs {}, \
-                         checksum {:#x} vs {:#x}, digest {:#x} vs {:#x})",
-                        be.name(),
-                        backends[0].name(),
-                        f.cycles,
-                        prev.cycles,
-                        f.committed,
-                        prev.committed,
-                        f.checksum,
-                        prev.checksum,
-                        f.digest,
-                        prev.digest
-                    ));
-                }
-            }
-            facts = Some(f);
-            best[i] = best[i].min(secs);
+        let (f, s) = run_once(w, &mut NullHook);
+        if facts.is_some_and(|prev| prev != f) {
+            return Err("run is not deterministic across reps".into());
         }
+        facts = Some(f);
+        secs = secs.min(s);
     }
-    let f = facts.expect("at least the portable backend is always available");
-    Ok(VectorMeasured {
-        cycles: f.cycles,
-        committed: f.committed,
-        secs: backends.iter().copied().zip(best).collect(),
-    })
+    let f = facts.expect("reps >= 1 checked at parse time");
+    Ok(VectorRow { name, committed: f.committed, cycles: f.cycles, secs })
 }
 
 struct Row {
@@ -260,19 +214,12 @@ struct VectorRow {
     name: &'static str,
     committed: u64,
     cycles: u64,
-    secs: Vec<(Simd, f64)>,
+    secs: f64,
 }
 
 impl VectorRow {
-    fn mips(&self, i: usize) -> f64 {
-        self.committed as f64 / self.secs[i].1 / 1e6
-    }
-    /// Host (best backend) over portable wall-clock speedup.
-    fn host_speedup(&self) -> f64 {
-        self.secs[0].1 / self.secs[self.secs.len() - 1].1
-    }
-    fn host_mips(&self) -> f64 {
-        self.mips(self.secs.len() - 1)
+    fn mips(&self) -> f64 {
+        self.committed as f64 / self.secs / 1e6
     }
 }
 
@@ -509,29 +456,23 @@ fn main() {
             .unwrap_or_else(|e| fail(&format!("{} (dsa): {e}", workload.describe())))
     });
 
-    // Vector section: hand-vectorized kernels, block mode, one column
-    // per compiled-in backend (skipped for the CI micro smoke).
+    // Vector section: hand-vectorized kernels in block mode (skipped
+    // for the CI micro smoke).
     let mut vrows = Vec::new();
     if !micro_only {
         for id in VECTOR_APPS {
             let w = build(id, Variant::HandVec, scale);
-            let m = measure_vector(&w, reps)
-                .unwrap_or_else(|e| fail(&format!("{} (handvec): {e}", id.name())));
-            vrows.push(VectorRow {
-                name: id.name(),
-                committed: m.committed,
-                cycles: m.cycles,
-                secs: m.secs,
-            });
+            vrows.push(
+                measure_vector(id.name(), &w, reps)
+                    .unwrap_or_else(|e| fail(&format!("{} (handvec): {e}", id.name()))),
+            );
         }
     }
     let grid_secs = grid_start.elapsed().as_secs_f64();
 
     println!(
-        "perf_baseline: scalar system, {} scale, {reps} reps, min-of-N wall clock \
-         (simd backend: {})",
-        scale.name(),
-        Simd::active().name()
+        "perf_baseline: scalar system, {} scale, {reps} reps, min-of-N wall clock",
+        scale.name()
     );
     print_rows(&rows);
     println!("\nfull DSA attached, Stepped(Dsa) vs Dsa:");
@@ -539,21 +480,16 @@ fn main() {
     println!("end-to-end grid time: {grid_secs:.2} s (incl. build + warm-up + both modes)");
 
     if !vrows.is_empty() {
-        println!("\nvector-heavy applications (hand-vectorized, block mode, per-backend):");
-        println!("{:<16} {:>12} {:>9} {:>10} {:>10} {:>13}", "workload", "committed", "backend", "block ms", "MIPS", "vs portable");
+        println!("\nvector-heavy applications (hand-vectorized, block mode):");
+        println!("{:<16} {:>12} {:>10} {:>10}", "workload", "committed", "block ms", "MIPS");
         for r in &vrows {
-            for (i, (be, secs)) in r.secs.iter().enumerate() {
-                let vs = r.secs[0].1 / secs;
-                println!(
-                    "{:<16} {:>12} {:>9} {:>10.3} {:>10.1} {:>12.2}x",
-                    if i == 0 { r.name } else { "" },
-                    if i == 0 { r.committed.to_string() } else { String::new() },
-                    be.name(),
-                    secs * 1e3,
-                    r.mips(i),
-                    vs
-                );
-            }
+            println!(
+                "{:<16} {:>12} {:>10.3} {:>10.1}",
+                r.name,
+                r.committed,
+                r.secs * 1e3,
+                r.mips()
+            );
         }
     }
 
@@ -561,10 +497,9 @@ fn main() {
     // and EXPERIMENTS.md point at. The scalar section keeps the v1
     // field names so `--compare` works across schema versions.
     let mut json = format!(
-        "{{\"schema\":\"dsa-perf-baseline/v2\",\"scale\":\"{}\",\"reps\":{reps},\
-         \"grid_seconds\":{grid_secs:.3},\"simd_backend\":\"{}\",\"workloads\":[",
-        scale.name(),
-        Simd::active().name()
+        "{{\"schema\":\"dsa-perf-baseline/v3\",\"scale\":\"{}\",\"reps\":{reps},\
+         \"grid_seconds\":{grid_secs:.3},\"workloads\":[",
+        scale.name()
     );
     json.push_str(&rows_json(&rows));
     json.push_str(&format!(",\"dsa\":{{\"config\":\"full\",\"workloads\":[{}}}", rows_json(&drows)));
@@ -575,30 +510,16 @@ fn main() {
                 json.push(',');
             }
             json.push_str(&format!(
-                "{{\"name\":\"{}\",\"committed\":{},\"cycles\":{},\"backends\":[",
-                r.name, r.committed, r.cycles
-            ));
-            for (j, (be, secs)) in r.secs.iter().enumerate() {
-                if j > 0 {
-                    json.push(',');
-                }
-                json.push_str(&format!(
-                    "{{\"backend\":\"{}\",\"seconds\":{:.6},\"mips\":{:.2}}}",
-                    be.name(),
-                    secs,
-                    r.mips(j)
-                ));
-            }
-            json.push_str(&format!(
-                "],\"host_mips\":{:.2},\"host_speedup_vs_portable\":{:.3}}}",
-                r.host_mips(),
-                r.host_speedup()
+                "{{\"name\":\"{}\",\"committed\":{},\"cycles\":{},\
+                 \"block_seconds\":{:.6},\"block_mips\":{:.2}}}",
+                r.name,
+                r.committed,
+                r.cycles,
+                r.secs,
+                r.mips()
             ));
         }
-        json.push_str(&format!(
-            "],\"host_backend\":\"{}\"}}",
-            Simd::best().name()
-        ));
+        json.push_str("]}");
     }
     json.push_str("}\n");
     std::fs::write(&out_path, json)

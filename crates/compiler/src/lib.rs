@@ -45,6 +45,8 @@
 //! assert!(kernel.reports[0].vectorized);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod builder;
 mod inhibit;
 mod ir;

@@ -62,6 +62,8 @@
 //! assert!(outcome.timing.covered > 0, "iterations executed on the NEON engine");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod caches;
 mod cidp;
 mod config;

@@ -85,12 +85,7 @@ pub(crate) enum FastOp {
     Vld1Lane { qd: QReg, lane: u8, rn: Reg, writeback: bool, et: ElemType },
     /// Lane validated at decode.
     Vst1Lane { qs: QReg, lane: u8, rn: Reg, writeback: bool, et: ElemType },
-    /// `fuse_next` marks a pair of adjacent `Vop`s with the same
-    /// `(op, et)` whose second instruction does not read the first's
-    /// destination: [`DecodedProgram::exec_run`] executes both in one
-    /// [`crate::simd::Simd::apply2`] call (one 256-bit instruction on
-    /// AVX2).
-    Vop { op: VecOp, et: ElemType, qd: QReg, qn: QReg, qm: QReg, fuse_next: bool },
+    Vop { op: VecOp, et: ElemType, qd: QReg, qn: QReg, qm: QReg },
     /// Shape validated at decode: `vec128::shr` accepts this `(et, shift)`.
     Vshr { qd: QReg, qn: QReg, shift: u8, et: ElemType },
     Vdup { qd: QReg, rm: Reg, et: ElemType },
@@ -143,9 +138,7 @@ fn flatten(pc: u32, instr: Instr) -> FastOp {
         Instr::Vst1Lane { qs, lane, rn, writeback, et } if (lane as u32) < et.lanes() => {
             FastOp::Vst1Lane { qs, lane, rn, writeback, et }
         }
-        Instr::Vop { op, et, qd, qn, qm } => {
-            FastOp::Vop { op, et, qd, qn, qm, fuse_next: false }
-        }
+        Instr::Vop { op, et, qd, qn, qm } => FastOp::Vop { op, et, qd, qn, qm },
         Instr::VshrImm { qd, qn, shift, et } => {
             // `shr`'s rejection depends only on (et, shift); probing with a
             // zero vector decides once whether execution can ever fail.
@@ -215,7 +208,7 @@ impl DecodedProgram {
     /// [`decode`](Self::decode) with the program's
     /// [`Program::content_hash`] already computed (the cache key).
     fn decode_hashed(program: &Program, hash: u64) -> DecodedProgram {
-        let mut entries: Vec<DecodedInstr> = program
+        let entries: Vec<DecodedInstr> = program
             .iter()
             .enumerate()
             .map(|(pc, &instr)| DecodedInstr {
@@ -224,22 +217,6 @@ impl DecodedProgram {
                 deps: deps(&instr),
             })
             .collect();
-        // Mark fusible Vop pairs: same (op, et) and the second does not
-        // read the first's destination, so both inputs can be gathered
-        // before either result is written. (`qd == qd2` is fine — the
-        // fused path writes the results in program order.)
-        for i in 0..entries.len().saturating_sub(1) {
-            let (FastOp::Vop { op, et, qd, .. }, FastOp::Vop { op: op2, et: et2, qn: qn2, qm: qm2, .. }) =
-                (entries[i].fast, entries[i + 1].fast)
-            else {
-                continue;
-            };
-            if op == op2 && et == et2 && qd != qn2 && qd != qm2 {
-                if let FastOp::Vop { fuse_next, .. } = &mut entries[i].fast {
-                    *fuse_next = true;
-                }
-            }
-        }
         let mut run_len = vec![0u32; entries.len()];
         for i in (0..entries.len()).rev() {
             run_len[i] = if matches!(entries[i].fast, FastOp::Slow) {
@@ -332,13 +309,9 @@ impl DecodedProgram {
     ) -> Option<bool> {
         debug_assert_eq!(m.pc(), base_pc);
         debug_assert!(n <= self.run_len(base_pc));
-        let simd = m.simd();
         let mut next_pc = base_pc.wrapping_add(n);
         let mut taken = None;
-        let entries = self.run_entries(base_pc, n);
-        let mut i = 0;
-        while i < entries.len() {
-            let e = &entries[i];
+        for e in self.run_entries(base_pc, n) {
             match e.fast {
                 FastOp::Nop => {}
                 FastOp::MovImm { rd, v } => m.set_reg(rd, v),
@@ -440,38 +413,17 @@ impl DecodedProgram {
                     }
                     mem_addrs.push(addr);
                 }
-                FastOp::Vop { op, et, qd, qn, qm, fuse_next } => {
-                    // A fused pair commits as two instructions (timing
-                    // and counts are untouched); only the lane math is
-                    // batched into one backend call.
-                    if fuse_next && i + 1 < entries.len() {
-                        if let FastOp::Vop { qd: qd2, qn: qn2, qm: qm2, .. } =
-                            entries[i + 1].fast
-                        {
-                            let (r0, r1) = simd.apply2(
-                                op,
-                                et,
-                                m.qreg(qn),
-                                m.qreg(qm),
-                                m.qreg(qn2),
-                                m.qreg(qm2),
-                            );
-                            m.set_qreg(qd, r0);
-                            m.set_qreg(qd2, r1);
-                            i += 2;
-                            continue;
-                        }
-                    }
-                    let v = simd.apply(op, et, m.qreg(qn), m.qreg(qm));
+                FastOp::Vop { op, et, qd, qn, qm } => {
+                    let v = vec128::apply(op, et, m.qreg(qn), m.qreg(qm));
                     m.set_qreg(qd, v);
                 }
                 FastOp::Vshr { qd, qn, shift, et } => {
                     // Decode admitted this (et, shift); shr cannot fail.
-                    let v = simd.shr_unchecked(et, m.qreg(qn), shift);
+                    let v = vec128::shr_unchecked(et, m.qreg(qn), shift);
                     m.set_qreg(qd, v);
                 }
                 FastOp::Vdup { qd, rm, et } => {
-                    m.set_qreg(qd, simd.splat_scalar(et, m.reg(rm)));
+                    m.set_qreg(qd, vec128::splat_scalar(et, m.reg(rm)));
                 }
                 FastOp::VdupImm { qd, v } => m.set_qreg(qd, v),
                 FastOp::Vmov { qd, qm } => {
@@ -479,7 +431,7 @@ impl DecodedProgram {
                     m.set_qreg(qd, v);
                 }
                 FastOp::Vaddv { rd, qn, et } => {
-                    let v = simd.reduce_add(et, m.qreg(qn));
+                    let v = vec128::reduce_add(et, m.qreg(qn));
                     m.set_reg(rd, v);
                 }
                 FastOp::VmovToScalar { rd, qn, lane, et } => {
@@ -493,7 +445,6 @@ impl DecodedProgram {
                 }
                 FastOp::Slow => debug_assert!(false, "slow op inside a fast run"),
             }
-            i += 1;
         }
         m.set_pc(next_pc);
         taken

@@ -39,11 +39,12 @@
 //! assert_eq!(sim.machine().reg(Reg::R0), 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod config;
 mod decoded;
 mod machine;
 mod predictor;
-pub mod simd;
 mod simulator;
 mod timing;
 mod trace;
@@ -52,7 +53,6 @@ pub mod vec128;
 pub use config::{CpuConfig, NeonConfig};
 pub use decoded::{decode_cached, DecodedInstr, DecodedProgram};
 pub use machine::{ExecError, Flags, Machine, MachineState, SimError, DEFAULT_SP};
-pub use simd::{BackendKind, Simd, SimdBackend};
 pub use vec128::LaneError;
 pub use predictor::BranchPredictor;
 pub use simulator::{

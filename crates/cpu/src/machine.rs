@@ -3,9 +3,8 @@
 use dsa_isa::{AddrMode, AluOp, Cond, Instr, MemSize, Operand, Program, QReg, Reg};
 use dsa_mem::MainMemory;
 
-use crate::simd::Simd;
 use crate::trace::{BranchOutcome, TraceEvent};
-use crate::vec128::LaneError;
+use crate::vec128::{self, LaneError};
 
 /// NZCV condition flags.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -170,10 +169,6 @@ pub struct Machine {
     /// from this address space).
     pub mem: MainMemory,
     halted: bool,
-    /// Host-SIMD backend computing the vector-lane semantics. Purely a
-    /// performance choice — every backend is bit-identical — so it is
-    /// not part of [`MachineState`].
-    simd: Simd,
 }
 
 impl Default for Machine {
@@ -188,8 +183,7 @@ pub const DEFAULT_SP: u32 = 0x0F00_0000;
 
 impl Machine {
     /// Creates a machine with zeroed registers, `sp` at [`DEFAULT_SP`]
-    /// and empty memory, using the process-wide [`Simd::active`]
-    /// backend.
+    /// and empty memory.
     pub fn new() -> Machine {
         let mut m = Machine {
             regs: [0; 16],
@@ -197,22 +191,9 @@ impl Machine {
             flags: Flags::default(),
             mem: MainMemory::new(),
             halted: false,
-            simd: Simd::active(),
         };
         m.regs[Reg::SP.index() as usize] = DEFAULT_SP;
         m
-    }
-
-    /// The host-SIMD backend this machine's vector instructions run on.
-    pub fn simd(&self) -> Simd {
-        self.simd
-    }
-
-    /// Pins a specific host-SIMD backend (tests and per-backend
-    /// benchmarks; normal runs keep [`Simd::active`]). Architecturally
-    /// a no-op: every backend is bit-identical.
-    pub fn set_simd(&mut self, simd: Simd) {
-        self.simd = simd;
     }
 
     /// Reads a scalar register.
@@ -448,8 +429,7 @@ impl Machine {
                 let addr = self.reg(rn);
                 let v = self.load_sized(addr, et.mem_size());
                 let mut q = self.qreg(qd);
-                self.simd
-                    .scalar_to_lane(et, &mut q, lane, v)
+                vec128::scalar_to_lane(et, &mut q, lane, v)
                     .map_err(|err| ExecError::Vector { pc, err })?;
                 self.set_qreg(qd, q);
                 if writeback {
@@ -459,9 +439,7 @@ impl Machine {
             }
             Instr::Vst1Lane { qs, lane, rn, writeback, et } => {
                 let addr = self.reg(rn);
-                let v = self
-                    .simd
-                    .lane_to_scalar(et, self.qreg(qs), lane)
+                let v = vec128::lane_to_scalar(et, self.qreg(qs), lane)
                     .map_err(|err| ExecError::Vector { pc, err })?;
                 self.store_sized(addr, et.mem_size(), v);
                 if writeback {
@@ -470,41 +448,36 @@ impl Machine {
                 mem_addr = Some(addr);
             }
             Instr::Vop { op, et, qd, qn, qm } => {
-                let v = self.simd.apply(op, et, self.qreg(qn), self.qreg(qm));
+                let v = vec128::apply(op, et, self.qreg(qn), self.qreg(qm));
                 self.set_qreg(qd, v);
             }
             Instr::VshrImm { qd, qn, shift, et } => {
-                let v = self
-                    .simd
-                    .shr(et, self.qreg(qn), shift)
+                let v = vec128::shr(et, self.qreg(qn), shift)
                     .map_err(|err| ExecError::Vector { pc, err })?;
                 self.set_qreg(qd, v);
             }
             Instr::Vdup { qd, rm, et } => {
-                self.set_qreg(qd, self.simd.splat_scalar(et, self.reg(rm)));
+                self.set_qreg(qd, vec128::splat_scalar(et, self.reg(rm)));
             }
             Instr::VdupImm { qd, imm, et } => {
-                self.set_qreg(qd, self.simd.splat(et, imm));
+                self.set_qreg(qd, vec128::splat(et, imm));
             }
             Instr::Vmov { qd, qm } => {
                 let v = self.qreg(qm);
                 self.set_qreg(qd, v);
             }
             Instr::Vaddv { rd, qn, et } => {
-                let v = self.simd.reduce_add(et, self.qreg(qn));
+                let v = vec128::reduce_add(et, self.qreg(qn));
                 self.set_reg(rd, v);
             }
             Instr::VmovToScalar { rd, qn, lane, et } => {
-                let v = self
-                    .simd
-                    .lane_to_scalar(et, self.qreg(qn), lane)
+                let v = vec128::lane_to_scalar(et, self.qreg(qn), lane)
                     .map_err(|err| ExecError::Vector { pc, err })?;
                 self.set_reg(rd, v);
             }
             Instr::VmovFromScalar { qd, lane, rm, et } => {
                 let mut q = self.qreg(qd);
-                self.simd
-                    .scalar_to_lane(et, &mut q, lane, self.reg(rm))
+                vec128::scalar_to_lane(et, &mut q, lane, self.reg(rm))
                     .map_err(|err| ExecError::Vector { pc, err })?;
                 self.set_qreg(qd, q);
             }
@@ -615,7 +588,6 @@ impl Machine {
             flags: state.flags,
             mem,
             halted: state.halted,
-            simd: Simd::active(),
         }
     }
 }

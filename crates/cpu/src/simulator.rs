@@ -227,11 +227,6 @@ pub struct RunOutcome {
     pub timing: TimingStats,
     /// Memory-hierarchy statistics.
     pub mem: MemoryStats,
-    /// Name of the host-SIMD backend that computed the vector-lane
-    /// semantics (`portable`, `sse2`, `avx2`, `neon`) — recorded so
-    /// benchmark results are attributable. Architecturally inert: every
-    /// backend is bit-identical.
-    pub simd_backend: &'static str,
 }
 
 impl RunOutcome {
@@ -590,7 +585,6 @@ impl Simulator {
             halted: self.machine.is_halted(),
             timing: self.timing.stats(),
             mem: self.timing.mem_stats(),
-            simd_backend: self.machine.simd().name(),
         }
     }
 }

@@ -1,76 +1,90 @@
-//! Lane-wise arithmetic on 128-bit vectors — the **portable reference**
-//! implementation.
+//! Lane-wise arithmetic on 128-bit vectors: the one implementation of
+//! the NEON-style vector instructions' functional semantics.
 //!
-//! These helpers implement the functional semantics of the NEON-style
-//! vector instructions with plain scalar loops. They are the semantic
-//! ground truth: every host-SIMD backend in [`crate::simd`] must be
-//! bit-for-bit identical to these functions (enforced by the
-//! differential proptests in `tests/simd_backends.rs`), and the decode
-//! validator ([`crate::decoded`]) probes them to decide which shapes are
-//! infallible.
+//! The helpers are plain loops over the lanes, which LLVM vectorises in
+//! release builds. [`crate::Machine::step`] and the superblock executor
+//! ([`crate::decoded`]) both compute lane state through them, and the
+//! decode validator probes them to decide which shapes are infallible.
+//! Float lanes follow two rules that the unit tests below check over an
+//! adversarial bit-pattern corpus: a NaN result (a `reduce_add` sum
+//! included) is exactly [`CANON_QNAN`], and `Min`/`Max` are
+//! `f32::min`/`f32::max`.
 
 use dsa_isa::{ElemType, VecOp};
 
+/// The arms of [`apply`] for one integer lane type.
+macro_rules! int_lanes {
+    ($t:ty, $op:expr, $a:expr, $b:expr) => {
+        match $op {
+            VecOp::Add => zip_lanes($a, $b, <$t>::wrapping_add),
+            VecOp::Sub => zip_lanes($a, $b, <$t>::wrapping_sub),
+            VecOp::Mul => zip_lanes($a, $b, <$t>::wrapping_mul),
+            VecOp::Min => zip_lanes($a, $b, <$t>::min),
+            VecOp::Max => zip_lanes($a, $b, <$t>::max),
+            VecOp::And => zip_lanes($a, $b, |x: $t, y| x & y),
+            VecOp::Orr => zip_lanes($a, $b, |x: $t, y| x | y),
+            VecOp::Eor => zip_lanes($a, $b, |x: $t, y| x ^ y),
+        }
+    };
+}
+
 /// Applies `op` lane-wise over two 128-bit values.
+///
+/// Integer lanes compute in their own width (wrapping, signed
+/// `Min`/`Max`), and the op is matched once per call rather than once
+/// per lane, so each arm is a straight loop LLVM can vectorise.
 pub fn apply(op: VecOp, et: ElemType, a: [u8; 16], b: [u8; 16]) -> [u8; 16] {
     match et {
-        ElemType::I8 => map_lanes::<1>(a, b, |x, y| {
-            let (x, y) = (x[0] as i8, y[0] as i8);
-            [int_op(op, x as i64, y as i64) as u8]
-        }),
-        ElemType::I16 => map_lanes::<2>(a, b, |x, y| {
-            let x = i16::from_le_bytes(x);
-            let y = i16::from_le_bytes(y);
-            (int_op(op, x as i64, y as i64) as i16).to_le_bytes()
-        }),
-        ElemType::I32 => map_lanes::<4>(a, b, |x, y| {
-            let x = i32::from_le_bytes(x);
-            let y = i32::from_le_bytes(y);
-            (int_op(op, x as i64, y as i64) as i32).to_le_bytes()
-        }),
-        ElemType::F32 => map_lanes::<4>(a, b, |x, y| {
-            let x = f32::from_le_bytes(x);
-            let y = f32::from_le_bytes(y);
-            float_op(op, x, y).to_le_bytes()
-        }),
+        ElemType::I8 => int_lanes!(i8, op, a, b),
+        ElemType::I16 => int_lanes!(i16, op, a, b),
+        ElemType::I32 => int_lanes!(i32, op, a, b),
+        ElemType::F32 => match op {
+            VecOp::Add => zip_lanes(a, b, |x: f32, y| canon(x + y)),
+            VecOp::Sub => zip_lanes(a, b, |x: f32, y| canon(x - y)),
+            VecOp::Mul => zip_lanes(a, b, |x: f32, y| canon(x * y)),
+            VecOp::Min => zip_lanes(a, b, |x: f32, y| canon(x.min(y))),
+            VecOp::Max => zip_lanes(a, b, |x: f32, y| canon(x.max(y))),
+            // Bitwise ops act on the raw bits, NaN payloads included.
+            VecOp::And => zip_lanes(a, b, |x: u32, y| x & y),
+            VecOp::Orr => zip_lanes(a, b, |x: u32, y| x | y),
+            VecOp::Eor => zip_lanes(a, b, |x: u32, y| x ^ y),
+        },
     }
 }
 
-/// Reference semantics for float `Min`/`Max` lanes, shared with the SIMD
-/// backends: hardware min/max instructions (SSE `minps`, NEON `fmin`)
-/// disagree with Rust's `f32::min` on NaN and signed-zero operands, so
-/// every backend routes float Min/Max through this exact scalar code.
-pub(crate) fn float_minmax(op: VecOp, a: [u8; 16], b: [u8; 16]) -> [u8; 16] {
-    debug_assert!(matches!(op, VecOp::Min | VecOp::Max));
-    apply(op, ElemType::F32, a, b)
+/// A lane type, stored little-endian inside a 128-bit vector.
+trait Lane: Copy {
+    const BYTES: usize;
+    fn read(bytes: &[u8]) -> Self;
+    fn write(self, bytes: &mut [u8]);
 }
 
-fn map_lanes<const W: usize>(
-    a: [u8; 16],
-    b: [u8; 16],
-    mut f: impl FnMut([u8; W], [u8; W]) -> [u8; W],
-) -> [u8; 16] {
+macro_rules! impl_lane {
+    ($($t:ty),*) => {$(
+        impl Lane for $t {
+            const BYTES: usize = std::mem::size_of::<$t>();
+            #[inline]
+            fn read(bytes: &[u8]) -> $t {
+                <$t>::from_le_bytes(bytes.try_into().expect("lane width")) // infallible: chunks are exactly BYTES long
+            }
+            #[inline]
+            fn write(self, bytes: &mut [u8]) {
+                bytes.copy_from_slice(&self.to_le_bytes());
+            }
+        }
+    )*};
+}
+impl_lane!(i8, i16, i32, u32, f32);
+
+/// `f` over each pair of `T` lanes of `a` and `b`.
+#[inline]
+fn zip_lanes<T: Lane>(a: [u8; 16], b: [u8; 16], f: impl Fn(T, T) -> T) -> [u8; 16] {
     let mut out = [0u8; 16];
-    for lane in 0..(16 / W) {
-        let lo = lane * W;
-        let x: [u8; W] = a[lo..lo + W].try_into().expect("lane width"); // infallible: slice is exactly W bytes
-        let y: [u8; W] = b[lo..lo + W].try_into().expect("lane width"); // infallible: slice is exactly W bytes
-        out[lo..lo + W].copy_from_slice(&f(x, y));
+    let ins = a.chunks_exact(T::BYTES).zip(b.chunks_exact(T::BYTES));
+    for (o, (x, y)) in out.chunks_exact_mut(T::BYTES).zip(ins) {
+        f(T::read(x), T::read(y)).write(o);
     }
     out
-}
-
-fn int_op(op: VecOp, x: i64, y: i64) -> i64 {
-    match op {
-        VecOp::Add => x.wrapping_add(y),
-        VecOp::Sub => x.wrapping_sub(y),
-        VecOp::Mul => x.wrapping_mul(y),
-        VecOp::Min => x.min(y),
-        VecOp::Max => x.max(y),
-        VecOp::And => x & y,
-        VecOp::Orr => x | y,
-        VecOp::Eor => x ^ y,
-    }
 }
 
 /// The quiet NaN every float lane op returns when its result is NaN.
@@ -78,9 +92,9 @@ fn int_op(op: VecOp, x: i64, y: i64) -> i64 {
 /// Neither Rust (LLVM may commute `fadd`, changing which operand's
 /// payload propagates between debug and release builds) nor the host
 /// ISAs (x86 propagates the first NaN operand, ARM prioritises
-/// signalling NaNs) define one NaN payload rule, so the reference
-/// semantics canonicalise instead: any NaN-producing float lane yields
-/// exactly these bits, on every backend, at every optimisation level.
+/// signalling NaNs) define one NaN payload rule, so the lane semantics
+/// canonicalise instead: any NaN-producing float lane yields exactly
+/// these bits, on every host, at every optimisation level.
 pub(crate) const CANON_QNAN: u32 = 0x7FC0_0000;
 
 /// Collapses NaN results to [`CANON_QNAN`]. Whether a result is NaN is
@@ -91,19 +105,6 @@ fn canon(r: f32) -> f32 {
         f32::from_bits(CANON_QNAN)
     } else {
         r
-    }
-}
-
-fn float_op(op: VecOp, x: f32, y: f32) -> f32 {
-    match op {
-        VecOp::Add => canon(x + y),
-        VecOp::Sub => canon(x - y),
-        VecOp::Mul => canon(x * y),
-        VecOp::Min => canon(x.min(y)),
-        VecOp::Max => canon(x.max(y)),
-        VecOp::And => f32::from_bits(x.to_bits() & y.to_bits()),
-        VecOp::Orr => f32::from_bits(x.to_bits() | y.to_bits()),
-        VecOp::Eor => f32::from_bits(x.to_bits() ^ y.to_bits()),
     }
 }
 
@@ -178,9 +179,8 @@ impl std::fmt::Display for LaneError {
 impl std::error::Error for LaneError {}
 
 /// Checks a `(et, shift)` shape: shifts are integer-only and must be
-/// narrower than the lane. Shared by the portable [`shr`] and every SIMD
-/// backend so the fallibility contract is identical across backends.
-pub(crate) fn validate_shift(et: ElemType, shift: u8) -> Result<(), LaneError> {
+/// narrower than the lane.
+fn validate_shift(et: ElemType, shift: u8) -> Result<(), LaneError> {
     if et.is_float() {
         return Err(LaneError::UnsupportedElement { et, op: "vector shift" });
     }
@@ -191,7 +191,7 @@ pub(crate) fn validate_shift(et: ElemType, shift: u8) -> Result<(), LaneError> {
 }
 
 /// Checks a `(et, lane)` pair against the element type's lane count.
-pub(crate) fn validate_lane(et: ElemType, lane: u8) -> Result<(), LaneError> {
+fn validate_lane(et: ElemType, lane: u8) -> Result<(), LaneError> {
     if (lane as u32) < et.lanes() {
         Ok(())
     } else {
@@ -301,15 +301,16 @@ pub(crate) fn scalar_to_lane_unchecked(et: ElemType, v: &mut [u8; 16], lane: u8,
 
 /// Horizontal reduce-add of all lanes into a 32-bit scalar. Integer lanes
 /// are sign-extended and summed with wrapping arithmetic; float lanes are
-/// summed in lane order (the association every backend must reproduce —
-/// float addition is not associative).
+/// summed in lane order (float addition is not associative, so the order
+/// is part of the result), and a NaN sum is [`CANON_QNAN`] like any NaN
+/// lane result.
 pub fn reduce_add(et: ElemType, v: [u8; 16]) -> u32 {
     if et.is_float() {
         let mut acc = 0f32;
         for lane in 0..4 {
             acc += f32::from_bits(lane_to_scalar_unchecked(et, v, lane));
         }
-        acc.to_bits()
+        canon(acc).to_bits()
     } else {
         let mut acc = 0i32;
         for lane in 0..et.lanes() as u8 {
@@ -441,5 +442,134 @@ mod tests {
             Err(LaneError::ShiftOutOfRange { et: ElemType::I8, shift: 8 })
         );
         assert!(shr(ElemType::I8, [0; 16], 7).is_ok());
+    }
+
+    /// Adversarial 32-bit float patterns: quiet and signalling NaN
+    /// payloads, both infinities and zeros, denormals, boundary
+    /// exponents.
+    const F32_PATTERNS: [u32; 16] = [
+        0x0000_0000, // +0.0
+        0x8000_0000, // -0.0
+        0x7F80_0000, // +inf
+        0xFF80_0000, // -inf
+        0x7FC0_0000, // canonical qNaN
+        0xFFC0_0001, // negative qNaN, nonzero payload
+        0x7F80_0001, // sNaN, minimal payload
+        0x7FBF_FFFF, // sNaN, maximal payload
+        0x7FFF_FFFF, // qNaN, maximal payload
+        0x0000_0001, // smallest denormal
+        0x807F_FFFF, // largest negative denormal
+        0x0080_0000, // smallest normal
+        0x7F7F_FFFF, // f32::MAX
+        0x3F80_0000, // 1.0
+        0xBF80_0000, // -1.0
+        0x4049_0FDB, // pi
+    ];
+
+    const FLOAT_ARITH: [VecOp; 5] = [VecOp::Add, VecOp::Sub, VecOp::Mul, VecOp::Min, VecOp::Max];
+
+    fn f32_vec(bits: [u32; 4]) -> [u8; 16] {
+        v_i32(bits.map(|b| b as i32))
+    }
+
+    fn f32_lanes(v: [u8; 16]) -> [u32; 4] {
+        std::array::from_fn(|i| u32::from_le_bytes(v[i * 4..i * 4 + 4].try_into().unwrap()))
+    }
+
+    /// Every `(op, a, b)` over the corpus, lane results beside their
+    /// inputs. Each vector holds four consecutive corpus entries, so
+    /// every pattern pair meets in lane 0 and the other lanes vary.
+    /// `black_box` keeps the corpus out of constant folding: the lane
+    /// loops must be checked as the host runs them.
+    fn sweep(ops: &[VecOp], mut check: impl FnMut(VecOp, u32, u32, u32)) {
+        let n = F32_PATTERNS.len();
+        let window = |i: usize| f32_vec(std::array::from_fn(|k| F32_PATTERNS[(i + k) % n]));
+        for &op in ops {
+            for i in 0..n {
+                for j in 0..n {
+                    let (a, b) = (window(i), window(j));
+                    let out = f32_lanes(apply(std::hint::black_box(op), ElemType::F32, a, b));
+                    let (a, b) = (f32_lanes(a), f32_lanes(b));
+                    for lane in 0..4 {
+                        check(op, a[lane], b[lane], out[lane]);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The scalar `f32` operation a float lane op stands for.
+    fn scalar_f32(op: VecOp, x: u32, y: u32) -> f32 {
+        let (x, y) = std::hint::black_box((f32::from_bits(x), f32::from_bits(y)));
+        match op {
+            VecOp::Add => x + y,
+            VecOp::Sub => x - y,
+            VecOp::Mul => x * y,
+            VecOp::Min => x.min(y),
+            VecOp::Max => x.max(y),
+            VecOp::And | VecOp::Orr | VecOp::Eor => unreachable!("bitwise ops are not float ops"),
+        }
+    }
+
+    #[test]
+    fn nan_float_lanes_are_canonical() {
+        sweep(&FLOAT_ARITH, |op, x, y, r| {
+            let nan = scalar_f32(op, x, y).is_nan();
+            assert_eq!(f32::from_bits(r).is_nan(), nan, "{op:?}({x:#x}, {y:#x}) = {r:#x}");
+            if nan {
+                assert_eq!(r, CANON_QNAN, "{op:?}({x:#x}, {y:#x}) NaN payload");
+            }
+        });
+    }
+
+    #[test]
+    fn non_nan_float_lanes_match_scalar_f32() {
+        sweep(&FLOAT_ARITH, |op, x, y, r| {
+            let want = scalar_f32(op, x, y);
+            if !want.is_nan() {
+                assert_eq!(r, want.to_bits(), "{op:?}({x:#x}, {y:#x})");
+            }
+        });
+        // Bitwise ops act on the raw bits, NaN payloads included.
+        sweep(&[VecOp::And, VecOp::Orr, VecOp::Eor], |op, x, y, r| {
+            let want = match op {
+                VecOp::And => x & y,
+                VecOp::Orr => x | y,
+                _ => x ^ y,
+            };
+            assert_eq!(r, want, "{op:?}({x:#x}, {y:#x})");
+        });
+    }
+
+    #[test]
+    fn float_min_max_follow_f32_on_signed_zeros() {
+        let (pos, neg) = (0x0000_0000u32, 0x8000_0000u32);
+        for (x, y) in [(pos, neg), (neg, pos), (pos, pos), (neg, neg)] {
+            let (a, b) = (f32_vec([x; 4]), f32_vec([y; 4]));
+            for op in [VecOp::Min, VecOp::Max] {
+                let want = scalar_f32(op, x, y).to_bits();
+                let got = apply(std::hint::black_box(op), ElemType::F32, a, b);
+                assert_eq!(f32_lanes(got), [want; 4], "{op:?}({x:#x}, {y:#x})");
+            }
+        }
+    }
+
+    #[test]
+    fn float_reduce_add_keeps_lane_order() {
+        for x in F32_PATTERNS {
+            for y in F32_PATTERNS {
+                // Large magnitudes beside small ones, so a re-associated
+                // sum rounds differently from the lane-order one.
+                let lanes = [x, 0x4B80_0000, y, 0xCB80_0000];
+                let v = std::hint::black_box(f32_vec(lanes));
+                let want = lanes.iter().fold(0f32, |acc, &l| acc + f32::from_bits(l));
+                let got = reduce_add(ElemType::F32, v);
+                if want.is_nan() {
+                    assert_eq!(got, CANON_QNAN, "{lanes:#x?}");
+                } else {
+                    assert_eq!(got, want.to_bits(), "{lanes:#x?}");
+                }
+            }
+        }
     }
 }

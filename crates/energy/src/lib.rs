@@ -32,6 +32,8 @@
 //! assert!(breakdown.total_nj() > 0.0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod area;
 mod model;
 

@@ -23,11 +23,6 @@ pub enum Cond {
     Al,
 }
 
-impl Cond {
-    pub(crate) const ALL: [Cond; 7] =
-        [Cond::Eq, Cond::Ne, Cond::Ge, Cond::Lt, Cond::Gt, Cond::Le, Cond::Al];
-}
-
 impl fmt::Display for Cond {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -73,22 +68,6 @@ pub enum AluOp {
 }
 
 impl AluOp {
-    pub(crate) const ALL: [AluOp; 13] = [
-        AluOp::Add,
-        AluOp::Sub,
-        AluOp::Rsb,
-        AluOp::Mul,
-        AluOp::And,
-        AluOp::Orr,
-        AluOp::Eor,
-        AluOp::Lsl,
-        AluOp::Lsr,
-        AluOp::Asr,
-        AluOp::FAdd,
-        AluOp::FSub,
-        AluOp::FMul,
-    ];
-
     /// Whether this operation interprets its operands as floats.
     pub fn is_float(self) -> bool {
         matches!(self, AluOp::FAdd | AluOp::FSub | AluOp::FMul)
@@ -214,7 +193,8 @@ pub enum ElemType {
 }
 
 impl ElemType {
-    pub(crate) const ALL: [ElemType; 4] =
+    /// Every element type.
+    pub const ALL: [ElemType; 4] =
         [ElemType::I8, ElemType::I16, ElemType::I32, ElemType::F32];
 
     /// Number of lanes in a 128-bit register.
@@ -276,7 +256,8 @@ pub enum VecOp {
 }
 
 impl VecOp {
-    pub(crate) const ALL: [VecOp; 8] = [
+    /// Every lane operation.
+    pub const ALL: [VecOp; 8] = [
         VecOp::Add,
         VecOp::Sub,
         VecOp::Mul,

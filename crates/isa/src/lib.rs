@@ -2,8 +2,9 @@
 //!
 //! This crate defines the instruction set architecture used by the whole
 //! DSA reproduction stack: the register files, the instruction forms, a
-//! compact 32-bit binary encoding with a full decoder, a disassembler and
-//! an [`Asm`] assembler with label support.
+//! disassembler and an [`Asm`] assembler with label support. Programs
+//! live as [`Instr`] values; the simulator predecodes those directly, so
+//! there is no binary encoding.
 //!
 //! The ISA is deliberately a *reduced* ARMv7: it keeps exactly the
 //! structural features the Dynamic SIMD Assembler's detection logic relies
@@ -38,14 +39,14 @@
 //! assert_eq!(program.len(), 8);
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod asm;
-mod encode;
 mod instr;
 mod program;
 mod reg;
 
 pub use asm::{Asm, Label};
-pub use encode::{decode, encode, DecodeError};
 pub use instr::{
     AddrMode, AluOp, Cond, ElemType, Instr, InstrClass, MemSize, Operand, VecOp,
 };

@@ -3,7 +3,6 @@
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
-use crate::encode::{decode, encode, DecodeError};
 use crate::instr::Instr;
 
 /// A fully assembled program: a flat sequence of instructions with entry
@@ -50,21 +49,6 @@ impl Program {
         &self.instrs
     }
 
-    /// Serialises the program to its 32-bit machine words.
-    pub fn to_words(&self) -> Vec<u32> {
-        self.instrs.iter().map(|&i| encode(i)).collect()
-    }
-
-    /// Reconstructs a program from machine words.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first [`DecodeError`] encountered.
-    pub fn from_words(words: &[u32]) -> Result<Program, DecodeError> {
-        let instrs = words.iter().map(|&w| decode(w)).collect::<Result<_, _>>()?;
-        Ok(Program { instrs })
-    }
-
     /// Number of vector (NEON) instructions in the program text.
     pub fn vector_instr_count(&self) -> usize {
         self.instrs.iter().filter(|i| i.is_vector()).count()
@@ -78,8 +62,7 @@ impl Program {
     /// Each instruction's derived [`Hash`] feeds one FNV-1a state, with
     /// no formatting and no allocation. That covers every representable
     /// `Instr`, including malformed shapes (an over-wide vector shift,
-    /// say) that [`encode`] rejects but the simulator handles as a
-    /// runtime error. The value is a pure function of the instruction
+    /// say) that the simulator handles as a runtime error. The value is a pure function of the instruction
     /// stream within one build: it follows the derived `Hash` layout,
     /// which may change between compiler versions, so it is never
     /// persisted — a checkpoint carrying it is only adopted by the same
@@ -177,17 +160,6 @@ mod tests {
     }
 
     #[test]
-    fn words_roundtrip() {
-        let p = Program::new(vec![
-            Instr::MovImm { rd: Reg::R1, imm: 42 },
-            Instr::B { cond: Cond::Ne, offset: -1 },
-            Instr::Halt,
-        ]);
-        let words = p.to_words();
-        assert_eq!(Program::from_words(&words).unwrap(), p);
-    }
-
-    #[test]
     fn display_lists_addresses() {
         let p = Program::new(vec![Instr::Nop, Instr::Halt]);
         let text = p.to_string();
@@ -196,20 +168,9 @@ mod tests {
     }
 
     #[test]
-    fn content_hash_tracks_encoding() {
-        let p = Program::new(vec![Instr::MovImm { rd: Reg::R1, imm: 42 }, Instr::Halt]);
-        let same = Program::from_words(&p.to_words()).unwrap();
-        assert_eq!(p.content_hash(), same.content_hash());
-        let different = Program::new(vec![Instr::MovImm { rd: Reg::R2, imm: 42 }, Instr::Halt]);
-        assert_ne!(p.content_hash(), different.content_hash());
-        assert_ne!(p.content_hash(), Program::default().content_hash());
-    }
-
-    #[test]
     fn content_hash_accepts_unencodable_instrs() {
         // An over-wide shift is representable (and fails at run time in
-        // the simulator) but rejected by `encode` — hashing must not
-        // panic on it.
+        // the simulator) — hashing must not panic on it.
         let bad = Program::new(vec![
             Instr::VshrImm {
                 qd: crate::QReg::Q0,

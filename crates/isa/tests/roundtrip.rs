@@ -1,9 +1,6 @@
-//! Property tests: every valid instruction round-trips through the binary
-//! encoding, and every decodable word re-encodes to itself.
+//! Property test: every instruction shape disassembles to text.
 
-use dsa_isa::{
-    decode, encode, AddrMode, AluOp, Cond, ElemType, Instr, MemSize, Operand, QReg, Reg, VecOp,
-};
+use dsa_isa::{AddrMode, AluOp, Cond, ElemType, Instr, MemSize, Operand, QReg, Reg, VecOp};
 use proptest::prelude::*;
 
 fn any_reg() -> impl Strategy<Value = Reg> {
@@ -143,24 +140,6 @@ fn any_instr() -> impl Strategy<Value = Instr> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2048))]
-
-    #[test]
-    fn encode_decode_roundtrip(instr in any_instr()) {
-        let word = encode(instr);
-        let back = decode(word).expect("decodable");
-        prop_assert_eq!(instr, back);
-    }
-
-    #[test]
-    fn decode_encode_fixpoint(word in any::<u32>()) {
-        // Decoding is partial; when it succeeds the result must re-encode
-        // to a word that decodes to the same instruction (the encoding may
-        // canonicalise junk bits, so compare at the instruction level).
-        if let Ok(instr) = decode(word) {
-            let canon = encode(instr);
-            prop_assert_eq!(decode(canon).expect("canonical word decodes"), instr);
-        }
-    }
 
     #[test]
     fn disassembly_is_nonempty(instr in any_instr()) {

@@ -23,6 +23,8 @@
 //! assert!(cold > warm); // first touch misses all the way to DRAM
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod cache;
 mod memory;
 mod system;

@@ -31,6 +31,8 @@
 //!   and revives shards, then audits zero lost sessions and
 //!   bit-identity against locally computed golden references.
 
+#![forbid(unsafe_code)]
+
 pub mod loadgen;
 pub mod protocol;
 pub mod server;

@@ -49,6 +49,8 @@
 //! [`json::parse`] reads it back for validation and reporting. Its
 //! [`crc32`] also guards `dsa-core`'s snapshot images.
 
+#![forbid(unsafe_code)]
+
 pub mod columnar;
 pub mod event;
 pub mod json;

@@ -33,6 +33,8 @@
 //! assert!(w.check(sim.machine()), "matches the reference result");
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod bitcounts;
 mod data;
 mod dijkstra;
