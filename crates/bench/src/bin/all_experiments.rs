@@ -18,7 +18,6 @@ use std::time::Instant;
 
 use dsa_bench::cache;
 use dsa_bench::experiments::SECTIONS;
-use dsa_bench::{Supervisor, SupervisorPolicy};
 
 fn main() {
     let wanted: Vec<String> = std::env::args().skip(1).collect();
@@ -35,11 +34,9 @@ fn main() {
     let grid = cache::paper_grid();
     eprintln!("warming {} (workload x system) combos on {jobs} thread(s)...", grid.len());
     let warm = Instant::now();
-    // The warm-up runs supervised: a panicking or overrunning combo is
-    // caught at the crash boundary, retried with backoff, and accounted
-    // in the supervision summary instead of aborting the whole grid.
-    let supervisor = Supervisor::new(cache::global(), SupervisorPolicy::default());
-    supervisor.warm(&grid, dsa_workloads::Scale::Paper, jobs);
+    // A panicking combo is caught and memoized as an error: its section
+    // prints `# INCOMPLETE` and the degradation summary counts it.
+    cache::global().warm(&grid, dsa_workloads::Scale::Paper, jobs);
     eprintln!("warm-up: {:.2}s", warm.elapsed().as_secs_f64());
 
     let mut failed = 0u32;
@@ -69,7 +66,6 @@ fn main() {
         stats.hits,
     );
     eprintln!("{}", cache::global().degradation_summary());
-    eprintln!("{}", supervisor.report());
     // One-page telemetry summary: per-run DSA counters always (cheap,
     // folded from DsaStats), plus the merged metrics registry when the
     // runs were traced (DSA_METRICS=1 — off by default so the grid

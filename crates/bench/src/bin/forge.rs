@@ -277,7 +277,7 @@ fn main() {
         print!("{}", report.sites.render());
         sites.add(&report.sites);
         if report.infra_failures > 0 {
-            eprintln!("forge: campaign seed {seed} hit supervisor-level failures");
+            eprintln!("forge: campaign seed {seed} had tasks panic (infra failures)");
             exit(1);
         }
         if let Some((subject, failure)) = report.failures.first() {

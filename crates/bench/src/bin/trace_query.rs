@@ -1,7 +1,7 @@
 //! `trace_query` — cross-run trace analytics.
 //!
-//! Rolls any number of trace files — `dsa-trace/v1` JSONL and
-//! `dsa-tracebin/v1` columnar, auto-sniffed and freely mixed — into the
+//! Rolls any number of trace files — `dsa-trace/v2` JSONL and
+//! `dsa-tracebin/v2` columnar, auto-sniffed and freely mixed — into the
 //! fleet views a directory of soak/experiment runs needs: the core-cycle
 //! span, cycles by stage (charges keyed by source, so a rollup over N
 //! runs sums to the N single-file tables), cache-verdict and CIDP

@@ -27,7 +27,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use dsa_core::DsaConfig;
 use dsa_workloads::{micro, Scale, WorkloadId};
 
-use crate::{run_built, RunError, RunResult, System};
+use crate::{isolate, run_built, RunError, RunResult, System};
 
 /// A cacheable workload: one of the paper's seven applications or one
 /// of the loop-class microkernels.
@@ -137,9 +137,11 @@ pub struct CacheStats {
 }
 
 /// Memoizing run table; see the module docs. Failed runs are memoized
-/// too (`RunError` is `Copy`): a key that watchdogged or produced a
-/// wrong result reports the same error to every requester instead of
-/// re-simulating a known-bad combination.
+/// too (`RunError` is `Copy`): a key that watchdogged, produced a wrong
+/// result or panicked reports the same error to every requester instead
+/// of re-simulating a known-bad combination. Each simulation runs
+/// inside [`isolate`], so a panic becomes [`RunError::Panicked`] in the
+/// slot rather than unwinding through the warm-up pool.
 #[derive(Debug, Default)]
 pub struct RunCache {
     slots: Mutex<HashMap<RunKey, Arc<Slot>>>,
@@ -177,7 +179,19 @@ impl RunCache {
         system: System,
         scale: Scale,
     ) -> Result<Arc<RunResult>, RunError> {
-        let key = RunKey::new(workload, system, scale);
+        self.fill(RunKey::new(workload, system, scale), || {
+            let w = workload.build(system, scale);
+            run_built(&w, system).map(Arc::new)
+        })
+    }
+
+    /// The memoized outcome for `key`, running `simulate` inside the
+    /// crash boundary on first request.
+    fn fill(
+        &self,
+        key: RunKey,
+        simulate: impl FnOnce() -> Result<Arc<RunResult>, RunError>,
+    ) -> Result<Arc<RunResult>, RunError> {
         let slot = {
             let mut slots = self.slots.lock().expect("run-cache poisoned");
             Arc::clone(slots.entry(key).or_default())
@@ -186,8 +200,7 @@ impl RunCache {
         let result = slot.get_or_init(|| {
             simulated = true;
             self.simulations.fetch_add(1, Ordering::Relaxed);
-            let w = workload.build(system, scale);
-            run_built(&w, system).map(Arc::new)
+            isolate(key.workload.describe(), simulate)
         });
         if !simulated {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -466,6 +479,20 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b), "hit must return the memoized allocation");
         assert_eq!(cache.stats(), CacheStats { simulations: 1, hits: 1 });
         assert!(cache.degradation_summary().contains("0 poisoned"));
+    }
+
+    #[test]
+    fn a_panicking_run_is_memoized_as_one_error() {
+        let cache = RunCache::new();
+        let key = RunKey::new(Workload::App(WorkloadId::QSort), System::DsaFull, Scale::Small);
+        let crash = || -> Result<Arc<RunResult>, RunError> { panic!("injected simulator crash") };
+        for _ in 0..2 {
+            let got = cache.fill(key, crash).map(|_| ());
+            assert_eq!(got, Err(RunError::Panicked { workload: "Q Sort" }));
+        }
+        assert_eq!(cache.stats(), CacheStats { simulations: 1, hits: 1 });
+        let summary = cache.degradation_summary();
+        assert!(summary.contains("(0 rollbacks, 0 poisoned, 1 failed runs)"), "{summary}");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The supervised differential campaign: every generated program runs
+//! The differential campaign: every generated program runs
 //! three oracle phases, in parallel across `DSA_JOBS` workers, with
 //! per-loop-class coverage folded from the trace stream. Beside the
 //! generated corpus, each campaign seed also sweeps the eight fixed
@@ -41,7 +41,7 @@ use dsa_core::{
 use dsa_trace::{Collector, Event, Shared};
 
 use crate::cache::{self, fixed_workloads};
-use crate::{render_table, RunError, Supervisor, SupervisorPolicy};
+use crate::{isolate, render_table, RunError};
 
 use super::gen::generate_nth;
 use super::lower::lower;
@@ -144,7 +144,7 @@ pub struct ProgramOutcome {
 
 /// Runs one program's three phases under `config`, all against one
 /// scalar reference run. Never panics on a well-formed spec; lowering
-/// panics on malformed specs are the caller's (supervisor's) concern.
+/// panics on malformed specs are the caller's concern ([`isolate`]).
 pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
     let prog = lower(spec);
     let oracle = DifferentialOracle::new(FORGE_FUEL);
@@ -395,8 +395,8 @@ pub struct CampaignReport {
     /// Generated-program oracle phases that were inconclusive
     /// (reference fuel).
     pub inconclusive: u64,
-    /// Supervisor-level failures (worker panic, deadline, breaker) —
-    /// infra problems, not detector verdicts.
+    /// Tasks that panicked, caught at the crash boundary — harness
+    /// faults, not detector verdicts.
     pub infra_failures: u64,
     /// Failing subjects: programs in corpus order, then workloads.
     pub failures: Vec<(Subject, ForgeFailure)>,
@@ -442,12 +442,12 @@ impl Campaign {
 
     /// Runs the campaign: corpus generation, then the three-phase
     /// check for every program and the sweep for every fixed
-    /// workload, fanned out across workers behind the crash-isolating
-    /// supervisor (one breaker per first-loop class or workload).
+    /// workload, fanned out across workers. Each task runs once inside
+    /// the crash boundary ([`isolate`]); a panic counts as an infra
+    /// failure.
     pub fn run(&self) -> CampaignReport {
         let (corpus, generated) = self.corpus();
         let workloads = fixed_workloads();
-        let supervisor = Supervisor::new(cache::global(), SupervisorPolicy::default());
         let next = AtomicUsize::new(0);
         let results: Mutex<Vec<(usize, Result<Outcome, RunError>)>> =
             Mutex::new(Vec::with_capacity(corpus.len() + workloads.len()));
@@ -457,11 +457,11 @@ impl Campaign {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let r = if let Some(spec) = corpus.get(i) {
-                        supervisor.call(supervisor_name(spec), || {
+                        isolate("generated program", || {
                             Ok(Outcome::Program(run_program(spec, self.config)))
                         })
                     } else if let Some(&w) = workloads.get(i - corpus.len()) {
-                        supervisor.call(w.describe(), || {
+                        isolate(w.describe(), || {
                             Ok(Outcome::Workload(run_workload(self.seed, w, self.config)))
                         })
                     } else {
@@ -511,13 +511,6 @@ impl Campaign {
 enum Outcome {
     Program(ProgramOutcome),
     Workload(WorkloadOutcome),
-}
-
-/// The supervisor breaker key for a program: the expected class of its
-/// first loop, so a detector crash pattern isolates by class instead
-/// of one global breaker silencing the whole campaign.
-fn supervisor_name(spec: &ProgramSpec) -> &'static str {
-    spec.loops.first().map(|l| l.shape.expected_class().name()).unwrap_or("empty")
 }
 
 #[cfg(test)]

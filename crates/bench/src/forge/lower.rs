@@ -52,8 +52,9 @@ impl ForgeProgram {
 ///
 /// Panics if the spec violates a lowering bound (more loops than the
 /// name tables, a shape/field combination the generator never emits).
-/// The campaign runs lowering inside the supervisor's crash boundary,
-/// so a panicking spec surfaces as an infra failure, not an abort.
+/// The campaign runs lowering inside the crash boundary
+/// ([`crate::isolate`]), so a panicking spec surfaces as an infra
+/// failure, not an abort.
 pub fn lower(spec: &ProgramSpec) -> ForgeProgram {
     assert!(
         !spec.loops.is_empty() && spec.loops.len() <= NAME_A.len(),

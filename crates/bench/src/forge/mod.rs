@@ -13,13 +13,13 @@
 //!    ignores the seed, so the campaign never spends budget running
 //!    the same detector stimulus twice.
 //! 3. **Campaign** ([`campaign`]): each program runs one scalar
-//!    [`Reference`] and three supervised differential phases against
+//!    [`Reference`] and three differential phases against
 //!    it — a clean [`DifferentialOracle::check_against`] pass (with a
 //!    trace sink folding per-class coverage), a pass under a
 //!    seed-derived [`FaultSchedule`], and a mid-run
 //!    kill→snapshot→restore [`resume_against`] pass. Programs fan out
-//!    across `DSA_JOBS` workers behind the crash-isolating
-//!    [`Supervisor`](crate::Supervisor).
+//!    across `DSA_JOBS` workers, each inside the crash boundary
+//!    [`isolate`](crate::isolate).
 //!    Each campaign seed also sweeps the eight fixed workloads
 //!    ([`workload`]) through a clean check, the per-site fault sweep
 //!    and a kill/resume check, tallying a per-site table; a workload's

@@ -19,14 +19,13 @@ pub mod cache;
 pub mod cpu_clock;
 pub mod experiments;
 pub mod forge;
-pub mod supervise;
 
 pub use cache::{
     run_cached, run_micro_cached, ContentKey, ResultStore, RunCache, StoreStats, StoredResult,
 };
-pub use supervise::{BreakerState, BreakerView, Supervisor, SupervisorPolicy, SupervisorReport};
 
 use std::io::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dsa_compiler::Variant;
 use dsa_core::{Dsa, DsaConfig, DsaStats, LoopCensus, SnapshotError};
@@ -54,26 +53,19 @@ pub enum RunError {
         /// Golden checksum expected.
         want: u64,
     },
-    /// A supervised worker panicked (caught at the crash-isolation
-    /// boundary) and exhausted its retries.
+    /// A worker panicked and was caught at the crash boundary
+    /// ([`isolate`]).
     Panicked {
         /// Display name of the workload whose worker crashed.
         workload: &'static str,
     },
-    /// A supervised run overran its per-run wall-clock deadline on
-    /// every attempt.
+    /// A service job spent its whole admission deadline queued and was
+    /// shed before it started.
     DeadlineExceeded {
         /// Display name of the workload.
         workload: &'static str,
-        /// The deadline that was exceeded, in milliseconds.
+        /// The admission deadline, in milliseconds.
         deadline_ms: u64,
-    },
-    /// The per-workload circuit breaker is open: earlier attempts
-    /// failed often enough that further runs are refused without
-    /// simulating.
-    BreakerOpen {
-        /// Display name of the workload.
-        workload: &'static str,
     },
     /// A snapshot image was rejected on restore.
     Snapshot(SnapshotError),
@@ -88,21 +80,32 @@ impl std::fmt::Display for RunError {
                 "{} produced a wrong result: got {got:#x}, want {want:#x}",
                 system.name()
             ),
-            RunError::Panicked { workload } => {
-                write!(f, "worker panicked running `{workload}` (retries exhausted)")
-            }
-            RunError::DeadlineExceeded { workload, deadline_ms } => {
-                write!(f, "`{workload}` exceeded its {deadline_ms} ms deadline on every attempt")
-            }
-            RunError::BreakerOpen { workload } => {
-                write!(f, "circuit breaker open for `{workload}`: run refused")
-            }
+            RunError::Panicked { workload } => write!(f, "worker panicked running `{workload}`"),
+            RunError::DeadlineExceeded { workload, deadline_ms } => write!(
+                f,
+                "`{workload}` was shed: it spent its {deadline_ms} ms admission deadline queued"
+            ),
             RunError::Snapshot(e) => write!(f, "snapshot rejected: {e}"),
         }
     }
 }
 
 impl std::error::Error for RunError {}
+
+/// The crash boundary: runs `f`, turning a panic inside it into
+/// [`RunError::Panicked`] for `workload`. Simulation is deterministic,
+/// so a panicking run panics again on every retry; callers memoize or
+/// report the error instead of re-running.
+///
+/// # Errors
+///
+/// `f`'s own error, or [`RunError::Panicked`] if `f` unwound.
+pub fn isolate<T>(
+    workload: &'static str,
+    f: impl FnOnce() -> Result<T, RunError>,
+) -> Result<T, RunError> {
+    catch_unwind(AssertUnwindSafe(f)).unwrap_or(Err(RunError::Panicked { workload }))
+}
 
 impl From<SimError> for RunError {
     fn from(e: SimError) -> RunError {
@@ -377,9 +380,7 @@ mod tests {
         let p = RunError::Panicked { workload: "qsort" };
         assert!(p.to_string().contains("panicked"));
         let d = RunError::DeadlineExceeded { workload: "fft", deadline_ms: 250 };
-        assert!(d.to_string().contains("250 ms"));
-        let b = RunError::BreakerOpen { workload: "susan" };
-        assert!(b.to_string().contains("breaker"));
+        assert!(d.to_string().contains("250 ms admission deadline queued"), "{d}");
         let s = RunError::from(dsa_core::SnapshotError::ChecksumMismatch);
         assert!(s.to_string().contains("snapshot rejected"));
     }

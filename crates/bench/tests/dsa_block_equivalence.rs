@@ -3,7 +3,7 @@
 //! `blocks` answer allows (`Dsa`) must be **bit-identical** to the same
 //! run pinned to one commit at a time (`Stepped(Dsa)`) — in cycles,
 //! committed count, architectural digest, `TimingStats`, `MemoryStats`,
-//! `DsaStats`, the loop census and the byte-exact `dsa-trace/v1` JSONL
+//! `DsaStats`, the loop census and the byte-exact `dsa-trace/v2` JSONL
 //! event stream.
 //!
 //! Four sweeps: every DSA combo of `paper_grid()`; every grid workload

@@ -301,8 +301,8 @@ impl Dsa {
 
     /// Restores from a snapshot image, degrading to a cold start when
     /// the image is rejected: the caller always gets a usable engine,
-    /// plus the typed rejection so it can be reported (the supervised
-    /// harness emits it as a `snapshot-rejected` trace event).
+    /// plus the typed rejection so it can be reported (as a
+    /// `snapshot-rejected` trace event, for instance).
     pub fn restore_or_cold(bytes: &[u8], config: DsaConfig) -> Restored {
         match Dsa::restore(bytes, config) {
             Ok((dsa, machine)) => Restored::Warm { dsa, machine },

@@ -1,6 +1,6 @@
 //! Golden snapshot of the telemetry stream: a deterministic kernel run
 //! twice through one engine (run 2 hits the DSA cache) must reproduce a
-//! checked-in `dsa-trace/v1` JSONL document byte for byte.
+//! checked-in `dsa-trace/v2` JSONL document byte for byte.
 //!
 //! The snapshot pins the *observable contract* — event vocabulary, field
 //! names, ordering and every cycle number — so an accidental change to

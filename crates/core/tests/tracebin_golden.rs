@@ -1,6 +1,6 @@
 //! Golden snapshot of the columnar trace encoding: the same
 //! deterministic two-run scenario as `trace_golden`, encoded as
-//! `dsa-tracebin/v1`, must reproduce a checked-in binary byte for byte.
+//! `dsa-tracebin/v2`, must reproduce a checked-in binary byte for byte.
 //!
 //! The snapshot pins the *wire format* — magic, block layout, column
 //! order, varint/delta choices, string-table numbering — so a change to

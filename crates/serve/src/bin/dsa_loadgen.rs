@@ -15,7 +15,7 @@
 //! ```
 //!
 //! `--trace` captures the service's full event stream: a `.trcb`
-//! suffix selects the compact `dsa-tracebin/v1` columnar encoding, any
+//! suffix selects the compact `dsa-tracebin/v2` columnar encoding, any
 //! other suffix writes JSONL. Either form feeds `trace_query`.
 
 use std::process::ExitCode;

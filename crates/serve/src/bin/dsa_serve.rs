@@ -12,7 +12,7 @@
 //! ```
 //!
 //! `--trace` with a `.trcb` suffix writes the compact columnar
-//! `dsa-tracebin/v1` encoding; any other suffix writes JSONL. On exit
+//! `dsa-tracebin/v2` encoding; any other suffix writes JSONL. On exit
 //! the daemon prints the merged fleet metrics rollup (sampled
 //! always-on telemetry; `--sample-rate 0` disables it).
 

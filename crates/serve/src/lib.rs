@@ -1,18 +1,19 @@
 //! `dsa-serve` — the fault-tolerant sharded simulation service.
 //!
 //! Runs DSA simulation jobs (program + workload + DSA config + scale)
-//! behind admission control, on a fixed pool of supervised worker
+//! behind admission control, on a fixed pool of crash-isolated worker
 //! shards, with snapshot-backed sessions that survive shard kills:
 //!
 //! * **Admission control** ([`service`]) — bounded per-shard queues;
 //!   when every alive queue is full the job is shed with a typed
 //!   [`ServeError::Overloaded`], never a panic or an unbounded queue.
-//!   Deadlines propagate: a job that spends its budget queued is
-//!   refused typed instead of running stale.
-//! * **Supervised shards** ([`shard`]) — each shard wraps every
-//!   execution slice in the bench-layer `Supervisor`: panic isolation,
-//!   deadline enforcement, transient retry with decorrelated seeded
-//!   backoff, and a closed → open → half-open breaker per workload.
+//!   Deadlines propagate: a job that spends its admission deadline
+//!   queued is refused typed instead of running stale.
+//! * **Crash-isolated shards** ([`shard`]) — each shard runs every
+//!   execution slice inside the bench-layer crash boundary
+//!   ([`dsa_bench::isolate`]). A panicked slice restores from the
+//!   session's checkpoint, up to [`shard::MAX_SLICE_RETRIES`] panics in
+//!   a row; past that the job replies a typed `Panicked` error.
 //! * **Snapshot-backed sessions** ([`session`]) — long runs checkpoint
 //!   every `checkpoint_every` commits through the crash-consistent
 //!   snapshot format (wrapped in a [`dsa_core::SessionMeta`] envelope

@@ -113,10 +113,8 @@ pub struct LoadReport {
     pub resume_failures: u64,
     /// Wall-clock runtime of the whole load, ms.
     pub wall_ms: u64,
-    /// Final service counters.
+    /// Final service counters (slice panics and retries included).
     pub stats: ServiceStats,
-    /// Aggregated supervision counters.
-    pub supervision: dsa_bench::SupervisorReport,
     /// The merged fleet metrics rollup: every shard's sampled-telemetry
     /// delta plus the service's lifecycle metrics, merged (see
     /// `Service::fleet_metrics`).
@@ -154,17 +152,14 @@ impl LoadReport {
 
     /// Renders the report as a single-line JSON artifact.
     pub fn to_json(&self) -> String {
-        let sup = &self.supervision;
         format!(
-            "{{\"schema\":\"dsa-loadgen/v1\",\"submitted\":{},\"admitted\":{},\"completed\":{},\
+            "{{\"schema\":\"dsa-loadgen/v2\",\"submitted\":{},\"admitted\":{},\"completed\":{},\
              \"lost\":{},\"mismatches\":{},\"sheds\":{},\"cache_hits\":{},\
              \"migrated_sessions\":{},\"resumed_sessions\":{},\"p50_ms\":{},\"p99_ms\":{},\
              \"max_ms\":{},\"resume_checks\":{},\"resume_failures\":{},\"wall_ms\":{},\
              \"service\":{{\"migrations\":{},\"checkpoints\":{},\"kills\":{},\"recoveries\":{},\
-             \"store_hits\":{},\"store_misses\":{}}},\
-             \"supervision\":{{\"runs\":{},\"attempts\":{},\"retries\":{},\"panics\":{},\
-             \"breakers_opened\":{},\"breaker_probes\":{},\"breakers_closed\":{},\
-             \"breaker_refusals\":{}}},\"fleet\":{},\"passed\":{}}}",
+             \"store_hits\":{},\"store_misses\":{},\"panics\":{},\"retries\":{}}},\
+             \"fleet\":{},\"passed\":{}}}",
             self.submitted,
             self.admitted,
             self.completed,
@@ -186,14 +181,8 @@ impl LoadReport {
             self.stats.recoveries,
             self.stats.store.hits,
             self.stats.store.misses,
-            sup.runs,
-            sup.attempts,
-            sup.retries,
-            sup.panics,
-            sup.breakers_opened,
-            sup.breaker_probes,
-            sup.breakers_closed,
-            sup.breaker_refusals,
+            self.stats.panics,
+            self.stats.retries,
             self.fleet.report_json(),
             self.passed(),
         )
@@ -201,7 +190,7 @@ impl LoadReport {
 }
 
 /// Suppresses the default panic-hook backtrace for deterministically
-/// injected worker crashes (they are caught at the supervision
+/// injected worker crashes (they are caught at the crash
 /// boundary; printing hundreds of them would drown the report). All
 /// other panics keep the previous hook's behavior.
 pub fn silence_injected_crashes() {
@@ -437,7 +426,6 @@ pub fn run_loadgen_traced(
     }
 
     let stats = service.stats();
-    let supervision = service.supervision();
     let fleet = service.fleet_metrics();
     service.shutdown();
     let mut latencies = match audit.latencies.lock() {
@@ -464,7 +452,6 @@ pub fn run_loadgen_traced(
         resume_failures,
         wall_ms: started.elapsed().as_millis() as u64,
         stats,
-        supervision,
         fleet,
     }
 }

@@ -31,7 +31,7 @@ use dsa_core::splitmix64;
 use dsa_trace::{Event, TraceSink};
 
 use dsa_bench::cache::{fingerprint, ContentKey, ResultStore, StoreStats};
-use dsa_bench::{RunError, SupervisorPolicy, SupervisorReport};
+use dsa_bench::RunError;
 
 use crate::protocol::JobOutcome;
 use crate::session::{JobSpec, Session, SessionResult};
@@ -90,11 +90,6 @@ pub struct ServiceConfig {
     pub queue_cap: usize,
     /// Commits per slice between checkpoints.
     pub checkpoint_every: u64,
-    /// Supervision policy every shard supervisor runs under.
-    pub policy: SupervisorPolicy,
-    /// Migrations after which a session fails instead of re-routing
-    /// (breaker-driven migration could otherwise ping-pong forever).
-    pub migration_limit: u32,
     /// Always-on engine telemetry sampling: one in `sample_rate` loop
     /// lifecycles is folded into the per-shard metrics delta (0
     /// disables sampling, 1 keeps everything). The default keeps the
@@ -105,59 +100,40 @@ pub struct ServiceConfig {
 
 impl Default for ServiceConfig {
     fn default() -> ServiceConfig {
-        ServiceConfig {
-            shards: 4,
-            queue_cap: 64,
-            checkpoint_every: 20_000,
-            policy: SupervisorPolicy::default(),
-            migration_limit: 10,
-            sample_rate: 8,
-        }
+        ServiceConfig { shards: 4, queue_cap: 64, checkpoint_every: 20_000, sample_rate: 8 }
     }
 }
 
-/// A cloneable event sink handle: the service, its shards' supervisors
-/// and the server all record into one optionally-attached sink. With
-/// nothing attached, recording is a mutex-guarded no-op touched only at
-/// slice and lifecycle boundaries — never per committed instruction —
-/// which is how the service path keeps the null-sink overhead
-/// negligible.
-#[derive(Clone, Default)]
+/// The service's one optionally-attached event sink, shared by the
+/// front end and every shard through [`ServiceInner`]. With nothing
+/// attached, recording is a mutex-guarded no-op touched only at slice
+/// and lifecycle boundaries — never per committed instruction — which
+/// is how the service path keeps the null-sink overhead negligible.
+#[derive(Default)]
 pub struct ServiceSink {
-    inner: Arc<Mutex<Option<Box<dyn TraceSink + Send>>>>,
+    inner: Mutex<Option<Box<dyn TraceSink + Send>>>,
 }
 
 impl ServiceSink {
-    fn record_ev(&self, ev: &Event) {
-        let mut guard = match self.inner.lock() {
+    fn lock(&self) -> std::sync::MutexGuard<'_, Option<Box<dyn TraceSink + Send>>> {
+        match self.inner.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(sink) = guard.as_mut() {
+        }
+    }
+
+    fn record_ev(&self, ev: &Event) {
+        if let Some(sink) = self.lock().as_mut() {
             sink.record(ev);
         }
     }
 
     fn attach(&self, sink: Box<dyn TraceSink + Send>) {
-        let mut guard = match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        *guard = Some(sink);
-    }
-}
-
-impl TraceSink for ServiceSink {
-    fn record(&mut self, ev: &Event) {
-        self.record_ev(ev);
+        *self.lock() = Some(sink);
     }
 
-    fn finish(&mut self) {
-        let mut guard = match self.inner.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        if let Some(sink) = guard.as_mut() {
+    fn finish(&self) {
+        if let Some(sink) = self.lock().as_mut() {
             sink.finish();
         }
     }
@@ -175,6 +151,8 @@ struct Counters {
     checkpoints: AtomicU64,
     kills: AtomicU64,
     recoveries: AtomicU64,
+    panics: AtomicU64,
+    retries: AtomicU64,
 }
 
 /// A point-in-time view of the service counters.
@@ -196,6 +174,10 @@ pub struct ServiceStats {
     pub kills: u64,
     /// Shard recoveries observed.
     pub recoveries: u64,
+    /// Slice panics caught at the crash boundary.
+    pub panics: u64,
+    /// Panicked slices run again from the checkpoint.
+    pub retries: u64,
     /// Shared result-store counters.
     pub store: StoreStats,
 }
@@ -259,11 +241,16 @@ impl ServiceInner {
         ContentKey { program, config: fingerprint(&spec.system.dsa_config()), scale: spec.scale }
     }
 
-    /// Whether `s` may migrate off `from`: under the migration limit
-    /// and some other shard is alive to take it.
-    pub fn can_migrate(&self, s: &Session, from: u32) -> bool {
-        s.migrations < self.cfg.migration_limit
-            && self.shards.iter().any(|sh| sh.id != from && !sh.is_killed())
+    /// Counts and records one slice panic caught on `workload`.
+    pub fn note_panic(&self, workload: &'static str) {
+        self.counters.panics.fetch_add(1, Ordering::Relaxed);
+        self.emit(Event::WorkerPanicked { workload, cycle: 0 });
+    }
+
+    /// Counts and records the `attempt`-th retry of a panicked slice.
+    pub fn note_retry(&self, workload: &'static str, attempt: u32) {
+        self.counters.retries.fetch_add(1, Ordering::Relaxed);
+        self.emit(Event::SupervisorRetry { workload, attempt, cycle: 0 });
     }
 
     fn least_loaded_alive(&self, not: Option<u32>) -> Option<&Arc<Shard>> {
@@ -273,9 +260,9 @@ impl ServiceInner {
             .min_by_key(|sh| sh.depth())
     }
 
-    /// Re-routes a session after a kill or a breaker refusal; admitted
-    /// sessions force past queue caps and are never shed. With no alive
-    /// shard they wait in the orphan list, drained on the next revive.
+    /// Re-routes a session after a kill; admitted sessions force past
+    /// queue caps and are never shed. With no alive shard they wait in
+    /// the orphan list, drained on the next revive.
     pub fn migrate(&self, mut s: Session, from: u32) {
         s.migrations += 1;
         self.counters.migrations.fetch_add(1, Ordering::Relaxed);
@@ -407,18 +394,13 @@ pub struct Service {
 impl Service {
     /// Starts a service with `cfg.shards` worker shards.
     pub fn start(cfg: ServiceConfig) -> Service {
-        let sink = ServiceSink::default();
         let shards: Vec<Arc<Shard>> = (0..cfg.shards.max(1))
-            .map(|id| {
-                let shard = Arc::new(Shard::new(id, cfg.queue_cap, cfg.policy, cfg.sample_rate));
-                shard.attach_sink(sink.clone());
-                shard
-            })
+            .map(|id| Arc::new(Shard::new(id, cfg.queue_cap, cfg.sample_rate)))
             .collect();
         let inner = Arc::new(ServiceInner {
             shards,
             store: ResultStore::new(),
-            sink,
+            sink: ServiceSink::default(),
             cfg,
             next_id: AtomicU64::new(1),
             counters: Counters::default(),
@@ -439,9 +421,9 @@ impl Service {
         Service { inner, workers: Mutex::new(workers) }
     }
 
-    /// Routes all service, supervision and engine events emitted on the
-    /// service path into `sink`. Attaching is optional; the service is
-    /// bit-identical with and without a sink (events observe, never
+    /// Routes all service, crash-boundary and engine events emitted on
+    /// the service path into `sink`. Attaching is optional; the service
+    /// is bit-identical with and without a sink (events observe, never
     /// steer).
     pub fn attach_sink(&self, sink: impl TraceSink + Send + 'static) {
         self.inner.sink.attach(Box::new(sink));
@@ -552,6 +534,8 @@ impl Service {
             checkpoints: c.checkpoints.load(Ordering::Relaxed),
             kills: c.kills.load(Ordering::Relaxed),
             recoveries: c.recoveries.load(Ordering::Relaxed),
+            panics: c.panics.load(Ordering::Relaxed),
+            retries: c.retries.load(Ordering::Relaxed),
             store: self.inner.store.stats(),
         }
     }
@@ -571,26 +555,6 @@ impl Service {
         }
         fleet.merge(&self.inner.service_metrics.drain());
         fleet.clone()
-    }
-
-    /// Aggregated supervision counters across all shard supervisors.
-    pub fn supervision(&self) -> SupervisorReport {
-        let mut total = SupervisorReport::default();
-        for shard in &self.inner.shards {
-            let r = shard.supervisor_report();
-            total.runs += r.runs;
-            total.attempts += r.attempts;
-            total.successes += r.successes;
-            total.failures += r.failures;
-            total.retries += r.retries;
-            total.panics += r.panics;
-            total.deadline_overruns += r.deadline_overruns;
-            total.breakers_opened += r.breakers_opened;
-            total.breaker_refusals += r.breaker_refusals;
-            total.breaker_probes += r.breaker_probes;
-            total.breakers_closed += r.breakers_closed;
-        }
-        total
     }
 
     /// Shards currently alive (not killed).
@@ -632,7 +596,7 @@ impl Service {
         for s in orphans {
             inner.complete_err(s, 0, ServeError::Shutdown);
         }
-        self.inner.sink.clone().finish();
+        self.inner.sink.finish();
     }
 }
 

@@ -12,11 +12,10 @@
 //! suffix bit-identical, which `DifferentialOracle::check_resume`
 //! gates end-to-end.
 //!
-//! The slice is also the supervision boundary: each slice runs inside
-//! one `Supervisor::call`, so a panicking slice is caught, retried
-//! with jittered backoff, and counted against the workload's breaker,
-//! while the session's checkpoint survives in shared state outside the
-//! crash boundary.
+//! The slice is also the crash boundary: each slice runs inside one
+//! [`dsa_bench::isolate`], so a panicking slice is caught and the shard
+//! runs the next slice from the checkpoint, which survives in shared
+//! state outside the boundary.
 //!
 //! A shard builds the job's workload and hashes its program once, when
 //! it takes the session ([`SessionState::new`]). The result-store key,
@@ -155,10 +154,10 @@ pub struct Engine {
     prior_commits: u64,
 }
 
-/// Session state shared across the supervision crash boundary: the
-/// closure inside `Supervisor::call` takes the engine out, runs one
-/// slice, and puts it back; a panicking slice loses the engine but
-/// never the checkpoint.
+/// Session state shared across the crash boundary: the closure inside
+/// [`dsa_bench::isolate`] takes the engine out, runs one slice, and
+/// puts it back; a panicking slice loses the engine but never the
+/// checkpoint.
 ///
 /// It also holds the job's built workload and the
 /// [`content_hash`](dsa_isa::Program::content_hash) of its program,
@@ -178,7 +177,7 @@ struct StateInner {
     slices: u64,
 }
 
-/// What one supervised slice produced.
+/// What one slice produced.
 pub enum Slice {
     /// The program halted; the output region checked against golden.
     Done {
@@ -296,11 +295,11 @@ fn engine_for_slice(
     Ok(engine)
 }
 
-/// Runs one supervised slice of up to `budget` commits. Designed to be
-/// the body of a `Supervisor::call` closure: deterministic injected
-/// crashes unwind *after* the owed-crash counter is decremented (so the
-/// retry progresses) and *after* the engine is taken (so the crash
-/// loses it, exercising the checkpoint path).
+/// Runs one slice of up to `budget` commits. Designed to be the body
+/// of a [`dsa_bench::isolate`] closure: deterministic injected crashes
+/// unwind *after* the owed-crash counter is decremented (so the retry
+/// progresses) and *after* the engine is taken (so the crash loses it,
+/// exercising the checkpoint path).
 ///
 /// # Errors
 ///

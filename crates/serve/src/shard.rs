@@ -1,21 +1,22 @@
-//! Worker shards: bounded queues, supervised slice execution, and the
-//! kill/drain/revive lifecycle the chaos controller drives.
+//! Worker shards: bounded queues, crash-isolated slice execution, and
+//! the kill/drain/revive lifecycle the chaos controller drives.
 //!
-//! Each shard owns one OS worker thread, one bounded session queue and
-//! one `Supervisor` (salted with the shard id so co-located shards
-//! retrying a shared failure draw decorrelated backoff). Killing a
-//! shard models a crash: queued sessions are drained for migration
-//! immediately, the in-flight session's live engine is dropped at the
-//! next slice boundary and the session migrates with its latest
-//! checkpoint. Reviving clears the flag and the worker resumes pulling
-//! work.
+//! Each shard owns one OS worker thread and one bounded session queue.
+//! Every slice runs inside the crash boundary ([`isolate`]): a
+//! panicking slice loses only the live engine, and the next slice
+//! restores from the checkpoint, up to [`MAX_SLICE_RETRIES`] panics in
+//! a row. Killing a shard models a crash: queued sessions are drained
+//! for migration immediately, the in-flight session's live engine is
+//! dropped at the next slice boundary and the session migrates with its
+//! latest checkpoint. Reviving clears the flag and the worker resumes
+//! pulling work.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 
 use dsa_bench::cache as run_cache;
-use dsa_bench::{RunError, Supervisor, SupervisorPolicy, SupervisorReport};
+use dsa_bench::{isolate, RunError};
 use dsa_trace::Event;
 
 use crate::service::{ServeError, ServiceInner};
@@ -23,13 +24,12 @@ use crate::session::{run_slice, Session, SessionState, Slice, SliceTelemetry, SA
 
 /// One worker shard; see the module docs.
 pub struct Shard {
-    /// Shard index (stable; also the supervisor's jitter salt).
+    /// Shard index (stable).
     pub id: u32,
     q: Mutex<ShardQ>,
     cv: Condvar,
     cap: usize,
     busy: AtomicBool,
-    supervisor: Supervisor<'static>,
     /// Always-on sampled engine telemetry, accumulated shard-locally
     /// and shipped to the front end as deltas via
     /// [`Shard::drain_metrics`]. All shards share [`SAMPLE_SEED`] so
@@ -41,6 +41,12 @@ struct ShardQ {
     queue: VecDeque<Session>,
     killed: bool,
 }
+
+/// Panicked slices in a row after which a session replies
+/// [`RunError::Panicked`] instead of restoring from its checkpoint
+/// again. Injected crashes end after a set count; a slice that panics
+/// for a simulator fault panics the same way on every restore.
+pub const MAX_SLICE_RETRIES: u32 = 2;
 
 /// What the worker did with one session.
 pub enum Disposition {
@@ -54,14 +60,13 @@ pub enum Disposition {
 impl Shard {
     /// A shard with a bounded queue of `cap` sessions, sampling one in
     /// `sample_rate` loop lifecycles into its metrics delta (0 = off).
-    pub fn new(id: u32, cap: usize, policy: SupervisorPolicy, sample_rate: u32) -> Shard {
+    pub fn new(id: u32, cap: usize, sample_rate: u32) -> Shard {
         Shard {
             id,
             q: Mutex::new(ShardQ { queue: VecDeque::new(), killed: false }),
             cv: Condvar::new(),
             cap,
             busy: AtomicBool::new(false),
-            supervisor: Supervisor::new(run_cache::global(), policy).with_salt(u64::from(id)),
             telemetry: SliceTelemetry::new(SAMPLE_SEED, sample_rate),
         }
     }
@@ -87,16 +92,6 @@ impl Shard {
     /// Whether the shard is currently killed.
     pub fn is_killed(&self) -> bool {
         self.lock().killed
-    }
-
-    /// The shard's supervision counters.
-    pub fn supervisor_report(&self) -> SupervisorReport {
-        self.supervisor.report()
-    }
-
-    /// Routes supervision events into `sink`.
-    pub fn attach_sink(&self, sink: impl dsa_trace::TraceSink + Send + 'static) {
-        self.supervisor.attach_sink(sink);
     }
 
     /// Enqueues a session. `force` (migration traffic) pushes past the
@@ -172,8 +167,8 @@ impl Shard {
         let name = s.spec.workload.describe();
         let deadline_ms = s.spec.deadline_ms;
         if deadline_ms > 0 && s.admitted_at.elapsed().as_millis() as u64 > deadline_ms {
-            // Deadline propagation: the job spent its budget queued;
-            // shed it typed instead of running stale work.
+            // Admission deadline: the job spent its budget queued; shed
+            // it typed instead of running stale work.
             svc.complete_err(
                 s,
                 self.id,
@@ -191,6 +186,7 @@ impl Shard {
                 return Disposition::Completed;
             }
         }
+        let mut panics_in_a_row = 0u32;
         loop {
             if self.is_killed() {
                 // Crash model: the live engine dies with the shard;
@@ -201,9 +197,8 @@ impl Shard {
                 return Disposition::Migrate(s);
             }
             let budget = svc.checkpoint_every();
-            let slice = self.supervisor.call(name, || {
-                run_slice(&s.spec, &state, &s, self.id, budget, &self.telemetry)
-            });
+            let slice =
+                isolate(name, || run_slice(&s.spec, &state, &s, self.id, budget, &self.telemetry));
             match slice {
                 Ok(Slice::Done { checksum, cycles, committed, expected }) => {
                     let resumed = state.resumed();
@@ -221,6 +216,7 @@ impl Shard {
                     return Disposition::Completed;
                 }
                 Ok(Slice::Paused { bytes, commits }) => {
+                    panics_in_a_row = 0;
                     s.checkpoint = state.checkpoint();
                     s.resumed = state.resumed();
                     svc.emit(Event::SessionCheckpointed {
@@ -232,13 +228,18 @@ impl Shard {
                     });
                 }
                 Err(e) => {
+                    if let RunError::Panicked { .. } = e {
+                        panics_in_a_row += 1;
+                        svc.note_panic(name);
+                        if panics_in_a_row <= MAX_SLICE_RETRIES {
+                            // The unwind dropped the live engine; the
+                            // next slice restores from the checkpoint.
+                            svc.note_retry(name, panics_in_a_row);
+                            continue;
+                        }
+                    }
                     s.checkpoint = state.checkpoint();
                     s.resumed = state.resumed();
-                    if matches!(e, RunError::BreakerOpen { .. }) && svc.can_migrate(&s, self.id) {
-                        // This shard refuses the workload but another
-                        // may be healthy; the session is not lost.
-                        return Disposition::Migrate(s);
-                    }
                     svc.complete_err(s, self.id, ServeError::Run(e));
                     return Disposition::Completed;
                 }

@@ -8,12 +8,13 @@ use std::time::Duration;
 
 use dsa_serve::loadgen::{run_loadgen, silence_injected_crashes, LoadConfig};
 use dsa_serve::protocol::{read_frame, write_frame, JobOutcome, JobRequest};
+use dsa_serve::shard::MAX_SLICE_RETRIES;
 use dsa_serve::{serve, JobSpec, ServeError, Service, ServiceConfig};
 
 use dsa_bench::cache::Workload;
-use dsa_bench::System;
+use dsa_bench::{RunError, System};
 use dsa_trace::{Collector, Event, Shared};
-use dsa_workloads::{micro, Scale};
+use dsa_workloads::{micro, Scale, WorkloadId};
 
 fn micro_spec(index: usize, system: System) -> JobSpec {
     JobSpec {
@@ -169,7 +170,7 @@ fn repeat_jobs_hit_the_shared_result_store() {
     service.shutdown();
 }
 
-/// Injected worker crashes are caught at the supervision boundary; the
+/// Injected worker crashes are caught at the crash boundary; the
 /// session retries, resumes and still matches golden.
 #[test]
 fn injected_crashes_recover_through_supervision() {
@@ -182,9 +183,61 @@ fn injected_crashes_recover_through_supervision() {
     let (_, rx) = service.submit(spec).expect("admits");
     let outcome = rx.recv().expect("completes").expect("crash must be survived");
     assert_eq!(outcome.checksum, expected);
-    let sup = service.supervision();
-    assert!(sup.panics >= 1, "the injected crash was caught and counted: {sup:?}");
-    assert!(sup.retries >= 1, "the crashed slice was retried: {sup:?}");
+    let stats = service.stats();
+    assert_eq!(stats.panics, 1, "the injected crash was caught and counted: {stats:?}");
+    assert_eq!(stats.retries, 1, "the crashed slice was retried: {stats:?}");
+    service.shutdown();
+}
+
+/// One panic more than the retry bound: the session gives up and
+/// replies a typed `Panicked` error instead of retrying forever.
+#[test]
+fn a_session_panicking_past_the_retry_bound_replies_typed() {
+    silence_injected_crashes();
+    let service = Service::start(ServiceConfig { shards: 1, ..ServiceConfig::default() });
+    let mut spec = micro_spec(4, System::DsaExtended);
+    spec.panic_slices = MAX_SLICE_RETRIES + 1;
+    let (_, rx) = service.submit(spec).expect("admits");
+    let reply = rx.recv_timeout(Duration::from_secs(120)).expect("the session is not lost");
+    match reply {
+        Err(ServeError::Run(RunError::Panicked { workload })) => {
+            assert_eq!(workload, spec.workload.describe());
+        }
+        other => panic!("expected a typed panic, got {other:?}"),
+    }
+    let stats = service.stats();
+    assert_eq!((stats.panics, stats.retries, stats.failed), (3, 2, 1), "{stats:?}");
+    service.shutdown();
+}
+
+/// A job that spends its admission deadline queued behind a long one is
+/// shed typed `DeadlineExceeded` when the shard reaches it, and counted
+/// as failed; the job ahead of it still completes.
+#[test]
+fn a_job_queued_past_its_deadline_is_shed_typed() {
+    let service = Service::start(ServiceConfig { shards: 1, ..ServiceConfig::default() });
+    let long = JobSpec {
+        workload: Workload::App(WorkloadId::MatMul),
+        system: System::DsaFull,
+        scale: Scale::Paper,
+        deadline_ms: 0,
+        cacheable: false,
+        panic_slices: 0,
+    };
+    let (_, long_rx) = service.submit(long).expect("admits");
+    let late = JobSpec { deadline_ms: 1, ..micro_spec(0, System::Original) };
+    let (_, late_rx) = service.submit(late).expect("admits behind the long job");
+    let reply = late_rx.recv_timeout(Duration::from_secs(300)).expect("the shed job is not lost");
+    match reply {
+        Err(ServeError::Run(e @ RunError::DeadlineExceeded { deadline_ms: 1, .. })) => {
+            assert!(e.to_string().contains("admission deadline queued"), "{e}");
+        }
+        other => panic!("expected a typed deadline shed, got {other:?}"),
+    }
+    let first = long_rx.recv_timeout(Duration::from_secs(300)).expect("the long job completes");
+    assert_eq!(first.expect("the long job succeeds").checksum, expected_of(long));
+    let stats = service.stats();
+    assert_eq!((stats.completed, stats.failed), (1, 1), "{stats:?}");
     service.shutdown();
 }
 

@@ -1,4 +1,4 @@
-//! `dsa-tracebin/v1` — the compact columnar binary trace encoding.
+//! `dsa-tracebin/v2` — the compact columnar binary trace encoding.
 //!
 //! At fleet scale a JSONL trace is the wrong shape: a chaos soak emits
 //! millions of events and the field names dominate the bytes. This
@@ -54,13 +54,13 @@ use std::io::{self, Write};
 use crate::event::{Choice, Event, EventKind, FieldSink, FieldSource};
 use crate::TraceSink;
 
-/// Version tag of the binary container (the `v1` in `dsa-tracebin/v1`).
-pub const BIN_SCHEMA: &str = "dsa-tracebin/v1";
+/// Version tag of the binary container (the `v2` in `dsa-tracebin/v2`).
+pub const BIN_SCHEMA: &str = "dsa-tracebin/v2";
 
 /// File magic: identifies a columnar trace (see [`looks_binary`]).
 pub const MAGIC: [u8; 8] = *b"DSATRCB\0";
 
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
 const BLOCK_HEADER: u8 = 1;
 const BLOCK_EVENTS: u8 = 2;
@@ -78,7 +78,8 @@ pub enum BinError {
     Truncated,
     /// The first 8 bytes are not [`MAGIC`].
     BadMagic,
-    /// Container version newer than this reader.
+    /// Container version other than this reader's: kind tags are
+    /// schema-table rows, so another version's tags mean other kinds.
     UnsupportedVersion(u16),
     /// A block's CRC-32 did not match its contents.
     ChecksumMismatch {
@@ -475,7 +476,7 @@ fn decode_block(payload: &[u8], out: &mut Vec<Event>) -> Result<(), BinError> {
     Ok(())
 }
 
-/// Encodes a complete event stream as one `dsa-tracebin/v1` document.
+/// Encodes a complete event stream as one `dsa-tracebin/v2` document.
 pub fn encode(events: &[Event]) -> Vec<u8> {
     let mut out = Vec::with_capacity(events.len() * 8 + 64);
     out.extend_from_slice(&MAGIC);
@@ -500,7 +501,7 @@ fn push_block(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.extend_from_slice(&crc.to_le_bytes());
 }
 
-/// Decodes a `dsa-tracebin/v1` document back into its event stream.
+/// Decodes a `dsa-tracebin/v2` document back into its event stream.
 /// Lossless inverse of [`encode`] (and of [`ColumnarWriter`] output).
 pub fn decode(bytes: &[u8]) -> Result<Vec<Event>, BinError> {
     if bytes.len() < MAGIC.len() + 2 {
@@ -577,7 +578,7 @@ pub fn decode(bytes: &[u8]) -> Result<Vec<Event>, BinError> {
 // Streaming writer.
 // ---------------------------------------------------------------------
 
-/// A [`TraceSink`] streaming `dsa-tracebin/v1` to any [`Write`]: the
+/// A [`TraceSink`] streaming `dsa-tracebin/v2` to any [`Write`]: the
 /// binary twin of [`crate::JsonlSink`]. Events buffer in blocks of
 /// [`EVENTS_PER_BLOCK`]; `finish` flushes the tail block and writes the
 /// end block. IO errors latch (the trace must never abort a
@@ -851,6 +852,13 @@ mod tests {
                 "cut at {cut}: unexpected {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_version_1_trace_is_rejected_typed() {
+        let mut bytes = encode(&sample_events());
+        bytes[MAGIC.len()..MAGIC.len() + 2].copy_from_slice(&1u16.to_le_bytes());
+        assert_eq!(decode(&bytes), Err(BinError::UnsupportedVersion(1)));
     }
 
     #[test]

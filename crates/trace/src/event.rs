@@ -5,7 +5,7 @@
 //! only place an event's layout is written down. Each row gives the
 //! variant's kebab-case type name and its payload fields in wire order
 //! (`cycle` first), with the JSONL key where it differs from the field
-//! name; the row's position is its `dsa-tracebin/v1` kind tag. The
+//! name; the row's position is its `dsa-tracebin/v2` kind tag. The
 //! `events!` macro derives from it [`Event::type_name`],
 //! [`Event::cycle`], the tag, the required-field list the JSONL
 //! validator checks, and two walkers over the payload — one that writes
@@ -17,7 +17,7 @@ use std::fmt::Write as _;
 
 /// Version tag written in the JSONL header record and checked by the
 /// schema validator. Bump on any breaking change to event field names.
-pub const SCHEMA: &str = "dsa-trace/v1";
+pub const SCHEMA: &str = "dsa-trace/v2";
 
 /// A payload enum with a fixed vocabulary: JSONL writes its names,
 /// tracebin writes its one-byte tags (the value's position in `ALL`).
@@ -277,7 +277,7 @@ macro_rules! events {
         }
 
         /// An [`Event`] variant without its payload. Its position in
-        /// [`EventKind::ALL`] is its `dsa-tracebin/v1` tag.
+        /// [`EventKind::ALL`] is its `dsa-tracebin/v2` tag.
         #[derive(Clone, Copy)]
         pub(crate) enum EventKind {
             $( $Variant, )+
@@ -300,7 +300,7 @@ macro_rules! events {
             }
 
             /// The payload's JSONL keys in wire order (`cycle` excluded):
-            /// the fields a v1 record must carry.
+            /// the fields a record must carry.
             pub(crate) fn keys(self) -> &'static [&'static str] {
                 match self {
                     $( EventKind::$Variant => &[$( wire_key!($field $($key)?) ),+], )+
@@ -530,58 +530,20 @@ events! {
             /// Lanes discarded.
             discarded: u64,
         },
-        /// Supervised harness: a run attempt failed and will be retried.
-        /// Harness-side events carry `cycle: 0` — they live in the
-        /// wall-clock domain, not the simulated-cycle domain.
+        /// Crash boundary: a panicked service slice will run again from
+        /// its session's checkpoint. Harness-side events carry
+        /// `cycle: 0` — they live in the wall-clock domain, not the
+        /// simulated-cycle domain.
         SupervisorRetry "supervisor-retry" {
             /// Core cycle (always 0; wall-clock domain).
             cycle,
             /// Workload name (stable vocabulary from the bench crate).
             workload: &'static str,
-            /// 1-based attempt number that failed.
+            /// 1-based number of the retry about to run.
             attempt: u32,
-            /// Backoff applied before the next attempt, in milliseconds.
-            backoff_ms: u64,
         },
-        /// Supervised harness: a worker panicked and was isolated.
+        /// Crash boundary: a worker panicked and was isolated.
         WorkerPanicked "worker-panicked" {
-            /// Core cycle (always 0; wall-clock domain).
-            cycle,
-            /// Workload name.
-            workload: &'static str,
-        },
-        /// Supervised harness: a run exceeded its wall-clock deadline.
-        DeadlineExceeded "deadline-exceeded" {
-            /// Core cycle (always 0; wall-clock domain).
-            cycle,
-            /// Workload name.
-            workload: &'static str,
-            /// The deadline, in milliseconds.
-            deadline_ms: u64,
-        },
-        /// Supervised harness: a workload's circuit breaker opened after
-        /// repeated failures/degradations; further runs short-circuit.
-        BreakerOpen "breaker-open" {
-            /// Core cycle (always 0; wall-clock domain).
-            cycle,
-            /// Workload name.
-            workload: &'static str,
-            /// Failures counted when the breaker opened.
-            failures: u32,
-        },
-        /// Supervised harness: an open breaker's cooldown elapsed and one
-        /// probe call was admitted (half-open state).
-        BreakerHalfOpen "breaker-half-open" {
-            /// Core cycle (always 0; wall-clock domain).
-            cycle,
-            /// Workload name.
-            workload: &'static str,
-            /// Cooldown that elapsed before the probe, in milliseconds.
-            cooldown_ms: u64,
-        },
-        /// Supervised harness: a half-open probe succeeded and the breaker
-        /// closed again.
-        BreakerClosed "breaker-closed" {
             /// Core cycle (always 0; wall-clock domain).
             cycle,
             /// Workload name.

@@ -1,10 +1,10 @@
 //! The JSONL exporter and its schema validator.
 //!
-//! # Schema (`dsa-trace/v1`)
+//! # Schema (`dsa-trace/v2`)
 //!
 //! One JSON object per line, no blank lines:
 //!
-//! - **Line 1 — header**: `{"record":"header","schema":"dsa-trace/v1",
+//! - **Line 1 — header**: `{"record":"header","schema":"dsa-trace/v2",
 //!   "producer":"<crate>/<version>"}`. Consumers must reject files whose
 //!   `schema` they don't know.
 //! - **Every further line — event**: `{"record":"event","type":<t>,
@@ -76,7 +76,7 @@ impl<W: Write> JsonlSink<W> {
     }
 }
 
-/// The header line every v1 file starts with.
+/// The header line every v2 file starts with.
 pub fn header_line() -> String {
     format!(
         "{{\"record\":\"header\",\"schema\":\"{SCHEMA}\",\"producer\":\"dsa-trace/{}\"}}",
@@ -197,7 +197,7 @@ fn check_line(line: &str, is_first: bool, warnings: Option<&mut Vec<String>>) ->
         }
     }
     // Forward compat: field *additions* are legal within a schema
-    // version, so an unknown field from a newer v1.x producer warns
+    // version, so an unknown field from a newer v2.x producer warns
     // instead of failing.
     if let (Some(warnings), Some(obj)) = (warnings, v.as_obj()) {
         for key in obj.keys() {
@@ -213,7 +213,7 @@ fn check_line(line: &str, is_first: bool, warnings: Option<&mut Vec<String>>) ->
     Ok(())
 }
 
-/// Validates one line of a v1 JSONL stream. `is_first` selects the
+/// Validates one line of a v2 JSONL stream. `is_first` selects the
 /// header rules; later lines must be known event records. Unknown
 /// event *fields* are tolerated (see [`validate_line_verbose`] to
 /// collect them as warnings); unknown event *types* are errors.
@@ -344,7 +344,7 @@ impl FieldSource for JsonRecord<'_> {
     }
 }
 
-/// Parses a whole v1 JSONL document back into its typed event stream,
+/// Parses a whole v2 JSONL document back into its typed event stream,
 /// plus forward-compat warnings for unknown fields.
 ///
 /// # Errors
@@ -411,14 +411,10 @@ mod tests {
             Event::EnginePoisoned { during: "launch", expected: "analyzing", cycle: 101 },
             Event::SimFault { kind: "step-budget-exceeded", pc: 44, cycle: 102 },
             Event::RunFinished { cycle: 103, committed: 80, halted: false },
-            Event::SupervisorRetry { workload: "matmul", attempt: 1, backoff_ms: 50, cycle: 0 },
+            Event::SupervisorRetry { workload: "matmul", attempt: 1, cycle: 0 },
             Event::WorkerPanicked { workload: "matmul", cycle: 0 },
-            Event::DeadlineExceeded { workload: "qsort", deadline_ms: 30_000, cycle: 0 },
-            Event::BreakerOpen { workload: "qsort", failures: 3, cycle: 0 },
             Event::SnapshotRestored { bytes: 4096, cache_entries: 7, cycle: 0 },
             Event::SnapshotRejected { kind: "checksum-mismatch", cycle: 0 },
-            Event::BreakerHalfOpen { workload: "qsort", cooldown_ms: 1000, cycle: 0 },
-            Event::BreakerClosed { workload: "qsort", cycle: 0 },
             Event::JobAdmitted { job: 17, shard: 2, queue_depth: 5, cycle: 0 },
             Event::JobShed { reason: "overloaded", cycle: 0 },
             Event::JobCompleted {
@@ -456,7 +452,18 @@ mod tests {
         let mut sink = JsonlSink::new(Vec::new());
         sink.record(&Event::RunStarted { pc: 0, cycle: 0 });
         let text = String::from_utf8(sink.into_inner()).expect("utf8");
-        assert!(text.starts_with("{\"record\":\"header\",\"schema\":\"dsa-trace/v1\""));
+        assert!(text.starts_with("{\"record\":\"header\",\"schema\":\"dsa-trace/v2\""));
+    }
+
+    #[test]
+    fn a_v1_document_is_rejected_at_its_header() {
+        // v1 had four more kinds and one more `supervisor-retry` field;
+        // reading it as v2 would misread events, so the header refuses.
+        let v1 = "{\"record\":\"header\",\"schema\":\"dsa-trace/v1\"}\n\
+                  {\"record\":\"event\",\"type\":\"run-started\",\"cycle\":0,\"pc\":0}";
+        let want = (1, "unknown schema \"dsa-trace/v1\" (expected \"dsa-trace/v2\")".to_string());
+        assert_eq!(validate_document(v1), Err(want.clone()));
+        assert_eq!(parse_document(v1).map(|(events, _)| events), Err(want));
     }
 
     #[test]
@@ -475,7 +482,7 @@ mod tests {
 
     #[test]
     fn unknown_event_fields_warn_but_validate() {
-        // A v1.x producer added a field this reader doesn't know; the
+        // A v2.x producer added a field this reader doesn't know; the
         // document must stay valid and the field must surface as a
         // warning, not an error.
         let doc = format!(

@@ -364,22 +364,6 @@ impl TraceSink for MetricsRegistry {
                 self.bump("supervisor.panics");
                 self.bump(&format!("supervisor.panic.{workload}"));
             }
-            Event::DeadlineExceeded { workload, .. } => {
-                self.bump("supervisor.deadlines");
-                self.bump(&format!("supervisor.deadline.{workload}"));
-            }
-            Event::BreakerOpen { workload, .. } => {
-                self.bump("supervisor.breakers_open");
-                self.bump(&format!("supervisor.breaker.{workload}"));
-            }
-            Event::BreakerHalfOpen { workload, .. } => {
-                self.bump("supervisor.breakers_half_open");
-                self.bump(&format!("supervisor.half_open.{workload}"));
-            }
-            Event::BreakerClosed { workload, .. } => {
-                self.bump("supervisor.breakers_closed");
-                self.bump(&format!("supervisor.closed.{workload}"));
-            }
             Event::JobAdmitted { queue_depth, .. } => {
                 self.bump("service.admitted");
                 self.observe("service.queue_depth", queue_depth as u64);
@@ -432,9 +416,9 @@ impl SharedMetrics {
 
     /// The registry under the lock. Poisoning is tolerated everywhere:
     /// metrics outlive the panicking worker that shared them (the serve
-    /// path catches injected crashes at the supervision boundary and
-    /// keeps recording), and a partially updated registry is still
-    /// valid telemetry.
+    /// path catches injected crashes at its crash boundary and keeps
+    /// recording), and a partially updated registry is still valid
+    /// telemetry.
     fn lock(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
         match self.0.lock() {
             Ok(g) => g,

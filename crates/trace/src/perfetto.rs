@@ -269,47 +269,17 @@ impl<W: Write> TraceSink for PerfettoSink<W> {
                     &[("used", used.to_string()), ("discarded", discarded.to_string())],
                 );
             }
-            Event::SupervisorRetry { workload, attempt, backoff_ms, .. } => {
+            Event::SupervisorRetry { workload, attempt, .. } => {
                 self.instant(
                     0,
                     &format!("retry {workload}"),
                     "supervisor",
                     cycle,
-                    &[("attempt", attempt.to_string()), ("backoff_ms", backoff_ms.to_string())],
+                    &[("attempt", attempt.to_string())],
                 );
             }
             Event::WorkerPanicked { workload, .. } => {
                 self.instant(0, &format!("panic {workload}"), "supervisor", cycle, &[]);
-            }
-            Event::DeadlineExceeded { workload, deadline_ms, .. } => {
-                self.instant(
-                    0,
-                    &format!("deadline {workload}"),
-                    "supervisor",
-                    cycle,
-                    &[("deadline_ms", deadline_ms.to_string())],
-                );
-            }
-            Event::BreakerOpen { workload, failures, .. } => {
-                self.instant(
-                    0,
-                    &format!("breaker-open {workload}"),
-                    "supervisor",
-                    cycle,
-                    &[("failures", failures.to_string())],
-                );
-            }
-            Event::BreakerHalfOpen { workload, cooldown_ms, .. } => {
-                self.instant(
-                    0,
-                    &format!("breaker-half-open {workload}"),
-                    "supervisor",
-                    cycle,
-                    &[("cooldown_ms", cooldown_ms.to_string())],
-                );
-            }
-            Event::BreakerClosed { workload, .. } => {
-                self.instant(0, &format!("breaker-closed {workload}"), "supervisor", cycle, &[]);
             }
             Event::JobAdmitted { job, shard, queue_depth, .. } => {
                 self.instant(

@@ -2,7 +2,7 @@
 //! `trace_query` binary.
 //!
 //! A [`Rollup`] folds any number of trace files — JSONL or
-//! `dsa-tracebin/v1`, auto-sniffed by [`read_trace`] — into the fleet
+//! `dsa-tracebin/v2`, auto-sniffed by [`read_trace`] — into the fleet
 //! views the Saturn-style analyses need: cycles by stage, cache-verdict
 //! and CIDP-outcome distributions, and per-workload degradation/poison
 //! rates. Cycle charges are keyed by source (stage name / cache name /
@@ -165,12 +165,7 @@ impl Rollup {
             Event::FaultInjected { .. } => self.tally(label).faults += 1,
             Event::SimFault { .. } => self.tally(label).sim_faults += 1,
             // Harness/service events attribute to their own workload.
-            Event::SupervisorRetry { workload, .. }
-            | Event::WorkerPanicked { workload, .. }
-            | Event::DeadlineExceeded { workload, .. }
-            | Event::BreakerOpen { workload, .. }
-            | Event::BreakerHalfOpen { workload, .. }
-            | Event::BreakerClosed { workload, .. } => {
+            Event::SupervisorRetry { workload, .. } | Event::WorkerPanicked { workload, .. } => {
                 self.tally(workload);
             }
             _ => {}
@@ -216,9 +211,9 @@ impl Rollup {
 /// Which on-disk format a trace file used.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
-    /// `dsa-trace/v1` JSONL.
+    /// `dsa-trace/v2` JSONL.
     Jsonl,
-    /// `dsa-tracebin/v1` columnar binary.
+    /// `dsa-tracebin/v2` columnar binary.
     Binary,
 }
 
@@ -339,7 +334,7 @@ mod tests {
         r.fold("app", &Event::LoopDetected { loop_id: 4, end_pc: 20, cycle: 1 });
         r.fold("app", &Event::LoopDetected { loop_id: 8, end_pc: 40, cycle: 2 });
         r.fold("app", &Event::LoopRejected { loop_id: 8, class: "unknown", reason: "irregular", cycle: 3 });
-        r.fold("app", &Event::SupervisorRetry { workload: "other", attempt: 1, backoff_ms: 2, cycle: 0 });
+        r.fold("app", &Event::SupervisorRetry { workload: "other", attempt: 1, cycle: 0 });
         let app = r.workloads["app"];
         assert_eq!(app.detected, 2);
         assert_eq!(app.rejected, 1);

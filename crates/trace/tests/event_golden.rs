@@ -2,7 +2,7 @@
 //! holds every `Event` variant, every `Stage`/`CacheKind`/
 //! `CacheOutcome`/`SpecKind` value, `distance` both absent and present,
 //! and a string that needs JSON escaping must reproduce a checked-in
-//! `dsa-trace/v1` JSONL document and a checked-in `dsa-tracebin/v1`
+//! `dsa-trace/v2` JSONL document and a checked-in `dsa-tracebin/v2`
 //! binary byte for byte, and both must read back to the same stream.
 //!
 //! The `count_trace` goldens in `dsa-core` pin what a real run emits;
@@ -28,7 +28,7 @@ fn golden_path(ext: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/every_event.{ext}"))
 }
 
-/// The fixed stream: all 31 kinds, then the remaining enum values and
+/// The fixed stream: all 27 kinds, then the remaining enum values and
 /// edge values (extreme integers, a cycle that runs backwards).
 fn every_event_stream() -> Vec<Event> {
     let mut events = vec![
@@ -62,12 +62,8 @@ fn every_event_stream() -> Vec<Event> {
             discarded: 24,
             cycle: 900,
         },
-        Event::SupervisorRetry { workload: "matmul", attempt: 2, backoff_ms: 50, cycle: 0 },
+        Event::SupervisorRetry { workload: "matmul", attempt: 2, cycle: 0 },
         Event::WorkerPanicked { workload: ESCAPED, cycle: 0 },
-        Event::DeadlineExceeded { workload: "qsort", deadline_ms: 30_000, cycle: 0 },
-        Event::BreakerOpen { workload: "qsort", failures: 3, cycle: 0 },
-        Event::BreakerHalfOpen { workload: "qsort", cooldown_ms: 1_000, cycle: 0 },
-        Event::BreakerClosed { workload: "qsort", cycle: 0 },
         Event::JobAdmitted { job: 17, shard: 2, queue_depth: 5, cycle: 0 },
         Event::JobShed { reason: "overloaded", cycle: 0 },
         Event::JobCompleted { job: 17, shard: 3, cache_hit: false, migrations: 1, latency_ms: 42, cycle: 0 },
@@ -152,7 +148,7 @@ fn check_golden(ext: &str, live: &[u8]) -> Vec<u8> {
 fn the_stream_covers_the_whole_vocabulary() {
     let events = every_event_stream();
     let kinds: BTreeSet<&str> = events.iter().map(Event::type_name).collect();
-    assert_eq!(kinds.len(), 31, "{kinds:?}");
+    assert_eq!(kinds.len(), 27, "{kinds:?}");
     let stages: BTreeSet<Stage> = events
         .iter()
         .filter_map(|ev| match *ev {

@@ -4,7 +4,7 @@
 //!    event streams, `events → JSONL → parse → tracebin encode →
 //!    decode` reproduces the exact event stream, and re-serializing to
 //!    JSONL is byte-identical. (Acceptance criterion for
-//!    `dsa-tracebin/v1`.)
+//!    `dsa-tracebin/v2`.)
 //! 2. **Sampling coherence** — a [`SamplingSink`] keeps or drops each
 //!    loop *lifecycle* whole, never partially, keeps every loop-less
 //!    event, and two samplers with the same seed make identical
@@ -137,26 +137,11 @@ fn arb_event() -> impl Strategy<Value = Event> {
                 cycle
             }
         ),
-        (vocab(WORKLOADS), arb_u32(), arb_u64(), arb_cycle()).prop_map(
-            |(workload, attempt, backoff_ms, cycle)| Event::SupervisorRetry {
-                workload,
-                attempt,
-                backoff_ms,
-                cycle
-            }
-        ),
+        (vocab(WORKLOADS), arb_u32(), arb_cycle()).prop_map(|(workload, attempt, cycle)| {
+            Event::SupervisorRetry { workload, attempt, cycle }
+        }),
         (vocab(WORKLOADS), arb_cycle())
             .prop_map(|(workload, cycle)| Event::WorkerPanicked { workload, cycle }),
-        (vocab(WORKLOADS), arb_u64(), arb_cycle()).prop_map(|(workload, deadline_ms, cycle)| {
-            Event::DeadlineExceeded { workload, deadline_ms, cycle }
-        }),
-        (vocab(WORKLOADS), arb_u32(), arb_cycle())
-            .prop_map(|(workload, failures, cycle)| Event::BreakerOpen { workload, failures, cycle }),
-        (vocab(WORKLOADS), arb_u64(), arb_cycle()).prop_map(|(workload, cooldown_ms, cycle)| {
-            Event::BreakerHalfOpen { workload, cooldown_ms, cycle }
-        }),
-        (vocab(WORKLOADS), arb_cycle())
-            .prop_map(|(workload, cycle)| Event::BreakerClosed { workload, cycle }),
         (arb_u64(), arb_u32(), arb_u32(), arb_cycle()).prop_map(
             |(job, shard, queue_depth, cycle)| Event::JobAdmitted { job, shard, queue_depth, cycle }
         ),
