@@ -18,7 +18,9 @@
 //! that never fires fails the campaign. A failing program is
 //! ddmin-shrunk to a minimal reproducer, a failing workload check is
 //! already minimal, and either is written as a replayable
-//! `dsa-forge/v1` JSON artifact.
+//! `dsa-forge/v1` JSON artifact. A campaign run ends with its peak
+//! resident set (`VmHWM`) on stderr, so CI can check that memory stays
+//! flat as the budget grows; stdout carries only the tables.
 //!
 //! With `--inject-bug <name>` the campaign arms a planted test-only
 //! bug and *must* catch it: exit 0 means caught-and-shrunk, exit 1
@@ -116,6 +118,14 @@ fn exit(code: i32) -> ! {
     let _ = std::io::stdout().flush();
     let _ = std::io::stderr().flush();
     std::process::exit(code);
+}
+
+/// This process's peak resident set in kB (`VmHWM` of
+/// `/proc/self/status`), where the platform reports it.
+fn peak_rss_kb() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
+    line.split_whitespace().nth(1)?.parse().ok()
 }
 
 /// One line naming a subject for logs.
@@ -297,6 +307,10 @@ fn main() {
     if args.seeds.len() > 1 {
         println!("fault sites across {} campaigns:", args.seeds.len());
         print!("{}", sites.render());
+    }
+
+    if let Some(kb) = peak_rss_kb() {
+        eprintln!("forge: peak RSS {:.1} MB (VmHWM {kb} kB)", kb as f64 / 1024.0);
     }
 
     match args.inject_bug {

@@ -136,8 +136,8 @@ fn measure<H: CommitHook>(
     block: impl Fn() -> H,
 ) -> Result<Row, String> {
     let w = &built(workload, scale);
-    // Warm-up: page-in, branch-predict the host loops, fill the shared
-    // predecode cache.
+    // Warm-up: page-in and branch-predict the host loops (each run
+    // decodes its own program, as every timed run does too).
     let _ = run_once(w, &mut Stepped(block()));
     let _ = run_once(w, &mut block());
     let (mut step_best, mut block_best) = (f64::INFINITY, f64::INFINITY);

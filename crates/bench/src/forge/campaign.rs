@@ -41,14 +41,14 @@ use dsa_core::{
 use dsa_trace::{Collector, Event, Shared};
 
 use crate::cache::{self, fixed_workloads};
-use crate::{isolate, render_table, RunError};
+use crate::{isolate, render_table};
 
 use super::gen::generate_nth;
 use super::lower::lower;
 use super::spec::{
     parse_artifact, parse_bug, parse_failure, push_outcome, ProgramSpec, FORGE_SCHEMA,
 };
-use super::workload::{run_workload, SiteTable, WorkloadCase, WorkloadOutcome};
+use super::workload::{run_workload, SiteTable, WorkloadCase};
 
 /// Step budget per oracle run. Generated programs are small (≤ 3 loops
 /// × ≤ 512 iterations), so this is ~100× headroom; a program that
@@ -425,92 +425,134 @@ impl Campaign {
     /// stops at `budget` distinct programs. Returns the corpus and the
     /// pre-dedup generation count.
     pub fn corpus(&self) -> (Vec<ProgramSpec>, usize) {
-        let mut seen = HashSet::new();
-        let mut corpus = Vec::with_capacity(self.budget);
-        let mut attempts = 0usize;
-        // 16× oversampling bounds the walk even under heavy collision.
-        let cap = self.budget.saturating_mul(16).max(64);
-        while corpus.len() < self.budget && attempts < cap {
-            let spec = generate_nth(self.seed, attempts as u64);
-            attempts += 1;
-            if seen.insert(spec.structural_hash()) {
-                corpus.push(spec);
-            }
-        }
-        (corpus, attempts)
+        let mut walk = self.walk();
+        let corpus = walk.by_ref().collect();
+        (corpus, walk.attempts)
     }
 
-    /// Runs the campaign: corpus generation, then the three-phase
-    /// check for every program and the sweep for every fixed
-    /// workload, fanned out across workers. Each task runs once inside
-    /// the crash boundary ([`isolate`]); a panic counts as an infra
-    /// failure.
+    /// The corpus as a stream (see [`Campaign::corpus`]).
+    fn walk(&self) -> CorpusWalk {
+        CorpusWalk {
+            seed: self.seed,
+            budget: self.budget,
+            // 16× oversampling bounds the walk even under heavy collision.
+            cap: self.budget.saturating_mul(16).max(64),
+            seen: HashSet::with_capacity(self.budget),
+            attempts: 0,
+        }
+    }
+
+    /// Runs the campaign: the three-phase check for every corpus
+    /// program and the sweep for every fixed workload, fanned out
+    /// across workers. Programs are generated as workers take them and
+    /// each outcome is folded into the report as it arrives, so a
+    /// campaign holds no per-program state beyond the dedup set. Each
+    /// task runs once inside the crash boundary ([`isolate`]); a panic
+    /// counts as an infra failure.
     pub fn run(&self) -> CampaignReport {
-        let (corpus, generated) = self.corpus();
+        let walk = Mutex::new(self.walk());
         let workloads = fixed_workloads();
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<(usize, Result<Outcome, RunError>)>> =
-            Mutex::new(Vec::with_capacity(corpus.len() + workloads.len()));
-
-        std::thread::scope(|scope| {
-            for _ in 0..self.jobs.max(1) {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let r = if let Some(spec) = corpus.get(i) {
-                        isolate("generated program", || {
-                            Ok(Outcome::Program(run_program(spec, self.config)))
-                        })
-                    } else if let Some(&w) = workloads.get(i - corpus.len()) {
-                        isolate(w.describe(), || {
-                            Ok(Outcome::Workload(run_workload(self.seed, w, self.config)))
-                        })
-                    } else {
-                        break;
-                    };
-                    results.lock().unwrap_or_else(|e| e.into_inner()).push((i, r));
-                });
-            }
-        });
-
-        let mut results = results.into_inner().unwrap_or_else(|e| e.into_inner());
-        results.sort_by_key(|(i, _)| *i);
-
-        let mut report = CampaignReport {
-            generated,
-            programs: corpus.len(),
-            duplicates: generated - corpus.len(),
+        let next_workload = AtomicUsize::new(0);
+        let tally = Mutex::new(Tally {
             inconclusive: 0,
             infra_failures: 0,
             failures: Vec::new(),
             coverage: Coverage::full_vocabulary(),
             sites: SiteTable::default(),
-        };
-        for (i, r) in results {
-            match r {
-                Ok(Outcome::Program(outcome)) => {
-                    report.inconclusive += outcome.inconclusive as u64;
-                    report.coverage.fold(&corpus[i], &outcome);
-                    if let Some(f) = outcome.failure {
-                        report.failures.push((Subject::Program(corpus[i].clone()), f));
+        });
+
+        std::thread::scope(|scope| {
+            for _ in 0..self.jobs.max(1) {
+                scope.spawn(|| loop {
+                    let program = {
+                        let mut w = walk.lock().unwrap_or_else(|e| e.into_inner());
+                        w.next().map(|spec| (w.seen.len() - 1, spec))
+                    };
+                    if let Some((i, spec)) = program {
+                        let r = isolate("generated program", || Ok(run_program(&spec, self.config)));
+                        let mut t = tally.lock().unwrap_or_else(|e| e.into_inner());
+                        match r {
+                            Ok(outcome) => {
+                                t.inconclusive += outcome.inconclusive as u64;
+                                t.coverage.fold(&spec, &outcome);
+                                if let Some(f) = outcome.failure {
+                                    t.failures.push(((0, i), Subject::Program(spec), f));
+                                }
+                            }
+                            Err(_) => t.infra_failures += 1,
+                        }
+                        continue;
                     }
-                }
-                Ok(Outcome::Workload(outcome)) => {
-                    report.sites.add(&outcome.sites);
-                    if let Some((case, f)) = outcome.failure {
-                        report.failures.push((Subject::Workload(case), f));
+                    let j = next_workload.fetch_add(1, Ordering::Relaxed);
+                    let Some(&w) = workloads.get(j) else { break };
+                    let r = isolate(w.describe(), || Ok(run_workload(self.seed, w, self.config)));
+                    let mut t = tally.lock().unwrap_or_else(|e| e.into_inner());
+                    match r {
+                        Ok(outcome) => {
+                            t.sites.add(&outcome.sites);
+                            if let Some((case, f)) = outcome.failure {
+                                t.failures.push(((1, j), Subject::Workload(case), f));
+                            }
+                        }
+                        Err(_) => t.infra_failures += 1,
                     }
-                }
-                Err(_) => report.infra_failures += 1,
+                });
             }
+        });
+
+        let walk = walk.into_inner().unwrap_or_else(|e| e.into_inner());
+        let programs = walk.seen.len();
+        let mut t = tally.into_inner().unwrap_or_else(|e| e.into_inner());
+        t.failures.sort_by_key(|(order, _, _)| *order);
+        CampaignReport {
+            generated: walk.attempts,
+            programs,
+            duplicates: walk.attempts - programs,
+            inconclusive: t.inconclusive,
+            infra_failures: t.infra_failures,
+            failures: t.failures.into_iter().map(|(_, subject, f)| (subject, f)).collect(),
+            coverage: t.coverage,
+            sites: t.sites,
         }
-        report
     }
 }
 
-/// What one campaign task observed.
-enum Outcome {
-    Program(ProgramOutcome),
-    Workload(WorkloadOutcome),
+/// The seed's deduplicated program stream: [`generate_nth`] in order,
+/// keeping the first program of each structural hash, until `budget`
+/// distinct programs or `cap` attempts.
+struct CorpusWalk {
+    seed: u64,
+    budget: usize,
+    cap: usize,
+    /// Structural hashes of the programs yielded so far.
+    seen: HashSet<u64>,
+    /// Programs generated so far, duplicates included.
+    attempts: usize,
+}
+
+impl Iterator for CorpusWalk {
+    type Item = ProgramSpec;
+
+    fn next(&mut self) -> Option<ProgramSpec> {
+        while self.seen.len() < self.budget && self.attempts < self.cap {
+            let spec = generate_nth(self.seed, self.attempts as u64);
+            self.attempts += 1;
+            if self.seen.insert(spec.structural_hash()) {
+                return Some(spec);
+            }
+        }
+        None
+    }
+}
+
+/// A running campaign's folded results. Failures carry their order in
+/// the report: programs by corpus index, then workloads by sweep index.
+struct Tally {
+    inconclusive: u64,
+    infra_failures: u64,
+    failures: Vec<((u8, usize), Subject, ForgeFailure)>,
+    coverage: Coverage,
+    sites: SiteTable,
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 //!    seed-derived [`FaultSchedule`], and a mid-run
 //!    kill→snapshot→restore [`resume_against`] pass. Programs fan out
 //!    across `DSA_JOBS` workers, each inside the crash boundary
-//!    [`isolate`](crate::isolate).
+//!    [`isolate`](crate::isolate); they are generated as workers take
+//!    them and their outcomes folded as they arrive, so a campaign's
+//!    memory does not grow with its budget.
 //!    Each campaign seed also sweeps the eight fixed workloads
 //!    ([`workload`]) through a clean check, the per-site fault sweep
 //!    and a kill/resume check, tallying a per-site table; a workload's

@@ -20,11 +20,10 @@
 //!   [`TimingModel::charge_block`];
 //! * `run_len[pc]` gives the length of the longest infallible superblock
 //!   starting at `pc`: straight-line code — including memory ops —
-//!   optionally closed by one control-flow instruction (computed by a
-//!   single backward pass, so entering a block in the middle — a branch
-//!   target inside it — still finds its maximal tail run);
-//! * per-class commit-count prefix sums give any run's statistics delta
-//!   in O(1).
+//!   optionally closed by one control-flow instruction; `block_delta[pc]`
+//!   gives its per-class commit counts. One backward pass computes both,
+//!   so entering a block in the middle — a branch target inside it —
+//!   still finds its maximal tail run.
 //!
 //! [`DecodedProgram::exec_run`] executes a whole superblock against the
 //! machine, recording effective memory addresses and the terminal branch
@@ -32,17 +31,13 @@
 //! those — the only per-instruction work left is the genuinely stateful
 //! scoreboard arithmetic.
 //!
-//! Decoded programs are cached process-wide by
-//! [`Program::content_hash`] (collisions disambiguated by full program
-//! comparison), so the many simulators `dsa-bench`'s `RunCache` spawns
-//! for the same workload share one decode.
+//! Each [`Simulator`](crate::Simulator) decodes its own program on first
+//! run and shares the decode only with its clones, so it is freed with
+//! them.
 //!
 //! [`TimingModel`]: crate::timing::TimingModel
 //! [`TimingModel::charge_event`]: crate::timing::TimingModel::charge_event
 //! [`TimingModel::charge_block`]: crate::timing::TimingModel::charge_block
-
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 use dsa_isa::{
     AddrMode, AluOp, Cond, ElemType, Instr, InstrClass, MemSize, Operand, Program, QReg, Reg,
@@ -185,7 +180,7 @@ impl DecodedInstr {
 }
 
 /// A [`Program`] predecoded for the superblock fast path. Immutable once
-/// built; shared between simulators via [`decode_cached`].
+/// built; a simulator shares it with its clones (see the module docs).
 #[derive(Debug)]
 pub struct DecodedProgram {
     entries: Vec<DecodedInstr>,
@@ -195,19 +190,11 @@ pub struct DecodedProgram {
     /// materialized at decode time so the hot loop merges one
     /// precomputed delta instead of bumping per instruction.
     block_delta: Vec<ClassCounts>,
-    hash: u64,
 }
 
 impl DecodedProgram {
-    /// Predecodes `program`. Prefer [`decode_cached`] outside of tests —
-    /// decoding is O(program length) but shared across runs there.
+    /// Predecodes `program` in one linear pass.
     pub fn decode(program: &Program) -> DecodedProgram {
-        DecodedProgram::decode_hashed(program, program.content_hash())
-    }
-
-    /// [`decode`](Self::decode) with the program's
-    /// [`Program::content_hash`] already computed (the cache key).
-    fn decode_hashed(program: &Program, hash: u64) -> DecodedProgram {
         let entries: Vec<DecodedInstr> = program
             .iter()
             .enumerate()
@@ -217,32 +204,21 @@ impl DecodedProgram {
                 deps: deps(&instr),
             })
             .collect();
-        let mut run_len = vec![0u32; entries.len()];
-        for i in (0..entries.len()).rev() {
-            run_len[i] = if matches!(entries[i].fast, FastOp::Slow) {
-                0
-            } else if entries[i].fast.is_terminal() {
-                1
-            } else {
-                1 + run_len.get(i + 1).copied().unwrap_or(0)
-            };
+        let n = entries.len();
+        let mut run_len = vec![0u32; n];
+        let mut block_delta = vec![ClassCounts::default(); n];
+        for (i, e) in entries.iter().enumerate().rev() {
+            if matches!(e.fast, FastOp::Slow) {
+                continue; // stepped: an empty run
+            }
+            if !e.fast.is_terminal() && i + 1 < n {
+                run_len[i] = run_len[i + 1];
+                block_delta[i] = block_delta[i + 1];
+            }
+            run_len[i] += 1;
+            block_delta[i].bump(e.class);
         }
-        let mut counts_prefix = Vec::with_capacity(entries.len() + 1);
-        let mut acc = ClassCounts::default();
-        counts_prefix.push(acc);
-        for e in &entries {
-            acc.bump(e.class);
-            counts_prefix.push(acc);
-        }
-        let block_delta = (0..entries.len())
-            .map(|pc| counts_prefix[pc + run_len[pc] as usize].diff(&counts_prefix[pc]))
-            .collect();
-        DecodedProgram { entries, run_len, block_delta, hash }
-    }
-
-    /// The [`Program::content_hash`] this was decoded from.
-    pub fn hash(&self) -> u64 {
-        self.hash
+        DecodedProgram { entries, run_len, block_delta }
     }
 
     /// Number of instructions.
@@ -451,32 +427,10 @@ impl DecodedProgram {
     }
 }
 
-type DecodeCache = HashMap<u64, Vec<(Program, Arc<DecodedProgram>)>>;
-
-static CACHE: OnceLock<Mutex<DecodeCache>> = OnceLock::new();
-
-/// Returns the process-wide shared [`DecodedProgram`] for `program`,
-/// decoding on first sight. Keyed by [`Program::content_hash`]; a hash
-/// collision falls back to full comparison, never to a wrong decode.
-pub fn decode_cached(program: &Program) -> Arc<DecodedProgram> {
-    let hash = program.content_hash();
-    let mut cache = CACHE
-        .get_or_init(Mutex::default)
-        .lock()
-        .unwrap_or_else(|e| e.into_inner());
-    let bucket = cache.entry(hash).or_default();
-    if let Some((_, decoded)) = bucket.iter().find(|(p, _)| p == program) {
-        return Arc::clone(decoded);
-    }
-    let decoded = Arc::new(DecodedProgram::decode_hashed(program, hash));
-    bucket.push((program.clone(), Arc::clone(&decoded)));
-    decoded
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsa_isa::{Asm, Cond};
+    use dsa_isa::Asm;
 
     fn sample() -> Program {
         let mut a = Asm::new();
@@ -576,12 +530,92 @@ mod tests {
         assert_eq!(DecodedProgram::decode(&ok).run_len(0), 1);
     }
 
+    /// The run lengths computed the long way, with per-class prefix
+    /// sums over the program.
+    fn reference_runs(d: &DecodedProgram) -> (Vec<u32>, Vec<ClassCounts>) {
+        let mut run_len = vec![0u32; d.entries.len()];
+        for i in (0..run_len.len()).rev() {
+            run_len[i] = match d.entries[i].fast {
+                FastOp::Slow => 0,
+                f if f.is_terminal() => 1,
+                _ => 1 + run_len.get(i + 1).copied().unwrap_or(0),
+            };
+        }
+        let mut acc = ClassCounts::default();
+        let mut prefix = vec![acc];
+        for e in &d.entries {
+            acc.bump(e.class);
+            prefix.push(acc);
+        }
+        (run_len, prefix)
+    }
+
+    /// A seeded program of up to 40 instructions: straight-line and
+    /// memory ops, `halt`, over-wide (stepped) and valid `vshr`s, and
+    /// every terminal, at random positions.
+    fn random_program(seed: u64) -> Program {
+        let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        let len = 1 + next(40) as usize;
+        let instrs = (0..len)
+            .map(|_| {
+                let q = QReg::new(next(16) as u8);
+                let offset = next(9) as i32 - 4;
+                match next(10) {
+                    0 => Instr::Halt,
+                    1 => Instr::VshrImm { qd: q, qn: q, shift: 16, et: ElemType::I16 },
+                    2 => Instr::VshrImm { qd: q, qn: q, shift: 3, et: ElemType::I16 },
+                    3 => Instr::B { cond: Cond::Ne, offset },
+                    4 => Instr::Bl { offset },
+                    5 => Instr::BxLr,
+                    6 => Instr::Vld1 { qd: q, rn: Reg::R1, writeback: true, et: ElemType::I32 },
+                    7 => Instr::Vop { op: VecOp::Mul, et: ElemType::I32, qd: q, qn: q, qm: q },
+                    8 => Instr::Cmp { rn: Reg::R0, src2: Operand::Imm(1) },
+                    _ => Instr::Mov { rd: Reg::R0, rm: Reg::R1 },
+                }
+            })
+            .collect();
+        Program::new(instrs)
+    }
+
     #[test]
-    fn cache_shares_by_content() {
-        let a = decode_cached(&sample());
-        let b = decode_cached(&sample());
-        assert!(Arc::ptr_eq(&a, &b), "same content shares one decode");
-        let other = decode_cached(&Program::new(vec![Instr::Halt]));
-        assert!(!Arc::ptr_eq(&a, &other));
+    fn one_pass_runs_match_the_prefix_sum_reference() {
+        let programs = std::iter::once(sample()).chain((0..400).map(random_program));
+        for (i, p) in programs.enumerate() {
+            let d = DecodedProgram::decode(&p);
+            let (run_len, prefix) = reference_runs(&d);
+            assert_eq!(d.run_len, run_len, "program {i}: {p:?}");
+            for (pc, &n) in run_len.iter().enumerate() {
+                // A block's delta spans the prefix sums at its two ends.
+                let mut end = prefix[pc];
+                end.merge(d.block_counts(pc as u32));
+                assert_eq!(end, prefix[pc + n as usize], "program {i}, pc {pc}: {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_decode_is_owned_by_its_simulators() {
+        use crate::{CpuConfig, Simulator};
+        use std::sync::{Arc, Weak};
+
+        let mut first = Simulator::new(sample(), CpuConfig::default());
+        let decoded = first.predecode();
+        let mut clone = first.clone();
+        assert!(Arc::ptr_eq(&decoded, &clone.predecode()), "clones share one decode");
+        let mut fresh = Simulator::new(sample(), CpuConfig::default());
+        assert!(
+            !Arc::ptr_eq(&decoded, &fresh.predecode()),
+            "a second simulator of the same program owns its own decode"
+        );
+        let weak: Weak<DecodedProgram> = Arc::downgrade(&decoded);
+        drop((decoded, first, clone));
+        assert!(weak.upgrade().is_none(), "the decode is freed with its last simulator");
+        assert_eq!(fresh.predecode().len(), sample().len());
     }
 }

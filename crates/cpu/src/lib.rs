@@ -51,7 +51,7 @@ mod trace;
 pub mod vec128;
 
 pub use config::{CpuConfig, NeonConfig};
-pub use decoded::{decode_cached, DecodedInstr, DecodedProgram};
+pub use decoded::{DecodedInstr, DecodedProgram};
 pub use machine::{ExecError, Flags, Machine, MachineState, SimError, DEFAULT_SP};
 pub use vec128::LaneError;
 pub use predictor::BranchPredictor;

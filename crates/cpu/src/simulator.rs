@@ -6,7 +6,7 @@ use dsa_isa::{Instr, Program};
 use dsa_mem::MemoryStats;
 
 use crate::config::CpuConfig;
-use crate::decoded::{decode_cached, DecodedProgram};
+use crate::decoded::DecodedProgram;
 use crate::machine::{Machine, SimError};
 use crate::timing::{InjectedOp, TimingModel, TimingStats};
 use crate::trace::{BranchOutcome, TraceEvent};
@@ -256,8 +256,8 @@ pub struct Simulator {
     machine: Machine,
     timing: TimingModel,
     program: Program,
-    /// Shared predecoded form, populated lazily on the first run (via
-    /// the process-wide [`decode_cached`] store).
+    /// Predecoded form of `program`, decoded on the first run and
+    /// shared only with this simulator's clones.
     decoded: Option<Arc<DecodedProgram>>,
     suppress: bool,
     committed: u64,
@@ -287,18 +287,13 @@ impl Simulator {
         }
     }
 
-    /// The shared predecoded form of the program, decoding (or fetching
-    /// from the process-wide cache) on first call. Every run does this
-    /// implicitly.
+    /// The predecoded form of the program, decoded on first call and
+    /// shared with this simulator's clones; it is freed with the last of
+    /// them. Every run does this implicitly.
     pub fn predecode(&mut self) -> Arc<DecodedProgram> {
-        match &self.decoded {
-            Some(d) => Arc::clone(d),
-            None => {
-                let d = decode_cached(&self.program);
-                self.decoded = Some(Arc::clone(&d));
-                d
-            }
-        }
+        Arc::clone(
+            self.decoded.get_or_insert_with(|| Arc::new(DecodedProgram::decode(&self.program))),
+        )
     }
 
     /// The machine state.

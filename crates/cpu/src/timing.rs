@@ -8,8 +8,9 @@ use crate::config::CpuConfig;
 use crate::predictor::BranchPredictor;
 use crate::trace::TraceEvent;
 
-/// A vector (or scalar leftover) operation injected by the DSA directly
-/// into the Issue stage — it never passes through fetch/decode.
+/// A vector operation injected by the DSA directly into the Issue stage
+/// — it never passes through fetch/decode. Only vector-class
+/// instructions may be injected (checked in debug builds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedOp {
     /// The operation to charge.
@@ -82,16 +83,6 @@ impl ClassCounts {
         for (a, b) in self.0.iter_mut().zip(other.0) {
             *a += b;
         }
-    }
-
-    /// `self - earlier`, element-wise. Used on prefix sums, where
-    /// `earlier` is always a prefix of `self` so no counter underflows.
-    pub fn diff(&self, earlier: &ClassCounts) -> ClassCounts {
-        let mut out = [0u64; 16];
-        for (o, (a, b)) in out.iter_mut().zip(self.0.iter().zip(earlier.0)) {
-            *o = a - b;
-        }
-        ClassCounts(out)
     }
 }
 
@@ -420,11 +411,6 @@ impl TimingModel {
         self.memsys.stats()
     }
 
-    /// Branch-predictor statistics `(predictions, mispredictions)`.
-    pub fn predictor_stats(&self) -> (u64, u64) {
-        (self.predictor.predictions(), self.predictor.mispredictions())
-    }
-
     /// Earliest cycle the scalar sources (and flags, if read) are ready.
     /// Absent operands hit the pinned-zero sentinel slot, so this is four
     /// unconditional loads and three `max`es — no data-dependent branches
@@ -592,20 +578,6 @@ impl TimingModel {
         done
     }
 
-    /// Event-path scalar charge: unpacks the trace event's memory and
-    /// branch facts and defers to [`TimingModel::charge_scalar_core`].
-    fn charge_scalar(&mut self, instr: &Instr, ev: Option<&TraceEvent>, d: &Deps, slot: u64) -> u64 {
-        let class = instr.class();
-        let addr = match class {
-            InstrClass::Load => ev.and_then(|e| e.read).map(|a| a.addr),
-            InstrClass::Store => ev.and_then(|e| e.write).map(|a| a.addr),
-            _ => None,
-        };
-        let lat = self.mem_charge(class, addr);
-        let branch = ev.and_then(|e| e.branch.map(|b| (e.pc, b.taken)));
-        self.charge_scalar_core(class, d, slot, lat, branch)
-    }
-
     /// The scalar charge itself, fed by either a [`TraceEvent`] (stepped
     /// path) or predecoded facts (block path) — one body, so the two
     /// interpreter shapes cannot drift apart. `class` is passed in
@@ -673,7 +645,14 @@ impl TimingModel {
             let done = self.charge_vector(class, &d, slot, mem_lat, false);
             self.complete(done);
         } else {
-            let done = self.charge_scalar(&ev.instr, Some(ev), &d, slot);
+            let addr = match class {
+                InstrClass::Load => ev.read.map(|a| a.addr),
+                InstrClass::Store => ev.write.map(|a| a.addr),
+                _ => None,
+            };
+            let lat = self.mem_charge(class, addr);
+            let branch = ev.branch.map(|b| (ev.pc, b.taken));
+            let done = self.charge_scalar_core(class, &d, slot, lat, branch);
             self.complete(done);
         }
     }
@@ -815,36 +794,22 @@ impl TimingModel {
         self.stats.covered += n;
     }
 
-    /// Charges operations injected by the DSA directly into the Issue
-    /// stage (no fetch/decode cost).
+    /// Charges vector operations injected by the DSA directly into the
+    /// Issue stage (no fetch/decode cost).
     pub fn charge_injected(&mut self, ops: &[InjectedOp]) {
         for op in ops {
+            let class = op.instr.class();
+            debug_assert!(class.is_vector(), "injected op is not vector-class: {:?}", op.instr);
             self.stats.injected += 1;
-            self.stats.injected_counts.bump(op.instr.class());
+            self.stats.injected_counts.bump(class);
             let d = deps(&op.instr);
             let slot = self.allocate_slot(self.frontend_ready);
-            if op.instr.class().is_vector() {
-                // The DSA observes real addresses: it uses the aligned
-                // form exactly when the access is 16-byte aligned.
-                let aligned = op.addr.is_none_or(|a| a.is_multiple_of(16));
-                let mem_lat = self.mem_charge(op.instr.class(), op.addr);
-                let done = self.charge_vector(op.instr.class(), &d, slot, mem_lat, aligned);
-                self.complete(done);
-            } else {
-                // Scalar leftover work injected by the DSA: synthesise the
-                // memory access from the provided address.
-                let ev = op.addr.map(|addr| {
-                    let mut e = TraceEvent::simple(0, op.instr);
-                    let acc = crate::trace::MemAccess { addr, bytes: 4 };
-                    match op.instr.class() {
-                        InstrClass::Store => e.write = Some(acc),
-                        _ => e.read = Some(acc),
-                    }
-                    e
-                });
-                let done = self.charge_scalar(&op.instr, ev.as_ref(), &d, slot);
-                self.complete(done);
-            }
+            // The DSA observes real addresses: it uses the aligned
+            // form exactly when the access is 16-byte aligned.
+            let aligned = op.addr.is_none_or(|a| a.is_multiple_of(16));
+            let mem_lat = self.mem_charge(class, op.addr);
+            let done = self.charge_vector(class, &d, slot, mem_lat, aligned);
+            self.complete(done);
         }
     }
 

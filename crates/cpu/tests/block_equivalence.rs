@@ -215,7 +215,6 @@ proptest! {
             stepped.step(&p).expect("fast prefix steps cleanly");
         }
         let mut fast = Machine::new();
-        dsa_cpu::decode_cached(&p); // exercise the shared cache too
         d.exec_run(&mut fast, 0, n, &mut Vec::new());
         prop_assert_eq!(fast.arch_digest(), stepped.arch_digest());
         prop_assert_eq!(fast.pc(), stepped.pc());

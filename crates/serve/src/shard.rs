@@ -169,6 +169,7 @@ impl Shard {
         if deadline_ms > 0 && s.admitted_at.elapsed().as_millis() as u64 > deadline_ms {
             // Admission deadline: the job spent its budget queued; shed
             // it typed instead of running stale work.
+            svc.emit(Event::JobShed { reason: "deadline", cycle: 0 });
             svc.complete_err(
                 s,
                 self.id,

@@ -211,11 +211,14 @@ fn a_session_panicking_past_the_retry_bound_replies_typed() {
 }
 
 /// A job that spends its admission deadline queued behind a long one is
-/// shed typed `DeadlineExceeded` when the shard reaches it, and counted
-/// as failed; the job ahead of it still completes.
+/// shed typed `DeadlineExceeded` when the shard reaches it, traced as a
+/// `deadline` job-shed event and counted as failed; the job ahead of it
+/// still completes.
 #[test]
 fn a_job_queued_past_its_deadline_is_shed_typed() {
     let service = Service::start(ServiceConfig { shards: 1, ..ServiceConfig::default() });
+    let collector = Shared::new(Collector::new());
+    service.attach_sink(collector.clone());
     let long = JobSpec {
         workload: Workload::App(WorkloadId::MatMul),
         system: System::DsaFull,
@@ -239,6 +242,12 @@ fn a_job_queued_past_its_deadline_is_shed_typed() {
     let stats = service.stats();
     assert_eq!((stats.completed, stats.failed), (1, 1), "{stats:?}");
     service.shutdown();
+    let sheds: Vec<Event> = collector
+        .with(|c| c.events.clone())
+        .into_iter()
+        .filter(|e| matches!(e, Event::JobShed { .. }))
+        .collect();
+    assert_eq!(sheds, vec![Event::JobShed { reason: "deadline", cycle: 0 }], "the shed is traced");
 }
 
 /// Full socket round trip: frame a request over TCP, get the outcome
