@@ -1,7 +1,7 @@
 //! The DSA's two private memories: the DSA cache (verified-loop store)
 //! and the Verification Cache (iteration-2 data addresses).
 
-use std::collections::HashMap;
+use crate::idhash::IdMap;
 
 use crate::plan::LoopTemplate;
 use crate::stats::LoopClass;
@@ -53,7 +53,7 @@ struct Entry {
 pub struct DsaCache {
     capacity_bytes: u32,
     used_bytes: u32,
-    entries: HashMap<u32, Entry>,
+    entries: IdMap<Entry>,
     tick: u64,
     hits: u64,
     misses: u64,
@@ -66,7 +66,7 @@ impl DsaCache {
         DsaCache {
             capacity_bytes,
             used_bytes: 0,
-            entries: HashMap::new(),
+            entries: IdMap::default(),
             tick: 0,
             hits: 0,
             misses: 0,
@@ -192,7 +192,7 @@ impl DsaCache {
         evictions: u64,
     ) -> DsaCache {
         let mut used_bytes = 0u32;
-        let entries: HashMap<u32, Entry> = entries
+        let entries: IdMap<Entry> = entries
             .into_iter()
             .map(|(id, kind, last_use)| {
                 used_bytes += kind.size_bytes();

@@ -68,6 +68,7 @@ mod caches;
 mod cidp;
 mod config;
 mod engine;
+mod idhash;
 pub mod faults;
 pub mod oracle;
 mod plan;
@@ -79,6 +80,7 @@ pub use caches::{CachedKind, DsaCache, VerificationCache};
 pub use cidp::{predict, CidpOutcome, Stream};
 pub use config::{DsaConfig, FeatureSet, LeftoverPolicy, TestBug};
 pub use engine::{Dsa, EngineError, Restored};
+pub use idhash::IdSet;
 pub use faults::{splitmix64, BurstWindow, FaultPlan, FaultSchedule, FaultSite, FaultState};
 pub use snapshot::{SessionMeta, Snapshot, SnapshotError};
 pub use oracle::{DifferentialOracle, OracleReport, OracleVerdict, Reference};

@@ -1,7 +1,7 @@
 //! SIMD instruction generation (§4.7) and leftover handling (§4.8).
 
 use dsa_cpu::InjectedOp;
-use dsa_isa::{ElemType, Instr, QReg, Reg, VecOp};
+use dsa_isa::{ElemType, QReg, Reg, VecOp};
 
 use crate::config::LeftoverPolicy;
 use crate::stats::LoopClass;
@@ -336,14 +336,13 @@ fn emit_chunk(
 ) {
     // Rotate registers so independent chunks can pipeline on the NEON
     // engine while ops inside a chunk stay dependent (expression tree).
-    let mut load_qs: Vec<QReg> = Vec::new();
-    for (next_load, (s, base)) in streams.iter().filter(|(s, _)| !s.is_write).enumerate() {
-        let q = QReg::new(4 + ((chunk_index * 2 + next_load as u32) % 4) as u8);
-        load_qs.push(q);
-        out.push(InjectedOp::at(
-            Instr::Vld1 { qd: q, rn: Reg::R2, writeback: false, et },
-            stream_addr(*base, s, elem_index),
-        ));
+    // The `n`-th load of a chunk lands in `load_q(n)`; the sources below
+    // cycle through those registers in load order.
+    let load_q = |n: u32| QReg::new(4 + ((chunk_index * 2 + n) % 4) as u8);
+    let mut loads = 0u32;
+    for (s, base) in streams.iter().filter(|(s, _)| !s.is_write) {
+        out.push(InjectedOp::vld1(load_q(loads), Reg::R2, et, stream_addr(*base, s, elem_index)));
+        loads += 1;
     }
     // Emit the value operations as an expression *tree*, the shape the
     // SIMD generator reconstructs from the body profile: multiplies are
@@ -353,37 +352,41 @@ fn emit_chunk(
     let dest = QReg::new(8 + ((chunk_index % 4) * 2) as u8);
     let side = QReg::new(9 + ((chunk_index % 4) * 2) as u8);
     let mut emitted = 0u32;
-    let mut src_iter = load_qs.iter().copied().cycle();
-    let first = src_iter.next().unwrap_or(dest);
+    let mut next_src = 0u32;
+    let mut next_load = || {
+        (loads > 0).then(|| {
+            let q = load_q(next_src % loads);
+            next_src += 1;
+            q
+        })
+    };
+    let first = next_load().unwrap_or(dest);
     // Independent multiplies into the side register bank.
     for k in 0..ops.mul {
-        let qn = src_iter.next().unwrap_or(first);
-        let qm = src_iter.next().unwrap_or(first);
+        let qn = next_load().unwrap_or(first);
+        let qm = next_load().unwrap_or(first);
         let qd = if k == 0 { dest } else { side };
-        out.push(InjectedOp::plain(Instr::Vop { op: VecOp::Mul, et, qd, qn, qm }));
+        out.push(InjectedOp::vop(VecOp::Mul, et, qd, qn, qm));
         emitted += 1;
     }
     // Combine chain: adds fold the side results / loads into `dest`.
     for _ in 0..ops.alu {
-        let qm = if emitted > 1 { side } else { src_iter.next().unwrap_or(first) };
+        let qm = if emitted > 1 { side } else { next_load().unwrap_or(first) };
         let qn = if emitted == 0 { first } else { dest };
-        out.push(InjectedOp::plain(Instr::Vop { op: VecOp::Add, et, qd: dest, qn, qm }));
+        out.push(InjectedOp::vop(VecOp::Add, et, dest, qn, qm));
         emitted += 1;
     }
     for _ in 0..ops.shift {
         let qn = if emitted == 0 { first } else { dest };
-        out.push(InjectedOp::plain(Instr::VshrImm { qd: dest, qn, shift: 1, et }));
+        out.push(InjectedOp::vshr(dest, qn, 1, et));
         emitted += 1;
     }
     if emitted == 0 {
         // Pure copy loops still move data through a register.
-        out.push(InjectedOp::plain(Instr::Vmov { qd: dest, qm: first }));
+        out.push(InjectedOp::vmov(dest, first));
     }
     for (s, base) in streams.iter().filter(|(s, _)| s.is_write) {
-        out.push(InjectedOp::at(
-            Instr::Vst1 { qs: dest, rn: Reg::R2, writeback: false, et },
-            stream_addr(*base, s, elem_index),
-        ));
+        out.push(InjectedOp::vst1(dest, Reg::R2, et, stream_addr(*base, s, elem_index)));
     }
 }
 
@@ -401,25 +404,13 @@ fn emit_single(
         if i == 0 {
             first = q;
         }
-        out.push(InjectedOp::at(
-            Instr::Vld1Lane { qd: q, lane: 0, rn: Reg::R2, writeback: false, et },
-            stream_addr(*base, s, elem_index),
-        ));
+        out.push(InjectedOp::vld1_lane(q, 0, Reg::R2, et, stream_addr(*base, s, elem_index)));
     }
     for _ in 0..ops.total().max(1) {
-        out.push(InjectedOp::plain(Instr::Vop {
-            op: VecOp::Add,
-            et,
-            qd: dest,
-            qn: first,
-            qm: first,
-        }));
+        out.push(InjectedOp::vop(VecOp::Add, et, dest, first, first));
     }
     for (s, base) in streams.iter().filter(|(s, _)| s.is_write) {
-        out.push(InjectedOp::at(
-            Instr::Vst1Lane { qs: dest, lane: 0, rn: Reg::R2, writeback: false, et },
-            stream_addr(*base, s, elem_index),
-        ));
+        out.push(InjectedOp::vst1_lane(dest, 0, Reg::R2, et, stream_addr(*base, s, elem_index)));
     }
 }
 
@@ -437,7 +428,7 @@ mod tests {
     }
 
     fn count_class(plan: &VectorPlan, class: InstrClass) -> usize {
-        plan.ops.iter().filter(|o| o.instr.class() == class).count()
+        plan.ops.iter().filter(|o| o.class() == class).count()
     }
 
     #[test]
@@ -505,12 +496,8 @@ mod tests {
         assert_eq!(count_class(&plan, InstrClass::VecLoad), 6, "one overlapping chunk");
         assert_eq!(plan.discarded_lanes, 3);
         // The final load starts at element 17 (21 - 4 lanes).
-        let last_load = plan
-            .ops
-            .iter()
-            .rfind(|o| o.instr.class() == InstrClass::VecLoad)
-            .unwrap();
-        assert_eq!(last_load.addr, Some(0x1000 + 17 * 4));
+        let last_load = plan.ops.iter().rfind(|o| o.class() == InstrClass::VecLoad).unwrap();
+        assert_eq!(last_load.addr(), Some(0x1000 + 17 * 4));
     }
 
     #[test]
@@ -518,12 +505,8 @@ mod tests {
         let t = LoopTemplate::test_dummy();
         let plan = build_plan(&t, &streams_for(&t), t.ops, 21, LeftoverPolicy::LargerArrays);
         assert_eq!(plan.leftover_used, LeftoverPolicy::LargerArrays);
-        let last_load = plan
-            .ops
-            .iter()
-            .rfind(|o| o.instr.class() == InstrClass::VecLoad)
-            .unwrap();
-        assert_eq!(last_load.addr, Some(0x1000 + 20 * 4), "starts at the first leftover");
+        let last_load = plan.ops.iter().rfind(|o| o.class() == InstrClass::VecLoad).unwrap();
+        assert_eq!(last_load.addr(), Some(0x1000 + 20 * 4), "starts at the first leftover");
     }
 
     #[test]
@@ -558,8 +541,8 @@ mod tests {
         let loads: Vec<u32> = plan
             .ops
             .iter()
-            .filter(|o| o.instr.class() == InstrClass::VecLoad)
-            .filter_map(|o| o.addr)
+            .filter(|o| o.class() == InstrClass::VecLoad)
+            .filter_map(|o| o.addr())
             .collect();
         assert_eq!(loads, vec![0x1000, 0x1000 + 16]);
     }

@@ -3,6 +3,8 @@
 
 use std::collections::HashSet;
 
+use crate::idhash::IdSet;
+
 use dsa_cpu::{Machine, TraceEvent};
 use dsa_isa::{AluOp, Cond, Instr, Operand, Reg};
 
@@ -89,7 +91,7 @@ pub struct IterationProfile {
     /// Number of in-body conditional branches observed.
     pub cond_branches: u32,
     /// PCs executed inside the loop range.
-    pub pcs: HashSet<u32>,
+    pub pcs: IdSet,
     /// Classified operation profile.
     pub body: BodyProfile,
     /// Whether the body called a function.
@@ -224,7 +226,7 @@ pub struct IterationRecorder {
     /// Register moves observed (`rd <- rm`), for the transitive
     /// address-register closure.
     movs: Vec<(Reg, Reg)>,
-    pcs: HashSet<u32>,
+    pcs: IdSet,
     has_call: bool,
     callee_range: Option<(u32, u32)>,
     exit_check_pc: Option<u32>,
@@ -247,7 +249,7 @@ impl IterationRecorder {
             cond_branches: 0,
             cond_branch_pcs: Vec::new(),
             movs: Vec::new(),
-            pcs: HashSet::new(),
+            pcs: IdSet::default(),
             has_call: false,
             callee_range: None,
             exit_check_pc: None,

@@ -34,9 +34,9 @@ fn template_for(elem_bytes: u8, float: bool) -> LoopTemplate {
 fn stored_elements(ops: &[dsa_cpu::InjectedOp], base: u32, elem: u32) -> BTreeSet<u32> {
     let mut out = BTreeSet::new();
     for op in ops {
-        match op.instr {
+        match op.instr() {
             Instr::Vst1 { et, .. } => {
-                let addr = op.addr.expect("store has address");
+                let addr = op.addr().expect("store has address");
                 let lanes = et.lanes();
                 let first = (addr - base) / elem;
                 for l in 0..lanes {
@@ -44,7 +44,7 @@ fn stored_elements(ops: &[dsa_cpu::InjectedOp], base: u32, elem: u32) -> BTreeSe
                 }
             }
             Instr::Vst1Lane { .. } => {
-                let addr = op.addr.expect("store has address");
+                let addr = op.addr().expect("store has address");
                 out.insert((addr - base) / elem);
             }
             _ => {}
@@ -119,7 +119,7 @@ proptest! {
         let plan = build_plan(&t, &streams, t.ops, iterations, LeftoverPolicy::Auto);
         let chunks = iterations / t.lanes();
         let loads =
-            plan.ops.iter().filter(|o| o.instr.class() == InstrClass::VecLoad).count() as u32;
+            plan.ops.iter().filter(|o| o.class() == InstrClass::VecLoad).count() as u32;
         // One load stream: one vld1 (or lane load) per chunk / leftover.
         prop_assert!(loads >= chunks);
         prop_assert!(loads <= chunks + t.lanes());

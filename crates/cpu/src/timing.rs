@@ -1,7 +1,7 @@
 //! The in-order-issue superscalar timing model with NEON coprocessor.
 
 
-use dsa_isa::{Instr, InstrClass, Operand, QReg, Reg};
+use dsa_isa::{ElemType, Instr, InstrClass, Operand, QReg, Reg, VecOp};
 use dsa_mem::{MemoryStats, MemorySystem};
 
 use crate::config::CpuConfig;
@@ -9,25 +9,74 @@ use crate::predictor::BranchPredictor;
 use crate::trace::TraceEvent;
 
 /// A vector operation injected by the DSA directly into the Issue stage
-/// — it never passes through fetch/decode. Only vector-class
-/// instructions may be injected (checked in debug builds).
+/// — it never passes through fetch/decode. Vector-only by type: each
+/// constructor builds one vector shape, memory shapes always carry
+/// their effective address, and the op's class and scoreboard
+/// dependencies are fixed when it is built, so charging it derives
+/// nothing per op.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InjectedOp {
-    /// The operation to charge.
-    pub instr: Instr,
-    /// Effective address for memory operations.
-    pub addr: Option<u32>,
+    instr: Instr,
+    class: InstrClass,
+    deps: Deps,
+    /// Effective address of a memory shape; 0 for the others.
+    addr: u32,
 }
 
 impl InjectedOp {
-    /// An injected op without a memory access.
-    pub fn plain(instr: Instr) -> InjectedOp {
-        InjectedOp { instr, addr: None }
+    fn new(instr: Instr, addr: u32) -> InjectedOp {
+        InjectedOp { instr, class: instr.class(), deps: deps(&instr), addr }
     }
 
-    /// An injected memory op at `addr`.
-    pub fn at(instr: Instr, addr: u32) -> InjectedOp {
-        InjectedOp { instr, addr: Some(addr) }
+    /// `vld1` of a whole register from `addr`. Injected memory ops
+    /// address memory directly, so none writes its base register back.
+    pub fn vld1(qd: QReg, rn: Reg, et: ElemType, addr: u32) -> InjectedOp {
+        InjectedOp::new(Instr::Vld1 { qd, rn, writeback: false, et }, addr)
+    }
+
+    /// `vst1` of a whole register to `addr`.
+    pub fn vst1(qs: QReg, rn: Reg, et: ElemType, addr: u32) -> InjectedOp {
+        InjectedOp::new(Instr::Vst1 { qs, rn, writeback: false, et }, addr)
+    }
+
+    /// `vld1` of one lane from `addr` (merging into `qd`).
+    pub fn vld1_lane(qd: QReg, lane: u8, rn: Reg, et: ElemType, addr: u32) -> InjectedOp {
+        InjectedOp::new(Instr::Vld1Lane { qd, lane, rn, writeback: false, et }, addr)
+    }
+
+    /// `vst1` of one lane to `addr`.
+    pub fn vst1_lane(qs: QReg, lane: u8, rn: Reg, et: ElemType, addr: u32) -> InjectedOp {
+        InjectedOp::new(Instr::Vst1Lane { qs, lane, rn, writeback: false, et }, addr)
+    }
+
+    /// A lane-wise binary operation `qd = qn op qm`.
+    pub fn vop(op: VecOp, et: ElemType, qd: QReg, qn: QReg, qm: QReg) -> InjectedOp {
+        InjectedOp::new(Instr::Vop { op, et, qd, qn, qm }, 0)
+    }
+
+    /// A lane-wise right shift by an immediate.
+    pub fn vshr(qd: QReg, qn: QReg, shift: u8, et: ElemType) -> InjectedOp {
+        InjectedOp::new(Instr::VshrImm { qd, qn, shift, et }, 0)
+    }
+
+    /// A register-to-register vector move.
+    pub fn vmov(qd: QReg, qm: QReg) -> InjectedOp {
+        InjectedOp::new(Instr::Vmov { qd, qm }, 0)
+    }
+
+    /// The operation as an instruction.
+    pub fn instr(&self) -> Instr {
+        self.instr
+    }
+
+    /// Its (vector) instruction class.
+    pub fn class(&self) -> InstrClass {
+        self.class
+    }
+
+    /// The effective address, for the memory shapes.
+    pub fn addr(&self) -> Option<u32> {
+        matches!(self.class, InstrClass::VecLoad | InstrClass::VecStore).then_some(self.addr)
     }
 }
 
@@ -126,8 +175,14 @@ const FLAGS_SLOT: u8 = 18;
 const REG_SLOTS: usize = 19;
 /// Q-register board: 16 registers + zero + scratch (no flags).
 const QREG_SLOTS: usize = 18;
+/// Entries of one fetch group whose latencies `charge_block` resolves
+/// ahead of the scoreboard: a group is at most one I-cache line of
+/// 4-byte instructions, 16 on the default 64-byte line. Longer lines
+/// resolve in several batches of this size, which changes nothing, as
+/// the cache never sees the scoreboard.
+const GROUP_BATCH: usize = 16;
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Deps {
     /// Scalar source slots (`ZERO_SLOT` when absent).
     srcs: [u8; 3],
@@ -304,6 +359,126 @@ pub(crate) fn deps(instr: &Instr) -> Deps {
     d
 }
 
+/// The dispatch-side state every charge reads and writes: frontend
+/// readiness, the current issue cycle and its used width, and the ROB
+/// ring's head. `charge_block` copies it into a local for the whole
+/// block (writing it back only around a vector entry, which
+/// [`TimingModel::charge_vector`] charges from the model), so that it
+/// lives in registers across the replay instead of being loaded and
+/// stored through the model on every instruction.
+#[derive(Debug, Clone, Copy, Default)]
+struct Issue {
+    frontend_ready: u64,
+    slot_cycle: u64,
+    slot_used: u32,
+    rob_head: usize,
+}
+
+impl Issue {
+    /// Allocates an issue slot no earlier than `earliest`, respecting the
+    /// issue `width`, and returns the issue cycle.
+    #[inline(always)]
+    fn allocate_slot(&mut self, earliest: u64, width: u32) -> u64 {
+        let mut t = earliest.max(self.slot_cycle);
+        // Width exhausted at the current cycle pushes to the next one.
+        t += u64::from(t == self.slot_cycle && self.slot_used >= width);
+        // `t >= slot_cycle` always holds here, so the original
+        // "if t > slot_cycle { reset }" collapses to a conditional move
+        // on the width counter and an unconditional cycle store.
+        self.slot_used = if t > self.slot_cycle { 1 } else { self.slot_used + 1 };
+        self.slot_cycle = t;
+        t
+    }
+
+    /// Decode/dispatch slot of a fetched instruction that arrives
+    /// `fetch_penalty` cycles late: limited by frontend width and
+    /// redirects only; operand stalls delay execution, not younger
+    /// dispatch (out-of-order issue within the reorder-buffer window).
+    #[inline(always)]
+    fn dispatch(&mut self, fetch_penalty: u64, width: u32) -> u64 {
+        let slot = self.allocate_slot(self.frontend_ready + fetch_penalty, width);
+        self.frontend_ready = slot; // slot >= earliest >= frontend_ready by construction
+        slot
+    }
+
+    /// Reorder-buffer floor: the earliest cycle a new instruction may
+    /// begin execution (the entry `rob_size` older must have completed).
+    /// While the window is filling the oldest slot still holds its
+    /// initial 0 — the same "no constraint" a partially-filled deque gave.
+    #[inline(always)]
+    fn rob_floor(&self, rob: &[u64]) -> u64 {
+        rob[self.rob_head]
+    }
+
+    #[inline(always)]
+    fn rob_push(&mut self, rob: &mut [u64], completion: u64) {
+        rob[self.rob_head] = completion;
+        self.rob_head += 1;
+        if self.rob_head == rob.len() {
+            self.rob_head = 0;
+        }
+    }
+}
+
+/// Earliest cycle the scalar sources (and flags, if read) are ready.
+/// Absent operands hit the pinned-zero sentinel slot, so this is four
+/// unconditional loads and three `max`es — no data-dependent branches
+/// (the operand mix varies per instruction and mispredicts dearly).
+#[inline(always)]
+fn src_ready(reg: &[u64; REG_SLOTS], d: &Deps) -> u64 {
+    reg[d.srcs[0] as usize]
+        .max(reg[d.srcs[1] as usize])
+        .max(reg[d.srcs[2] as usize])
+        .max(reg[d.flags_src as usize])
+}
+
+/// The scalar charge itself, shared by the stepped path
+/// ([`TimingModel::charge_event`]) and the block path
+/// ([`TimingModel::charge_block`]) so that the two cannot drift apart.
+/// `lat` was fully resolved up front by [`TimingModel::mem_charge`]:
+/// cache latency for loads, 1 for stores and control flow, the
+/// per-class table for the rest — no class dispatch here. Returns the
+/// execution start (a mispredicted branch redirects the frontend from
+/// it; see [`mispredicted`]) and the completion.
+#[inline(always)]
+fn scalar_core(
+    is: &mut Issue,
+    rob: &mut [u64],
+    reg: &mut [u64; REG_SLOTS],
+    d: &Deps,
+    slot: u64,
+    lat: u64,
+) -> (u64, u64) {
+    let start = slot.max(src_ready(reg, d)).max(is.rob_floor(rob));
+    let done = start + lat;
+    // Absent destinations land in the write-scratch slot; the flags
+    // write targets the flags slot or scratch the same way (branchless).
+    reg[d.dst as usize] = done;
+    reg[d.wb_dst as usize] = start + 1;
+    reg[d.flags_dst as usize] = start + 1;
+    is.rob_push(rob, done);
+    (start, done)
+}
+
+/// Whether a committed control-flow instruction mispredicted: only a
+/// conditional branch (`class == Branch`, which only `B` maps to, with
+/// the flags-read slot set) consults and trains the predictor. Counts
+/// the mispredict; the caller redirects the frontend.
+#[inline(always)]
+fn mispredicted(
+    predictor: &mut BranchPredictor,
+    stats: &mut TimingStats,
+    class: InstrClass,
+    d: &Deps,
+    pc: u32,
+    taken: bool,
+) -> bool {
+    let miss =
+        class == InstrClass::Branch && d.flags_src == FLAGS_SLOT && predictor.update(pc, taken);
+    stats.mispredicts += u64::from(miss);
+    miss
+}
+
 /// Cycle-approximate timing: dual dispatch with out-of-order execution
 /// inside a reorder-buffer window (the gem5 O3CPU class of core),
 /// cache-accurate memory latencies, a bimodal branch predictor, and a
@@ -317,9 +492,8 @@ pub struct TimingModel {
     /// see [`ZERO_SLOT`]). Slot `ZERO_SLOT` must stay 0 forever.
     reg_ready: [u64; REG_SLOTS],
     qreg_ready: [u64; QREG_SLOTS],
-    frontend_ready: u64,
-    slot_cycle: u64,
-    slot_used: u32,
+    /// Dispatch slots, frontend and ROB head; see [`Issue`].
+    issue: Issue,
     /// Next free cycle of the NEON load/store pipeline.
     neon_ls_ready: u64,
     /// Next free cycle of the NEON arithmetic pipeline.
@@ -332,11 +506,10 @@ pub struct TimingModel {
     /// Completion times of in-flight instructions (reorder-buffer model):
     /// a new instruction cannot begin execution before the instruction
     /// `rob_size` ahead of it has completed. Stored as a fixed ring of
-    /// exactly `rob_size` entries with `rob_head` pointing at the oldest;
-    /// the zero initialization stands in for "window not yet full"
-    /// (completions are always ≥ 1, so 0 is never a real entry).
+    /// exactly `rob_size` entries with `issue.rob_head` pointing at the
+    /// oldest; the zero initialization stands in for "window not yet
+    /// full" (completions are always ≥ 1, so 0 is never a real entry).
     rob: Vec<u64>,
-    rob_head: usize,
     /// Fixed execution latency per instruction class, indexed by
     /// [`class_index`] — the configured scalar/NEON latencies flattened
     /// into one table so the charge path never re-matches on the
@@ -345,10 +518,6 @@ pub struct TimingModel {
     /// latency dynamically via [`TimingModel::mem_charge`]; their
     /// entries hold placeholders and are unused.
     lat_by_class: [u64; 16],
-    /// Reusable per-fetch-group buffer of prefetched memory-op latencies
-    /// (see [`TimingModel::charge_block`]'s two-pass group loop); held on
-    /// the model to avoid a heap allocation per group.
-    mem_lat_scratch: Vec<u64>,
     last_completion: u64,
     stats: TimingStats,
 }
@@ -374,18 +543,14 @@ impl TimingModel {
             predictor: BranchPredictor::new(),
             reg_ready: [0; REG_SLOTS],
             qreg_ready: [0; QREG_SLOTS],
-            frontend_ready: 0,
-            slot_cycle: 0,
-            slot_used: 0,
+            issue: Issue::default(),
             neon_ls_ready: 0,
             neon_alu_ready: 0,
             neon_inflight: vec![0; (config.neon.queue_depth as usize).max(1)],
             neon_head: 0,
             neon_len: 0,
             rob: vec![0; (config.rob_size as usize).max(1)],
-            rob_head: 0,
             lat_by_class,
-            mem_lat_scratch: Vec::with_capacity(16),
             last_completion: 0,
             stats: TimingStats::default(),
         }
@@ -398,7 +563,7 @@ impl TimingModel {
 
     /// Total cycles elapsed so far.
     pub fn cycles(&self) -> u64 {
-        self.last_completion.max(self.slot_cycle).max(self.frontend_ready)
+        self.last_completion.max(self.issue.slot_cycle).max(self.issue.frontend_ready)
     }
 
     /// Accumulated statistics.
@@ -411,40 +576,12 @@ impl TimingModel {
         self.memsys.stats()
     }
 
-    /// Earliest cycle the scalar sources (and flags, if read) are ready.
-    /// Absent operands hit the pinned-zero sentinel slot, so this is four
-    /// unconditional loads and three `max`es — no data-dependent branches
-    /// (the operand mix varies per instruction and mispredicts dearly).
-    #[inline(always)]
-    fn src_ready(&self, d: &Deps) -> u64 {
-        let r = &self.reg_ready;
-        r[d.srcs[0] as usize]
-            .max(r[d.srcs[1] as usize])
-            .max(r[d.srcs[2] as usize])
-            .max(r[d.flags_src as usize])
-    }
-
     /// Earliest cycle the vector sources are ready (branchless, as
-    /// [`TimingModel::src_ready`]).
+    /// [`src_ready`]).
     #[inline(always)]
     fn qsrc_ready(&self, d: &Deps) -> u64 {
         let q = &self.qreg_ready;
         q[d.qsrcs[0] as usize].max(q[d.qsrcs[1] as usize])
-    }
-
-    /// Allocates an issue slot no earlier than `earliest`, respecting the
-    /// issue width, and returns the issue cycle.
-    #[inline(always)]
-    fn allocate_slot(&mut self, earliest: u64) -> u64 {
-        let mut t = earliest.max(self.slot_cycle);
-        // Width exhausted at the current cycle pushes to the next one.
-        t += u64::from(t == self.slot_cycle && self.slot_used >= self.config.issue_width);
-        // `t >= slot_cycle` always holds here, so the original
-        // "if t > slot_cycle { reset }" collapses to a conditional move
-        // on the width counter and an unconditional cycle store.
-        self.slot_used = if t > self.slot_cycle { 1 } else { self.slot_used + 1 };
-        self.slot_cycle = t;
-        t
     }
 
     /// Folds one completion time into [`TimingModel::cycles`]'s running
@@ -455,24 +592,6 @@ impl TimingModel {
     #[inline(always)]
     fn complete(&mut self, t: u64) {
         self.last_completion = self.last_completion.max(t);
-    }
-
-    /// Reorder-buffer floor: the earliest cycle a new instruction may
-    /// begin execution (the entry `rob_size` older must have completed).
-    /// While the window is filling the oldest slot still holds its
-    /// initial 0 — the same "no constraint" a partially-filled deque gave.
-    #[inline(always)]
-    fn rob_floor(&self) -> u64 {
-        self.rob[self.rob_head]
-    }
-
-    #[inline(always)]
-    fn rob_push(&mut self, completion: u64) {
-        self.rob[self.rob_head] = completion;
-        self.rob_head += 1;
-        if self.rob_head == self.rob.len() {
-            self.rob_head = 0;
-        }
     }
 
     /// Resolves the execution latency of an instruction of `class`,
@@ -526,10 +645,10 @@ impl TimingModel {
         let is_ls = matches!(class, InstrClass::VecLoad | InstrClass::VecStore);
         let pipe_ready = if is_ls { self.neon_ls_ready } else { self.neon_alu_ready };
         let mut start = slot
-            .max(self.src_ready(d))
+            .max(src_ready(&self.reg_ready, d))
             .max(self.qsrc_ready(d))
             .max(pipe_ready)
-            .max(self.rob_floor());
+            .max(self.issue.rob_floor(&self.rob));
         // Drain finished ops; stall on a full queue. The queue is a fixed
         // ring of `queue_depth` slots (`neon_head`/`neon_len`): FIFO order
         // and stall decisions are exactly the deque's, without its
@@ -574,50 +693,7 @@ impl TimingModel {
         }
         self.neon_inflight[idx] = done;
         self.neon_len += 1;
-        self.rob_push(done);
-        done
-    }
-
-    /// The scalar charge itself, fed by either a [`TraceEvent`] (stepped
-    /// path) or predecoded facts (block path) — one body, so the two
-    /// interpreter shapes cannot drift apart. `class` is passed in
-    /// because both callers already have it (the block path precomputed,
-    /// the event path freshly derived). The instruction itself is not
-    /// needed: fixed latencies come from the per-class table, and "is a
-    /// conditional branch" is exactly `class == Branch` (only `B` maps
-    /// there) with the flags-read slot set in `d`.
-    #[inline(always)]
-    fn charge_scalar_core(
-        &mut self,
-        class: InstrClass,
-        d: &Deps,
-        slot: u64,
-        lat: u64,
-        branch: Option<(u32, bool)>,
-    ) -> u64 {
-        let start = slot.max(self.src_ready(d)).max(self.rob_floor());
-        // `lat` was fully resolved up front by `mem_charge`: cache
-        // latency for loads, 1 for stores and control flow, per-class
-        // table for the rest — no class dispatch on this hot path.
-        let done = start + lat;
-        // Conditional branches consult the predictor. `branch` is `Some`
-        // only for a terminal/committed branch outcome, so this test is
-        // nearly always false and well predicted.
-        if let Some((pc, taken)) = branch {
-            if class == InstrClass::Branch
-                && d.flags_src == FLAGS_SLOT
-                && self.predictor.update(pc, taken)
-            {
-                self.stats.mispredicts += 1;
-                self.frontend_ready = start + 1 + self.config.branch_mispredict_penalty as u64;
-            }
-        }
-        // Absent destinations land in the write-scratch slot; the flags
-        // write targets the flags slot or scratch the same way (branchless).
-        self.reg_ready[d.dst as usize] = done;
-        self.reg_ready[d.wb_dst as usize] = start + 1;
-        self.reg_ready[d.flags_dst as usize] = start + 1;
-        self.rob_push(done);
+        self.issue.rob_push(&mut self.rob, done);
         done
     }
 
@@ -631,11 +707,7 @@ impl TimingModel {
         let fetch_penalty = fetch_latency.saturating_sub(self.config.mem.l1_latency) as u64;
 
         let d = deps(&ev.instr);
-        // Decode/dispatch slot: limited by frontend width and redirects
-        // only; operand stalls delay execution, not younger dispatch
-        // (out-of-order issue within the reorder-buffer window).
-        let slot = self.allocate_slot(self.frontend_ready + fetch_penalty);
-        self.frontend_ready = slot; // slot >= earliest >= frontend_ready by construction
+        let slot = self.issue.dispatch(fetch_penalty, self.config.issue_width);
 
         if class.is_vector() {
             let addr = ev.read.or(ev.write).map(|a| a.addr);
@@ -651,9 +723,34 @@ impl TimingModel {
                 _ => None,
             };
             let lat = self.mem_charge(class, addr);
-            let branch = ev.branch.map(|b| (ev.pc, b.taken));
-            let done = self.charge_scalar_core(class, &d, slot, lat, branch);
+            let (start, done) =
+                scalar_core(&mut self.issue, &mut self.rob, &mut self.reg_ready, &d, slot, lat);
+            if let Some(b) = ev.branch {
+                if mispredicted(&mut self.predictor, &mut self.stats, class, &d, ev.pc, b.taken) {
+                    self.issue.frontend_ready =
+                        start + 1 + self.config.branch_mispredict_penalty as u64;
+                }
+            }
             self.complete(done);
+        }
+    }
+
+    /// Execution latency of a block entry of `class`, taking its data
+    /// address from `mem_addrs[*next_addr]` when it is a memory op.
+    #[inline(always)]
+    fn entry_latency(
+        &mut self,
+        class: InstrClass,
+        mem_addrs: &[u32],
+        next_addr: &mut usize,
+    ) -> u64 {
+        match class {
+            InstrClass::Load | InstrClass::Store | InstrClass::VecLoad | InstrClass::VecStore => {
+                let a = mem_addrs.get(*next_addr).copied();
+                *next_addr += 1;
+                self.mem_charge(class, a)
+            }
+            _ => self.lat_by_class[class_index(class)],
         }
     }
 
@@ -683,6 +780,11 @@ impl TimingModel {
     ///   followers hit at `l1_latency` and
     ///   `latency.saturating_sub(l1_latency)` is zero.
     ///
+    /// The dispatch state ([`Issue`]) stays in a local for the whole
+    /// block and the ROB is borrowed as a slice per batch, so the
+    /// per-instruction scoreboard work touches memory only for the
+    /// register board and the ROB ring itself.
+    ///
     /// Eligibility (no `halt`, no fallible vector shapes, control flow
     /// only as the final entry) is the caller's contract, established at
     /// predecode time.
@@ -700,90 +802,88 @@ impl TimingModel {
         // instructions are 4 bytes, so each group's extent is arithmetic:
         // the run from `addr` to its line boundary, divisions avoided.
         let line_bytes = self.config.mem.l1i.line_bytes;
+        let l1_latency = self.config.mem.l1_latency;
+        let width = self.config.issue_width;
+        // A conditional terminal (`taken` set; always the block's last
+        // entry, hence the last entry of the last group) is charged
+        // after the groups, so the straight-line body never consults
+        // the predictor.
+        let body_len = entries.len() - usize::from(taken.is_some() && !entries.is_empty());
+        let mut is = self.issue;
         let mut next_addr = 0usize;
         let mut i = 0usize;
         // Completion times fold into a register here and reach
         // `last_completion` in one store after the loop (the per-event
         // paths call `complete` per charge instead).
         let mut blk_max = 0u64;
+        let mut fetch_penalty = 0u64;
         while i < entries.len() {
             let addr = base_pc.wrapping_add(i as u32).wrapping_mul(4);
             let to_line_end = ((line_bytes - (addr & (line_bytes - 1))) / 4) as usize;
             let j = (i + to_line_end.max(1)).min(entries.len());
             let fetch_latency = self.memsys.access_instr(addr);
-            let mut fetch_penalty =
-                fetch_latency.saturating_sub(self.config.mem.l1_latency) as u64;
+            fetch_penalty = fetch_latency.saturating_sub(l1_latency) as u64;
             if j - i > 1 {
                 self.memsys.count_instr_repeats(addr, (j - i - 1) as u64);
             }
-            // Pass 1 — resolve every entry's execution latency up front,
-            // replaying the group's data-side cache traffic in program
-            // order ahead of any scoreboard math. The memory system sees
-            // exactly the stepped sequence (group-leading fetch above,
-            // then each data access in order; follower fetches are
-            // stats-only), and scoreboard state never feeds back into
-            // the cache, so recording the latencies is bit-identical —
-            // while taking both the cache walk and the per-class latency
-            // dispatch off the scoreboard's serial dependency chain.
-            self.mem_lat_scratch.clear();
-            for e in entries[i..j].iter() {
-                let class = e.class();
-                let lat = match class {
-                    InstrClass::Load
-                    | InstrClass::Store
-                    | InstrClass::VecLoad
-                    | InstrClass::VecStore => {
-                        let a = mem_addrs.get(next_addr).copied();
-                        next_addr += 1;
-                        self.mem_charge(class, a)
-                    }
-                    _ => self.lat_by_class[class_index(class)],
-                };
-                self.mem_lat_scratch.push(lat);
-            }
-            // Pass 2 — scoreboard math, consuming the recorded latencies.
-            // A conditional terminal (`taken` set; always the block's
-            // last entry, hence the last entry of the last group) is
-            // charged after the loop, so the straight-line body passes a
-            // constant `branch = None` and the inlined core drops the
-            // predictor path entirely.
-            let term = if j == entries.len() { taken } else { None };
-            let body_end = if term.is_some() { j - 1 } else { j };
-            let mut k = 0;
-            for e in entries[i..body_end].iter() {
-                let slot = self.allocate_slot(self.frontend_ready + fetch_penalty);
-                self.frontend_ready = slot; // slot >= earliest >= frontend_ready by construction
-                fetch_penalty = 0; // followers on the line hit at l1_latency
-                let class = e.class();
-                let lat = self.mem_lat_scratch[k];
-                k += 1;
-                let done = if class.is_vector() {
-                    // Fetched (compiler-emitted) vector memory ops use
-                    // the unaligned-safe encoding, as in charge_event.
-                    self.charge_vector(class, e.deps(), slot, lat, false)
-                } else {
-                    self.charge_scalar_core(class, e.deps(), slot, lat, None)
-                };
-                blk_max = blk_max.max(done);
-            }
-            if let Some(t) = term {
-                let e = &entries[j - 1];
-                // The leader's fetch penalty survives only when the
-                // terminal is also the group leader (empty body loop).
-                let slot = self.allocate_slot(self.frontend_ready + fetch_penalty);
-                self.frontend_ready = slot;
-                let pc = base_pc.wrapping_add((j - 1) as u32);
-                let done = self.charge_scalar_core(
-                    e.class(),
-                    e.deps(),
-                    slot,
-                    self.mem_lat_scratch[k],
-                    Some((pc, t)),
-                );
-                blk_max = blk_max.max(done);
+            let mut k = i;
+            let group_end = j.min(body_len);
+            while k < group_end {
+                let batch = &entries[k..group_end.min(k + GROUP_BATCH)];
+                // Pass 1 — resolve every entry's execution latency up
+                // front, replaying the batch's data-side cache traffic
+                // in program order ahead of any scoreboard math. The
+                // memory system sees exactly the stepped sequence
+                // (group-leading fetch above, then each data access in
+                // order; follower fetches are stats-only), and
+                // scoreboard state never feeds back into the cache, so
+                // recording the latencies is bit-identical — while
+                // taking both the cache walk and the per-class latency
+                // dispatch off the scoreboard's serial dependency chain.
+                let mut lats = [0u64; GROUP_BATCH];
+                for (lat, e) in lats.iter_mut().zip(batch) {
+                    *lat = self.entry_latency(e.class(), mem_addrs, &mut next_addr);
+                }
+                // Pass 2 — scoreboard math, consuming the latencies.
+                let mut rob = &mut self.rob[..];
+                for (e, &lat) in batch.iter().zip(&lats) {
+                    let slot = is.dispatch(fetch_penalty, width);
+                    fetch_penalty = 0; // followers on the line hit at l1_latency
+                    let class = e.class();
+                    let done = if class.is_vector() {
+                        // Fetched (compiler-emitted) vector memory ops
+                        // use the unaligned-safe encoding, as in
+                        // charge_event. The NEON path is charged from
+                        // the model, so the local state goes back first.
+                        self.issue = is;
+                        let done = self.charge_vector(class, e.deps(), slot, lat, false);
+                        is = self.issue;
+                        rob = &mut self.rob[..];
+                        done
+                    } else {
+                        scalar_core(&mut is, rob, &mut self.reg_ready, e.deps(), slot, lat).1
+                    };
+                    blk_max = blk_max.max(done);
+                }
+                k += batch.len();
             }
             i = j;
         }
+        if let (Some(t), Some(e)) = (taken, entries.last()) {
+            // The last group's fetch penalty survives only when the
+            // terminal is also its leader (empty body loop).
+            let slot = is.dispatch(fetch_penalty, width);
+            let class = e.class();
+            let lat = self.entry_latency(class, mem_addrs, &mut next_addr);
+            let (start, done) =
+                scalar_core(&mut is, &mut self.rob, &mut self.reg_ready, e.deps(), slot, lat);
+            let pc = base_pc.wrapping_add((entries.len() - 1) as u32);
+            if mispredicted(&mut self.predictor, &mut self.stats, class, e.deps(), pc, t) {
+                is.frontend_ready = start + 1 + self.config.branch_mispredict_penalty as u64;
+            }
+            blk_max = blk_max.max(done);
+        }
+        self.issue = is;
         self.complete(blk_max);
         debug_assert_eq!(next_addr, mem_addrs.len(), "address stream fully consumed");
     }
@@ -798,17 +898,15 @@ impl TimingModel {
     /// Issue stage (no fetch/decode cost).
     pub fn charge_injected(&mut self, ops: &[InjectedOp]) {
         for op in ops {
-            let class = op.instr.class();
-            debug_assert!(class.is_vector(), "injected op is not vector-class: {:?}", op.instr);
             self.stats.injected += 1;
-            self.stats.injected_counts.bump(class);
-            let d = deps(&op.instr);
-            let slot = self.allocate_slot(self.frontend_ready);
+            self.stats.injected_counts.bump(op.class);
+            let slot = self.issue.allocate_slot(self.issue.frontend_ready, self.config.issue_width);
             // The DSA observes real addresses: it uses the aligned
-            // form exactly when the access is 16-byte aligned.
-            let aligned = op.addr.is_none_or(|a| a.is_multiple_of(16));
-            let mem_lat = self.mem_charge(class, op.addr);
-            let done = self.charge_vector(class, &d, slot, mem_lat, aligned);
+            // form exactly when the access is 16-byte aligned (the
+            // non-memory shapes carry address 0 and use no LS slot).
+            let aligned = op.addr.is_multiple_of(16);
+            let mem_lat = self.mem_charge(op.class, op.addr());
+            let done = self.charge_vector(op.class, &op.deps, slot, mem_lat, aligned);
             self.complete(done);
         }
     }
@@ -822,7 +920,7 @@ impl TimingModel {
     /// Advances the frontend by `cycles` (pipeline flush / drain).
     pub fn charge_stall(&mut self, cycles: u64) {
         let now = self.cycles();
-        self.frontend_ready = self.frontend_ready.max(now) + cycles;
+        self.issue.frontend_ready = self.issue.frontend_ready.max(now) + cycles;
         self.stats.stall_cycles += cycles;
     }
 }
@@ -830,8 +928,8 @@ impl TimingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dsa_isa::{AddrMode, AluOp, Cond, ElemType, VecOp};
     use crate::trace::{BranchOutcome, MemAccess};
+    use dsa_isa::{AddrMode, AluOp, Cond};
 
     fn alu_ev(pc: u32, rd: Reg, rn: Reg) -> TraceEvent {
         TraceEvent::simple(
@@ -920,10 +1018,7 @@ mod tests {
         let mut t = TimingModel::new(CpuConfig::default());
         let ops: Vec<InjectedOp> = (0..32)
             .map(|i| {
-                InjectedOp::at(
-                    Instr::Vld1 { qd: QReg::Q0, rn: Reg::R0, writeback: true, et: ElemType::I32 },
-                    0x2000 + 64 * i,
-                )
+                InjectedOp::vld1(QReg::Q0, Reg::R0, ElemType::I32, 0x2000 + 64 * i)
             })
             .collect();
         t.charge_injected(&ops);
@@ -958,13 +1053,7 @@ mod tests {
         let mut prev = QReg::Q0;
         for i in 1..6 {
             let qd = QReg::new(i);
-            t.charge_injected(&[InjectedOp::plain(Instr::Vop {
-                op: VecOp::Add,
-                et: ElemType::I32,
-                qd,
-                qn: prev,
-                qm: prev,
-            })]);
+            t.charge_injected(&[InjectedOp::vop(VecOp::Add, ElemType::I32, qd, prev, prev)]);
             prev = qd;
         }
         let alu_lat = t.config().neon.alu_latency as u64;

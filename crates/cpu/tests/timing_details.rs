@@ -2,13 +2,10 @@
 //! slots, NEON queue pressure, ROB windowing and stall accounting.
 
 use dsa_cpu::{CpuConfig, InjectedOp, TimingModel};
-use dsa_isa::{ElemType, Instr, QReg, Reg, VecOp};
+use dsa_isa::{ElemType, QReg, Reg, VecOp};
 
 fn vld(q: u8, addr: u32) -> InjectedOp {
-    InjectedOp::at(
-        Instr::Vld1 { qd: QReg::new(q), rn: Reg::R2, writeback: false, et: ElemType::I32 },
-        addr,
-    )
+    InjectedOp::vld1(QReg::new(q), Reg::R2, ElemType::I32, addr)
 }
 
 #[test]
@@ -49,13 +46,7 @@ fn vector_alu_chain_respects_latency() {
     let mut prev = QReg::Q0;
     for i in 1..=10u8 {
         let qd = QReg::new(i % 16);
-        t.charge_injected(&[InjectedOp::plain(Instr::Vop {
-            op: VecOp::Add,
-            et: ElemType::I32,
-            qd,
-            qn: prev,
-            qm: prev,
-        })]);
+        t.charge_injected(&[InjectedOp::vop(VecOp::Add, ElemType::I32, qd, prev, prev)]);
         prev = qd;
     }
     assert!(
@@ -69,13 +60,7 @@ fn vector_alu_chain_respects_latency() {
 fn stall_and_injection_compose() {
     let mut t = TimingModel::new(CpuConfig::default());
     t.charge_stall(100);
-    t.charge_injected(&[InjectedOp::plain(Instr::Vop {
-        op: VecOp::Add,
-        et: ElemType::I32,
-        qd: QReg::Q8,
-        qn: QReg::Q0,
-        qm: QReg::Q1,
-    })]);
+    t.charge_injected(&[InjectedOp::vop(VecOp::Add, ElemType::I32, QReg::Q8, QReg::Q0, QReg::Q1)]);
     assert!(t.cycles() > 100, "injected work starts after the stall");
     assert_eq!(t.stats().stall_cycles, 100);
 }
@@ -83,13 +68,7 @@ fn stall_and_injection_compose() {
 #[test]
 fn injected_counts_are_separate_from_committed() {
     let mut t = TimingModel::new(CpuConfig::default());
-    t.charge_injected(&[InjectedOp::plain(Instr::Vop {
-        op: VecOp::Mul,
-        et: ElemType::F32,
-        qd: QReg::Q8,
-        qn: QReg::Q0,
-        qm: QReg::Q1,
-    })]);
+    t.charge_injected(&[InjectedOp::vop(VecOp::Mul, ElemType::F32, QReg::Q8, QReg::Q0, QReg::Q1)]);
     let s = t.stats();
     assert_eq!(s.injected, 1);
     assert_eq!(s.committed, 0);

@@ -1,4 +1,12 @@
 //! Set-associative cache with true-LRU replacement.
+//!
+//! A line is a tag, a dirty bit and the tick of its last use. There is
+//! no valid bit: the tick counter starts at 0 and is bumped before every
+//! use, so a filled line always has `last_use >= 1` and an empty one has
+//! `last_use == 0`. "Is this line valid" is then `last_use != 0`, and the
+//! LRU victim, which must be an empty way when the set has one, is
+//! simply the way with the smallest `last_use` (the first such way on a
+//! tie, which only empty ways can have).
 
 /// Geometry of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,11 +73,31 @@ impl CacheStats {
 
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    valid: bool,
     dirty: bool,
     tag: u32,
-    /// Monotonic counter of last use; smallest = least recently used.
+    /// Tick of the last use; smallest = least recently used, 0 = empty
+    /// (see the module docs).
     last_use: u64,
+}
+
+impl Line {
+    #[inline(always)]
+    fn holds(&self, tag: u32) -> bool {
+        self.tag == tag && self.last_use != 0
+    }
+}
+
+/// Index of the LRU way of `set`: the smallest `last_use`, so an empty
+/// way (0) before any filled one, and the first on a tie.
+#[inline(always)]
+fn victim(set: &[Line]) -> usize {
+    let mut best = 0;
+    for (w, line) in set.iter().enumerate().skip(1) {
+        if line.last_use < set[best].last_use {
+            best = w;
+        }
+    }
+    best
 }
 
 /// One level of a write-back, write-allocate cache with true-LRU
@@ -168,7 +196,9 @@ impl Cache {
     }
 
     /// Performs an access, allocating on miss; returns hit/writeback info.
-    #[inline]
+    /// Always inlined: the timing replay calls it for every fetch group
+    /// and data access, and the call itself cost more than a hit.
+    #[inline(always)]
     pub fn access(&mut self, addr: u32, write: bool) -> Lookup {
         self.tick += 1;
         let tag = self.tag_of(addr);
@@ -182,7 +212,7 @@ impl Cache {
         // in different ways.
         let m = self.mru[set_idx] as usize;
         if let Some(line) = self.lines.get_mut(m) {
-            if line.valid && line.tag == tag {
+            if line.holds(tag) {
                 line.last_use = self.tick;
                 line.dirty |= write;
                 self.stats.hits += 1;
@@ -192,7 +222,7 @@ impl Cache {
         // Predicted way missed: full scan of the set.
         let set = &mut self.lines[start..end];
         for (w, line) in set.iter_mut().enumerate() {
-            if line.valid && line.tag == tag {
+            if line.holds(tag) {
                 line.last_use = self.tick;
                 line.dirty |= write;
                 self.stats.hits += 1;
@@ -200,16 +230,12 @@ impl Cache {
                 return Lookup { hit: true, writeback: false };
             }
         }
-        // Miss: pick victim (invalid first, else true LRU).
+        // Miss: replace the LRU way (an empty one first).
         self.stats.misses += 1;
-        let victim = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| (l.valid, l.last_use))
-            .map(|(i, _)| i)
-            .expect("non-empty set");
-        let evicted_dirty = set[victim].valid && set[victim].dirty;
-        set[victim] = Line { valid: true, dirty: write, tag, last_use: self.tick };
+        let victim = victim(set);
+        // An empty line is never dirty (`flush` clears both together).
+        let evicted_dirty = set[victim].dirty;
+        set[victim] = Line { dirty: write, tag, last_use: self.tick };
         self.mru[set_idx] = (start + victim) as u32;
         if evicted_dirty {
             self.stats.writebacks += 1;
@@ -232,6 +258,7 @@ impl Cache {
     /// straight after the leader in the L1I, and interleaved *data*
     /// accesses go to the separate L1D, so nothing can evict the line
     /// between the fetches).
+    #[inline]
     pub fn count_hits(&mut self, addr: u32, n: u64) {
         debug_assert!(self.probe(addr), "count_hits on a non-resident line");
         self.stats.hits += n;
@@ -242,7 +269,7 @@ impl Cache {
     pub fn probe(&self, addr: u32) -> bool {
         let tag = self.tag_of(addr);
         let (start, end) = self.set_range(addr);
-        self.lines[start..end].iter().any(|l| l.valid && l.tag == tag)
+        self.lines[start..end].iter().any(|l| l.holds(tag))
     }
 
     /// Installs the line containing `addr` without touching statistics —
@@ -252,17 +279,12 @@ impl Cache {
         self.tick += 1;
         let tag = self.tag_of(addr);
         let (start, end) = self.set_range(addr);
-        if self.lines[start..end].iter().any(|l| l.valid && l.tag == tag) {
+        let set = &mut self.lines[start..end];
+        if set.iter().any(|l| l.holds(tag)) {
             return;
         }
-        let set = &mut self.lines[start..end];
-        let victim = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| (l.valid, l.last_use))
-            .map(|(i, _)| i)
-            .expect("non-empty set");
-        set[victim] = Line { valid: true, dirty: false, tag, last_use: self.tick };
+        let victim = victim(set);
+        set[victim] = Line { dirty: false, tag, last_use: self.tick };
     }
 
     /// Invalidates all lines (statistics are kept).
@@ -390,6 +412,128 @@ mod tests {
             }
             assert!(c.stats().hits >= prev_hits, "size {size}");
             prev_hits = c.stats().hits;
+        }
+    }
+
+    /// The cache as it was before the valid bit was folded into
+    /// `last_use`: an explicit `valid` flag, and victims chosen by
+    /// `(valid, last_use)` (an invalid way first, else true LRU). Kept as
+    /// the reference the folded cache must reproduce exactly.
+    struct ValidBitCache {
+        config: CacheConfig,
+        lines: Vec<(bool, bool, u32, u64)>, // (valid, dirty, tag, last_use)
+        tick: u64,
+        stats: CacheStats,
+    }
+
+    impl ValidBitCache {
+        fn new(config: CacheConfig) -> ValidBitCache {
+            let lines = vec![(false, false, 0, 0); (config.sets() * config.ways) as usize];
+            ValidBitCache { config, lines, tick: 0, stats: CacheStats::default() }
+        }
+
+        fn set(&mut self, addr: u32) -> (&mut [(bool, bool, u32, u64)], u32) {
+            let line = addr / self.config.line_bytes;
+            let (set, tag) = (line % self.config.sets(), line / self.config.sets());
+            let ways = self.config.ways as usize;
+            (&mut self.lines[set as usize * ways..][..ways], tag)
+        }
+
+        fn fill(set: &mut [(bool, bool, u32, u64)], tag: u32, dirty: bool, tick: u64) -> bool {
+            let (victim, _) =
+                set.iter().enumerate().min_by_key(|(_, l)| (l.0, l.3)).expect("non-empty set");
+            let evicted_dirty = set[victim].0 && set[victim].1;
+            set[victim] = (true, dirty, tag, tick);
+            evicted_dirty
+        }
+
+        fn access(&mut self, addr: u32, write: bool) -> Lookup {
+            self.tick += 1;
+            let tick = self.tick;
+            let (set, tag) = self.set(addr);
+            if let Some(l) = set.iter_mut().find(|l| l.0 && l.2 == tag) {
+                l.3 = tick;
+                l.1 |= write;
+                self.stats.hits += 1;
+                return Lookup { hit: true, writeback: false };
+            }
+            let writeback = Self::fill(set, tag, write, tick);
+            self.stats.misses += 1;
+            self.stats.writebacks += u64::from(writeback);
+            Lookup { hit: false, writeback }
+        }
+
+        fn warm(&mut self, addr: u32) {
+            self.tick += 1;
+            let tick = self.tick;
+            let (set, tag) = self.set(addr);
+            if !set.iter().any(|l| l.0 && l.2 == tag) {
+                Self::fill(set, tag, false, tick);
+            }
+        }
+
+        fn probe(&mut self, addr: u32) -> bool {
+            let (set, tag) = self.set(addr);
+            set.iter().any(|l| l.0 && l.2 == tag)
+        }
+
+        fn flush(&mut self) {
+            self.lines.iter_mut().for_each(|l| *l = (false, false, 0, 0));
+        }
+    }
+
+    #[test]
+    fn folded_valid_bit_matches_the_valid_bit_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let geometries = [
+            CacheConfig::new(128, 16, 2),  // 4 sets x 2 ways
+            CacheConfig::new(96, 16, 2),   // 3 sets: the division path
+            CacheConfig::new(64, 16, 1),   // direct-mapped
+            CacheConfig::new(512, 16, 8),  // 4 sets x 8 ways
+            CacheConfig::new(64, 64, 1),   // one line
+            CacheConfig::new(2048, 64, 4), // 8 sets x 4 ways
+        ];
+        for (g, &config) in geometries.iter().enumerate() {
+            for seed in 0..4u64 {
+                let mut rng = StdRng::seed_from_u64(seed * 16 + g as u64);
+                let mut cache = Cache::new(config);
+                let mut want = ValidBitCache::new(config);
+                // A working set a few times the capacity, so sets fill,
+                // evict and re-hit; tag 0 (address 0 upward) included.
+                let span = config.size_bytes * 3;
+                for step in 0..4000 {
+                    let addr = rng.gen_range(0..span);
+                    let what = format!("geometry {g} seed {seed} step {step} addr {addr:#x}");
+                    match rng.gen_range(0..20u32) {
+                        0 => {
+                            cache.flush();
+                            want.flush();
+                        }
+                        1..=3 => {
+                            cache.warm(addr);
+                            want.warm(addr);
+                        }
+                        4 => {
+                            // A same-line repeat, as the block path batches them.
+                            let first = cache.access(addr, false);
+                            assert_eq!(first, want.access(addr, false), "{what}");
+                            cache.count_hits(addr, 3);
+                            for _ in 0..3 {
+                                want.access(addr, false);
+                            }
+                        }
+                        _ => {
+                            let write = rng.gen_bool();
+                            assert_eq!(cache.access(addr, write), want.access(addr, write), "{what}");
+                        }
+                    }
+                    assert_eq!(cache.stats(), want.stats, "{what}");
+                    let probe = rng.gen_range(0..span);
+                    assert_eq!(cache.probe(probe), want.probe(probe), "probe {probe:#x}: {what}");
+                }
+            }
         }
     }
 }

@@ -78,8 +78,9 @@ impl MemorySystem {
     }
 
     /// Performs a data access (load or store) and returns its latency in
-    /// cycles.
-    #[inline]
+    /// cycles. Always inlined, with the cache walks inside it, so that the
+    /// timing replay runs the whole walk in line.
+    #[inline(always)]
     pub fn access_data(&mut self, addr: u32, write: bool) -> u32 {
         let l1 = self.l1d.access(addr, write);
         if l1.writeback {
@@ -104,8 +105,9 @@ impl MemorySystem {
         }
     }
 
-    /// Performs an instruction fetch and returns its latency in cycles.
-    #[inline]
+    /// Performs an instruction fetch and returns its latency in cycles
+    /// (always inlined, as [`MemorySystem::access_data`]).
+    #[inline(always)]
     pub fn access_instr(&mut self, addr: u32) -> u32 {
         let l1 = self.l1i.access(addr, false);
         if l1.hit {
@@ -135,6 +137,7 @@ impl MemorySystem {
     /// order is exactly the stepped one). See [`Cache::count_hits`] for
     /// why the collapsed accounting is bit-identical to `extra` real
     /// accesses.
+    #[inline]
     pub fn count_instr_repeats(&mut self, addr: u32, extra: u64) {
         self.l1i.count_hits(addr, extra);
     }
