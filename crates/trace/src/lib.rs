@@ -32,8 +32,13 @@
 //! builds the [`Event`], so disabled call sites cost one predictable
 //! branch and zero formatting/allocation. All emission sites sit on
 //! loop-boundary / stage-transition paths, never on the per-commit
-//! path. The `trace_overhead_guard` bench binary in `dsa-bench` holds
-//! the disabled path under its budget.
+//! path. The hottest sites hand one loop's events over as a burst
+//! ([`Tracer::emit_loop`]): one sink call instead of one per event, and
+//! none, with nothing built, for a loop the sink does not keep
+//! ([`TraceSink::keeps_loop`], e.g. a [`SamplingSink`]'s dropped
+//! lifecycles). The `trace_overhead_guard` bench binary in `dsa-bench`
+//! holds the disabled path, a null sink and the sampler under its
+//! budget.
 //!
 //! ## One schema, two wire formats
 //!
@@ -80,6 +85,24 @@ pub trait TraceSink {
     /// Consumes one event.
     fn record(&mut self, ev: &Event);
 
+    /// Consumes a burst of events in order, exactly as `record` on each
+    /// would. An emitter with several events at one site hands them over
+    /// in one call: one dynamic dispatch (and one lock, for a shared
+    /// sink) per burst instead of per event.
+    fn record_all(&mut self, evs: &[Event]) {
+        for ev in evs {
+            self.record(ev);
+        }
+    }
+
+    /// Whether this sink keeps any event of loop `loop_id`. It must be a
+    /// pure function of `loop_id` for the sink's life, since a
+    /// [`Tracer`] asks once per run of same-loop bursts; `false` lets
+    /// the emitter skip building events that `record` would drop.
+    fn keeps_loop(&mut self, _loop_id: u32) -> bool {
+        true
+    }
+
     /// Stream end: flush buffers, write footers. Must be idempotent.
     fn finish(&mut self) {}
 }
@@ -87,6 +110,14 @@ pub trait TraceSink {
 impl<T: TraceSink + ?Sized> TraceSink for Box<T> {
     fn record(&mut self, ev: &Event) {
         (**self).record(ev);
+    }
+
+    fn record_all(&mut self, evs: &[Event]) {
+        (**self).record_all(evs);
+    }
+
+    fn keeps_loop(&mut self, loop_id: u32) -> bool {
+        (**self).keeps_loop(loop_id)
     }
 
     fn finish(&mut self) {
@@ -103,8 +134,16 @@ pub enum Tracer {
     /// No sink attached; [`Tracer::emit`] is a discriminant test.
     #[default]
     Off,
-    /// Events flow into the boxed sink.
-    On(Box<dyn TraceSink + Send>),
+    /// Events flow into the attached sink.
+    On(Attached),
+}
+
+/// A [`Tracer`]'s sink, with its [`TraceSink::keeps_loop`] verdict for
+/// the loop last asked about.
+pub struct Attached {
+    sink: Box<dyn TraceSink + Send>,
+    /// `(loop id, verdict)`.
+    kept: (u32, bool),
 }
 
 impl std::fmt::Debug for Tracer {
@@ -119,7 +158,9 @@ impl std::fmt::Debug for Tracer {
 impl Tracer {
     /// A tracer feeding `sink`.
     pub fn on(sink: impl TraceSink + Send + 'static) -> Tracer {
-        Tracer::On(Box::new(sink))
+        let mut sink: Box<dyn TraceSink + Send> = Box::new(sink);
+        let kept = (0, sink.keeps_loop(0));
+        Tracer::On(Attached { sink, kept })
     }
 
     /// True when a sink is attached.
@@ -132,15 +173,34 @@ impl Tracer {
     /// nothing.
     #[inline(always)]
     pub fn emit(&mut self, build: impl FnOnce() -> Event) {
-        if let Tracer::On(sink) = self {
-            sink.record(&build());
+        if let Tracer::On(on) = self {
+            on.sink.record(&build());
+        }
+    }
+
+    /// Emits the burst built by `build`, every event of which concerns
+    /// loop `loop_id`, in one [`TraceSink::record_all`] call. `build`
+    /// only runs when a sink is attached and keeps that loop
+    /// ([`TraceSink::keeps_loop`], asked again only when the loop
+    /// changes), so a sampled-out loop's bursts cost one comparison.
+    #[inline(always)]
+    pub fn emit_loop<const N: usize>(&mut self, loop_id: u32, build: impl FnOnce() -> [Event; N]) {
+        if let Tracer::On(on) = self {
+            if on.kept.0 != loop_id {
+                on.kept = (loop_id, on.sink.keeps_loop(loop_id));
+            }
+            if on.kept.1 {
+                let burst = build();
+                debug_assert!(burst.iter().all(|ev| ev.loop_id() == Some(loop_id)));
+                on.sink.record_all(&burst);
+            }
         }
     }
 
     /// Forwards [`TraceSink::finish`] to the attached sink, if any.
     pub fn finish(&mut self) {
-        if let Tracer::On(sink) = self {
-            sink.finish();
+        if let Tracer::On(on) = self {
+            on.sink.finish();
         }
     }
 }
@@ -168,6 +228,10 @@ impl TraceSink for Fanout {
         for sink in &mut self.0 {
             sink.record(ev);
         }
+    }
+
+    fn keeps_loop(&mut self, loop_id: u32) -> bool {
+        self.0.iter_mut().any(|sink| sink.keeps_loop(loop_id))
     }
 
     fn finish(&mut self) {
@@ -203,6 +267,14 @@ impl<S: TraceSink> Clone for Shared<S> {
 impl<S: TraceSink> TraceSink for Shared<S> {
     fn record(&mut self, ev: &Event) {
         self.0.lock().expect("shared sink poisoned").record(ev);
+    }
+
+    fn record_all(&mut self, evs: &[Event]) {
+        self.0.lock().expect("shared sink poisoned").record_all(evs);
+    }
+
+    fn keeps_loop(&mut self, loop_id: u32) -> bool {
+        self.0.lock().expect("shared sink poisoned").keeps_loop(loop_id)
     }
 
     fn finish(&mut self) {
@@ -277,6 +349,62 @@ mod tests {
         assert!(t.enabled());
         assert_eq!(shared.with(|c| c.events.len()), 1);
         assert_eq!(shared.with(|c| c.events[0].cycle()), 3);
+    }
+
+    fn burst(loop_id: u32, cycle: u64) -> [Event; 2] {
+        [
+            Event::LoopDetected { loop_id, end_pc: 9, cycle },
+            Event::LoopFinished { loop_id, iters: 2, cycle: cycle + 1 },
+        ]
+    }
+
+    #[test]
+    fn a_burst_arrives_as_its_events_in_order() {
+        let shared = Shared::new(Collector::new());
+        let mut t = Tracer::on(Box::new(shared.clone()));
+        t.emit(|| Event::RunStarted { pc: 0, cycle: 1 });
+        t.emit_loop(4, || burst(4, 2));
+        t.emit(|| Event::RunFinished { cycle: 4, committed: 4, halted: true });
+        let cycles: Vec<u64> = shared.with(|c| c.events.iter().map(Event::cycle).collect());
+        assert_eq!(cycles, [1, 2, 3, 4]);
+        let mut off = Tracer::Off;
+        let mut built = false;
+        off.emit_loop(4, || {
+            built = true;
+            burst(4, 2)
+        });
+        assert!(!built, "Tracer::Off must not build a burst");
+    }
+
+    #[test]
+    fn a_sampled_out_loop_is_never_built() {
+        // Through a sampling sink, a loop's bursts are built and arrive
+        // exactly when the sampler's pure verdict keeps the loop.
+        let (seed, rate) = (11, 4);
+        let verdict = SamplingSink::new(NullSink, seed, rate);
+        assert!(!verdict.keeps_loop(0), "the sequence must open on a dropped loop");
+        // A kept loop whose next aligned id is dropped, so a verdict
+        // memoized under the wrong loop id shows.
+        let kept = (4..1024)
+            .step_by(4)
+            .find(|&id| verdict.keeps_loop(id) && !verdict.keeps_loop(id + 4))
+            .expect("rate 4 keeps some loop and drops the next");
+        let ids = [0, kept, kept + 4, kept + 4, kept, 0, kept];
+        let at_source = Shared::new(SamplingSink::new(Collector::new(), seed, rate));
+        let mut t = Tracer::on(at_source.clone());
+        let (mut built, mut want) = (Vec::new(), Vec::new());
+        for (i, id) in ids.into_iter().enumerate() {
+            let events = burst(id, 10 * i as u64);
+            t.emit_loop(id, || {
+                built.push(id);
+                events
+            });
+            if verdict.keeps_loop(id) {
+                want.extend(events);
+            }
+        }
+        assert_eq!(built, [kept, kept, kept], "only the kept loop's bursts are built");
+        assert_eq!(at_source.with(|s| s.inner().events.clone()), want);
     }
 
     #[test]

@@ -448,6 +448,10 @@ impl TraceSink for SharedMetrics {
     fn record(&mut self, ev: &Event) {
         self.lock().record(ev);
     }
+
+    fn record_all(&mut self, evs: &[Event]) {
+        self.lock().record_all(evs);
+    }
 }
 
 #[cfg(test)]

@@ -93,17 +93,21 @@ impl<S: TraceSink> TraceSink for SamplingSink<S> {
     fn record(&mut self, ev: &Event) {
         let keep = match ev.loop_id() {
             None => true,
-            Some(id) => match self.last {
-                Some((memo_id, verdict)) if memo_id == id => verdict,
-                _ => {
-                    let verdict = self.keeps_loop(id);
-                    self.last = Some((id, verdict));
-                    verdict
-                }
-            },
+            Some(id) => TraceSink::keeps_loop(self, id),
         };
         if keep {
             self.inner.record(ev);
+        }
+    }
+
+    fn keeps_loop(&mut self, loop_id: u32) -> bool {
+        match self.last {
+            Some((memo_id, verdict)) if memo_id == loop_id => verdict,
+            _ => {
+                let verdict = SamplingSink::keeps_loop(self, loop_id);
+                self.last = Some((loop_id, verdict));
+                verdict
+            }
         }
     }
 
