@@ -3,9 +3,9 @@
 //!
 //! 1. **Scalar grid** (BENCH_5 continuity): every fixed workload — the
 //!    seven paper applications plus the sentinel microkernel — is
-//!    simulated twice on the scalar system, once pinned to the classic
-//!    per-commit step loop ([`Stepped`]`(NullHook)`) and once on the
-//!    predecoded block fast path ([`NullHook`]), and the minimum-of-N
+//!    simulated twice on the scalar system, once pinned to one commit
+//!    per step ([`Stepped`]`(NullHook)`, each a predecoded entry) and
+//!    once on the superblock fast path ([`NullHook`]), and the minimum-of-N
 //!    wall clock of each is reported as MIPS (committed instructions /
 //!    second / 1e6).
 //! 2. **DSA section**: the same step-vs-block pair with the full DSA

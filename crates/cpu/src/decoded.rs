@@ -1,58 +1,51 @@
-//! Predecoded superblock representation of a [`Program`].
+//! The predecoded form of a [`Program`], and the one executor.
 //!
-//! The per-commit interpreter pays, for every dynamic instruction, a
-//! `TraceEvent` construction, a fresh dependence analysis
-//! ([`crate::timing::deps`]) and a full [`TimingModel::charge_event`].
-//! Whenever the hook's `CommitHook::blocks` answer allows — always for
-//! `NullHook` (the scalar baselines behind the differential oracle and
-//! every grid warm-up), and for the DSA while it probes or runs a plain
-//! or conditional vectorized loop — none of that per-step work is
-//! observable: only the final architectural state, cycles, statistics,
-//! the block's terminal branch and the retired commits' pcs,
-//! instructions and addresses (`SimControl::retired`) are.
-//! [`DecodedProgram`] hoists the per-instruction analysis to decode
-//! time, once per program:
+//! [`DecodedProgram`] analyses each instruction once per program, at
+//! decode time:
 //!
 //! * operands are flattened ([`FastOp`]) — immediates pre-sign-extended,
-//!   `vdup` immediates pre-splatted, branch targets pre-resolved,
-//!   `vshr` shapes and vector lanes pre-validated;
-//! * each instruction's [`InstrClass`] and [`Deps`] are precomputed for
-//!   [`TimingModel::charge_block`];
-//! * `run_len[pc]` gives the length of the longest infallible superblock
-//!   starting at `pc`: straight-line code — including memory ops —
-//!   optionally closed by one control-flow instruction; `block_delta[pc]`
-//!   gives its per-class commit counts. One backward pass computes both,
-//!   so entering a block in the middle — a branch target inside it —
-//!   still finds its maximal tail run.
+//!   `vdup` immediates pre-splatted, branch targets pre-resolved;
+//! * every vector shift and lane index is checked, so every rejection is
+//!   decided here: a shape the lane semantics reject becomes a trap
+//!   carrying its [`LaneError`], and nothing that executes can fail;
+//! * each instruction's [`InstrClass`] and [`Deps`] are precomputed, the
+//!   only source of both that the timing model reads;
+//! * `run_len[pc]` gives the length of the longest superblock starting
+//!   at `pc`: straight-line code — including memory ops — optionally
+//!   closed by one control-flow instruction; `block_delta[pc]` gives its
+//!   per-class commit counts. One backward pass computes both, so
+//!   entering a block in the middle — a branch target inside it — still
+//!   finds its maximal tail run. `halt` and traps start no run.
 //!
 //! [`DecodedProgram::exec_run`] executes a whole superblock against the
 //! machine, recording effective memory addresses and the terminal branch
-//! outcome as it goes, and `charge_block` replays the timing math from
-//! those — the only per-instruction work left is the genuinely stateful
-//! scoreboard arithmetic.
+//! outcome as it goes, and [`TimingModel::charge_block`] replays the
+//! timing math from those. [`DecodedProgram::step`] commits one
+//! instruction — a run of one, or `halt`, or a trap's error — for the
+//! commits a hook must see one at a time, and
+//! [`TimingModel::charge_step`] charges it from the same entry.
 //!
 //! Each [`Simulator`](crate::Simulator) decodes its own program on first
 //! run and shares the decode only with its clones, so it is freed with
 //! them.
 //!
-//! [`TimingModel`]: crate::timing::TimingModel
-//! [`TimingModel::charge_event`]: crate::timing::TimingModel::charge_event
 //! [`TimingModel::charge_block`]: crate::timing::TimingModel::charge_block
+//! [`TimingModel::charge_step`]: crate::timing::TimingModel::charge_step
 
 use dsa_isa::{
     AddrMode, AluOp, Cond, ElemType, Instr, InstrClass, MemSize, Operand, Program, QReg, Reg,
     VecOp,
 };
 
-use crate::machine::Machine;
+use crate::machine::{ExecError, Machine};
 use crate::timing::{deps, ClassCounts, Deps};
-use crate::vec128;
+use crate::trace::{BranchOutcome, TraceEvent};
+use crate::vec128::{self, LaneError};
 
-/// A flattened, infallible instruction form. Control flow (`B`, `Bl`,
-/// `BxLr`) may only close a superblock; everything else is straight-line.
-/// `Slow` marks the instructions that must go through
-/// [`Machine::step_slice`]: `halt` and shapes the functional executor
-/// could reject (over-wide vector shifts, out-of-range lanes).
+/// A flattened instruction form. Control flow (`B`, `Bl`, `BxLr`) may
+/// only close a superblock; everything else up to `Halt` is
+/// straight-line and infallible. `Halt` and `Trap` are never part of a
+/// run: [`DecodedProgram::step`] executes them one commit at a time.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum FastOp {
     Nop,
@@ -92,7 +85,12 @@ pub(crate) enum FastOp {
     VmovToScalar { rd: Reg, qn: QReg, lane: u8, et: ElemType },
     /// Lane validated at decode.
     VmovFromScalar { qd: QReg, lane: u8, rm: Reg, et: ElemType },
-    Slow,
+    Halt,
+    /// A vector shape the lane semantics reject (a float or over-wide
+    /// `vshr`, an out-of-range lane). It commits nothing. Its error is
+    /// kept out of line, in [`DecodedProgram`]'s `traps`: a
+    /// [`LaneError`] in the enum would widen every entry by a quarter.
+    Trap,
 }
 
 impl FastOp {
@@ -100,13 +98,22 @@ impl FastOp {
     fn is_terminal(&self) -> bool {
         matches!(self, FastOp::B { .. } | FastOp::Bl { .. } | FastOp::BxLr)
     }
+
+    /// `halt` and traps start no run.
+    fn is_stepped(&self) -> bool {
+        matches!(self, FastOp::Halt | FastOp::Trap)
+    }
 }
 
-fn flatten(pc: u32, instr: Instr) -> FastOp {
+/// The flattened form of `instr` at `pc`, or the rejection of a vector
+/// shape the lane semantics do not define.
+fn flatten(pc: u32, instr: Instr) -> Result<FastOp, LaneError> {
     let imm_val = |i: i16| i as i32 as u32;
     let target = |offset: i32| (pc as i64 + offset as i64) as u32;
-    match instr {
+    let lane = vec128::validate_lane;
+    Ok(match instr {
         Instr::Nop => FastOp::Nop,
+        Instr::Halt => FastOp::Halt,
         Instr::MovImm { rd, imm } => FastOp::MovImm { rd, v: imm_val(imm) },
         Instr::MovTop { rd, imm } => FastOp::MovTop { rd, imm },
         Instr::Mov { rd, rm } => FastOp::Mov { rd, rm },
@@ -127,35 +134,32 @@ fn flatten(pc: u32, instr: Instr) -> FastOp {
         Instr::StrReg { rs, rn, rm, lsl, size } => FastOp::StrReg { rs, rn, rm, lsl, size },
         Instr::Vld1 { qd, rn, writeback, .. } => FastOp::Vld1 { qd, rn, writeback },
         Instr::Vst1 { qs, rn, writeback, .. } => FastOp::Vst1 { qs, rn, writeback },
-        Instr::Vld1Lane { qd, lane, rn, writeback, et } if (lane as u32) < et.lanes() => {
-            FastOp::Vld1Lane { qd, lane, rn, writeback, et }
+        Instr::Vld1Lane { qd, lane: l, rn, writeback, et } => {
+            lane(et, l)?;
+            FastOp::Vld1Lane { qd, lane: l, rn, writeback, et }
         }
-        Instr::Vst1Lane { qs, lane, rn, writeback, et } if (lane as u32) < et.lanes() => {
-            FastOp::Vst1Lane { qs, lane, rn, writeback, et }
+        Instr::Vst1Lane { qs, lane: l, rn, writeback, et } => {
+            lane(et, l)?;
+            FastOp::Vst1Lane { qs, lane: l, rn, writeback, et }
         }
         Instr::Vop { op, et, qd, qn, qm } => FastOp::Vop { op, et, qd, qn, qm },
         Instr::VshrImm { qd, qn, shift, et } => {
-            // `shr`'s rejection depends only on (et, shift); probing with a
-            // zero vector decides once whether execution can ever fail.
-            if vec128::shr(et, [0u8; 16], shift).is_ok() {
-                FastOp::Vshr { qd, qn, shift, et }
-            } else {
-                FastOp::Slow
-            }
+            vec128::validate_shift(et, shift)?;
+            FastOp::Vshr { qd, qn, shift, et }
         }
         Instr::Vdup { qd, rm, et } => FastOp::Vdup { qd, rm, et },
         Instr::VdupImm { qd, imm, et } => FastOp::VdupImm { qd, v: vec128::splat(et, imm) },
         Instr::Vmov { qd, qm } => FastOp::Vmov { qd, qm },
         Instr::Vaddv { rd, qn, et } => FastOp::Vaddv { rd, qn, et },
-        Instr::VmovToScalar { rd, qn, lane, et } if (lane as u32) < et.lanes() => {
-            FastOp::VmovToScalar { rd, qn, lane, et }
+        Instr::VmovToScalar { rd, qn, lane: l, et } => {
+            lane(et, l)?;
+            FastOp::VmovToScalar { rd, qn, lane: l, et }
         }
-        Instr::VmovFromScalar { qd, lane, rm, et } if (lane as u32) < et.lanes() => {
-            FastOp::VmovFromScalar { qd, lane, rm, et }
+        Instr::VmovFromScalar { qd, lane: l, rm, et } => {
+            lane(et, l)?;
+            FastOp::VmovFromScalar { qd, lane: l, rm, et }
         }
-        // `halt` and out-of-range lanes: stepped.
-        _ => FastOp::Slow,
-    }
+    })
 }
 
 /// One predecoded instruction: the flattened executable form plus the
@@ -177,10 +181,45 @@ impl DecodedInstr {
     pub(crate) fn deps(&self) -> &Deps {
         &self.deps
     }
+
+    /// The event this entry commits at `pc`, whose program text is
+    /// `instr`: the one rule behind a stepped commit's event and a
+    /// block terminal's. `addr` is the access the commit made, `taken`
+    /// a conditional branch's outcome (as [`DecodedProgram::exec_run`]
+    /// returns it) and `next_pc` the pc after the commit, where a return
+    /// went.
+    #[inline(always)]
+    pub(crate) fn event(
+        &self,
+        pc: u32,
+        instr: Instr,
+        addr: Option<u32>,
+        taken: Option<bool>,
+        next_pc: u32,
+    ) -> TraceEvent {
+        let mut ev = TraceEvent::simple(pc, instr);
+        ev.branch = match self.fast {
+            FastOp::B { target, .. } => Some(BranchOutcome { target, taken: taken == Some(true) }),
+            FastOp::Bl { target } => Some(BranchOutcome { target, taken: true }),
+            FastOp::BxLr => Some(BranchOutcome { target: next_pc, taken: true }),
+            _ => None,
+        };
+        if let Some(a) = addr {
+            ev.record_access(a);
+        }
+        ev
+    }
+
+    /// Whether this entry is control flow, which closes its block.
+    #[inline(always)]
+    pub(crate) fn is_terminal(&self) -> bool {
+        self.fast.is_terminal()
+    }
 }
 
-/// A [`Program`] predecoded for the superblock fast path. Immutable once
-/// built; a simulator shares it with its clones (see the module docs).
+/// A [`Program`] predecoded once, for superblocks and single steps alike.
+/// Immutable once built; a simulator shares it with its clones (see the
+/// module docs).
 #[derive(Debug)]
 pub struct DecodedProgram {
     entries: Vec<DecodedInstr>,
@@ -190,16 +229,22 @@ pub struct DecodedProgram {
     /// materialized at decode time so the hot loop merges one
     /// precomputed delta instead of bumping per instruction.
     block_delta: Vec<ClassCounts>,
+    /// The error of each [`FastOp::Trap`], by pc, in pc order.
+    traps: Vec<(u32, LaneError)>,
 }
 
 impl DecodedProgram {
     /// Predecodes `program` in one linear pass.
     pub fn decode(program: &Program) -> DecodedProgram {
+        let mut traps = Vec::new();
         let entries: Vec<DecodedInstr> = program
             .iter()
-            .enumerate()
-            .map(|(pc, &instr)| DecodedInstr {
-                fast: flatten(pc as u32, instr),
+            .zip(0u32..)
+            .map(|(&instr, pc)| DecodedInstr {
+                fast: flatten(pc, instr).unwrap_or_else(|err| {
+                    traps.push((pc, err));
+                    FastOp::Trap
+                }),
                 class: instr.class(),
                 deps: deps(&instr),
             })
@@ -208,8 +253,8 @@ impl DecodedProgram {
         let mut run_len = vec![0u32; n];
         let mut block_delta = vec![ClassCounts::default(); n];
         for (i, e) in entries.iter().enumerate().rev() {
-            if matches!(e.fast, FastOp::Slow) {
-                continue; // stepped: an empty run
+            if e.fast.is_stepped() {
+                continue; // an empty run
             }
             if !e.fast.is_terminal() && i + 1 < n {
                 run_len[i] = run_len[i + 1];
@@ -218,7 +263,7 @@ impl DecodedProgram {
             run_len[i] += 1;
             block_delta[i].bump(e.class);
         }
-        DecodedProgram { entries, run_len, block_delta }
+        DecodedProgram { entries, run_len, block_delta, traps }
     }
 
     /// Number of instructions.
@@ -233,11 +278,17 @@ impl DecodedProgram {
 
     /// Length of the maximal superblock starting at `pc` — straight-line
     /// fast instructions, optionally closed by one control-flow
-    /// instruction (0 when `pc` is out of range or the instruction there
-    /// needs the stepped path).
+    /// instruction (0 when `pc` is out of range or holds `halt` or a
+    /// trap).
     #[inline]
     pub fn run_len(&self, pc: u32) -> u32 {
         self.run_len.get(pc as usize).copied().unwrap_or(0)
+    }
+
+    /// The predecoded entry at `pc`, which the caller knows is in range.
+    #[inline(always)]
+    pub(crate) fn entry(&self, pc: u32) -> &DecodedInstr {
+        &self.entries[pc as usize]
     }
 
     /// The predecoded entries of the run `[pc, pc + n)`.
@@ -256,10 +307,10 @@ impl DecodedProgram {
 
     /// Executes the superblock `[base_pc, base_pc + n)` on `machine`:
     /// architectural effects identical to `n` calls of
-    /// [`Machine::step_slice`], with the PC written once at the end (the
-    /// terminal branch's resolution when the block ends in one).
-    /// Infallible by construction — every [`FastOp`] admitted at decode
-    /// time executes without error.
+    /// [`DecodedProgram::step`], with the PC written once at the end
+    /// (the terminal branch's resolution when the block ends in one).
+    /// Infallible by construction: decode keeps `halt` and every
+    /// rejected shape out of runs.
     ///
     /// The effective address of every memory access is appended to
     /// `mem_addrs` in program order, and the terminal conditional
@@ -277,6 +328,21 @@ impl DecodedProgram {
     /// [`Simulator::run_with_hook`]: crate::Simulator::run_with_hook
     /// [`TimingModel::charge_block`]: crate::timing::TimingModel
     pub fn exec_run(
+        &self,
+        m: &mut Machine,
+        base_pc: u32,
+        n: u32,
+        mem_addrs: &mut Vec<u32>,
+    ) -> Option<bool> {
+        self.run(m, base_pc, n, mem_addrs)
+    }
+
+    /// The body of [`DecodedProgram::exec_run`]. [`DecodedProgram::step`]
+    /// inlines it with `n` the constant 1, so a stepped commit pays no
+    /// call; the block path calls the one out-of-line copy, as inlining
+    /// it there too made blocks slower.
+    #[inline(always)]
+    fn run(
         &self,
         m: &mut Machine,
         base_pc: u32,
@@ -419,11 +485,48 @@ impl DecodedProgram {
                     vec128::scalar_to_lane_unchecked(et, &mut q, lane, m.reg(rm));
                     m.set_qreg(qd, q);
                 }
-                FastOp::Slow => debug_assert!(false, "slow op inside a fast run"),
+                FastOp::Halt | FastOp::Trap => debug_assert!(false, "stepped op inside a run"),
             }
         }
         m.set_pc(next_pc);
         taken
+    }
+
+    /// Commits the one instruction at the machine's pc. `halt` latches
+    /// the machine halted, and a trap returns its error with the machine
+    /// untouched; any other entry runs as a run of one through
+    /// [`DecodedProgram::exec_run`]'s loop, appending its address to
+    /// `mem_addrs` and returning its branch outcome the same way.
+    ///
+    /// # Errors
+    ///
+    /// [`ExecError::Halted`] after `halt`, [`ExecError::PcOutOfRange`]
+    /// when the pc is off the program text, and [`ExecError::Vector`]
+    /// for a vector shape the lane semantics reject.
+    #[inline(always)]
+    pub fn step(
+        &self,
+        m: &mut Machine,
+        mem_addrs: &mut Vec<u32>,
+    ) -> Result<Option<bool>, ExecError> {
+        if m.is_halted() {
+            return Err(ExecError::Halted);
+        }
+        let pc = m.pc();
+        match self.entries.get(pc as usize).map(|e| e.fast) {
+            None => Err(ExecError::PcOutOfRange { pc }),
+            Some(FastOp::Halt) => {
+                m.halt();
+                m.set_pc(pc.wrapping_add(1));
+                Ok(None)
+            }
+            Some(FastOp::Trap) => {
+                let trap = self.traps.iter().find(|t| t.0 == pc);
+                let (_, err) = *trap.expect("recorded"); // infallible: decode records every trap
+                Err(ExecError::Vector { pc, err })
+            }
+            Some(_) => Ok(self.run(m, pc, 1, mem_addrs)),
+        }
     }
 }
 
@@ -448,11 +551,11 @@ mod tests {
     fn run_lengths_stop_at_slow_ops() {
         let d = DecodedProgram::decode(&sample());
         // mov, mov, add, cmp are straight-line; the branch closes the
-        // superblock; halt is stepped.
+        // superblock; halt starts no run.
         assert_eq!(d.run_len(0), 5);
         assert_eq!(d.run_len(2), 3, "mid-block entry finds the tail run");
         assert_eq!(d.run_len(4), 1, "a branch is a one-instruction block");
-        assert_eq!(d.run_len(5), 0, "halt is stepped");
+        assert_eq!(d.run_len(5), 0, "halt starts no run");
         assert_eq!(d.run_len(99), 0, "out of range");
     }
 
@@ -467,14 +570,19 @@ mod tests {
         assert_eq!(tail.total(), 3, "mid-block entry counts the tail run");
     }
 
+    /// `n` single steps from a fresh machine, with their address stream.
+    fn stepped(d: &DecodedProgram, n: u32) -> (Machine, Vec<u32>) {
+        let (mut m, mut addrs) = (Machine::new(), Vec::new());
+        for _ in 0..n {
+            d.step(&mut m, &mut addrs).expect("steps cleanly");
+        }
+        (m, addrs)
+    }
+
     #[test]
     fn exec_run_matches_stepping() {
-        let p = sample();
-        let d = DecodedProgram::decode(&p);
-        let mut stepped = Machine::new();
-        for _ in 0..5 {
-            stepped.step(&p).expect("fast prefix steps cleanly");
-        }
+        let d = DecodedProgram::decode(&sample());
+        let (stepped, _) = stepped(&d, 5);
         let mut fast = Machine::new();
         let mut addrs = Vec::new();
         let taken = d.exec_run(&mut fast, 0, 5, &mut addrs);
@@ -495,33 +603,34 @@ mod tests {
         a.str(Reg::R2, Reg::R1, 4);
         a.ldr(Reg::R3, Reg::R1, 4);
         a.halt();
-        let p = a.finish();
-        let d = DecodedProgram::decode(&p);
+        let d = DecodedProgram::decode(&a.finish());
         assert_eq!(d.run_len(0), 4, "memory ops stay inside the block");
 
-        let mut stepped = Machine::new();
-        for _ in 0..4 {
-            stepped.step(&p).expect("steps cleanly");
-        }
+        let (stepped, stepped_addrs) = stepped(&d, 4);
         let mut fast = Machine::new();
         let mut addrs = Vec::new();
         let taken = d.exec_run(&mut fast, 0, 4, &mut addrs);
         assert_eq!(taken, None);
         assert_eq!(addrs, vec![0x44, 0x44], "store then load effective addresses");
+        assert_eq!(addrs, stepped_addrs);
         assert_eq!(fast.reg(Reg::R3), 7);
         assert_eq!(fast.arch_digest(), stepped.arch_digest());
     }
 
     #[test]
     fn invalid_vshr_is_slow() {
-        // shift >= lane width is rejected by vec128::shr, so it must be
-        // routed to the stepped path where the error surfaces.
+        // shift >= lane width is rejected at decode: a trap, which
+        // starts no run and fails its step before any write.
         let p = Program::new(vec![
             Instr::VshrImm { qd: QReg::Q0, qn: QReg::Q1, shift: 16, et: ElemType::I16 },
             Instr::Halt,
         ]);
         let d = DecodedProgram::decode(&p);
         assert_eq!(d.run_len(0), 0);
+        let mut m = Machine::new();
+        let err = LaneError::ShiftOutOfRange { et: ElemType::I16, shift: 16 };
+        assert_eq!(d.step(&mut m, &mut Vec::new()), Err(ExecError::Vector { pc: 0, err }));
+        assert_eq!(m.pc(), 0, "a trap commits nothing");
         // A valid shift stays fast.
         let ok = Program::new(vec![
             Instr::VshrImm { qd: QReg::Q0, qn: QReg::Q1, shift: 8, et: ElemType::I16 },
@@ -536,7 +645,7 @@ mod tests {
         let mut run_len = vec![0u32; d.entries.len()];
         for i in (0..run_len.len()).rev() {
             run_len[i] = match d.entries[i].fast {
-                FastOp::Slow => 0,
+                FastOp::Halt | FastOp::Trap => 0,
                 f if f.is_terminal() => 1,
                 _ => 1 + run_len.get(i + 1).copied().unwrap_or(0),
             };
@@ -551,7 +660,7 @@ mod tests {
     }
 
     /// A seeded program of up to 40 instructions: straight-line and
-    /// memory ops, `halt`, over-wide (stepped) and valid `vshr`s, and
+    /// memory ops, `halt`, over-wide (trapping) and valid `vshr`s, and
     /// every terminal, at random positions.
     fn random_program(seed: u64) -> Program {
         let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;

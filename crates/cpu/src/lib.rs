@@ -10,8 +10,11 @@
 //! exactly how the authors "adjust the timing model replacing the scalar
 //! vectorizable instructions by vector instructions".
 //!
-//! * [`Machine`] — architectural state (r0–r15, NZCV, q0–q15, memory) and
-//!   the functional step.
+//! * [`Machine`] — architectural state (r0–r15, NZCV, q0–q15, memory).
+//! * [`DecodedProgram`] — a program predecoded once, and the one
+//!   functional executor: a whole superblock
+//!   ([`DecodedProgram::exec_run`]) or a single commit
+//!   ([`DecodedProgram::step`]) of the same entries.
 //! * [`TraceEvent`] — one committed instruction with its memory accesses
 //!   and branch outcome.
 //! * [`TimingModel`] — in-order-issue 2-wide superscalar with register

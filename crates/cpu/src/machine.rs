@@ -1,10 +1,10 @@
-//! Architectural state and the functional step.
+//! Architectural state, the operation semantics the predecoded executor
+//! ([`crate::decoded`]) applies to it, and the executor's errors.
 
-use dsa_isa::{AddrMode, AluOp, Cond, Instr, MemSize, Operand, Program, QReg, Reg};
+use dsa_isa::{AddrMode, AluOp, Cond, MemSize, QReg, Reg};
 use dsa_mem::MainMemory;
 
-use crate::trace::{BranchOutcome, TraceEvent};
-use crate::vec128::{self, LaneError};
+use crate::vec128::LaneError;
 
 /// NZCV condition flags.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -54,7 +54,7 @@ pub enum ExecError {
         /// The offending PC (instruction units).
         pc: u32,
     },
-    /// `step` was called after the machine halted.
+    /// A step was asked of a machine that has halted.
     Halted,
     /// A vector instruction had no defined lane semantics.
     Vector {
@@ -165,7 +165,7 @@ pub struct Machine {
     regs: [u32; 16],
     qregs: [[u8; 16]; 16],
     flags: Flags,
-    /// Data memory (instructions are fetched from the [`Program`], not
+    /// Data memory (instructions are fetched from the [`dsa_isa::Program`], not
     /// from this address space).
     pub mem: MainMemory,
     halted: bool,
@@ -236,16 +236,12 @@ impl Machine {
         self.halted
     }
 
-    fn operand(&self, op: Operand) -> u32 {
-        match op {
-            Operand::Reg(r) => self.reg(r),
-            Operand::Imm(i) => i as i32 as u32,
-        }
+    /// Latches the machine halted (`halt` committed).
+    pub(crate) fn halt(&mut self) {
+        self.halted = true;
     }
 
-    /// Computes and sets the NZCV flags for `cmp a, b`. `pub(crate)` so
-    /// the predecoded fast path ([`crate::decoded`]) shares the exact
-    /// flag semantics of [`Machine::step_slice`].
+    /// Computes and sets the NZCV flags for `cmp a, b`.
     pub(crate) fn set_cmp_flags(&mut self, a: u32, b: u32) {
         let (res, borrow) = a.overflowing_sub(b);
         let sa = a as i32;
@@ -258,7 +254,7 @@ impl Machine {
         };
     }
 
-    /// ALU semantics shared verbatim with the predecoded fast path.
+    /// The result of ALU operation `op` on `a` and `b`.
     pub(crate) fn alu_result(&self, op: AluOp, a: u32, b: u32) -> u32 {
         match op {
             AluOp::Add => a.wrapping_add(b),
@@ -279,8 +275,6 @@ impl Machine {
 
     /// Resolves an addressing mode against the current base value,
     /// returning `(effective address, new base if writeback)`.
-    /// `pub(crate)` so the predecoded fast path shares the exact
-    /// addressing semantics of [`Machine::step_slice`].
     pub(crate) fn resolve(&self, rn: Reg, mode: AddrMode) -> (u32, Option<u32>) {
         let base = self.reg(rn);
         match mode {
@@ -307,209 +301,6 @@ impl Machine {
             MemSize::H => self.mem.write_u16(addr, value as u16),
             MemSize::W => self.mem.write_u32(addr, value),
         }
-    }
-
-    /// Executes one instruction of `program` and returns the committed
-    /// trace event.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecError::Halted`] after `halt` and
-    /// [`ExecError::PcOutOfRange`] if the PC leaves the program text.
-    pub fn step(&mut self, program: &Program) -> Result<TraceEvent, ExecError> {
-        self.step_slice(program.as_slice())
-    }
-
-    /// [`Machine::step`] over the program's raw instruction slice — the
-    /// simulator's hot loop borrows the slice once and calls this,
-    /// avoiding the per-step `Program` indirection.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`Machine::step`].
-    #[inline(always)]
-    pub fn step_slice(&mut self, instrs: &[Instr]) -> Result<TraceEvent, ExecError> {
-        if self.halted {
-            return Err(ExecError::Halted);
-        }
-        let pc = self.pc();
-        let instr =
-            instrs.get(pc as usize).copied().ok_or(ExecError::PcOutOfRange { pc })?;
-        let mut ev = TraceEvent::simple(pc, instr);
-        let mut next_pc = pc.wrapping_add(1);
-        // The effective address of a memory access; its width and
-        // direction come from `Instr::mem_shape`, once, below.
-        let mut mem_addr = None;
-
-        match instr {
-            Instr::Nop => {}
-            Instr::Halt => self.halted = true,
-            Instr::MovImm { rd, imm } => self.set_reg(rd, imm as i32 as u32),
-            Instr::MovTop { rd, imm } => {
-                let low = self.reg(rd) & 0xffff;
-                self.set_reg(rd, (imm as u32) << 16 | low);
-            }
-            Instr::Mov { rd, rm } => {
-                let v = self.reg(rm);
-                self.set_reg(rd, v);
-            }
-            Instr::Alu { op, rd, rn, src2 } => {
-                let v = self.alu_result(op, self.reg(rn), self.operand(src2));
-                self.set_reg(rd, v);
-            }
-            Instr::Cmp { rn, src2 } => {
-                self.set_cmp_flags(self.reg(rn), self.operand(src2));
-            }
-            Instr::B { cond, offset } => {
-                let target = (pc as i64 + offset as i64) as u32;
-                let taken = self.flags.check(cond);
-                if taken {
-                    next_pc = target;
-                }
-                ev.branch = Some(BranchOutcome { target, taken });
-            }
-            Instr::Bl { offset } => {
-                let target = (pc as i64 + offset as i64) as u32;
-                self.set_reg(Reg::LR, pc.wrapping_add(1));
-                next_pc = target;
-                ev.branch = Some(BranchOutcome { target, taken: true });
-            }
-            Instr::BxLr => {
-                let target = self.reg(Reg::LR);
-                next_pc = target;
-                ev.branch = Some(BranchOutcome { target, taken: true });
-            }
-            Instr::Ldr { rd, rn, mode, size } => {
-                let (addr, wb) = self.resolve(rn, mode);
-                let v = self.load_sized(addr, size);
-                if let Some(nb) = wb {
-                    self.set_reg(rn, nb);
-                }
-                self.set_reg(rd, v);
-                mem_addr = Some(addr);
-            }
-            Instr::Str { rs, rn, mode, size } => {
-                let (addr, wb) = self.resolve(rn, mode);
-                let v = self.reg(rs);
-                self.store_sized(addr, size, v);
-                if let Some(nb) = wb {
-                    self.set_reg(rn, nb);
-                }
-                mem_addr = Some(addr);
-            }
-            Instr::LdrReg { rd, rn, rm, lsl, size } => {
-                let addr = self.reg(rn).wrapping_add(self.reg(rm) << lsl);
-                let v = self.load_sized(addr, size);
-                self.set_reg(rd, v);
-                mem_addr = Some(addr);
-            }
-            Instr::StrReg { rs, rn, rm, lsl, size } => {
-                let addr = self.reg(rn).wrapping_add(self.reg(rm) << lsl);
-                self.store_sized(addr, size, self.reg(rs));
-                mem_addr = Some(addr);
-            }
-            Instr::Vld1 { qd, rn, writeback, .. } => {
-                let addr = self.reg(rn);
-                let v = self.mem.read_vec128(addr);
-                self.set_qreg(qd, v);
-                if writeback {
-                    self.set_reg(rn, addr.wrapping_add(16));
-                }
-                mem_addr = Some(addr);
-            }
-            Instr::Vst1 { qs, rn, writeback, .. } => {
-                let addr = self.reg(rn);
-                self.mem.write_vec128(addr, self.qreg(qs));
-                if writeback {
-                    self.set_reg(rn, addr.wrapping_add(16));
-                }
-                mem_addr = Some(addr);
-            }
-            Instr::Vld1Lane { qd, lane, rn, writeback, et } => {
-                let addr = self.reg(rn);
-                let v = self.load_sized(addr, et.mem_size());
-                let mut q = self.qreg(qd);
-                vec128::scalar_to_lane(et, &mut q, lane, v)
-                    .map_err(|err| ExecError::Vector { pc, err })?;
-                self.set_qreg(qd, q);
-                if writeback {
-                    self.set_reg(rn, addr.wrapping_add(et.lane_bytes()));
-                }
-                mem_addr = Some(addr);
-            }
-            Instr::Vst1Lane { qs, lane, rn, writeback, et } => {
-                let addr = self.reg(rn);
-                let v = vec128::lane_to_scalar(et, self.qreg(qs), lane)
-                    .map_err(|err| ExecError::Vector { pc, err })?;
-                self.store_sized(addr, et.mem_size(), v);
-                if writeback {
-                    self.set_reg(rn, addr.wrapping_add(et.lane_bytes()));
-                }
-                mem_addr = Some(addr);
-            }
-            Instr::Vop { op, et, qd, qn, qm } => {
-                let v = vec128::apply(op, et, self.qreg(qn), self.qreg(qm));
-                self.set_qreg(qd, v);
-            }
-            Instr::VshrImm { qd, qn, shift, et } => {
-                let v = vec128::shr(et, self.qreg(qn), shift)
-                    .map_err(|err| ExecError::Vector { pc, err })?;
-                self.set_qreg(qd, v);
-            }
-            Instr::Vdup { qd, rm, et } => {
-                self.set_qreg(qd, vec128::splat_scalar(et, self.reg(rm)));
-            }
-            Instr::VdupImm { qd, imm, et } => {
-                self.set_qreg(qd, vec128::splat(et, imm));
-            }
-            Instr::Vmov { qd, qm } => {
-                let v = self.qreg(qm);
-                self.set_qreg(qd, v);
-            }
-            Instr::Vaddv { rd, qn, et } => {
-                let v = vec128::reduce_add(et, self.qreg(qn));
-                self.set_reg(rd, v);
-            }
-            Instr::VmovToScalar { rd, qn, lane, et } => {
-                let v = vec128::lane_to_scalar(et, self.qreg(qn), lane)
-                    .map_err(|err| ExecError::Vector { pc, err })?;
-                self.set_reg(rd, v);
-            }
-            Instr::VmovFromScalar { qd, lane, rm, et } => {
-                let mut q = self.qreg(qd);
-                vec128::scalar_to_lane(et, &mut q, lane, self.reg(rm))
-                    .map_err(|err| ExecError::Vector { pc, err })?;
-                self.set_qreg(qd, q);
-            }
-        }
-
-        if let Some(addr) = mem_addr {
-            ev.record_access(addr);
-        }
-        self.set_pc(next_pc);
-        Ok(ev)
-    }
-
-    /// Runs `program` until `halt`, bounded by a watchdog budget of
-    /// committed instructions. Returns the number of steps executed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::StepBudgetExceeded`] if the program has not
-    /// halted after `step_budget` steps (carrying the PC it was stuck
-    /// at), or [`SimError::Exec`] if the functional executor rejects an
-    /// instruction.
-    pub fn run(&mut self, program: &Program, step_budget: u64) -> Result<u64, SimError> {
-        let instrs = program.as_slice();
-        let mut steps = 0u64;
-        while !self.halted {
-            if steps >= step_budget {
-                return Err(SimError::StepBudgetExceeded { pc: self.pc(), steps: step_budget });
-            }
-            self.step_slice(instrs)?;
-            steps += 1;
-        }
-        Ok(steps)
     }
 
     /// All sixteen scalar registers, for whole-state comparison.
@@ -615,12 +406,18 @@ pub struct MachineState {
 mod tests {
     use super::*;
     use crate::trace::MemAccess;
-    use dsa_isa::{Asm, ElemType, VecOp};
+    use crate::{CpuConfig, DecodedProgram, Simulator};
+    use dsa_isa::{Asm, ElemType, Instr, Program, VecOp};
+
+    /// `program` run on `m` to `halt` within `budget` commits.
+    fn run_on(program: &Program, m: Machine, budget: u64) -> Result<Machine, SimError> {
+        let mut sim = Simulator::with_machine(program.clone(), CpuConfig::default(), m);
+        sim.run(budget)?;
+        Ok(sim.machine().clone())
+    }
 
     fn run_to_halt(program: &Program) -> Machine {
-        let mut m = Machine::new();
-        m.run(program, 1_000_000).expect("bounded run");
-        m
+        run_on(program, Machine::new(), 1_000_000).expect("bounded run")
     }
 
     #[test]
@@ -638,6 +435,20 @@ mod tests {
         assert!(m.flags().z);
         assert!(m.flags().check(Cond::Eq));
         assert!(!m.flags().check(Cond::Ne));
+    }
+
+    #[test]
+    fn fault_kinds_are_in_the_trace_vocabulary() {
+        let err = LaneError::LaneOutOfRange { et: dsa_isa::ElemType::I8, lane: 16 };
+        let errors = [
+            SimError::Exec(ExecError::PcOutOfRange { pc: 0 }),
+            SimError::Exec(ExecError::Halted),
+            SimError::Exec(ExecError::Vector { pc: 0, err }),
+            SimError::StepBudgetExceeded { pc: 0, steps: 1 },
+        ];
+        for e in errors {
+            assert!(dsa_trace::VOCABULARY.contains(&e.kind_name()), "{e}");
+        }
     }
 
     #[test]
@@ -759,9 +570,7 @@ mod tests {
             m.mem.write_u32(0x200 + 4 * i, i + 1);
             m.mem.write_u32(0x300 + 4 * i, 10 * (i + 1));
         }
-        while !m.is_halted() {
-            m.step(&program).expect("step");
-        }
+        let m = run_on(&program, m, 100).expect("halts");
         for i in 0..4u32 {
             assert_eq!(m.mem.read_u32(0x400 + 4 * i), 11 * (i + 1));
         }
@@ -775,9 +584,12 @@ mod tests {
         a.ldr_post(Reg::R1, Reg::R0, 4);
         a.halt();
         let p = a.finish();
-        let mut m = Machine::new();
-        m.step(&p).unwrap();
-        let ev = m.step(&p).unwrap();
+        let d = DecodedProgram::decode(&p);
+        let (mut m, mut addrs) = (Machine::new(), Vec::new());
+        d.step(&mut m, &mut addrs).unwrap();
+        assert!(addrs.is_empty());
+        d.step(&mut m, &mut addrs).unwrap();
+        let ev = d.entry(1).event(1, p.as_slice()[1], addrs.first().copied(), None, m.pc());
         assert_eq!(ev.read, Some(MemAccess { addr: 0x500, bytes: 4 }));
         assert_eq!(ev.write, None);
     }
@@ -789,9 +601,8 @@ mod tests {
         let top = a.here();
         a.b_to(Cond::Al, top);
         a.halt();
-        let mut m = Machine::new();
         assert_eq!(
-            m.run(&a.finish(), 100),
+            run_on(&a.finish(), Machine::new(), 100).map(|m| m.pc()),
             Err(SimError::StepBudgetExceeded { pc: 0, steps: 100 })
         );
     }
@@ -805,22 +616,23 @@ mod tests {
         let p = a.finish();
         let mut x = Machine::new();
         x.set_reg(Reg::R3, 7);
-        let mut y = x.clone();
+        let y = x.clone();
         assert_eq!(x.arch_digest(), y.arch_digest());
-        x.run(&p, 100).unwrap();
+        let x = run_on(&p, x, 100).unwrap();
         assert_ne!(x.arch_digest(), y.arch_digest(), "store changed memory");
-        y.run(&p, 100).unwrap();
+        let y = run_on(&p, y, 100).unwrap();
         assert_eq!(x.arch_digest(), y.arch_digest(), "same program, same state");
     }
 
     #[test]
     fn errors() {
-        let p = Program::new(vec![Instr::Halt]);
+        let d = DecodedProgram::decode(&Program::new(vec![Instr::Halt]));
+        let (mut m, mut addrs) = (Machine::new(), Vec::new());
+        d.step(&mut m, &mut addrs).unwrap();
+        assert!(m.is_halted());
+        assert_eq!(d.step(&mut m, &mut addrs), Err(ExecError::Halted));
+        let empty = DecodedProgram::decode(&Program::new(vec![]));
         let mut m = Machine::new();
-        m.step(&p).unwrap();
-        assert_eq!(m.step(&p), Err(ExecError::Halted));
-        let empty = Program::new(vec![]);
-        let mut m = Machine::new();
-        assert_eq!(m.step(&empty), Err(ExecError::PcOutOfRange { pc: 0 }));
+        assert_eq!(empty.step(&mut m, &mut addrs), Err(ExecError::PcOutOfRange { pc: 0 }));
     }
 }

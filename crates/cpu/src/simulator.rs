@@ -1,4 +1,8 @@
 //! The simulation driver: functional execution + timing + commit hooks.
+//!
+//! One loop ([`Simulator::run_with_hook`] and its bounded twin) runs
+//! every commit through the predecoded program: a superblock at a time
+//! when the hook allows it, one entry at a time when it does not.
 
 use std::sync::Arc;
 
@@ -9,7 +13,7 @@ use crate::config::CpuConfig;
 use crate::decoded::DecodedProgram;
 use crate::machine::{Machine, SimError};
 use crate::timing::{InjectedOp, TimingModel, TimingStats};
-use crate::trace::{BranchOutcome, TraceEvent};
+use crate::trace::TraceEvent;
 
 /// Control surface handed to a [`CommitHook`] on every callback. This
 /// is how the DSA "adjusts the timing model": it can suppress scalar
@@ -191,29 +195,6 @@ impl<H: CommitHook> CommitHook for Stepped<H> {
     }
 }
 
-/// The event the stepped path would have produced for a block's terminal
-/// instruction at `pc`, or `None` if the block does not end in control
-/// flow. `taken` is [`DecodedProgram::exec_run`]'s conditional outcome
-/// and `next_pc` the post-block pc (a return's target).
-#[inline(always)]
-fn terminal_event(
-    instrs: &[Instr],
-    pc: u32,
-    taken: Option<bool>,
-    next_pc: u32,
-) -> Option<TraceEvent> {
-    let instr = *instrs.get(pc as usize)?;
-    let branch = match instr {
-        Instr::B { offset, .. } => BranchOutcome {
-            target: (pc as i64 + offset as i64) as u32,
-            taken: taken.unwrap_or(false),
-        },
-        Instr::Bl { .. } | Instr::BxLr => BranchOutcome { target: next_pc, taken: true },
-        _ => return None,
-    };
-    Some(TraceEvent { branch: Some(branch), ..TraceEvent::simple(pc, instr) })
-}
-
 /// Result of a finished simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOutcome {
@@ -265,6 +246,9 @@ pub struct Simulator {
     /// [`Simulator::run_bounded`] slices so a block that ends a slice
     /// without a terminal reaches the hook in the next one.
     retired: RetiredRun,
+    /// The address stream of one step (kept apart from `retired`, which
+    /// may hold a run the hook has not seen), reused across slices.
+    step_mem: Vec<u32>,
 }
 
 impl Simulator {
@@ -284,6 +268,7 @@ impl Simulator {
             suppress: false,
             committed: 0,
             retired: RetiredRun::default(),
+            step_mem: Vec::new(),
         }
     }
 
@@ -397,9 +382,13 @@ impl Simulator {
     ///   exhaustion still lands on the exact commit count and the
     ///   machine state at exit is the same architecturally-exact
     ///   snapshot point the stepped loop produces.
-    /// * **step** (`false`, or no run at the pc: `halt`, fallible vector
-    ///   shapes): one [`Machine::step_slice`], one timing charge, one
-    ///   [`CommitHook::on_commit`].
+    /// * **step** (`false`, or no run at the pc: `halt`, a trap): one
+    ///   [`DecodedProgram::step`] of the same predecoded entry, one
+    ///   [`TimingModel::charge_step`] from its class and dependencies,
+    ///   one [`CommitHook::on_commit`].
+    ///
+    /// Both shapes build the hook's event by one rule, from the decoded
+    /// entry, the commit's access and its branch outcome.
     #[inline(always)]
     fn drive<H: CommitHook + ?Sized>(
         &mut self,
@@ -408,8 +397,8 @@ impl Simulator {
     ) -> Result<(), SimError> {
         let decoded = self.predecode();
         // Borrow the instruction slice once; `machine`/`timing` are
-        // disjoint fields, so the hot loop fetches with a single bounds
-        // check and no per-step `Program` indirection.
+        // disjoint fields, so the hot loop reads the program text with no
+        // per-step `Program` indirection.
         let instrs = self.program.as_slice();
         let mut remaining = budget;
         while !self.machine.is_halted() && remaining > 0 {
@@ -436,27 +425,31 @@ impl Simulator {
                 self.committed += n as u64;
                 remaining -= n as u64;
                 let last = pc.wrapping_add(n - 1);
+                let e = decoded.entry(last);
                 self.retired.pc = pc;
-                match terminal_event(instrs, last, taken, self.machine.pc()) {
-                    Some(ev) => {
+                match instrs.get(last as usize) {
+                    Some(&instr) if e.is_terminal() => {
                         self.retired.len = n - 1;
-                        ev
+                        e.event(last, instr, None, taken, self.machine.pc())
                     }
-                    None => {
+                    _ => {
                         self.retired.len = n;
                         continue;
                     }
                 }
             } else {
                 remaining -= 1;
-                let ev = self.machine.step_slice(instrs)?;
+                self.step_mem.clear();
+                let taken = decoded.step(&mut self.machine, &mut self.step_mem)?;
+                let addr = self.step_mem.first().copied();
+                let e = decoded.entry(pc);
                 self.committed += 1;
                 if self.suppress {
                     self.timing.note_covered(1);
                 } else {
-                    self.timing.charge_event(&ev);
+                    self.timing.charge_step(e, pc, addr, taken);
                 }
-                ev
+                e.event(pc, instrs[pc as usize], addr, taken, self.machine.pc())
             };
             let mut ctl = SimControl {
                 timing: &mut self.timing,

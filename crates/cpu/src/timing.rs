@@ -1,12 +1,18 @@
 //! The in-order-issue superscalar timing model with NEON coprocessor.
-
+//!
+//! Every committed instruction is charged from its predecoded entry
+//! ([`crate::DecodedInstr`]): its class and scoreboard dependencies
+//! ([`Deps`]) are worked out once per program, at decode, and a stepped
+//! commit ([`TimingModel::charge_step`]) and a superblock
+//! ([`TimingModel::charge_block`]) read them from there through the
+//! same scoreboard, predictor and cache arithmetic.
 
 use dsa_isa::{ElemType, Instr, InstrClass, Operand, QReg, Reg, VecOp};
 use dsa_mem::{MemoryStats, MemorySystem};
 
 use crate::config::CpuConfig;
+use crate::decoded::DecodedInstr;
 use crate::predictor::BranchPredictor;
-use crate::trace::TraceEvent;
 
 /// A vector operation injected by the DSA directly into the Issue stage
 /// — it never passes through fetch/decode. Vector-only by type: each
@@ -433,7 +439,7 @@ fn src_ready(reg: &[u64; REG_SLOTS], d: &Deps) -> u64 {
 }
 
 /// The scalar charge itself, shared by the stepped path
-/// ([`TimingModel::charge_event`]) and the block path
+/// ([`TimingModel::charge_step`]) and the block path
 /// ([`TimingModel::charge_block`]) so that the two cannot drift apart.
 /// `lat` was fully resolved up front by [`TimingModel::mem_charge`]:
 /// cache latency for loads, 1 for stores and control flow, the
@@ -697,42 +703,40 @@ impl TimingModel {
         done
     }
 
-    /// Charges one committed instruction from the fetch/decode path.
-    pub fn charge_event(&mut self, ev: &TraceEvent) {
-        let class = ev.instr.class();
+    /// Charges one stepped commit of the predecoded entry `e` at `pc`
+    /// from the fetch/decode path: `addr` is its data access, if it made
+    /// one, and `taken` a conditional branch's outcome.
+    pub(crate) fn charge_step(
+        &mut self,
+        e: &DecodedInstr,
+        pc: u32,
+        addr: Option<u32>,
+        taken: Option<bool>,
+    ) {
+        let class = e.class();
         self.stats.committed += 1;
         self.stats.counts.bump(class);
 
-        let fetch_latency = self.memsys.access_instr(ev.pc.wrapping_mul(4));
+        let fetch_latency = self.memsys.access_instr(pc.wrapping_mul(4));
         let fetch_penalty = fetch_latency.saturating_sub(self.config.mem.l1_latency) as u64;
-
-        let d = deps(&ev.instr);
         let slot = self.issue.dispatch(fetch_penalty, self.config.issue_width);
-
-        if class.is_vector() {
-            let addr = ev.read.or(ev.write).map(|a| a.addr);
-            let mem_lat = self.mem_charge(class, addr);
+        let lat = self.mem_charge(class, addr);
+        let done = if class.is_vector() {
             // Fetched (compiler-emitted) vector memory ops use the
             // unaligned-safe encoding.
-            let done = self.charge_vector(class, &d, slot, mem_lat, false);
-            self.complete(done);
+            self.charge_vector(class, e.deps(), slot, lat, false)
         } else {
-            let addr = match class {
-                InstrClass::Load => ev.read.map(|a| a.addr),
-                InstrClass::Store => ev.write.map(|a| a.addr),
-                _ => None,
-            };
-            let lat = self.mem_charge(class, addr);
-            let (start, done) =
-                scalar_core(&mut self.issue, &mut self.rob, &mut self.reg_ready, &d, slot, lat);
-            if let Some(b) = ev.branch {
-                if mispredicted(&mut self.predictor, &mut self.stats, class, &d, ev.pc, b.taken) {
+            let (is, rob, reg) = (&mut self.issue, &mut self.rob, &mut self.reg_ready);
+            let (start, done) = scalar_core(is, rob, reg, e.deps(), slot, lat);
+            if let Some(t) = taken {
+                if mispredicted(&mut self.predictor, &mut self.stats, class, e.deps(), pc, t) {
                     self.issue.frontend_ready =
                         start + 1 + self.config.branch_mispredict_penalty as u64;
                 }
             }
-            self.complete(done);
-        }
+            done
+        };
+        self.complete(done);
     }
 
     /// Execution latency of a block entry of `class`, taking its data
@@ -755,7 +759,7 @@ impl TimingModel {
     }
 
     /// Charges one predecoded superblock starting at `base_pc` — the
-    /// batched counterpart of calling [`TimingModel::charge_event`] once
+    /// batched counterpart of calling [`TimingModel::charge_step`] once
     /// per entry, producing bit-identical cycles and statistics.
     /// `mem_addrs` holds the effective address of every memory access in
     /// program order and `taken` the terminal conditional branch's
@@ -790,7 +794,7 @@ impl TimingModel {
     /// predecode time.
     pub(crate) fn charge_block(
         &mut self,
-        entries: &[crate::decoded::DecodedInstr],
+        entries: &[DecodedInstr],
         base_pc: u32,
         counts: &ClassCounts,
         mem_addrs: &[u32],
@@ -853,7 +857,7 @@ impl TimingModel {
                     let done = if class.is_vector() {
                         // Fetched (compiler-emitted) vector memory ops
                         // use the unaligned-safe encoding, as in
-                        // charge_event. The NEON path is charged from
+                        // charge_step. The NEON path is charged from
                         // the model, so the local state goes back first.
                         self.issue = is;
                         let done = self.charge_vector(class, e.deps(), slot, lat, false);
@@ -928,14 +932,16 @@ impl TimingModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{BranchOutcome, MemAccess};
-    use dsa_isa::{AddrMode, AluOp, Cond};
+    use crate::DecodedProgram;
+    use dsa_isa::{AddrMode, AluOp, Cond, Program};
 
-    fn alu_ev(pc: u32, rd: Reg, rn: Reg) -> TraceEvent {
-        TraceEvent::simple(
-            pc,
-            Instr::Alu { op: AluOp::Add, rd, rn, src2: Operand::Reg(rn) },
-        )
+    /// The predecoded entry of `instr`.
+    fn entry(instr: Instr) -> DecodedInstr {
+        *DecodedProgram::decode(&Program::new(vec![instr])).entry(0)
+    }
+
+    fn alu(rd: Reg, rn: Reg) -> DecodedInstr {
+        entry(Instr::Alu { op: AluOp::Add, rd, rn, src2: Operand::Reg(rn) })
     }
 
     #[test]
@@ -943,12 +949,12 @@ mod tests {
         let mut t = TimingModel::new(CpuConfig::default());
         // Two independent adds should co-issue; four take two cycles.
         for i in 0..4 {
-            t.charge_event(&alu_ev(i, Reg::new(i as u8), Reg::new((i + 8) as u8)));
+            t.charge_step(&alu(Reg::new(i as u8), Reg::new((i + 8) as u8)), i, None, None);
         }
         // Cold I-cache miss dominates the start; measure relative growth.
         let base = t.cycles();
         for i in 0..4 {
-            t.charge_event(&alu_ev(i, Reg::new(i as u8), Reg::new((i + 8) as u8)));
+            t.charge_step(&alu(Reg::new(i as u8), Reg::new((i + 8) as u8)), i, None, None);
         }
         assert!(t.cycles() - base <= 3, "4 independent ops at width 2: {}", t.cycles() - base);
     }
@@ -960,15 +966,12 @@ mod tests {
         let mut prev = Reg::R0;
         let start = {
             // Warm the I-cache line first.
-            t.charge_event(&alu_ev(0, Reg::R9, Reg::R10));
+            t.charge_step(&alu(Reg::R9, Reg::R10), 0, None, None);
             t.cycles()
         };
         for i in 1..9 {
             let rd = Reg::new(i);
-            t.charge_event(&TraceEvent::simple(
-                0,
-                Instr::Alu { op: AluOp::Add, rd, rn: prev, src2: Operand::Reg(prev) },
-            ));
+            t.charge_step(&alu(rd, prev), 0, None, None);
             prev = rd;
         }
         assert!(t.cycles() - start >= 7, "chain of 8 serialises: {}", t.cycles() - start);
@@ -977,25 +980,20 @@ mod tests {
     #[test]
     fn load_latency_depends_on_cache() {
         let mut t = TimingModel::new(CpuConfig::default());
-        let ld = Instr::Ldr {
+        let ld = entry(Instr::Ldr {
             rd: Reg::R1,
             rn: Reg::R0,
             mode: AddrMode::Offset(0),
             size: dsa_isa::MemSize::W,
-        };
-        let mut ev = TraceEvent::simple(0, ld);
-        ev.read = Some(MemAccess { addr: 0x1000, bytes: 4 });
-        t.charge_event(&ev);
+        });
+        t.charge_step(&ld, 0, Some(0x1000), None);
         let cold = t.cycles();
         // use r1 to measure readiness
-        t.charge_event(&TraceEvent::simple(
-            0,
-            Instr::Alu { op: AluOp::Add, rd: Reg::R2, rn: Reg::R1, src2: Operand::Reg(Reg::R1) },
-        ));
+        t.charge_step(&alu(Reg::R2, Reg::R1), 0, None, None);
         assert!(t.cycles() >= cold);
         assert_eq!(t.mem_stats().l1d.misses, 1);
         // Warm access hits L1.
-        t.charge_event(&ev);
+        t.charge_step(&ld, 0, Some(0x1000), None);
         assert_eq!(t.mem_stats().l1d.hits, 1);
     }
 
@@ -1003,12 +1001,10 @@ mod tests {
     fn mispredicted_branch_costs_penalty() {
         let cfg = CpuConfig::default();
         let mut t = TimingModel::new(cfg);
-        let b = Instr::B { cond: Cond::Eq, offset: -2 };
+        let b = entry(Instr::B { cond: Cond::Eq, offset: -2 });
         // Predictor initialised weakly-taken: a not-taken outcome is a miss.
-        let mut ev = TraceEvent::simple(100, b);
-        ev.branch = Some(BranchOutcome { target: 98, taken: false });
         let before = t.cycles();
-        t.charge_event(&ev);
+        t.charge_step(&b, 100, None, Some(false));
         assert_eq!(t.stats().mispredicts, 1);
         assert!(t.cycles() >= before + cfg.branch_mispredict_penalty as u64);
     }

@@ -2,9 +2,10 @@
 //! the NEON-style vector instructions' functional semantics.
 //!
 //! The helpers are plain loops over the lanes, which LLVM vectorises in
-//! release builds. [`crate::Machine::step`] and the superblock executor
-//! ([`crate::decoded`]) both compute lane state through them, and the
-//! decode validator probes them to decide which shapes are infallible.
+//! release builds. The predecoded executor ([`crate::decoded`]) computes
+//! lane state through them, after decode checked each shift and lane
+//! with `validate_shift` and `validate_lane`: a shape they reject
+//! becomes a trap and never reaches the lanes.
 //! Float lanes follow two rules that the unit tests below check over an
 //! adversarial bit-pattern corpus: a NaN result (a `reduce_add` sum
 //! included) is exactly [`CANON_QNAN`], and `Min`/`Max` are
@@ -180,7 +181,7 @@ impl std::error::Error for LaneError {}
 
 /// Checks a `(et, shift)` shape: shifts are integer-only and must be
 /// narrower than the lane.
-fn validate_shift(et: ElemType, shift: u8) -> Result<(), LaneError> {
+pub(crate) fn validate_shift(et: ElemType, shift: u8) -> Result<(), LaneError> {
     if et.is_float() {
         return Err(LaneError::UnsupportedElement { et, op: "vector shift" });
     }
@@ -191,7 +192,7 @@ fn validate_shift(et: ElemType, shift: u8) -> Result<(), LaneError> {
 }
 
 /// Checks a `(et, lane)` pair against the element type's lane count.
-fn validate_lane(et: ElemType, lane: u8) -> Result<(), LaneError> {
+pub(crate) fn validate_lane(et: ElemType, lane: u8) -> Result<(), LaneError> {
     if (lane as u32) < et.lanes() {
         Ok(())
     } else {
@@ -199,20 +200,8 @@ fn validate_lane(et: ElemType, lane: u8) -> Result<(), LaneError> {
     }
 }
 
-/// Lane-wise logical shift right (integer lanes only).
-///
-/// # Errors
-///
-/// Returns [`LaneError::UnsupportedElement`] for float lanes and
-/// [`LaneError::ShiftOutOfRange`] if `shift` is at least the lane width,
-/// instead of trusting the (distant) encoder to have rejected both.
-pub fn shr(et: ElemType, v: [u8; 16], shift: u8) -> Result<[u8; 16], LaneError> {
-    validate_shift(et, shift)?;
-    Ok(shr_unchecked(et, v, shift))
-}
-
-/// [`shr`] after validation; the caller guarantees the shape is one
-/// [`validate_shift`] accepts.
+/// Lane-wise logical shift right (integer lanes only); the caller
+/// guarantees the shape is one [`validate_shift`] accepts.
 pub(crate) fn shr_unchecked(et: ElemType, v: [u8; 16], shift: u8) -> [u8; 16] {
     let mut out = [0u8; 16];
     let w = et.lane_bytes() as usize;
@@ -247,18 +236,8 @@ pub fn splat_scalar(et: ElemType, value: u32) -> [u8; 16] {
 }
 
 /// Reads lane `lane` as a 32-bit scalar (sign-extended for I8/I16, raw
-/// bits for I32/F32).
-///
-/// # Errors
-///
-/// Returns [`LaneError::LaneOutOfRange`] if `lane >= et.lanes()`.
-pub fn lane_to_scalar(et: ElemType, v: [u8; 16], lane: u8) -> Result<u32, LaneError> {
-    validate_lane(et, lane)?;
-    Ok(lane_to_scalar_unchecked(et, v, lane))
-}
-
-/// [`lane_to_scalar`] after validation; the caller guarantees
-/// `lane < et.lanes()` (e.g. checked at predecode time).
+/// bits for I32/F32); the caller guarantees `lane < et.lanes()`
+/// ([`validate_lane`]).
 pub(crate) fn lane_to_scalar_unchecked(et: ElemType, v: [u8; 16], lane: u8) -> u32 {
     debug_assert!((lane as u32) < et.lanes(), "lane out of range");
     let lo = lane as usize * et.lane_bytes() as usize;
@@ -271,24 +250,8 @@ pub(crate) fn lane_to_scalar_unchecked(et: ElemType, v: [u8; 16], lane: u8) -> u
     }
 }
 
-/// Writes a 32-bit scalar into lane `lane` (truncating for I8/I16).
-///
-/// # Errors
-///
-/// Returns [`LaneError::LaneOutOfRange`] if `lane >= et.lanes()`.
-pub fn scalar_to_lane(
-    et: ElemType,
-    v: &mut [u8; 16],
-    lane: u8,
-    value: u32,
-) -> Result<(), LaneError> {
-    validate_lane(et, lane)?;
-    scalar_to_lane_unchecked(et, v, lane, value);
-    Ok(())
-}
-
-/// [`scalar_to_lane`] after validation; the caller guarantees
-/// `lane < et.lanes()` (e.g. checked at predecode time).
+/// Writes a 32-bit scalar into lane `lane` (truncating for I8/I16); the
+/// caller guarantees `lane < et.lanes()` ([`validate_lane`]).
 pub(crate) fn scalar_to_lane_unchecked(et: ElemType, v: &mut [u8; 16], lane: u8, value: u32) {
     debug_assert!((lane as u32) < et.lanes(), "lane out of range");
     let lo = lane as usize * et.lane_bytes() as usize;
@@ -380,12 +343,12 @@ mod tests {
     fn splat_and_lane_access() {
         let v = splat(ElemType::I16, -2);
         for lane in 0..8 {
-            assert_eq!(lane_to_scalar(ElemType::I16, v, lane).expect("in range") as i32, -2);
+            assert_eq!(lane_to_scalar_unchecked(ElemType::I16, v, lane) as i32, -2);
         }
         let mut v = [0u8; 16];
-        scalar_to_lane(ElemType::I32, &mut v, 2, 0xDEAD).expect("in range");
-        assert_eq!(lane_to_scalar(ElemType::I32, v, 2), Ok(0xDEAD));
-        assert_eq!(lane_to_scalar(ElemType::I32, v, 0), Ok(0));
+        scalar_to_lane_unchecked(ElemType::I32, &mut v, 2, 0xDEAD);
+        assert_eq!(lane_to_scalar_unchecked(ElemType::I32, v, 2), 0xDEAD);
+        assert_eq!(lane_to_scalar_unchecked(ElemType::I32, v, 0), 0);
     }
 
     #[test]
@@ -400,33 +363,33 @@ mod tests {
     #[test]
     fn lane_out_of_range_is_an_error() {
         assert_eq!(
-            lane_to_scalar(ElemType::I32, [0; 16], 4),
+            validate_lane(ElemType::I32, 4),
             Err(LaneError::LaneOutOfRange { et: ElemType::I32, lane: 4 })
         );
         assert_eq!(
-            lane_to_scalar(ElemType::I8, [0; 16], 16),
+            validate_lane(ElemType::I8, 16),
             Err(LaneError::LaneOutOfRange { et: ElemType::I8, lane: 16 })
         );
-        let mut v = [7u8; 16];
         assert_eq!(
-            scalar_to_lane(ElemType::I16, &mut v, 8, 1),
+            validate_lane(ElemType::I16, 8),
             Err(LaneError::LaneOutOfRange { et: ElemType::I16, lane: 8 })
         );
-        assert_eq!(v, [7u8; 16], "failed write must not touch the vector");
         // The boundary lane on each side.
-        assert!(lane_to_scalar(ElemType::F32, [0; 16], 3).is_ok());
+        assert!(validate_lane(ElemType::F32, 3).is_ok());
         assert_eq!(
-            lane_to_scalar(ElemType::F32, [0; 16], 255),
+            validate_lane(ElemType::F32, 255),
             Err(LaneError::LaneOutOfRange { et: ElemType::F32, lane: 255 })
         );
-        assert!(scalar_to_lane(ElemType::I8, &mut v, 15, 0xAB).is_ok());
+        assert!(validate_lane(ElemType::I8, 15).is_ok());
+        let mut v = [7u8; 16];
+        scalar_to_lane_unchecked(ElemType::I8, &mut v, 15, 0xAB);
         assert_eq!(v[15], 0xAB);
     }
 
     #[test]
     fn shr_shifts_integer_lanes() {
         let v = v_i32([8, 16, -4, 1024]);
-        let out = shr(ElemType::I32, v, 2).expect("integer shift");
+        let out = shr_unchecked(ElemType::I32, v, 2);
         // Logical shift: the sign bit is not propagated.
         assert_eq!(out, v_i32([2, 4, ((-4i32) as u32 >> 2) as i32, 256]));
     }
@@ -434,14 +397,14 @@ mod tests {
     #[test]
     fn shr_rejects_float_and_wide_shifts() {
         assert_eq!(
-            shr(ElemType::F32, [0; 16], 1),
+            validate_shift(ElemType::F32, 1),
             Err(LaneError::UnsupportedElement { et: ElemType::F32, op: "vector shift" })
         );
         assert_eq!(
-            shr(ElemType::I8, [0; 16], 8),
+            validate_shift(ElemType::I8, 8),
             Err(LaneError::ShiftOutOfRange { et: ElemType::I8, shift: 8 })
         );
-        assert!(shr(ElemType::I8, [0; 16], 7).is_ok());
+        assert!(validate_shift(ElemType::I8, 7).is_ok());
     }
 
     /// Adversarial 32-bit float patterns: quiet and signalling NaN

@@ -325,3 +325,24 @@ fn attached_sinks_observe_without_changing_results() {
         "completion recorded"
     );
 }
+
+/// The workload and shed-reason strings the service puts in events are
+/// words of the trace schema's closed vocabulary, which is all a trace
+/// decoder accepts.
+#[test]
+fn event_strings_are_in_the_trace_vocabulary() {
+    let names = WorkloadId::all()
+        .map(|id| Workload::App(id).describe())
+        .into_iter()
+        .chain(micro::Micro::all().map(|m| Workload::Micro(m).describe()));
+    let sources = [include_str!("../src/shard.rs"), include_str!("../src/service.rs")];
+    let reasons: Vec<&str> = sources
+        .iter()
+        .flat_map(|s| s.split("JobShed { reason: \"").skip(1))
+        .filter_map(|rest| rest.split('"').next())
+        .collect();
+    assert_eq!(reasons.len(), 2, "{reasons:?}");
+    for word in names.chain(reasons) {
+        assert!(dsa_trace::VOCABULARY.contains(&word), "{word:?}");
+    }
+}

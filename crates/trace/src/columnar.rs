@@ -39,9 +39,11 @@
 //! produce. PCs, loop ids and counts are LEB128 varints; enum fields
 //! (`Stage`, `CacheKind`, ...) are one byte; free-vocabulary strings
 //! (loop classes, rejection reasons, workload names, fault sites) are
-//! varint indices into the block-local string table. Decoding interns
-//! table strings process-wide ([`intern`]) so decoded events hold
-//! `&'static str` like freshly emitted ones and compare equal.
+//! varint indices into the block-local string table. Decoding maps each
+//! table string to its entry in the schema's closed vocabulary
+//! ([`crate::VOCABULARY`]), so decoded events hold `&'static str` like
+//! freshly emitted ones and compare equal; any other string is
+//! [`BinError::UnknownString`].
 //!
 //! The golden binary traces are byte-exact-tested against
 //! `crates/core/tests/golden/count_trace.trcb` (a real run, which must
@@ -51,7 +53,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use crate::event::{Choice, Event, EventKind, FieldSink, FieldSource};
+use crate::event::{intern, Choice, Event, EventKind, FieldSink, FieldSource};
 use crate::TraceSink;
 
 /// Version tag of the binary container (the `v2` in `dsa-tracebin/v2`).
@@ -88,6 +90,9 @@ pub enum BinError {
     },
     /// Structurally invalid contents inside a CRC-valid frame.
     Malformed(String),
+    /// A string-table entry outside the schema's vocabulary
+    /// ([`crate::VOCABULARY`]).
+    UnknownString(String),
 }
 
 impl BinError {
@@ -99,6 +104,7 @@ impl BinError {
             BinError::UnsupportedVersion(_) => "unsupported-version",
             BinError::ChecksumMismatch { .. } => "checksum-mismatch",
             BinError::Malformed(_) => "malformed",
+            BinError::UnknownString(_) => "unknown-string",
         }
     }
 }
@@ -113,6 +119,7 @@ impl std::fmt::Display for BinError {
                 write!(f, "block checksum mismatch at offset {offset}")
             }
             BinError::Malformed(why) => write!(f, "malformed trace: {why}"),
+            BinError::UnknownString(s) => write!(f, "string {s:?} is not in the trace vocabulary"),
         }
     }
 }
@@ -258,31 +265,6 @@ impl<'a> Reader<'a> {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------
-// String interning.
-// ---------------------------------------------------------------------
-
-/// Interns `s`, returning a `&'static str` with the same content.
-/// Decoded events must hold `&'static str` like freshly emitted ones;
-/// the vocabulary is small and fixed (class/reason/site/workload
-/// names), so the leaked pool stays bounded in practice.
-pub fn intern(s: &str) -> &'static str {
-    use std::collections::BTreeSet;
-    use std::sync::{Mutex, OnceLock};
-    static POOL: OnceLock<Mutex<BTreeSet<&'static str>>> = OnceLock::new();
-    let pool = POOL.get_or_init(|| Mutex::new(BTreeSet::new()));
-    let mut guard = match pool.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    };
-    if let Some(&existing) = guard.get(s) {
-        return existing;
-    }
-    let leaked: &'static str = Box::leak(s.to_string().into_boxed_str());
-    guard.insert(leaked);
-    leaked
 }
 
 // ---------------------------------------------------------------------
@@ -439,7 +421,7 @@ fn decode_block(payload: &[u8], out: &mut Vec<Event>) -> Result<(), BinError> {
         let bytes = r.read_bytes(len).map_err(malformed)?;
         let s = std::str::from_utf8(bytes)
             .map_err(|_| BinError::Malformed("string table entry is not UTF-8".into()))?;
-        strings.push(intern(s));
+        strings.push(intern(s).ok_or_else(|| BinError::UnknownString(s.to_string()))?);
     }
     let kinds = r.read_bytes(n_events).map_err(malformed)?;
     let mut counts = [0usize; KINDS];
@@ -714,7 +696,7 @@ mod tests {
                 cycle: 900,
             },
             Event::JobCompleted { job: 7, shard: 2, cache_hit: true, migrations: 1, latency_ms: 12, cycle: 0 },
-            Event::SnapshotRejected { kind: "bad-crc", cycle: 0 },
+            Event::SnapshotRejected { kind: "checksum-mismatch", cycle: 0 },
             Event::RunFinished { cycle: 1000, committed: 512, halted: true },
         ]
     }
@@ -883,10 +865,11 @@ mod tests {
 
     #[test]
     fn interning_yields_equal_static_strs() {
-        let a = intern("count");
-        let b = intern(&String::from("count"));
+        let a = intern("count").expect("a vocabulary word");
+        let b = intern(&String::from("count")).expect("a vocabulary word");
         assert_eq!(a, b);
         assert!(std::ptr::eq(a, b), "interned copies must share storage");
+        assert_eq!(intern("no such word"), None, "only the vocabulary interns");
     }
 
     #[test]

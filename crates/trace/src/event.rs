@@ -19,6 +19,127 @@ use std::fmt::Write as _;
 /// schema validator. Bump on any breaking change to event field names.
 pub const SCHEMA: &str = "dsa-trace/v2";
 
+/// The closed vocabulary of the schema's string fields: every string an
+/// emitter puts in an event, grouped by field. A decoder hands out the
+/// entry here ([`intern`]), so decoded events hold `&'static str` like
+/// emitted ones with no allocation, and a string outside the list is a
+/// decode error: reading a trace can never grow the process. A word that
+/// serves several fields is listed once, under the first. An emitter
+/// that adds a string adds it here; the emitting crates' tests check
+/// their names against this list.
+pub static VOCABULARY: &[&str] = &[
+    // `SimFault::kind`: `dsa_cpu::SimError::kind_name`.
+    "halted",
+    "pc-out-of-range",
+    "step-budget-exceeded",
+    "vector-lane",
+    // `class` of the loop events: `dsa_core::LoopClass::name`, and
+    // "unknown" for a rollback with no loop behind it.
+    "count",
+    "function",
+    "nest",
+    "conditional",
+    "dynamic-range",
+    "sentinel",
+    "partial",
+    "non-vectorizable",
+    "unknown",
+    // `reason` of `LoopRejected` and `LoopRolledBack`: the engine's
+    // give-up and rollback reasons.
+    "arm-capacity",
+    "array-map-inconsistent",
+    "conditional-loops-disabled",
+    "corrupt-template",
+    "cross-iteration-dependency",
+    "dynamic-range-disabled",
+    "function-loops-disabled",
+    "irregular-trip",
+    "mapping-budget-exhausted",
+    "nest-inner-not-fusable",
+    "nest-outer-not-overhead",
+    "nest-row-gap",
+    "no-store-stream",
+    "non-unit-stride",
+    "non-vector-ops",
+    "profile-corrupt",
+    "sentinel-unsupported",
+    "spec-range-overflow",
+    "stale-coverage-recovery",
+    "stream-mismatch",
+    "template-shape-mismatch",
+    "unprofitable-trip",
+    "unsupported-nest",
+    "vcache-capacity",
+    "vcache-entry-lost",
+    // `EnginePoisoned::during`: the engine operation that found the
+    // impossible transition.
+    "analyze",
+    "condition mapping",
+    "conditional_step",
+    "data collection",
+    "decide_straight",
+    "dependency analysis",
+    "execute",
+    "finish_iteration",
+    "hit_execute",
+    "iteration recording",
+    "launch",
+    "nest observation",
+    "nest_step",
+    "post-vcache analysis",
+    // `EnginePoisoned::expected`: the engine mode or state it required
+    // ("nest observation" is listed above).
+    "Analyzing",
+    "Executing",
+    "collected outer iteration",
+    "collected profile",
+    // `FaultInjected::site`: `dsa_core::FaultSite::name`
+    // ("corrupt-template" is listed above).
+    "lie-sentinel-trip",
+    "flip-array-map-condition",
+    "drop-vcache-entry",
+    "skip-rollback-flush",
+    // `workload` of `SupervisorRetry` and `WorkerPanicked`: the
+    // applications' and microkernels' names (`dsa_workloads`); the
+    // microkernels named after a loop class are listed above.
+    "MM 64x64",
+    "RGB-Gray",
+    "Gaussian Filter",
+    "Susan E",
+    "Q Sort",
+    "Dijkstra",
+    "BitCounts",
+    "gather",
+    "reduce",
+    "nest-fused",
+    "fir-i16",
+    // `JobShed::reason`.
+    "overloaded",
+    "deadline",
+    // `SnapshotRejected::kind`: `dsa_core::SnapshotError::kind_name`.
+    "truncated",
+    "bad-magic",
+    "unsupported-version",
+    "checksum-mismatch",
+    "malformed",
+    "config-mismatch",
+    // Pinned by the every-event wire goldens
+    // (`tests/golden/every_event.*`): stand-ins for a reason, a mode and
+    // a workload, and a string that takes every escape the JSONL writer
+    // emits.
+    "irregular-stride",
+    "template-mismatch",
+    "analyzing",
+    "matmul",
+    "say \"hi\" \\ bye",
+];
+
+/// The [`VOCABULARY`] entry equal to `s`, or `None` for a string the
+/// schema does not know.
+pub fn intern(s: &str) -> Option<&'static str> {
+    VOCABULARY.iter().find(|&&w| w == s).copied()
+}
+
 /// A payload enum with a fixed vocabulary: JSONL writes its names,
 /// tracebin writes its one-byte tags (the value's position in `ALL`).
 pub(crate) trait Choice: Copy + 'static {

@@ -24,7 +24,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use crate::columnar::intern;
+use crate::event::intern;
 use crate::event::{json_str, Choice, Event, EventKind, FieldSink, FieldSource, SCHEMA};
 use crate::json::{self, Value};
 use crate::TraceSink;
@@ -277,9 +277,10 @@ pub fn validate_document_verbose(text: &str) -> Result<(u64, Vec<String>), (usiz
 }
 
 /// Reconstructs a typed [`Event`] from a parsed event record. Unknown
-/// fields are ignored (forward compat); strings are interned via
-/// [`crate::columnar::intern`] so the result compares equal to a
-/// freshly emitted event.
+/// fields are ignored (forward compat); strings map to their entry in
+/// the schema's vocabulary ([`crate::VOCABULARY`]) so the result
+/// compares equal to a freshly emitted event, and a string outside it
+/// is an error.
 ///
 /// # Errors
 ///
@@ -323,7 +324,10 @@ impl FieldSource for JsonRecord<'_> {
     }
 
     fn str(&mut self, key: &'static str) -> Result<&'static str, String> {
-        self.v.get(key).and_then(Value::as_str).map(intern).ok_or_else(|| self.missing("string", key))
+        let s = self.v.get(key).and_then(Value::as_str).ok_or_else(|| self.missing("string", key))?;
+        intern(s).ok_or_else(|| {
+            format!("event \"{}\": field \"{key}\" holds {s:?}, not in the trace vocabulary", self.ty)
+        })
     }
 
     fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, String> {

@@ -66,8 +66,8 @@ pub mod perfetto;
 pub mod query;
 pub mod sample;
 
-pub use columnar::{crc32, decode, encode, intern, looks_binary, BinError, ColumnarWriter, BIN_SCHEMA};
-pub use event::{CacheKind, CacheOutcome, Event, SpecKind, Stage, SCHEMA};
+pub use columnar::{crc32, decode, encode, looks_binary, BinError, ColumnarWriter, BIN_SCHEMA};
+pub use event::{intern, CacheKind, CacheOutcome, Event, SpecKind, Stage, SCHEMA, VOCABULARY};
 pub use jsonl::{
     event_from_value, header_line, parse_document, validate_document, validate_document_verbose,
     validate_line, validate_line_verbose, JsonlSink,

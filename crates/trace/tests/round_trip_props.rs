@@ -19,13 +19,26 @@ use dsa_trace::{
 };
 use proptest::prelude::*;
 
-const CLASSES: &[&str] = &["count", "conditional", "sentinel", "strided", "unclassified"];
-const REASONS: &[&str] =
-    &["irregular-stride", "dependency", "template-mismatch", "short-trip", "cache-conflict"];
-const SITES: &[&str] =
-    &["corrupt-template", "lying-sentinel", "flipped-condition", "dropped-vcache", "skipped-flush"];
-const WORKLOADS: &[&str] = &["matmul", "qsort", "susan", "rgb-gray", "bitcounts", "adpcm"];
-const KINDS: &[&str] = &["step-budget-exceeded", "lane-error", "checksum-mismatch", "bad-crc"];
+// Words of the schema's vocabulary (`dsa_trace::VOCABULARY`), by
+// field: a decoder rejects any other string.
+const CLASSES: &[&str] = &["count", "conditional", "sentinel", "non-vectorizable", "unknown"];
+const REASONS: &[&str] = &[
+    "irregular-trip",
+    "cross-iteration-dependency",
+    "template-shape-mismatch",
+    "unprofitable-trip",
+    "vcache-capacity",
+    "overloaded",
+];
+const SITES: &[&str] = &[
+    "corrupt-template",
+    "lie-sentinel-trip",
+    "flip-array-map-condition",
+    "drop-vcache-entry",
+    "skip-rollback-flush",
+];
+const WORKLOADS: &[&str] = &["MM 64x64", "Q Sort", "Susan E", "RGB-Gray", "BitCounts", "fir-i16"];
+const KINDS: &[&str] = &["step-budget-exceeded", "vector-lane", "checksum-mismatch", "truncated"];
 
 fn vocab(words: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
     (0..words.len()).prop_map(move |i| words[i])
