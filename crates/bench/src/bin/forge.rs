@@ -269,22 +269,7 @@ fn main() {
         }
         let report = campaign.run();
         total_programs += report.programs;
-        println!(
-            "campaign seed {seed}: {} programs ({} generated, {} duplicates), \
-             {} jobs, {} inconclusive, {} infra failure(s), {} divergence(s)",
-            report.programs,
-            report.generated,
-            report.duplicates,
-            campaign.jobs,
-            report.inconclusive,
-            report.infra_failures,
-            report.failures.len()
-        );
-        print!("{}", report.coverage.render());
-        if !report.coverage.complete() {
-            println!("note: seed {seed} alone does not cover all eight classes");
-        }
-        print!("{}", report.sites.render());
+        print!("{}", report.render(seed, Some(campaign.jobs)));
         sites.add(&report.sites);
         if report.infra_failures > 0 {
             eprintln!("forge: campaign seed {seed} had tasks panic (infra failures)");

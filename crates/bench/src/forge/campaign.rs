@@ -7,15 +7,20 @@
 //! The three phases share one scalar [`Reference`]: the program runs
 //! scalar-only once, and each phase simulates only its DSA-attached
 //! runs and compares them with it. A program costs one scalar run and
-//! four DSA runs (clean, faulted, uninterrupted, and the interrupted
-//! run split across its snapshot).
+//! three DSA runs: clean, faulted, and the interrupted run split across
+//! its snapshot. The clean run is also the resume phase's uninterrupted
+//! run, since both run under the same configuration. Every run is a
+//! sibling of the reference's simulator, so the program is predecoded
+//! once, and a run that matches the reference is compared state for
+//! state and never hashed: the reference's final state is the only one
+//! digested.
 //!
 //! The phases, and what each one can catch:
 //!
-//! 1. **Clean** — [`DifferentialOracle::check_against`] with a trace
-//!    sink attached: liveness (the DSA must never prevent a program
-//!    from halting), poison correctness (a degraded run must still
-//!    match), and the per-class coverage signal.
+//! 1. **Clean** — [`DifferentialOracle::check_against`] with a sink
+//!    of the loop-class events attached: liveness (the DSA must never
+//!    prevent a program from halting), poison correctness (a degraded
+//!    run must still match), and the per-class coverage signal.
 //! 2. **Faulted** — the same check under a seed-derived
 //!    [`FaultSchedule`]: injected detector faults must degrade, never
 //!    diverge or wedge.
@@ -38,7 +43,7 @@ use std::sync::Mutex;
 use dsa_core::{
     DifferentialOracle, Dsa, DsaConfig, FaultSchedule, LoopClass, OracleVerdict, TestBug,
 };
-use dsa_trace::{Collector, Event, Shared};
+use dsa_trace::{Event, Shared, TraceSink};
 
 use crate::cache::{self, fixed_workloads};
 use crate::{isolate, render_table};
@@ -83,10 +88,11 @@ pub enum ForgeFailure {
     FaultMismatch,
     /// Faulted phase: the DSA run failed under injected faults.
     FaultDsaFailed,
-    /// Resume phase: the resumed (or uninterrupted) run diverged.
+    /// Resume phase: the resumed run diverged. (The uninterrupted run
+    /// is the clean phase's.)
     ResumeMismatch,
-    /// Resume phase: a run failed or a self-made snapshot refused to
-    /// restore.
+    /// Resume phase: the interrupted run failed or a self-made snapshot
+    /// refused to restore.
     ResumeDsaFailed,
     /// The scalar reference itself hit an executor error — a
     /// generator/lowering bug, reported so it can be shrunk too — or,
@@ -143,8 +149,10 @@ pub struct ProgramOutcome {
 }
 
 /// Runs one program's three phases under `config`, all against one
-/// scalar reference run. Never panics on a well-formed spec; lowering
-/// panics on malformed specs are the caller's concern ([`isolate`]).
+/// scalar reference run: five simulators, one predecode and, when every
+/// phase matches, one `arch_digest`. Never panics on a well-formed
+/// spec; lowering panics on malformed specs are the caller's concern
+/// ([`isolate`]).
 pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
     let prog = lower(spec);
     let oracle = DifferentialOracle::new(FORGE_FUEL);
@@ -160,19 +168,12 @@ pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
     let reference = oracle.reference(&prog.kernel.program, prog.init());
 
     // Phase 1: clean differential check, with coverage folding.
-    let sink = Shared::new(Collector::new());
+    let sink = Shared::new(ClassSink::default());
     let mut dsa = Dsa::new(config);
     dsa.attach_sink(sink.clone());
     let clean = oracle.check_against(&reference, &mut dsa, prog.init());
-    sink.with(|c| {
-        for ev in &c.events {
-            match ev {
-                Event::LoopClassified { class, .. } => out.classified.push(class),
-                Event::LoopVectorized { class, .. } => out.vectorized.push(class),
-                _ => {}
-            }
-        }
-    });
+    (out.classified, out.vectorized) =
+        sink.with(|c| (std::mem::take(&mut c.classified), std::mem::take(&mut c.vectorized)));
     match grade(&clean.verdict, (ForgeFailure::CleanMismatch, ForgeFailure::CleanDsaFailed)) {
         Ok(inconclusive) => out.inconclusive += u32::from(inconclusive),
         Err(f) => {
@@ -200,6 +201,25 @@ pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
         Err(f) => out.failure = Some(f),
     }
     out
+}
+
+/// The clean phase's coverage sink: the classes of the loops the DSA
+/// classified and vectorized, in emission order. It keeps nothing else
+/// of the event stream.
+#[derive(Default)]
+struct ClassSink {
+    classified: Vec<&'static str>,
+    vectorized: Vec<&'static str>,
+}
+
+impl TraceSink for ClassSink {
+    fn record(&mut self, ev: &Event) {
+        match *ev {
+            Event::LoopClassified { class, .. } => self.classified.push(class),
+            Event::LoopVectorized { class, .. } => self.vectorized.push(class),
+            _ => {}
+        }
+    }
 }
 
 /// Grades one oracle verdict against a phase's (mismatch, DSA-failed)
@@ -411,6 +431,31 @@ impl CampaignReport {
     /// failures.
     pub fn clean(&self) -> bool {
         self.failures.is_empty() && self.infra_failures == 0
+    }
+
+    /// Renders the report of campaign `seed` as `forge` prints it: the
+    /// counts line, the coverage table (with a note when the seed alone
+    /// misses a class) and the fault-site table. The counts line names
+    /// the worker count only when given `jobs`, since nothing else in
+    /// the report depends on it.
+    pub fn render(&self, seed: u64, jobs: Option<usize>) -> String {
+        let jobs = jobs.map_or(String::new(), |j| format!("{j} jobs, "));
+        let mut out = format!(
+            "campaign seed {seed}: {} programs ({} generated, {} duplicates), \
+             {jobs}{} inconclusive, {} infra failure(s), {} divergence(s)\n",
+            self.programs,
+            self.generated,
+            self.duplicates,
+            self.inconclusive,
+            self.infra_failures,
+            self.failures.len()
+        );
+        out.push_str(&self.coverage.render());
+        if !self.coverage.complete() {
+            out.push_str(&format!("note: seed {seed} alone does not cover all eight classes\n"));
+        }
+        out.push_str(&self.sites.render());
+        out
     }
 }
 

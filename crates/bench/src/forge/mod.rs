@@ -15,10 +15,12 @@
 //! 3. **Campaign** ([`campaign`]): each program runs one scalar
 //!    [`Reference`] and three differential phases against
 //!    it — a clean [`DifferentialOracle::check_against`] pass (with a
-//!    trace sink folding per-class coverage), a pass under a
-//!    seed-derived [`FaultSchedule`], and a mid-run
-//!    kill→snapshot→restore [`resume_against`] pass. Programs fan out
-//!    across `DSA_JOBS` workers, each inside the crash boundary
+//!    sink folding per-class coverage), a pass under a seed-derived
+//!    [`FaultSchedule`], and a mid-run kill→snapshot→restore
+//!    [`resume_against`] pass whose uninterrupted counterpart is the
+//!    clean pass. The runs share one predecode, and while the phases
+//!    match only the reference's final state is digested. Programs fan
+//!    out across `DSA_JOBS` workers, each inside the crash boundary
 //!    [`isolate`](crate::isolate); they are generated as workers take
 //!    them and their outcomes folded as they arrive, so a campaign's
 //!    memory does not grow with its budget.

@@ -13,7 +13,9 @@
 //! 3. **Resume** — one [`resume_against`] at a seed-derived kill point
 //!    inside the workload's run ([`workload_kill_at`]), with
 //!    [`FaultPlan::all`] armed on every engine, the restored one
-//!    included.
+//!    included. Its uninterrupted counterpart, a cold run under the
+//!    same plan, is the fault sweep's `all` check, so the resume check
+//!    simulates only the interrupted run.
 //!
 //! The sentinel microkernel runs its clean and fault checks as three
 //! entrances through one persistent engine: the `lie-sentinel-trip`

@@ -10,15 +10,26 @@
 //! architectural state — scalar and vector register files, flags, and
 //! every allocated byte of memory — bit for bit.
 //!
+//! The comparison is direct: registers, vector registers, flags, then
+//! memory page by page, and the first component that differs names the
+//! mismatch. Digests are only reported. The reference's final state is
+//! digested once, and a DSA-attached run that matches has the same
+//! digest, so only a run that does not match is hashed itself.
+//!
 //! The scalar run is the [`Reference`]. It depends only on the program
 //! and its initial state, so a caller checking one program several
 //! ways (clean, under faults, across a snapshot) runs it once with
 //! [`DifferentialOracle::reference`] and compares each DSA-attached
 //! run against it ([`DifferentialOracle::check_against`],
-//! [`DifferentialOracle::resume_against`]). The one-shot
-//! [`DifferentialOracle::check_with`] and
-//! [`DifferentialOracle::check_resume`] build a reference and go
-//! through the same comparison, so both ways give the same report.
+//! [`DifferentialOracle::resume_against`]). Every such run is a
+//! [`Simulator::sibling`] of the reference's simulator, so a program's
+//! runs share one predecode. [`DifferentialOracle::resume_against`]
+//! simulates only the interrupted run; the uninterrupted run under the
+//! same configuration is `check_against`'s. The one-shot
+//! [`DifferentialOracle::check_with`] builds a reference and reports
+//! what `check_against` does; [`DifferentialOracle::check_resume`]
+//! builds one and makes both calls, so it checks the resumed run, the
+//! uninterrupted run and the reference against each other.
 
 use dsa_cpu::{BoundedOutcome, CpuConfig, Machine, NullHook, RunOutcome, SimError, Simulator};
 use dsa_isa::Program;
@@ -133,10 +144,20 @@ impl Reference {
     fn cycles(&self) -> u64 {
         self.run.map_or(0, |o| o.cycles)
     }
+
+    /// The `arch_digest` of a DSA-attached run's final machine, given
+    /// its `verdict`: on a match the state equals the reference's, and
+    /// so does its digest, so only a run that did not match is hashed.
+    fn digest_of(&self, verdict: &OracleVerdict, dsa: &Machine) -> u64 {
+        match verdict {
+            OracleVerdict::Match => self.digest,
+            _ => dsa.arch_digest(),
+        }
+    }
 }
 
-/// Runs a program twice — scalar-only and DSA-attached — and compares
-/// final architectural state bit for bit.
+/// Runs a program scalar-only and DSA-attached and compares final
+/// architectural state bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub struct DifferentialOracle {
     /// Step budget for each run (the watchdog).
@@ -194,24 +215,24 @@ impl DifferentialOracle {
 
     /// [`check_with`](Self::check_with) against a [`Reference`] already
     /// run: only the DSA-attached run of the reference's program is
-    /// simulated. The report is the one `check_with` gives.
+    /// simulated, over the reference's predecode. The report is the one
+    /// `check_with` gives.
     pub fn check_against<F>(&self, reference: &Reference, dsa: &mut Dsa, init: F) -> OracleReport
     where
         F: Fn(&mut Machine),
     {
-        let mut vec = Simulator::new(reference.sim.program().clone(), self.cpu);
+        let mut vec = reference.sim.sibling(self.cpu, Machine::new());
         init(vec.machine_mut());
         let dsa_run = vec.run_with_hook(self.fuel, dsa);
-        let dsa_digest = vec.machine().arch_digest();
         let verdict = match (&reference.run, &dsa_run) {
             (Err(e), _) => Self::scalar_verdict(*e),
             (Ok(_), Err(e)) => OracleVerdict::DsaFailed(*e),
-            (Ok(_), Ok(_)) => Self::compare(reference, vec.machine(), dsa_digest),
+            (Ok(_), Ok(_)) => Self::compare(reference, vec.machine()),
         };
         OracleReport {
+            dsa_digest: reference.digest_of(&verdict, vec.machine()),
             verdict,
             scalar_digest: reference.digest,
-            dsa_digest,
             scalar_cycles: reference.cycles(),
             dsa_cycles: dsa_run.map_or(0, |o| o.cycles),
             stats: dsa.stats(),
@@ -223,10 +244,12 @@ impl DifferentialOracle {
     /// `split` committed instructions, snapshotted (through actual
     /// serialized bytes, exercising the full wire format), restored and
     /// completed, must reach the same final architectural state as both
-    /// an uninterrupted DSA run and the scalar reference — bit for bit.
-    /// `Mismatch` components are reported against the scalar reference;
-    /// a resumed-vs-uninterrupted divergence that somehow still matched
-    /// the scalar state would be caught too, since both are compared.
+    /// an uninterrupted DSA run ([`check_against`](Self::check_against)
+    /// under `config`) and the scalar reference — bit for bit. The
+    /// report is the resumed run's. Its verdict is the first of: a
+    /// failed reference, a failed pause leg, a failed uninterrupted run,
+    /// a failed or diverging resumed run, a diverging uninterrupted run.
+    /// `Mismatch` components are reported against the scalar reference.
     ///
     /// The resumed engine restarts in Probing mode with a warm cache;
     /// this changes *timing* only, never state — exactly the paper's
@@ -242,12 +265,26 @@ impl DifferentialOracle {
         F: Fn(&mut Machine),
     {
         let reference = self.reference(program, &init);
-        self.resume_against(&reference, config, init, split)
+        let resumed = match self.interrupted(&reference, config, &init, split) {
+            Ok(resumed) => resumed,
+            Err(e) => return Self::pause_failed(&reference, e),
+        };
+        let full = self.check_against(&reference, &mut Dsa::new(config), init);
+        // A failed uninterrupted run comes first; otherwise the resumed
+        // run's verdict, unless it matched.
+        let verdict = match (full.verdict, resumed.verdict) {
+            (failed @ OracleVerdict::DsaFailed(_), _) | (failed, OracleVerdict::Match) => failed,
+            (_, diverged) => diverged,
+        };
+        OracleReport { verdict, ..resumed }
     }
 
-    /// [`check_resume`](Self::check_resume) against a [`Reference`]
-    /// already run: only the uninterrupted and the interrupted DSA runs
-    /// are simulated. The report is the one `check_resume` gives.
+    /// The resume leg of [`check_resume`](Self::check_resume) against a
+    /// [`Reference`] already run: only the interrupted DSA run is
+    /// simulated and compared with the reference. The uninterrupted run
+    /// under `config` is [`check_against`](Self::check_against)'s to
+    /// check, so a caller that has made that check — `forge`'s clean
+    /// phase, or its fault sweep under the same plan — need not repeat it.
     pub fn resume_against<F>(
         &self,
         reference: &Reference,
@@ -258,52 +295,56 @@ impl DifferentialOracle {
     where
         F: Fn(&mut Machine),
     {
-        let program = reference.sim.program();
+        self.interrupted(reference, config, init, split)
+            .unwrap_or_else(|e| Self::pause_failed(reference, e))
+    }
 
-        // Uninterrupted DSA run.
-        let mut full = Simulator::new(program.clone(), self.cpu);
-        init(full.machine_mut());
-        let mut full_dsa = Dsa::new(config);
-        let full_run = full.run_with_hook(self.fuel, &mut full_dsa);
-
-        // Interrupted run: pause after `split` commits, serialize a
-        // snapshot, drop everything, restore from the bytes, complete.
-        let mut first = Simulator::new(program.clone(), self.cpu);
+    /// Runs `reference`'s program under `config`, pauses it after
+    /// `split` commits, serializes a snapshot, drops everything,
+    /// restores from the bytes and completes the run, then compares the
+    /// final state with the reference. `Err` is the failure of the pause
+    /// leg: an executor error before the split, or a self-made snapshot
+    /// that did not restore.
+    fn interrupted<F>(
+        &self,
+        reference: &Reference,
+        config: DsaConfig,
+        init: F,
+        split: u64,
+    ) -> Result<OracleReport, SimError>
+    where
+        F: Fn(&mut Machine),
+    {
+        let mut first = reference.sim.sibling(self.cpu, Machine::new());
         init(first.machine_mut());
         let mut first_dsa = Dsa::new(config);
-        let pause = first.run_bounded(split, &mut first_dsa);
-        let resumed_run: Result<RunOutcome, SimError> = match pause {
-            Err(e) => Err(e),
-            Ok(BoundedOutcome::Halted(out)) => {
-                // Program finished before the split point; the "resumed"
-                // run is just the finished run.
-                return self.resume_report(reference, &full, full_run, &first, Ok(out), &first_dsa);
+        match first.run_bounded(split, &mut first_dsa)? {
+            // The program finished before the split point; the "resumed"
+            // run is just the finished run.
+            BoundedOutcome::Halted(out) => {
+                Ok(self.resumed_report(reference, &first, Ok(out), &first_dsa))
             }
-            Ok(BoundedOutcome::Paused) => {
+            BoundedOutcome::Paused => {
                 let bytes = Snapshot::capture(&first_dsa, first.machine()).to_bytes();
                 drop(first_dsa);
                 drop(first);
-                match Dsa::restore(&bytes, config) {
-                    Err(_) => {
-                        // A snapshot of our own making must restore; feed
-                        // the failure through as a DSA-side failure.
-                        Err(SimError::StepBudgetExceeded { pc: 0, steps: 0 })
-                    }
-                    Ok((mut dsa2, machine2)) => {
-                        let mut second =
-                            Simulator::with_machine(program.clone(), self.cpu, machine2);
-                        let run = second.run_with_hook(self.fuel, &mut dsa2);
-                        return self.resume_report(reference, &full, full_run, &second, run, &dsa2);
-                    }
-                }
+                // A snapshot of our own making must restore; feed a
+                // failure through as a DSA-side failure.
+                let (mut dsa2, machine2) = Dsa::restore(&bytes, config)
+                    .map_err(|_| SimError::StepBudgetExceeded { pc: 0, steps: 0 })?;
+                let mut second = reference.sim.sibling(self.cpu, machine2);
+                let run = second.run_with_hook(self.fuel, &mut dsa2);
+                Ok(self.resumed_report(reference, &second, run, &dsa2))
             }
-        };
-        // Pause-phase failure (executor error or unrestorable snapshot).
+        }
+    }
+
+    /// The report of an interrupted run whose pause leg failed with `e`.
+    fn pause_failed(reference: &Reference, e: SimError) -> OracleReport {
         OracleReport {
-            verdict: match (&reference.run, &resumed_run) {
-                (Err(e), _) => Self::scalar_verdict(*e),
-                (_, Err(e)) => OracleVerdict::DsaFailed(*e),
-                _ => OracleVerdict::Mismatch { component: "regs" },
+            verdict: match &reference.run {
+                Err(e) => Self::scalar_verdict(*e),
+                Ok(_) => OracleVerdict::DsaFailed(e),
             },
             scalar_digest: reference.digest,
             dsa_digest: 0,
@@ -314,34 +355,22 @@ impl DifferentialOracle {
         }
     }
 
-    fn resume_report(
+    fn resumed_report(
         &self,
         reference: &Reference,
-        full: &Simulator,
-        full_run: Result<RunOutcome, SimError>,
         resumed: &Simulator,
         resumed_run: Result<RunOutcome, SimError>,
         resumed_dsa: &Dsa,
     ) -> OracleReport {
-        let dsa_digest = resumed.machine().arch_digest();
-        let verdict = match (&reference.run, (&full_run, &resumed_run)) {
+        let verdict = match (&reference.run, &resumed_run) {
             (Err(e), _) => Self::scalar_verdict(*e),
-            (Ok(_), (Err(e), _)) | (Ok(_), (_, Err(e))) => OracleVerdict::DsaFailed(*e),
-            (Ok(_), (Ok(_), Ok(_))) => {
-                // Resumed vs scalar, then uninterrupted vs scalar: all
-                // three final states must agree bit for bit.
-                match Self::compare(reference, resumed.machine(), dsa_digest) {
-                    OracleVerdict::Match => {
-                        Self::compare(reference, full.machine(), full.machine().arch_digest())
-                    }
-                    diverged => diverged,
-                }
-            }
+            (Ok(_), Err(e)) => OracleVerdict::DsaFailed(*e),
+            (Ok(_), Ok(_)) => Self::compare(reference, resumed.machine()),
         };
         OracleReport {
+            dsa_digest: reference.digest_of(&verdict, resumed.machine()),
             verdict,
             scalar_digest: reference.digest,
-            dsa_digest,
             scalar_cycles: reference.cycles(),
             dsa_cycles: resumed_run.map_or(0, |o| o.cycles),
             stats: resumed_dsa.stats(),
@@ -360,22 +389,23 @@ impl DifferentialOracle {
         }
     }
 
-    /// Compares a DSA-attached run's final machine, whose `arch_digest`
-    /// is `dsa_digest`, with the reference's.
-    fn compare(reference: &Reference, dsa: &Machine, dsa_digest: u64) -> OracleVerdict {
+    /// Compares a DSA-attached run's final machine with the
+    /// reference's, component by component, and names the first that
+    /// differs.
+    fn compare(reference: &Reference, dsa: &Machine) -> OracleVerdict {
         let scalar = reference.sim.machine();
-        if scalar.regs() != dsa.regs() {
-            return OracleVerdict::Mismatch { component: "regs" };
-        }
-        if scalar.qregs() != dsa.qregs() {
-            return OracleVerdict::Mismatch { component: "qregs" };
-        }
-        if reference.digest != dsa_digest {
-            // Registers agreed, so the digests diverged over flags or
-            // memory contents; memory is by far the larger component.
-            return OracleVerdict::Mismatch { component: "memory" };
-        }
-        OracleVerdict::Match
+        let component = if scalar.regs() != dsa.regs() {
+            "regs"
+        } else if scalar.qregs() != dsa.qregs() {
+            "qregs"
+        } else if scalar.flags() != dsa.flags() {
+            "flags"
+        } else if scalar.mem != dsa.mem {
+            "memory"
+        } else {
+            return OracleVerdict::Match;
+        };
+        OracleVerdict::Mismatch { component }
     }
 }
 
@@ -479,6 +509,25 @@ mod tests {
             "planted bug must diverge through a shared reference: {shared}"
         );
         assert_eq!(shared, report);
+    }
+
+    #[test]
+    fn a_flags_only_divergence_is_reported_as_flags() {
+        // Two final machines equal in registers, vector registers and
+        // memory, differing only in one NZCV flag.
+        let kernel = vec_add_kernel();
+        let oracle = DifferentialOracle::new(10_000_000);
+        let reference = oracle.reference(&kernel.program, |_| {});
+        let scalar = reference.sim.machine();
+        assert_eq!(DifferentialOracle::compare(&reference, scalar), OracleVerdict::Match);
+        let mut state = scalar.capture();
+        state.flags.v = !state.flags.v;
+        let dsa = Machine::restore(&state);
+        assert_eq!((dsa.regs(), dsa.qregs()), (scalar.regs(), scalar.qregs()));
+        assert!(dsa.mem == scalar.mem);
+        let verdict = DifferentialOracle::compare(&reference, &dsa);
+        assert_eq!(verdict, OracleVerdict::Mismatch { component: "flags" });
+        assert_ne!(reference.digest_of(&verdict, &dsa), reference.digest);
     }
 
     #[test]

@@ -238,7 +238,7 @@ pub struct Simulator {
     timing: TimingModel,
     program: Program,
     /// Predecoded form of `program`, decoded on the first run and
-    /// shared only with this simulator's clones.
+    /// shared only with this simulator's clones and siblings.
     decoded: Option<Arc<DecodedProgram>>,
     suppress: bool,
     committed: u64,
@@ -272,9 +272,20 @@ impl Simulator {
         }
     }
 
+    /// A cold simulator of this simulator's program over `machine`,
+    /// timed under `config`, sharing this simulator's predecode if it
+    /// has one: runs of one program decode it once, and the decode is
+    /// freed with the last simulator that shares it.
+    pub fn sibling(&self, config: CpuConfig, machine: Machine) -> Simulator {
+        Simulator {
+            decoded: self.decoded.clone(),
+            ..Simulator::with_machine(self.program.clone(), config, machine)
+        }
+    }
+
     /// The predecoded form of the program, decoded on first call and
-    /// shared with this simulator's clones; it is freed with the last of
-    /// them. Every run does this implicitly.
+    /// shared with this simulator's clones and siblings; it is freed with
+    /// the last of them. Every run does this implicitly.
     pub fn predecode(&mut self) -> Arc<DecodedProgram> {
         Arc::clone(
             self.decoded.get_or_insert_with(|| Arc::new(DecodedProgram::decode(&self.program))),
@@ -702,6 +713,23 @@ mod tests {
         assert!(matches!(done, BoundedOutcome::Halted(_)));
         assert_eq!(second.machine().arch_digest(), full.machine().arch_digest());
         assert_eq!(second.machine().reg(Reg::R0), 10_000);
+    }
+
+    #[test]
+    fn a_sibling_shares_the_predecode_and_runs_cold() {
+        let mut first = Simulator::new(count_loop(1_000), CpuConfig::default());
+        // Before the first run there is no predecode to share.
+        let mut early = first.sibling(CpuConfig::default(), Machine::new());
+        let ran = first.run(1_000_000).expect("ok");
+        assert!(!Arc::ptr_eq(&early.predecode(), &first.predecode()));
+        // After it, a sibling over a fresh machine shares the decode and
+        // times the run exactly as a new simulator does.
+        let mut sibling = first.sibling(CpuConfig::default(), Machine::new());
+        assert!(Arc::ptr_eq(&sibling.predecode(), &first.predecode()));
+        assert_eq!((sibling.committed(), sibling.timing().cycles()), (0, 0));
+        let again = sibling.run(1_000_000).expect("ok");
+        assert_eq!((again.cycles, again.committed), (ran.cycles, ran.committed));
+        assert_eq!(sibling.machine().arch_digest(), first.machine().arch_digest());
     }
 
     #[test]

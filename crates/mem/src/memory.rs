@@ -33,7 +33,11 @@ type Leaf = [Option<Box<Page>>; LEAF_ENTRIES];
 /// Byte-addressable main memory with a 32-bit address space, allocated
 /// lazily in 4 KB pages. All multi-byte accesses are little-endian and may
 /// straddle page boundaries.
-#[derive(Clone)]
+///
+/// Two memories are equal when they hold the same allocated page numbers
+/// with the same bytes: exactly what [`MainMemory::digest`] tells apart,
+/// so an allocated all-zero page differs from an unallocated one.
+#[derive(Clone, PartialEq, Eq)]
 pub struct MainMemory {
     /// The leaf of each 4 MB region, once a page in it was written.
     dir: Box<[Option<Box<Leaf>>; DIR_ENTRIES]>,
@@ -530,6 +534,67 @@ mod tests {
             }
             assert_eq!(copy.digest(), mem.digest());
             assert_eq!(copy.allocated_pages(), mem.allocated_pages());
+            assert!(copy == mem);
         }
+    }
+
+    /// `==` holds exactly when `digest()` matches: over random pairs
+    /// of memories that share a write prefix and then each take a few
+    /// writes of their own, with small values so that the two sides
+    /// often end equal by different routes.
+    #[test]
+    fn equality_holds_exactly_when_digests_match() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        // Pages 0 and 1 share a leaf; the others each sit in their own.
+        let anchors = [0u32, 0x1000, 0x40_0000, 0xFFC0_0000];
+        let write = |rng: &mut StdRng, mem: &mut MainMemory| {
+            let addr = anchors[rng.gen_range(0..anchors.len())] + rng.gen_range(0..8u32);
+            mem.write_u8(addr, rng.gen_range(0..3u32) as u8);
+        };
+        // (equal, unequal, unequal though every byte reads the same)
+        let mut seen = (0, 0, 0);
+        let mut rng = StdRng::seed_from_u64(0x3e3);
+        for case in 0..2000 {
+            let mut a = MainMemory::new();
+            for _ in 0..rng.gen_range(0..24u32) {
+                write(&mut rng, &mut a);
+            }
+            let mut b = a.clone();
+            for _ in 0..rng.gen_range(0..3u32) {
+                write(&mut rng, &mut a);
+            }
+            for _ in 0..rng.gen_range(0..3u32) {
+                write(&mut rng, &mut b);
+            }
+            let equal = a == b;
+            assert_eq!(equal, a.digest() == b.digest(), "case {case}");
+            assert_eq!(equal, b == a, "case {case}: symmetric");
+            let same_bytes = anchors.iter().all(|&p| a.read_bytes(p, 8) == b.read_bytes(p, 8));
+            match (equal, same_bytes) {
+                (true, _) => seen.0 += 1,
+                (false, false) => seen.1 += 1,
+                (false, true) => seen.2 += 1,
+            }
+        }
+        assert!(seen.0 > 0 && seen.1 > 0 && seen.2 > 0, "outcomes seen: {seen:?}");
+
+        // An all-zero page allocated on one side only, in a leaf the
+        // other side never touched and in one it did.
+        for page in [0x40_0000, 0x1000] {
+            let (mut a, mut b) = (MainMemory::new(), MainMemory::new());
+            a.write_u8(0, 1);
+            b.write_u8(0, 1);
+            b.write_u8(page, 0);
+            assert!(a != b, "zero page at {page:#x}");
+            assert_ne!(a.digest(), b.digest());
+        }
+        // The same byte at the same offset of pages in different leaves.
+        let (mut a, mut b) = (MainMemory::new(), MainMemory::new());
+        a.write_u8(0x10, 7);
+        b.write_u8(0x40_0010, 7);
+        assert!(a != b);
+        assert_ne!(a.digest(), b.digest());
     }
 }
