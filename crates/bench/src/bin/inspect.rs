@@ -185,12 +185,12 @@ fn print_loop_table(table: &Shared<LoopTableSink>) {
             .map(|r| {
                 vec![
                     format!("{:#x}", r.loop_id),
-                    r.class.clone(),
+                    r.class.map_or("", |c| c.name()).to_string(),
                     r.detections.to_string(),
                     r.vectorized.to_string(),
                     r.covered_iters.to_string(),
                     r.rejections.to_string(),
-                    r.last_rejection.to_string(),
+                    r.last_rejection.map_or("-", |r| r.name()).to_string(),
                     r.rollbacks.to_string(),
                     r.dsa_cycles.to_string(),
                 ]

@@ -25,6 +25,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use dsa_core::DsaConfig;
+use dsa_trace::WorkloadName;
 use dsa_workloads::{micro, Scale, WorkloadId};
 
 use crate::{isolate, run_built, RunError, RunResult, System};
@@ -51,9 +52,14 @@ impl Workload {
 
     /// Display name (figure vocabulary).
     pub fn describe(self) -> &'static str {
+        self.word().name()
+    }
+
+    /// The display name as a trace word.
+    pub fn word(self) -> WorkloadName {
         match self {
-            Workload::App(id) => id.name(),
-            Workload::Micro(m) => m.name(),
+            Workload::App(id) => id.word(),
+            Workload::Micro(m) => m.word(),
         }
     }
 
@@ -61,13 +67,10 @@ impl Workload {
     /// to the workload (forge workload artifacts and service job specs
     /// carry names).
     pub fn by_name(name: &str) -> Option<Workload> {
-        WorkloadId::all()
-            .into_iter()
-            .find(|id| id.name() == name)
-            .map(Workload::App)
-            .or_else(|| {
-                micro::Micro::all().into_iter().find(|m| m.name() == name).map(Workload::Micro)
-            })
+        let word = WorkloadName::from_name(name)?;
+        let apps = WorkloadId::all().map(Workload::App);
+        let micros = micro::Micro::all().map(Workload::Micro);
+        apps.into_iter().chain(micros).find(|w| w.word() == word)
     }
 }
 
@@ -519,6 +522,11 @@ mod tests {
             assert_eq!(Workload::by_name(m.name()), Some(Workload::Micro(m)));
         }
         assert_eq!(Workload::by_name("no-such-workload"), None);
+        // Every trace word names exactly one workload.
+        for word in WorkloadName::ALL {
+            assert_eq!(Workload::by_name(word.name()).map(Workload::word), Some(word));
+        }
+        assert_eq!(WorkloadId::all().len() + micro::Micro::all().len(), WorkloadName::ALL.len());
     }
 
     #[test]

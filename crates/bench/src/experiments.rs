@@ -246,22 +246,13 @@ fn dsa_latency_table(system: System, title: &str) -> Result<String, RunError> {
 
 /// E5 — Article 3, Figure 7: percentage of loop types per application.
 pub fn a3_fig7_loop_census() -> Result<String, RunError> {
-    let classes = [
-        LoopClass::Count,
-        LoopClass::Function,
-        LoopClass::Nest,
-        LoopClass::Conditional,
-        LoopClass::DynamicRange,
-        LoopClass::Sentinel,
-        LoopClass::Partial,
-        LoopClass::NonVectorizable,
-    ];
+    let classes = LoopClass::CENSUS;
     let mut rows = Vec::new();
     for id in WorkloadId::all() {
         let r = run_cached(id, System::DsaFull, Scale::Paper)?;
         let census = r.census.as_ref().expect("DSA run");
         let mut row = vec![id.name().to_string()];
-        for c in classes {
+        for &c in classes {
             row.push(if census.count(c) > 0 {
                 format!("{:.0}%", census.percentage(c))
             } else {

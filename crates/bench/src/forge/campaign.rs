@@ -36,7 +36,7 @@
 //! [`DifferentialOracle::check_against`]: DifferentialOracle::check_against
 //! [`DifferentialOracle::resume_against`]: DifferentialOracle::resume_against
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -141,11 +141,11 @@ pub struct ProgramOutcome {
     /// Phases that ended [`OracleVerdict::Inconclusive`] (reference
     /// fuel) — counted, not failed.
     pub inconclusive: u32,
-    /// Loop classes the DSA classified (census vocabulary), from the
-    /// clean phase's trace stream.
-    pub classified: Vec<&'static str>,
+    /// Loop classes the DSA classified, from the clean phase's trace
+    /// stream.
+    pub classified: Vec<LoopClass>,
     /// Loop classes the DSA actually vectorized.
-    pub vectorized: Vec<&'static str>,
+    pub vectorized: Vec<LoopClass>,
 }
 
 /// Runs one program's three phases under `config`, all against one
@@ -208,8 +208,8 @@ pub fn run_program(spec: &ProgramSpec, config: DsaConfig) -> ProgramOutcome {
 /// of the event stream.
 #[derive(Default)]
 struct ClassSink {
-    classified: Vec<&'static str>,
-    vectorized: Vec<&'static str>,
+    classified: Vec<LoopClass>,
+    vectorized: Vec<LoopClass>,
 }
 
 impl TraceSink for ClassSink {
@@ -311,70 +311,59 @@ pub struct CovRow {
     pub vectorized: u64,
 }
 
-/// Per-loop-class coverage: generated × detected × vectorized.
+/// Per-loop-class coverage: generated × detected × vectorized, one row
+/// per class.
 #[derive(Debug, Clone, Default)]
 pub struct Coverage {
-    rows: BTreeMap<&'static str, CovRow>,
+    rows: [CovRow; LoopClass::ALL.len()],
 }
 
 impl Coverage {
-    /// All eight census classes, each starting at zero, so the report
-    /// always shows the full vocabulary (a silent zero row is the
-    /// finding, not a formatting accident).
+    /// Every census class at zero, so the report always shows the full
+    /// vocabulary (a silent zero row is the finding, not a formatting
+    /// accident).
     pub fn full_vocabulary() -> Coverage {
-        let mut c = Coverage::default();
-        for class in [
-            LoopClass::Count,
-            LoopClass::Function,
-            LoopClass::Nest,
-            LoopClass::Conditional,
-            LoopClass::DynamicRange,
-            LoopClass::Sentinel,
-            LoopClass::Partial,
-            LoopClass::NonVectorizable,
-        ] {
-            c.rows.entry(class.name()).or_default();
-        }
-        c
+        Coverage::default()
     }
 
     /// Folds one program's generation + outcome into the report.
     pub fn fold(&mut self, spec: &ProgramSpec, outcome: &ProgramOutcome) {
         for l in &spec.loops {
-            self.rows.entry(l.shape.expected_class().name()).or_default().generated += 1;
+            self.rows[l.shape.expected_class() as usize].generated += 1;
         }
-        for class in &outcome.classified {
-            self.rows.entry(class).or_default().detected += 1;
+        for &class in &outcome.classified {
+            self.rows[class as usize].detected += 1;
         }
-        for class in &outcome.vectorized {
-            self.rows.entry(class).or_default().vectorized += 1;
+        for &class in &outcome.vectorized {
+            self.rows[class as usize].vectorized += 1;
         }
     }
 
-    /// The row for `class` (zero row when the class never appeared).
+    /// The row for `class`.
     pub fn row(&self, class: LoopClass) -> CovRow {
-        self.rows.get(class.name()).copied().unwrap_or_default()
+        self.rows[class as usize]
     }
 
-    /// Whether the corpus exercised all eight classes: every class
-    /// generated and detected, and every class except
-    /// `non-vectorizable` actually vectorized at least once.
+    /// Whether the corpus exercised every census class: each generated
+    /// and detected, and each except `non-vectorizable` actually
+    /// vectorized at least once.
     pub fn complete(&self) -> bool {
-        let all = Coverage::full_vocabulary();
-        all.rows.keys().all(|class| {
-            let r = self.rows.get(class).copied().unwrap_or_default();
+        LoopClass::CENSUS.iter().all(|&class| {
+            let r = self.row(class);
             r.generated > 0
                 && r.detected > 0
-                && (*class == "non-vectorizable" || r.vectorized > 0)
+                && (class == LoopClass::NonVectorizable || r.vectorized > 0)
         })
     }
 
-    /// Renders the coverage table.
+    /// Renders the coverage table, one census class a row, by name.
     pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|(class, r)| {
+        let mut classes = LoopClass::CENSUS.to_vec();
+        classes.sort_by_key(|c| c.name());
+        let rows: Vec<Vec<String>> = classes
+            .into_iter()
+            .map(|class| {
+                let r = self.row(class);
                 vec![
                     class.to_string(),
                     r.generated.to_string(),
@@ -618,8 +607,8 @@ mod tests {
         let spec = ProgramSpec { seed: 11, loops: vec![LoopSpec::minimal()] };
         let out = run_program(&spec, DsaConfig::full());
         assert_eq!(out.failure, None, "minimal count loop must be clean");
-        assert!(out.classified.contains(&"count"), "classified: {:?}", out.classified);
-        assert!(out.vectorized.contains(&"count"), "vectorized: {:?}", out.vectorized);
+        assert!(out.classified.contains(&LoopClass::Count), "classified: {:?}", out.classified);
+        assert!(out.vectorized.contains(&LoopClass::Count), "vectorized: {:?}", out.vectorized);
     }
 
     #[test]

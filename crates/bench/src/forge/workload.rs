@@ -94,9 +94,7 @@ impl Phase {
             ("clean", None) => Some(Phase::Clean),
             ("resume", None) => Some(Phase::Resume),
             ("fault", Some("all")) => Some(Phase::Fault(None)),
-            ("fault", Some(name)) => {
-                FaultSite::ALL.into_iter().find(|s| s.name() == name).map(|s| Phase::Fault(Some(s)))
-            }
+            ("fault", Some(name)) => FaultSite::from_name(name).map(|s| Phase::Fault(Some(s))),
             _ => None,
         }
     }

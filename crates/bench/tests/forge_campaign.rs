@@ -17,7 +17,7 @@ use dsa_bench::forge::{
     generate_nth, lower, shrink_program, Campaign, ForgeFailure, Phase, ProgramSpec, Subject,
 };
 use dsa_core::{DifferentialOracle, Dsa, DsaConfig, OracleVerdict, TestBug};
-use dsa_trace::{Collector, Event, Shared};
+use dsa_trace::{Collector, Event, LoopClass, Shared};
 
 /// Satellite: the kill→snapshot→restore→resume differential check must
 /// hold on generated programs, whose shapes (multi-loop sequences,
@@ -148,7 +148,7 @@ fn workload_source_fires_every_site_and_catches_the_planted_bug() {
 fn one_shot(
     spec: &ProgramSpec,
     config: DsaConfig,
-) -> (Option<ForgeFailure>, u32, [Vec<&'static str>; 2]) {
+) -> (Option<ForgeFailure>, u32, [Vec<LoopClass>; 2]) {
     let prog = lower(spec);
     let program = &prog.kernel.program;
     let oracle = DifferentialOracle::new(FORGE_FUEL);

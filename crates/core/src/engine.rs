@@ -5,7 +5,10 @@ use std::collections::BTreeMap;
 
 use dsa_cpu::{CommitHook, Machine, SimControl, TraceEvent};
 use dsa_isa::{Cond, Instr};
-use dsa_trace::{CacheKind, CacheOutcome, Event, SpecKind, Stage, TraceSink, Tracer};
+use dsa_trace::{
+    CacheKind, CacheOutcome, EngineMode, EngineOp, Event, Reason, SpecKind, Stage, TraceSink,
+    Tracer,
+};
 
 use crate::caches::{CachedKind, DsaCache, VerificationCache};
 use crate::cidp::{self, CidpOutcome};
@@ -31,9 +34,9 @@ const MAX_SPEC_RANGE: u32 = 1 << 26;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EngineError {
     /// The mode the handler required.
-    pub expected: &'static str,
+    pub expected: EngineMode,
     /// The operation that found itself in the wrong mode.
-    pub during: &'static str,
+    pub during: EngineOp,
 }
 
 impl std::fmt::Display for EngineError {
@@ -51,7 +54,7 @@ macro_rules! expect_mode {
         match &mut $dsa.mode {
             Mode::$variant(inner) => inner,
             _ => {
-                return Err(EngineError { expected: stringify!($variant), during: $during })
+                return Err(EngineError { expected: EngineMode::$variant, during: $during })
             }
         }
     };
@@ -393,8 +396,7 @@ impl Dsa {
 
     fn classify(&mut self, id: u32, class: LoopClass, cycle: u64) {
         self.census.insert(id, class);
-        let name = class.name();
-        self.tracer.emit(|| Event::LoopClassified { loop_id: id, class: name, cycle });
+        self.tracer.emit(|| Event::LoopClassified { loop_id: id, class, cycle });
     }
 
     /// Stores `kind` in the DSA cache, charging the cache latency when
@@ -430,11 +432,10 @@ impl Dsa {
         }
     }
 
-    fn give_up(&mut self, id: u32, class: LoopClass, reason: &'static str, ctl: &mut SimControl<'_>) {
+    fn give_up(&mut self, id: u32, class: LoopClass, reason: Reason, ctl: &mut SimControl<'_>) {
         let cycle = ctl.cycles();
         self.cache_insert(id, CachedKind::NonVectorizable(class), true, cycle);
-        let name = class.name();
-        self.tracer.emit(|| Event::LoopRejected { loop_id: id, class: name, reason, cycle });
+        self.tracer.emit(|| Event::LoopRejected { loop_id: id, class, reason, cycle });
         self.classify(id, class, cycle);
         self.mode = Mode::Probing;
     }
@@ -445,7 +446,6 @@ impl Dsa {
         let fires = self.faults.as_mut().is_some_and(|f| f.fire(site));
         if fires {
             self.stats.faults_injected += 1;
-            let site = site.name();
             self.tracer.emit(|| Event::FaultInjected { site, cycle });
         }
         fires
@@ -456,15 +456,14 @@ impl Dsa {
     /// active coverage and falls back to scalar execution. Correctness
     /// is unaffected — the scalar core has been computing the real
     /// results all along; only the speedup for this loop is lost.
-    fn degrade(&mut self, id: u32, class: LoopClass, reason: &'static str, ctl: &mut SimControl<'_>) {
+    fn degrade(&mut self, id: u32, class: LoopClass, reason: Reason, ctl: &mut SimControl<'_>) {
         let cycle = ctl.cycles();
         if ctl.coverage_active() {
             ctl.end_coverage();
             ctl.stall(self.config.resync_latency as u64);
         }
         self.cache_insert(id, CachedKind::NonVectorizable(class), false, cycle);
-        let name = class.name();
-        self.tracer.emit(|| Event::LoopRolledBack { loop_id: id, class: name, reason, cycle });
+        self.tracer.emit(|| Event::LoopRolledBack { loop_id: id, class, reason, cycle });
         self.classify(id, class, cycle);
         self.stats.degradations += 1;
         self.mode = Mode::Probing;
@@ -504,8 +503,8 @@ impl Dsa {
             let cycle = ctl.cycles();
             self.tracer.emit(|| Event::LoopRolledBack {
                 loop_id: 0,
-                class: "unknown",
-                reason: "stale-coverage-recovery",
+                class: LoopClass::Unknown,
+                reason: Reason::StaleCoverageRecovery,
                 cycle,
             });
         }
@@ -624,7 +623,7 @@ impl Dsa {
         machine: &Machine,
         ctl: &mut SimControl<'_>,
     ) -> Result<bool, EngineError> {
-        let a = expect_mode!(self, Analyzing, "analyze");
+        let a = expect_mode!(self, Analyzing, EngineOp::Analyze);
         let id = a.id;
         let end_pc = a.end_pc;
 
@@ -664,22 +663,22 @@ impl Dsa {
                                 inner_trip: t.trip_imm.unwrap_or(1) as u32,
                                 inner_template: t.clone(),
                             };
-                            let a = expect_mode!(self, Analyzing, "nest observation");
+                            let a = expect_mode!(self, Analyzing, EngineOp::NestObservation);
                             a.nest = Some(nest);
                             return Ok(false);
                         }
                     }
-                    self.give_up(id, LoopClass::Nest, "nest-inner-not-fusable", ctl);
+                    self.give_up(id, LoopClass::Nest, Reason::NestInnerNotFusable, ctl);
                     return Ok(true);
                 }
                 _ => {
-                    self.give_up(id, LoopClass::Nest, "unsupported-nest", ctl);
+                    self.give_up(id, LoopClass::Nest, Reason::UnsupportedNest, ctl);
                     return Ok(true);
                 }
             }
         }
 
-        let a = expect_mode!(self, Analyzing, "iteration recording");
+        let a = expect_mode!(self, Analyzing, EngineOp::IterationRecording);
         a.rec.record(ev, machine);
 
         // Loop exited before analysis finished (trip shorter than the
@@ -700,7 +699,7 @@ impl Dsa {
         machine: &Machine,
         ctl: &mut SimControl<'_>,
     ) -> Result<(), EngineError> {
-        let a = expect_mode!(self, Analyzing, "finish_iteration");
+        let a = expect_mode!(self, Analyzing, EngineOp::FinishIteration);
         let closing_unconditional = matches!(ev.instr, Instr::B { cond: Cond::Al, .. });
         let index_reg = a.rec.last_cmp_reg();
         // A hit analysis ends after this iteration; every other one
@@ -738,15 +737,15 @@ impl Dsa {
         // Verification-Cache accounting; a lost entry means the recorded
         // streams can no longer be trusted.
         if profile.accesses.len() as u64 != n_acc {
-            self.degrade(id, LoopClass::NonVectorizable, "vcache-entry-lost", ctl);
+            self.degrade(id, LoopClass::NonVectorizable, Reason::VcacheEntryLost, ctl);
             return Ok(());
         }
 
-        let a = expect_mode!(self, Analyzing, "post-vcache analysis");
+        let a = expect_mode!(self, Analyzing, EngineOp::PostVcacheAnalysis);
         // Nest observation stores only the per-stream heads, not every
         // inner-iteration address, so the capacity check is skipped.
         if a.nest.is_none() && !self.vcache.fits(profile.accesses.len()) {
-            self.give_up(id, LoopClass::NonVectorizable, "vcache-capacity", ctl);
+            self.give_up(id, LoopClass::NonVectorizable, Reason::VcacheCapacity, ctl);
             return Ok(());
         }
 
@@ -771,24 +770,24 @@ impl Dsa {
 
         // Structural rejections discovered during Data Collection.
         if profile.body.nonvec > 0 || profile.body.elem_bytes.is_none() {
-            self.give_up(id, LoopClass::NonVectorizable, "non-vector-ops", ctl);
+            self.give_up(id, LoopClass::NonVectorizable, Reason::NonVectorOps, ctl);
             return Ok(());
         }
         if profile.has_call && !self.config.features.function_loops {
-            self.give_up(id, LoopClass::Function, "function-loops-disabled", ctl);
+            self.give_up(id, LoopClass::Function, Reason::FunctionLoopsDisabled, ctl);
             return Ok(());
         }
         if closing_unconditional || profile.exit_check_pc.is_some() && profile.closing_cmp.is_none()
         {
             // Sentinel shape.
             if !self.config.features.sentinel_loops || profile.cond_branches > 0 {
-                self.give_up(id, LoopClass::Sentinel, "sentinel-unsupported", ctl);
+                self.give_up(id, LoopClass::Sentinel, Reason::SentinelUnsupported, ctl);
                 return Ok(());
             }
         }
         if profile.cond_branches > 0 {
             if !self.config.features.conditional_loops {
-                self.give_up(id, LoopClass::Conditional, "conditional-loops-disabled", ctl);
+                self.give_up(id, LoopClass::Conditional, Reason::ConditionalLoopsDisabled, ctl);
                 return Ok(());
             }
             self.stats.stage_mapping += 1;
@@ -812,7 +811,7 @@ impl Dsa {
             return self.conditional_step(profile, iter, machine, ctl);
         }
 
-        let a = expect_mode!(self, Analyzing, "data collection");
+        let a = expect_mode!(self, Analyzing, EngineOp::DataCollection);
         if a.collected.is_none() {
             a.collected = Some(profile);
             self.stats.stage_data_collection += 1;
@@ -834,7 +833,7 @@ impl Dsa {
             cycle,
         });
         let Some(p2) = a.collected.clone() else {
-            return Err(EngineError { expected: "collected profile", during: "dependency analysis" });
+            return Err(EngineError { expected: EngineMode::CollectedProfile, during: EngineOp::DependencyAnalysis });
         };
         self.decide_straight(p2, profile, closing_unconditional, machine, ctl)
     }
@@ -901,19 +900,19 @@ impl Dsa {
         _machine: &Machine,
         ctl: &mut SimControl<'_>,
     ) -> Result<(), EngineError> {
-        let a = expect_mode!(self, Analyzing, "decide_straight");
+        let a = expect_mode!(self, Analyzing, EngineOp::DecideStraight);
         let (id, end_pc) = (a.id, a.end_pc);
         let sentinel = closing_unconditional;
         let cycle = ctl.cycles();
 
         let Some(streams_all) = Self::match_streams(&p2, &p3, 1) else {
-            self.give_up(id, LoopClass::NonVectorizable, "stream-mismatch", ctl);
+            self.give_up(id, LoopClass::NonVectorizable, Reason::StreamMismatch, ctl);
             return Ok(());
         };
         let Some(elem) = p3.body.elem_bytes.map(i64::from) else {
             // Checked during collection; a missing width here means the
             // profile was corrupted between stages.
-            self.give_up(id, LoopClass::NonVectorizable, "profile-corrupt", ctl);
+            self.give_up(id, LoopClass::NonVectorizable, Reason::ProfileCorrupt, ctl);
             return Ok(());
         };
 
@@ -924,7 +923,7 @@ impl Dsa {
                 continue; // hoisted to a splat by the SIMD generator
             }
             if s.gap != elem {
-                self.give_up(id, LoopClass::NonVectorizable, "non-unit-stride", ctl);
+                self.give_up(id, LoopClass::NonVectorizable, Reason::NonUnitStride, ctl);
                 return Ok(());
             }
             streams.push((*s, *addr));
@@ -932,7 +931,7 @@ impl Dsa {
         if !streams.iter().any(|(s, _)| s.is_write) {
             // Reductions into registers / pure address walks: the DSA has
             // no vector-register carry support.
-            self.give_up(id, LoopClass::NonVectorizable, "no-store-stream", ctl);
+            self.give_up(id, LoopClass::NonVectorizable, Reason::NoStoreStream, ctl);
             return Ok(());
         }
 
@@ -952,12 +951,12 @@ impl Dsa {
                     budget = 0;
                 }
                 None => {
-                    self.give_up(id, LoopClass::NonVectorizable, "irregular-trip", ctl);
+                    self.give_up(id, LoopClass::NonVectorizable, Reason::IrregularTrip, ctl);
                     return Ok(());
                 }
             }
             if !rhs_is_imm && !self.config.features.dynamic_range_loops {
-                self.give_up(id, LoopClass::DynamicRange, "dynamic-range-disabled", ctl);
+                self.give_up(id, LoopClass::DynamicRange, Reason::DynamicRangeDisabled, ctl);
                 return Ok(());
             }
         }
@@ -996,7 +995,7 @@ impl Dsa {
                 if self.config.features.partial_vectorization && distance >= lanes {
                     Some(distance)
                 } else {
-                    self.give_up(id, LoopClass::NonVectorizable, "cross-iteration-dependency", ctl);
+                    self.give_up(id, LoopClass::NonVectorizable, Reason::CrossIterationDependency, ctl);
                     return Ok(());
                 }
             }
@@ -1068,14 +1067,14 @@ impl Dsa {
         _machine: &Machine,
         ctl: &mut SimControl<'_>,
     ) -> Result<(), EngineError> {
-        let a = expect_mode!(self, Analyzing, "hit_execute");
+        let a = expect_mode!(self, Analyzing, EngineOp::HitExecute);
         let (id, end_pc) = (a.id, a.end_pc);
 
         // Validate the template as it leaves the cache: a corrupted
         // entry (bit flip, fault injection) must degrade the loop to
         // scalar, not drive the planner's lane math into a panic.
         if template.validate().is_err() {
-            self.degrade(id, template.class, "corrupt-template", ctl);
+            self.degrade(id, template.class, Reason::CorruptTemplate, ctl);
             return Ok(());
         }
         if template.class == LoopClass::Conditional {
@@ -1092,7 +1091,7 @@ impl Dsa {
             // predictor would otherwise grow the injected block without
             // bound and the watchdog — not the DSA — would end the run.
             if template.spec_range > MAX_SPEC_RANGE {
-                self.degrade(id, LoopClass::Sentinel, "spec-range-overflow", ctl);
+                self.degrade(id, LoopClass::Sentinel, Reason::SpecRangeOverflow, ctl);
                 return Ok(());
             }
             count = (template.spec_range.max(1)).div_ceil(template.lanes()) * template.lanes();
@@ -1129,8 +1128,8 @@ impl Dsa {
                     );
                     self.tracer.emit(|| Event::LoopRejected {
                         loop_id: id,
-                        class: "non-vectorizable",
-                        reason: "template-shape-mismatch",
+                        class: LoopClass::NonVectorizable,
+                        reason: Reason::TemplateShapeMismatch,
                         cycle,
                     });
                     self.mode = Mode::Probing;
@@ -1149,17 +1148,17 @@ impl Dsa {
         count: u32,
         ctl: &mut SimControl<'_>,
     ) -> Result<(), EngineError> {
-        let a = expect_mode!(self, Analyzing, "launch");
+        let a = expect_mode!(self, Analyzing, EngineOp::Launch);
         let (id, end_pc) = (a.id, a.end_pc);
-        let class_name = template.class.name();
+        let class = template.class;
         if count < self.config.min_profitable_iterations {
             // Not worth a pipeline flush; the verdict stays cached so a
             // longer instance of the same loop can still vectorize.
             let cycle = ctl.cycles();
             self.tracer.emit(|| Event::LoopRejected {
                 loop_id: id,
-                class: class_name,
-                reason: "unprofitable-trip",
+                class,
+                reason: Reason::UnprofitableTrip,
                 cycle,
             });
             self.mode = Mode::Probing;
@@ -1194,8 +1193,8 @@ impl Dsa {
             let cycle = ctl.cycles();
             self.tracer.emit(|| Event::LoopRejected {
                 loop_id: id,
-                class: class_name,
-                reason: "unprofitable-trip",
+                class,
+                reason: Reason::UnprofitableTrip,
                 cycle,
             });
             self.mode = Mode::Probing;
@@ -1240,7 +1239,7 @@ impl Dsa {
             let cycle = ctl.cycles();
             self.tracer.emit(|| Event::LoopVectorized {
                 loop_id: id,
-                class: class_name,
+                class,
                 planned: count,
                 peeled: peel,
                 cycle,
@@ -1289,11 +1288,11 @@ impl Dsa {
         profile: IterationProfile,
         ctl: &mut SimControl<'_>,
     ) -> Result<(), EngineError> {
-        let a = expect_mode!(self, Analyzing, "nest_step");
+        let a = expect_mode!(self, Analyzing, EngineOp::NestStep);
         let id = a.id;
         let end_pc = a.end_pc;
         let Some(nest) = a.nest.as_ref() else {
-            return Err(EngineError { expected: "nest observation", during: "nest_step" });
+            return Err(EngineError { expected: EngineMode::NestObservation, during: EngineOp::NestStep });
         };
         let (inner_id, inner_end) = (nest.inner_id, nest.inner_end);
         let inner_trip = nest.inner_trip;
@@ -1306,7 +1305,7 @@ impl Dsa {
             && !profile.has_call
             && profile.cond_branch_pcs.iter().all(|&pc| in_inner(pc) || pc < inner_id);
         if !overhead_only {
-            self.give_up(id, LoopClass::Nest, "nest-outer-not-overhead", ctl);
+            self.give_up(id, LoopClass::Nest, Reason::NestOuterNotOverhead, ctl);
             return Ok(());
         }
 
@@ -1323,7 +1322,7 @@ impl Dsa {
             return Ok(());
         }
         let Some(p2) = a.collected.clone() else {
-            return Err(EngineError { expected: "collected outer iteration", during: "nest_step" });
+            return Err(EngineError { expected: EngineMode::CollectedOuterIteration, during: EngineOp::NestStep });
         };
         self.stats.stage_dependency_analysis += 1;
         {
@@ -1340,12 +1339,12 @@ impl Dsa {
         let mut bases = Vec::new();
         for s in &template.streams {
             let (Some(a2), Some(a3)) = (p2.find(s.pc, 0), profile.find(s.pc, 0)) else {
-                self.give_up(id, LoopClass::Nest, "stream-mismatch", ctl);
+                self.give_up(id, LoopClass::Nest, Reason::StreamMismatch, ctl);
                 return Ok(());
             };
             let row_gap = a3.addr as i64 - a2.addr as i64;
             if row_gap != s.gap * inner_trip as i64 {
-                self.give_up(id, LoopClass::Nest, "nest-row-gap", ctl);
+                self.give_up(id, LoopClass::Nest, Reason::NestRowGap, ctl);
                 return Ok(());
             }
             bases.push((*s, (a3.addr as i64 + row_gap) as u32));
@@ -1355,11 +1354,11 @@ impl Dsa {
         let Some((remaining_outer, rhs_is_imm)) =
             Self::trip_info(p2.closing_cmp, profile.closing_cmp)
         else {
-            self.give_up(id, LoopClass::Nest, "irregular-trip", ctl);
+            self.give_up(id, LoopClass::Nest, Reason::IrregularTrip, ctl);
             return Ok(());
         };
         if !rhs_is_imm && !self.config.features.dynamic_range_loops {
-            self.give_up(id, LoopClass::Nest, "dynamic-range-disabled", ctl);
+            self.give_up(id, LoopClass::Nest, Reason::DynamicRangeDisabled, ctl);
             return Ok(());
         }
 
@@ -1393,10 +1392,10 @@ impl Dsa {
         _machine: &Machine,
         ctl: &mut SimControl<'_>,
     ) -> Result<(), EngineError> {
-        let a = expect_mode!(self, Analyzing, "conditional_step");
+        let a = expect_mode!(self, Analyzing, EngineOp::ConditionalStep);
         let (id, end_pc) = (a.id, a.end_pc);
         if iter > self.config.conditional_analysis_limit {
-            self.give_up(id, LoopClass::Conditional, "mapping-budget-exhausted", ctl);
+            self.give_up(id, LoopClass::Conditional, Reason::MappingBudgetExhausted, ctl);
             return Ok(());
         }
 
@@ -1410,7 +1409,7 @@ impl Dsa {
             profile.path ^= 1 << bit;
         }
 
-        let a = expect_mode!(self, Analyzing, "condition mapping");
+        let a = expect_mode!(self, Analyzing, EngineOp::ConditionMapping);
         let cond = a.cond.get_or_insert_with(|| CondAnalysis {
             arms: BTreeMap::new(),
             pcs_seen: IdSet::default(),
@@ -1427,7 +1426,7 @@ impl Dsa {
         let map_lied =
             cond.arms.iter().any(|(&p, (obs, _, _))| p != path && obs.pcs == profile.pcs);
         if map_lied {
-            self.degrade(id, LoopClass::Conditional, "array-map-inconsistent", ctl);
+            self.degrade(id, LoopClass::Conditional, Reason::ArrayMapInconsistent, ctl);
             return Ok(());
         }
 
@@ -1440,11 +1439,11 @@ impl Dsa {
                 // Second observation: verify the arm.
                 let delta = iter - *first_iter;
                 let Some(streams) = Self::match_streams(first, &profile, delta) else {
-                    self.give_up(id, LoopClass::Conditional, "stream-mismatch", ctl);
+                    self.give_up(id, LoopClass::Conditional, Reason::StreamMismatch, ctl);
                     return Ok(());
                 };
                 if profile.body.vec_ops() > arms_limit {
-                    self.give_up(id, LoopClass::Conditional, "arm-capacity", ctl);
+                    self.give_up(id, LoopClass::Conditional, Reason::ArmCapacity, ctl);
                     return Ok(());
                 }
                 let arm = ArmTemplate {
@@ -1500,13 +1499,13 @@ impl Dsa {
             .max()
             .unwrap_or(4);
         if closing.is_none() {
-            self.give_up(id, LoopClass::Conditional, "irregular-trip", ctl);
+            self.give_up(id, LoopClass::Conditional, Reason::IrregularTrip, ctl);
             return Ok(());
         }
         for arm in &arms {
             // Per-arm gap sanity: unit stride only.
             if arm.streams.iter().any(|s| s.gap != elem as i64 && s.gap != 0) {
-                self.give_up(id, LoopClass::Conditional, "non-unit-stride", ctl);
+                self.give_up(id, LoopClass::Conditional, Reason::NonUnitStride, ctl);
                 return Ok(());
             }
             self.stats.cidp_evaluations += 1;
@@ -1563,7 +1562,7 @@ impl Dsa {
         let cycle = ctl.cycles();
         self.tracer.emit(|| Event::LoopVectorized {
             loop_id: id,
-            class: "conditional",
+            class: LoopClass::Conditional,
             planned: 0,
             peeled: 0,
             cycle,
@@ -1595,7 +1594,7 @@ impl Dsa {
         machine: &Machine,
         ctl: &mut SimControl<'_>,
     ) -> Result<(), EngineError> {
-        let x = expect_mode!(self, Executing, "execute");
+        let x = expect_mode!(self, Executing, EngineOp::Execute);
         match ev.instr {
             Instr::Bl { .. } => x.call_depth += 1,
             Instr::BxLr => x.call_depth = x.call_depth.saturating_sub(1),
@@ -1830,7 +1829,7 @@ impl Dsa {
                             self.stats.faults_injected += 1;
                             t.spec_range = MAX_SPEC_RANGE + 1 + iters;
                             self.tracer.emit(|| Event::FaultInjected {
-                                site: FaultSite::LieSentinelTrip.name(),
+                                site: FaultSite::LieSentinelTrip,
                                 cycle,
                             });
                         }
@@ -1867,7 +1866,7 @@ impl Dsa {
             if self.faults.as_mut().is_some_and(|f| f.fire(FaultSite::SkipRollbackFlush)) {
                 self.stats.faults_injected += 1;
                 self.tracer.emit(|| Event::FaultInjected {
-                    site: FaultSite::SkipRollbackFlush.name(),
+                    site: FaultSite::SkipRollbackFlush,
                     cycle,
                 });
             } else {

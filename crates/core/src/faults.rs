@@ -15,59 +15,7 @@
 //! Everything is derived from a single `u64` seed via splitmix64, so a
 //! failing schedule is reproducible from its seed alone.
 
-/// A named point inside the engine where a fault can be injected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FaultSite {
-    /// Corrupt a cached [`LoopTemplate`](crate::LoopTemplate) as it is
-    /// read out of the DSA cache on a probe hit (models a bit flip in
-    /// the cache array).
-    CorruptTemplate,
-    /// Store a wildly inflated speculative trip count when a sentinel
-    /// loop exits (models a lying trip predictor).
-    LieSentinelTrip,
-    /// Flip the Array-Map condition path observed for one conditional
-    /// iteration (models a stuck Array-Map bit).
-    FlipArrayMapCondition,
-    /// Drop one Verification-Cache entry from a recorded iteration
-    /// (models a lost verification-cache line).
-    DropVcacheEntry,
-    /// Skip the rollback flush (`end_coverage`) when vector execution
-    /// ends, leaving coverage suppression stuck on.
-    SkipRollbackFlush,
-}
-
-impl FaultSite {
-    /// Every site, in a stable order (bit `i` of
-    /// [`FaultPlan::armed_mask`] corresponds to `ALL[i]`).
-    pub const ALL: [FaultSite; 5] = [
-        FaultSite::CorruptTemplate,
-        FaultSite::LieSentinelTrip,
-        FaultSite::FlipArrayMapCondition,
-        FaultSite::DropVcacheEntry,
-        FaultSite::SkipRollbackFlush,
-    ];
-
-    /// Stable human-readable name (used in reports and CI output).
-    pub fn name(self) -> &'static str {
-        match self {
-            FaultSite::CorruptTemplate => "corrupt-template",
-            FaultSite::LieSentinelTrip => "lie-sentinel-trip",
-            FaultSite::FlipArrayMapCondition => "flip-array-map-condition",
-            FaultSite::DropVcacheEntry => "drop-vcache-entry",
-            FaultSite::SkipRollbackFlush => "skip-rollback-flush",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            FaultSite::CorruptTemplate => 0,
-            FaultSite::LieSentinelTrip => 1,
-            FaultSite::FlipArrayMapCondition => 2,
-            FaultSite::DropVcacheEntry => 3,
-            FaultSite::SkipRollbackFlush => 4,
-        }
-    }
-}
+pub use dsa_trace::FaultSite;
 
 /// A deterministic fault-injection schedule: a seed plus a bitmask of
 /// armed sites. `Copy` and field-for-field comparable so it can live
@@ -89,12 +37,12 @@ impl FaultPlan {
 
     /// Arms a single site under `seed`.
     pub fn only(seed: u64, site: FaultSite) -> FaultPlan {
-        FaultPlan { seed, armed_mask: 1 << site.index() }
+        FaultPlan { seed, armed_mask: 1 << site as u8 }
     }
 
     /// Whether `site` is armed.
     pub fn armed(&self, site: FaultSite) -> bool {
-        self.armed_mask & (1 << site.index()) != 0
+        self.armed_mask & (1 << site as u8) != 0
     }
 
     /// The armed sites, in stable order.
@@ -173,7 +121,7 @@ impl FaultSchedule {
     /// Bitmask of sites that appear in at least one window (the
     /// schedule-mode equivalent of [`FaultPlan::armed_mask`]).
     pub fn armed_mask(&self) -> u8 {
-        self.windows.iter().fold(0, |m, w| m | 1 << w.site.index())
+        self.windows.iter().fold(0, |m, w| m | 1 << w.site as u8)
     }
 
     /// Whether per-site opportunity `n` at `site` falls in any window.
@@ -205,8 +153,8 @@ impl FaultState {
     pub fn new(plan: FaultPlan) -> FaultState {
         let mut period = [1u32; 5];
         let mut phase = [0u32; 5];
-        for (i, site) in FaultSite::ALL.iter().enumerate() {
-            let mut s = plan.seed ^ (0xf4_417 + site.index() as u64 * 0x9e37_79b9);
+        for i in 0..FaultSite::ALL.len() {
+            let mut s = plan.seed ^ (0xf4_417 + i as u64 * 0x9e37_79b9);
             let r = splitmix64(&mut s);
             period[i] = 1 + (r % 3) as u32;
             phase[i] = ((r >> 16) % period[i] as u64) as u32;
@@ -246,7 +194,7 @@ impl FaultState {
         if !self.plan.armed(site) {
             return false;
         }
-        let i = site.index();
+        let i = site as usize;
         let n = self.seen[i];
         self.seen[i] += 1;
         let fires = match &self.schedule {
@@ -262,8 +210,8 @@ impl FaultState {
     /// Seed-deterministic choice in `0..n` for the current firing at
     /// `site` (used to pick among corruption variants).
     pub fn pick(&self, site: FaultSite, n: u32) -> u32 {
-        let i = site.index();
-        let mut s = self.plan.seed ^ ((self.seen[i] as u64) << 8) ^ site.index() as u64;
+        let i = site as usize;
+        let mut s = self.plan.seed ^ ((self.seen[i] as u64) << 8) ^ site as u64;
         (splitmix64(&mut s) % n.max(1) as u64) as u32
     }
 
@@ -274,7 +222,7 @@ impl FaultState {
 
     /// Faults fired at `site` so far.
     pub fn fired_at(&self, site: FaultSite) -> u32 {
-        self.fired[site.index()]
+        self.fired[site as usize]
     }
 }
 

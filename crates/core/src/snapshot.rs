@@ -33,7 +33,7 @@
 
 use dsa_cpu::{Flags, Machine, MachineState};
 use dsa_mem::PAGE_BYTES;
-use dsa_trace::crc32;
+use dsa_trace::{crc32, SnapshotErrorKind};
 
 use crate::caches::CachedKind;
 use crate::config::DsaConfig;
@@ -68,15 +68,16 @@ pub enum SnapshotError {
 }
 
 impl SnapshotError {
-    /// Stable kebab-case name (telemetry / report vocabulary).
-    pub fn kind_name(self) -> &'static str {
+    /// The error's kind, as [`dsa_trace::Event::SnapshotRejected`]
+    /// reports it.
+    pub fn kind(self) -> SnapshotErrorKind {
         match self {
-            SnapshotError::Truncated => "truncated",
-            SnapshotError::BadMagic => "bad-magic",
-            SnapshotError::UnsupportedVersion(_) => "unsupported-version",
-            SnapshotError::ChecksumMismatch => "checksum-mismatch",
-            SnapshotError::Malformed(_) => "malformed",
-            SnapshotError::ConfigMismatch => "config-mismatch",
+            SnapshotError::Truncated => SnapshotErrorKind::Truncated,
+            SnapshotError::BadMagic => SnapshotErrorKind::BadMagic,
+            SnapshotError::UnsupportedVersion(_) => SnapshotErrorKind::UnsupportedVersion,
+            SnapshotError::ChecksumMismatch => SnapshotErrorKind::ChecksumMismatch,
+            SnapshotError::Malformed(_) => SnapshotErrorKind::Malformed,
+            SnapshotError::ConfigMismatch => SnapshotErrorKind::ConfigMismatch,
         }
     }
 }
@@ -318,31 +319,9 @@ fn enc_machine(out: &mut Vec<u8>, m: &MachineState) {
     }
 }
 
-fn loop_class_tag(c: LoopClass) -> u8 {
-    match c {
-        LoopClass::Count => 0,
-        LoopClass::Function => 1,
-        LoopClass::Nest => 2,
-        LoopClass::Conditional => 3,
-        LoopClass::DynamicRange => 4,
-        LoopClass::Sentinel => 5,
-        LoopClass::Partial => 6,
-        LoopClass::NonVectorizable => 7,
-    }
-}
-
+/// Inverse of `class as u8` for a census class.
 fn loop_class_from_tag(tag: u8) -> Result<LoopClass, SnapshotError> {
-    Ok(match tag {
-        0 => LoopClass::Count,
-        1 => LoopClass::Function,
-        2 => LoopClass::Nest,
-        3 => LoopClass::Conditional,
-        4 => LoopClass::DynamicRange,
-        5 => LoopClass::Sentinel,
-        6 => LoopClass::Partial,
-        7 => LoopClass::NonVectorizable,
-        _ => return Err(SnapshotError::Malformed("loop-class")),
-    })
+    LoopClass::CENSUS.get(usize::from(tag)).copied().ok_or(SnapshotError::Malformed("loop-class"))
 }
 
 fn enc_stream(out: &mut Vec<u8>, s: &StreamTemplate) {
@@ -367,7 +346,7 @@ fn enc_ops(out: &mut Vec<u8>, ops: &OpMix) {
 }
 
 fn enc_template(out: &mut Vec<u8>, t: &LoopTemplate) {
-    enc_u8(out, loop_class_tag(t.class));
+    enc_u8(out, t.class as u8);
     enc_u32(out, t.end_pc);
     enc_opt_range(out, t.callee_range);
     enc_opt_u32(out, t.exit_check_pc);
@@ -392,7 +371,7 @@ fn enc_cached_kind(out: &mut Vec<u8>, kind: &CachedKind) {
     match kind {
         CachedKind::NonVectorizable(class) => {
             enc_u8(out, 0);
-            enc_u8(out, loop_class_tag(*class));
+            enc_u8(out, *class as u8);
         }
         CachedKind::Vectorizable(t) => {
             enc_u8(out, 1);
@@ -448,7 +427,7 @@ fn enc_engine(out: &mut Vec<u8>, e: &EngineState) {
     enc_u32(out, e.census.len() as u32);
     for (id, class) in &e.census {
         enc_u32(out, *id);
-        enc_u8(out, loop_class_tag(*class));
+        enc_u8(out, *class as u8);
     }
 }
 
@@ -917,7 +896,7 @@ mod tests {
             (SnapshotError::ConfigMismatch, "config-mismatch"),
         ];
         for (e, name) in cases {
-            assert_eq!(e.kind_name(), name);
+            assert_eq!(e.kind().name(), name);
             assert!(!e.to_string().is_empty());
         }
     }

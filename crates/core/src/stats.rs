@@ -3,50 +3,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Classification of one static loop, as determined at runtime.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum LoopClass {
-    /// Fixed trip count, straight-line body.
-    Count,
-    /// Body contains a function call.
-    Function,
-    /// Outer loop of a nest (inner loops classified separately).
-    Nest,
-    /// Body contains conditional code.
-    Conditional,
-    /// Trip computed at runtime before the loop.
-    DynamicRange,
-    /// Stop condition computed inside the loop.
-    Sentinel,
-    /// Vectorizable only in chunks (bounded cross-iteration dependency).
-    Partial,
-    /// Not vectorizable (true dependency, unsupported ops, capacity).
-    NonVectorizable,
-}
-
-impl LoopClass {
-    /// Stable kebab-case name — shared by [`fmt::Display`] and the
-    /// telemetry event stream, so trace consumers and table renderers
-    /// agree on the vocabulary.
-    pub fn name(self) -> &'static str {
-        match self {
-            LoopClass::Count => "count",
-            LoopClass::Function => "function",
-            LoopClass::Nest => "nest",
-            LoopClass::Conditional => "conditional",
-            LoopClass::DynamicRange => "dynamic-range",
-            LoopClass::Sentinel => "sentinel",
-            LoopClass::Partial => "partial",
-            LoopClass::NonVectorizable => "non-vectorizable",
-        }
-    }
-}
-
-impl fmt::Display for LoopClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
+pub use dsa_trace::LoopClass;
 
 /// Census of the distinct loops observed in a run, by class — the data
 /// behind Figure 7 of the DATE article ("Percentage of Loop Types in the

@@ -153,7 +153,7 @@ proptest! {
             Restored::Cold { dsa, error } => {
                 // The cold engine is genuinely fresh and usable.
                 prop_assert_eq!(dsa.stats().loops_detected, 0);
-                prop_assert!(!error.kind_name().is_empty());
+                prop_assert!(!error.kind().name().is_empty());
             }
             Restored::Warm { .. } => prop_assert!(false, "corrupt image restored warm"),
         }

@@ -3,6 +3,7 @@
 
 use dsa_isa::{AddrMode, AluOp, Cond, MemSize, QReg, Reg};
 use dsa_mem::MainMemory;
+use dsa_trace::SimFaultKind;
 
 use crate::vec128::LaneError;
 
@@ -66,13 +67,12 @@ pub enum ExecError {
 }
 
 impl ExecError {
-    /// Stable kebab-case error-kind name, shared with the telemetry
-    /// stream ([`dsa_trace::Event::SimFault`]'s `kind` vocabulary).
-    pub fn kind_name(&self) -> &'static str {
+    /// The error's kind, as [`dsa_trace::Event::SimFault`] reports it.
+    pub fn kind(&self) -> SimFaultKind {
         match self {
-            ExecError::PcOutOfRange { .. } => "pc-out-of-range",
-            ExecError::Halted => "halted",
-            ExecError::Vector { .. } => "vector-lane",
+            ExecError::PcOutOfRange { .. } => SimFaultKind::PcOutOfRange,
+            ExecError::Halted => SimFaultKind::Halted,
+            ExecError::Vector { .. } => SimFaultKind::VectorLane,
         }
     }
 }
@@ -106,11 +106,11 @@ pub enum SimError {
 }
 
 impl SimError {
-    /// Stable kebab-case error-kind name.
-    pub fn kind_name(&self) -> &'static str {
+    /// The failure's kind, as [`dsa_trace::Event::SimFault`] reports it.
+    pub fn kind(&self) -> SimFaultKind {
         match self {
-            SimError::Exec(e) => e.kind_name(),
-            SimError::StepBudgetExceeded { .. } => "step-budget-exceeded",
+            SimError::Exec(e) => e.kind(),
+            SimError::StepBudgetExceeded { .. } => SimFaultKind::StepBudgetExceeded,
         }
     }
 
@@ -128,7 +128,7 @@ impl SimError {
     /// The [`dsa_trace::Event::SimFault`] record for this failure at
     /// core cycle `cycle`.
     pub fn telemetry(&self, cycle: u64) -> dsa_trace::Event {
-        dsa_trace::Event::SimFault { kind: self.kind_name(), pc: self.pc(), cycle }
+        dsa_trace::Event::SimFault { kind: self.kind(), pc: self.pc(), cycle }
     }
 }
 
@@ -441,13 +441,15 @@ mod tests {
     fn fault_kinds_are_in_the_trace_vocabulary() {
         let err = LaneError::LaneOutOfRange { et: dsa_isa::ElemType::I8, lane: 16 };
         let errors = [
-            SimError::Exec(ExecError::PcOutOfRange { pc: 0 }),
             SimError::Exec(ExecError::Halted),
-            SimError::Exec(ExecError::Vector { pc: 0, err }),
-            SimError::StepBudgetExceeded { pc: 0, steps: 1 },
+            SimError::Exec(ExecError::PcOutOfRange { pc: 7 }),
+            SimError::StepBudgetExceeded { pc: 7, steps: 1 },
+            SimError::Exec(ExecError::Vector { pc: 7, err }),
         ];
+        // One error per `SimFaultKind`, in its order, reported as such.
+        assert_eq!(errors.map(|e| e.kind()), SimFaultKind::ALL);
         for e in errors {
-            assert!(dsa_trace::VOCABULARY.contains(&e.kind_name()), "{e}");
+            assert_eq!(e.telemetry(3), dsa_trace::Event::SimFault { kind: e.kind(), pc: e.pc(), cycle: 3 });
         }
     }
 

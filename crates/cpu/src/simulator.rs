@@ -687,9 +687,9 @@ mod tests {
         let err = stuck.run_traced(10, &mut NullHook, &mut sink).expect_err("watchdog");
         assert!(matches!(
             sink.events[1],
-            Event::SimFault { kind: "step-budget-exceeded", .. }
+            Event::SimFault { kind: dsa_trace::SimFaultKind::StepBudgetExceeded, .. }
         ));
-        assert_eq!(err.kind_name(), "step-budget-exceeded");
+        assert_eq!(err.kind(), dsa_trace::SimFaultKind::StepBudgetExceeded);
     }
 
     #[test]

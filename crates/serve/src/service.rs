@@ -28,7 +28,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dsa_core::splitmix64;
-use dsa_trace::{Event, TraceSink};
+use dsa_trace::{Event, ShedReason, TraceSink, WorkloadName};
 
 use dsa_bench::cache::{fingerprint, ContentKey, ResultStore, StoreStats};
 use dsa_bench::RunError;
@@ -242,13 +242,13 @@ impl ServiceInner {
     }
 
     /// Counts and records one slice panic caught on `workload`.
-    pub fn note_panic(&self, workload: &'static str) {
+    pub fn note_panic(&self, workload: WorkloadName) {
         self.counters.panics.fetch_add(1, Ordering::Relaxed);
         self.emit(Event::WorkerPanicked { workload, cycle: 0 });
     }
 
     /// Counts and records the `attempt`-th retry of a panicked slice.
-    pub fn note_retry(&self, workload: &'static str, attempt: u32) {
+    pub fn note_retry(&self, workload: WorkloadName, attempt: u32) {
         self.counters.retries.fetch_add(1, Ordering::Relaxed);
         self.emit(Event::SupervisorRetry { workload, attempt, cycle: 0 });
     }
@@ -480,7 +480,7 @@ impl Service {
             }
         }
         inner.counters.shed.fetch_add(1, Ordering::Relaxed);
-        inner.emit(Event::JobShed { reason: "overloaded", cycle: 0 });
+        inner.emit(Event::JobShed { reason: ShedReason::Overloaded, cycle: 0 });
         Err(ServeError::Overloaded { queue_depth: best_depth })
     }
 

@@ -17,7 +17,7 @@ use std::sync::{Condvar, Mutex};
 
 use dsa_bench::cache as run_cache;
 use dsa_bench::{isolate, RunError};
-use dsa_trace::Event;
+use dsa_trace::{Event, ShedReason};
 
 use crate::service::{ServeError, ServiceInner};
 use crate::session::{run_slice, Session, SessionState, Slice, SliceTelemetry, SAMPLE_SEED};
@@ -164,12 +164,13 @@ impl Shard {
     /// `checkpoint_every` commits and bailing to migration if the
     /// shard is killed between slices.
     fn run_session(&self, svc: &ServiceInner, mut s: Session) -> Disposition {
-        let name = s.spec.workload.describe();
+        let workload = s.spec.workload.word();
+        let name = workload.name();
         let deadline_ms = s.spec.deadline_ms;
         if deadline_ms > 0 && s.admitted_at.elapsed().as_millis() as u64 > deadline_ms {
             // Admission deadline: the job spent its budget queued; shed
             // it typed instead of running stale work.
-            svc.emit(Event::JobShed { reason: "deadline", cycle: 0 });
+            svc.emit(Event::JobShed { reason: ShedReason::Deadline, cycle: 0 });
             svc.complete_err(
                 s,
                 self.id,
@@ -231,11 +232,11 @@ impl Shard {
                 Err(e) => {
                     if let RunError::Panicked { .. } = e {
                         panics_in_a_row += 1;
-                        svc.note_panic(name);
+                        svc.note_panic(workload);
                         if panics_in_a_row <= MAX_SLICE_RETRIES {
                             // The unwind dropped the live engine; the
                             // next slice restores from the checkpoint.
-                            svc.note_retry(name, panics_in_a_row);
+                            svc.note_retry(workload, panics_in_a_row);
                             continue;
                         }
                     }

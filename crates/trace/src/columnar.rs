@@ -36,13 +36,12 @@
 //! Cycles are delta-coded *within each kind column* as the zigzag of
 //! the wrapping difference, which is lossless for arbitrary `u64`
 //! pairs and near-free for the monotone cycle streams real runs
-//! produce. PCs, loop ids and counts are LEB128 varints; enum fields
-//! (`Stage`, `CacheKind`, ...) are one byte; free-vocabulary strings
-//! (loop classes, rejection reasons, workload names, fault sites) are
-//! varint indices into the block-local string table. Decoding maps each
-//! table string to its entry in the schema's closed vocabulary
-//! ([`crate::VOCABULARY`]), so decoded events hold `&'static str` like
-//! freshly emitted ones and compare equal; any other string is
+//! produce. PCs, loop ids and counts are LEB128 varints; tagged enum
+//! fields (`Stage`, `CacheKind`, ...) are one byte; word fields (loop
+//! classes, reasons, workload names, fault sites, ...) are varint
+//! indices into the block-local string table, which holds their names.
+//! Decoding maps a word field's string to its variant with the field
+//! enum's `from_name`; a string that names no variant of that enum is
 //! [`BinError::UnknownString`].
 //!
 //! The golden binary traces are byte-exact-tested against
@@ -53,7 +52,7 @@
 use std::collections::BTreeMap;
 use std::io::{self, Write};
 
-use crate::event::{intern, Choice, Event, EventKind, FieldSink, FieldSource};
+use crate::event::{Choice, Event, EventKind, FieldSink, FieldSource, Wire};
 use crate::TraceSink;
 
 /// Version tag of the binary container (the `v2` in `dsa-tracebin/v2`).
@@ -90,8 +89,7 @@ pub enum BinError {
     },
     /// Structurally invalid contents inside a CRC-valid frame.
     Malformed(String),
-    /// A string-table entry outside the schema's vocabulary
-    /// ([`crate::VOCABULARY`]).
+    /// A word field whose string names no variant of the field's enum.
     UnknownString(String),
 }
 
@@ -119,7 +117,7 @@ impl std::fmt::Display for BinError {
                 write!(f, "block checksum mismatch at offset {offset}")
             }
             BinError::Malformed(why) => write!(f, "malformed trace: {why}"),
-            BinError::UnknownString(s) => write!(f, "string {s:?} is not in the trace vocabulary"),
+            BinError::UnknownString(s) => write!(f, "string {s:?} is no word of its field"),
         }
     }
 }
@@ -276,18 +274,17 @@ const KINDS: usize = EventKind::ALL.len();
 /// Block-local string table builder (first-use order, deduplicated).
 #[derive(Default)]
 struct StringTable {
-    index: BTreeMap<String, u32>,
-    list: Vec<String>,
+    index: BTreeMap<&'static str, u32>,
+    list: Vec<&'static str>,
 }
 
 impl StringTable {
-    fn id(&mut self, s: &str) -> u32 {
-        if let Some(&i) = self.index.get(s) {
-            return i;
+    fn id(&mut self, s: &'static str) -> u32 {
+        let next = self.list.len() as u32;
+        let i = *self.index.entry(s).or_insert(next);
+        if i == next {
+            self.list.push(s);
         }
-        let i = self.list.len() as u32;
-        self.list.push(s.to_string());
-        self.index.insert(s.to_string(), i);
         i
     }
 }
@@ -341,10 +338,6 @@ impl FieldSink for ColumnSink<'_> {
         self.col.push(u8::from(v));
     }
 
-    fn str(&mut self, _: &'static str, v: &'static str) {
-        put_varint(self.col, u64::from(self.strings.id(v)));
-    }
-
     fn opt_u32(&mut self, _: &'static str, v: Option<u32>) {
         match v {
             None => self.col.push(0),
@@ -356,49 +349,60 @@ impl FieldSink for ColumnSink<'_> {
     }
 
     fn choice<E: Choice>(&mut self, _: &'static str, v: E) {
-        self.col.push(v.tag());
+        match E::WIRE {
+            Wire::Tag => self.col.push(v.tag()),
+            Wire::Word => put_varint(self.col, u64::from(self.strings.id(v.name()))),
+        }
     }
 }
 
 /// Reads payload fields back out of an event block's column groups.
 struct ColumnSource<'a> {
     r: Reader<'a>,
-    strings: Vec<&'static str>,
+    strings: Vec<&'a str>,
 }
 
 impl FieldSource for ColumnSource<'_> {
-    fn u64(&mut self, _: &'static str) -> Result<u64, String> {
-        self.r.read_varint()
+    type Error = BinError;
+
+    fn u64(&mut self, _: &'static str) -> Result<u64, BinError> {
+        self.r.read_varint().map_err(BinError::Malformed)
     }
 
-    fn u32(&mut self, _: &'static str) -> Result<u32, String> {
-        u32::try_from(self.r.read_varint()?).map_err(|_| "value exceeds u32".into())
+    fn u32(&mut self, key: &'static str) -> Result<u32, BinError> {
+        u32::try_from(self.u64(key)?).map_err(|_| BinError::Malformed("value exceeds u32".into()))
     }
 
-    fn bool(&mut self, _: &'static str) -> Result<bool, String> {
-        match self.r.read_u8()? {
+    fn bool(&mut self, _: &'static str) -> Result<bool, BinError> {
+        match self.r.read_u8().map_err(BinError::Malformed)? {
             0 => Ok(false),
             1 => Ok(true),
-            b => Err(format!("bad bool byte {b}")),
+            b => Err(BinError::Malformed(format!("bad bool byte {b}"))),
         }
     }
 
-    fn str(&mut self, _: &'static str) -> Result<&'static str, String> {
-        let i = self.r.read_varint()? as usize;
-        self.strings.get(i).copied().ok_or_else(|| format!("string index {i} out of range"))
-    }
-
-    fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, String> {
-        match self.r.read_u8()? {
+    fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, BinError> {
+        match self.r.read_u8().map_err(BinError::Malformed)? {
             0 => Ok(None),
             1 => self.u32(key).map(Some),
-            b => Err(format!("bad option byte {b}")),
+            b => Err(BinError::Malformed(format!("bad option byte {b}"))),
         }
     }
 
-    fn choice<E: Choice>(&mut self, _: &'static str) -> Result<E, String> {
-        let t = self.r.read_u8()?;
-        E::from_tag(t).ok_or_else(|| format!("bad {} tag {t}", E::WHAT))
+    fn choice<E: Choice>(&mut self, key: &'static str) -> Result<E, BinError> {
+        match E::WIRE {
+            Wire::Tag => {
+                let t = self.r.read_u8().map_err(BinError::Malformed)?;
+                E::from_tag(t).ok_or_else(|| BinError::Malformed(format!("bad {} tag {t}", E::WHAT)))
+            }
+            Wire::Word => {
+                let i = self.u64(key)? as usize;
+                let s = self.strings.get(i).ok_or_else(|| {
+                    BinError::Malformed(format!("string index {i} out of range"))
+                })?;
+                E::from_name(s).ok_or_else(|| BinError::UnknownString(s.to_string()))
+            }
+        }
     }
 }
 
@@ -419,9 +423,10 @@ fn decode_block(payload: &[u8], out: &mut Vec<Event>) -> Result<(), BinError> {
     for _ in 0..n_strings {
         let len = r.read_varint().map_err(malformed)? as usize;
         let bytes = r.read_bytes(len).map_err(malformed)?;
-        let s = std::str::from_utf8(bytes)
-            .map_err(|_| BinError::Malformed("string table entry is not UTF-8".into()))?;
-        strings.push(intern(s).ok_or_else(|| BinError::UnknownString(s.to_string()))?);
+        strings.push(
+            std::str::from_utf8(bytes)
+                .map_err(|_| BinError::Malformed("string table entry is not UTF-8".into()))?,
+        );
     }
     let kinds = r.read_bytes(n_events).map_err(malformed)?;
     let mut counts = [0usize; KINDS];
@@ -442,7 +447,7 @@ fn decode_block(payload: &[u8], out: &mut Vec<Event>) -> Result<(), BinError> {
             let delta = unzigzag(columns.r.read_varint().map_err(malformed)?);
             let cycle = prev.wrapping_add(delta as u64);
             prev = cycle;
-            per_kind[tag].push_back(kind.read(cycle, &mut columns).map_err(malformed)?);
+            per_kind[tag].push_back(kind.read(cycle, &mut columns)?);
         }
     }
     if !columns.r.is_empty() {
@@ -668,7 +673,7 @@ impl<W: Write> TraceSink for ColumnarWriter<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CacheKind, CacheOutcome, SpecKind, Stage};
+    use crate::event::{CacheKind, CacheOutcome, LoopClass, SnapshotErrorKind, SpecKind, Stage};
 
     fn sample_events() -> Vec<Event> {
         vec![
@@ -685,8 +690,8 @@ mod tests {
             },
             Event::DependencyVerdict { loop_id: 64, pairs: 2, distance: None, dsa_cycles: 6, cycle: 300 },
             Event::DependencyVerdict { loop_id: 64, pairs: 2, distance: Some(4), dsa_cycles: 6, cycle: 310 },
-            Event::LoopClassified { loop_id: 64, class: "count", cycle: 311 },
-            Event::LoopVectorized { loop_id: 64, class: "count", planned: 96, peeled: 2, cycle: 320 },
+            Event::LoopClassified { loop_id: 64, class: LoopClass::Count, cycle: 311 },
+            Event::LoopVectorized { loop_id: 64, class: LoopClass::Count, planned: 96, peeled: 2, cycle: 320 },
             Event::SpeculationResolved {
                 kind: SpecKind::Sentinel,
                 loop_id: 64,
@@ -696,7 +701,7 @@ mod tests {
                 cycle: 900,
             },
             Event::JobCompleted { job: 7, shard: 2, cache_hit: true, migrations: 1, latency_ms: 12, cycle: 0 },
-            Event::SnapshotRejected { kind: "checksum-mismatch", cycle: 0 },
+            Event::SnapshotRejected { kind: SnapshotErrorKind::ChecksumMismatch, cycle: 0 },
             Event::RunFinished { cycle: 1000, committed: 512, halted: true },
         ]
     }
@@ -861,15 +866,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn interning_yields_equal_static_strs() {
-        let a = intern("count").expect("a vocabulary word");
-        let b = intern(&String::from("count")).expect("a vocabulary word");
-        assert_eq!(a, b);
-        assert!(std::ptr::eq(a, b), "interned copies must share storage");
-        assert_eq!(intern("no such word"), None, "only the vocabulary interns");
     }
 
     #[test]

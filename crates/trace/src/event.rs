@@ -12,6 +12,13 @@
 //! it to a `FieldSink` and one that reads it from a `FieldSource`. The
 //! JSONL and tracebin codecs are one sink and one source each, written
 //! per field type. Adding an event is adding a row.
+//!
+//! A payload field that holds a word is typed by a closed enum declared
+//! here with `choice_enum!` ([`LoopClass`], [`Reason`], [`FaultSite`],
+//! ...): its variants, names and tags in one table, from which the
+//! codecs derive both directions. Adding a word is adding a variant;
+//! the emitting crates use these enums (or map theirs onto them), so no
+//! list of strings has to be kept beside them.
 
 use std::fmt::Write as _;
 
@@ -19,152 +26,52 @@ use std::fmt::Write as _;
 /// schema validator. Bump on any breaking change to event field names.
 pub const SCHEMA: &str = "dsa-trace/v2";
 
-/// The closed vocabulary of the schema's string fields: every string an
-/// emitter puts in an event, grouped by field. A decoder hands out the
-/// entry here ([`intern`]), so decoded events hold `&'static str` like
-/// emitted ones with no allocation, and a string outside the list is a
-/// decode error: reading a trace can never grow the process. A word that
-/// serves several fields is listed once, under the first. An emitter
-/// that adds a string adds it here; the emitting crates' tests check
-/// their names against this list.
-pub static VOCABULARY: &[&str] = &[
-    // `SimFault::kind`: `dsa_cpu::SimError::kind_name`.
-    "halted",
-    "pc-out-of-range",
-    "step-budget-exceeded",
-    "vector-lane",
-    // `class` of the loop events: `dsa_core::LoopClass::name`, and
-    // "unknown" for a rollback with no loop behind it.
-    "count",
-    "function",
-    "nest",
-    "conditional",
-    "dynamic-range",
-    "sentinel",
-    "partial",
-    "non-vectorizable",
-    "unknown",
-    // `reason` of `LoopRejected` and `LoopRolledBack`: the engine's
-    // give-up and rollback reasons.
-    "arm-capacity",
-    "array-map-inconsistent",
-    "conditional-loops-disabled",
-    "corrupt-template",
-    "cross-iteration-dependency",
-    "dynamic-range-disabled",
-    "function-loops-disabled",
-    "irregular-trip",
-    "mapping-budget-exhausted",
-    "nest-inner-not-fusable",
-    "nest-outer-not-overhead",
-    "nest-row-gap",
-    "no-store-stream",
-    "non-unit-stride",
-    "non-vector-ops",
-    "profile-corrupt",
-    "sentinel-unsupported",
-    "spec-range-overflow",
-    "stale-coverage-recovery",
-    "stream-mismatch",
-    "template-shape-mismatch",
-    "unprofitable-trip",
-    "unsupported-nest",
-    "vcache-capacity",
-    "vcache-entry-lost",
-    // `EnginePoisoned::during`: the engine operation that found the
-    // impossible transition.
-    "analyze",
-    "condition mapping",
-    "conditional_step",
-    "data collection",
-    "decide_straight",
-    "dependency analysis",
-    "execute",
-    "finish_iteration",
-    "hit_execute",
-    "iteration recording",
-    "launch",
-    "nest observation",
-    "nest_step",
-    "post-vcache analysis",
-    // `EnginePoisoned::expected`: the engine mode or state it required
-    // ("nest observation" is listed above).
-    "Analyzing",
-    "Executing",
-    "collected outer iteration",
-    "collected profile",
-    // `FaultInjected::site`: `dsa_core::FaultSite::name`
-    // ("corrupt-template" is listed above).
-    "lie-sentinel-trip",
-    "flip-array-map-condition",
-    "drop-vcache-entry",
-    "skip-rollback-flush",
-    // `workload` of `SupervisorRetry` and `WorkerPanicked`: the
-    // applications' and microkernels' names (`dsa_workloads`); the
-    // microkernels named after a loop class are listed above.
-    "MM 64x64",
-    "RGB-Gray",
-    "Gaussian Filter",
-    "Susan E",
-    "Q Sort",
-    "Dijkstra",
-    "BitCounts",
-    "gather",
-    "reduce",
-    "nest-fused",
-    "fir-i16",
-    // `JobShed::reason`.
-    "overloaded",
-    "deadline",
-    // `SnapshotRejected::kind`: `dsa_core::SnapshotError::kind_name`.
-    "truncated",
-    "bad-magic",
-    "unsupported-version",
-    "checksum-mismatch",
-    "malformed",
-    "config-mismatch",
-    // Pinned by the every-event wire goldens
-    // (`tests/golden/every_event.*`): stand-ins for a reason, a mode and
-    // a workload, and a string that takes every escape the JSONL writer
-    // emits.
-    "irregular-stride",
-    "template-mismatch",
-    "analyzing",
-    "matmul",
-    "say \"hi\" \\ bye",
-];
-
-/// The [`VOCABULARY`] entry equal to `s`, or `None` for a string the
-/// schema does not know.
-pub fn intern(s: &str) -> Option<&'static str> {
-    VOCABULARY.iter().find(|&&w| w == s).copied()
+/// How tracebin writes a [`Choice`] value.
+#[derive(Clone, Copy)]
+pub(crate) enum Wire {
+    /// A one-byte tag: the value's position in `ALL`.
+    Tag,
+    /// The name, through the event block's string table.
+    Word,
 }
 
-/// A payload enum with a fixed vocabulary: JSONL writes its names,
-/// tracebin writes its one-byte tags (the value's position in `ALL`).
-pub(crate) trait Choice: Copy + 'static {
+/// A payload enum with a closed set of names. JSONL writes the name;
+/// tracebin writes the tag or the name, as [`Choice::WIRE`] says. Both
+/// decoders map back with [`Choice::from_name`] / [`Choice::from_tag`],
+/// so a name outside the enum is a decode error.
+pub(crate) trait Choice: Copy + PartialEq + std::fmt::Debug + 'static {
     /// What the value is, for decode errors.
     const WHAT: &'static str;
-    /// Stable kebab-case name.
+    /// How tracebin writes it.
+    const WIRE: Wire;
+    /// Every value, in tag order.
+    const VALUES: &'static [Self];
+    /// Stable name.
     fn name(self) -> &'static str;
-    /// Inverse of [`Choice::name`].
-    fn from_name(name: &str) -> Option<Self>;
     /// Tracebin tag.
     fn tag(self) -> u8;
+    /// Inverse of [`Choice::name`].
+    fn from_name(name: &str) -> Option<Self> {
+        Self::VALUES.iter().copied().find(|v| v.name() == name)
+    }
     /// Inverse of [`Choice::tag`].
-    fn from_tag(tag: u8) -> Option<Self>;
+    fn from_tag(tag: u8) -> Option<Self> {
+        Self::VALUES.get(usize::from(tag)).copied()
+    }
 }
 
 /// Declares a payload enum: the enum, its `ALL` array in tag order, its
-/// names, and the [`Choice`] mappings derived from `ALL`.
+/// names, `Display` by name, and the [`Choice`] mappings derived from
+/// `ALL`. `as Tag` or `as Word` picks the tracebin encoding.
 macro_rules! choice_enum {
     (
         $(#[$meta:meta])*
-        pub enum $Enum:ident as $what:literal {
+        pub enum $Enum:ident as $wire:ident $what:literal {
             $( $(#[$vmeta:meta])* $Variant:ident = $name:literal, )+
         }
     ) => {
         $(#[$meta])*
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
         pub enum $Enum {
             $( $(#[$vmeta])* $Variant, )+
         }
@@ -173,37 +80,37 @@ macro_rules! choice_enum {
             /// Every value, in tag order.
             pub const ALL: [$Enum; [$($name),+].len()] = [$($Enum::$Variant),+];
 
-            /// Stable kebab-case name (JSONL field value).
+            /// Stable name (the JSONL field value).
             pub fn name(self) -> &'static str {
                 match self {
                     $( $Enum::$Variant => $name, )+
                 }
             }
 
-            /// Inverse of the name mapping (used by the JSONL reader).
+            /// Inverse of [`Self::name`].
             pub fn from_name(name: &str) -> Option<$Enum> {
-                $Enum::ALL.into_iter().find(|v| v.name() == name)
+                <$Enum as Choice>::from_name(name)
+            }
+        }
+
+        impl std::fmt::Display for $Enum {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.write_str(self.name())
             }
         }
 
         impl Choice for $Enum {
             const WHAT: &'static str = $what;
+            const WIRE: Wire = Wire::$wire;
+            const VALUES: &'static [$Enum] = &$Enum::ALL;
 
             fn name(self) -> &'static str {
                 $Enum::name(self)
             }
 
-            fn from_name(name: &str) -> Option<$Enum> {
-                $Enum::from_name(name)
-            }
-
             fn tag(self) -> u8 {
                 // `ALL` lists the variants in declaration order.
                 self as u8
-            }
-
-            fn from_tag(tag: u8) -> Option<$Enum> {
-                $Enum::ALL.get(usize::from(tag)).copied()
             }
         }
     };
@@ -211,8 +118,7 @@ macro_rules! choice_enum {
 
 choice_enum! {
     /// The six stages of the paper's detection state machine.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-    pub enum Stage as "stage" {
+    pub enum Stage as Tag "stage" {
         /// Stage 1 — a taken backward branch probes the DSA cache.
         LoopDetection = "loop-detection",
         /// Stage 2 — iteration profiling into the Verification Cache.
@@ -230,8 +136,7 @@ choice_enum! {
 
 choice_enum! {
     /// Which private DSA memory a [`Event::CacheAccess`] touched.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum CacheKind as "cache" {
+    pub enum CacheKind as Tag "cache" {
         /// The 8 KB verified-loop store.
         Dsa = "dsa-cache",
         /// The 1 KB Verification Cache (iteration addresses).
@@ -243,8 +148,7 @@ choice_enum! {
 
 choice_enum! {
     /// What a cache access did.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum CacheOutcome as "cache-outcome" {
+    pub enum CacheOutcome as Tag "cache-outcome" {
         /// Lookup found the entry.
         Hit = "hit",
         /// Lookup missed.
@@ -258,12 +162,188 @@ choice_enum! {
 
 choice_enum! {
     /// Which speculative mechanism a [`Event::SpeculationResolved`] closes.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-    pub enum SpecKind as "spec-kind" {
+    pub enum SpecKind as Tag "spec-kind" {
         /// Sentinel-loop block speculation (§4.6.5).
         Sentinel = "sentinel",
         /// Conditional-loop window speculation (Array Maps).
         Conditional = "conditional",
+    }
+}
+
+choice_enum! {
+    /// Why a simulation failed ([`Event::SimFault`]).
+    pub enum SimFaultKind as Word "sim-fault kind" {
+        /// A step was asked of a halted machine.
+        Halted = "halted",
+        /// The PC walked off the end of the program.
+        PcOutOfRange = "pc-out-of-range",
+        /// The watchdog budget ran out before `halt`.
+        StepBudgetExceeded = "step-budget-exceeded",
+        /// A vector instruction had no defined lane semantics.
+        VectorLane = "vector-lane",
+    }
+}
+
+choice_enum! {
+    /// Classification of one static loop, as determined at runtime.
+    pub enum LoopClass as Word "loop class" {
+        /// Fixed trip count, straight-line body.
+        Count = "count",
+        /// Body contains a function call.
+        Function = "function",
+        /// Outer loop of a nest (inner loops classified separately).
+        Nest = "nest",
+        /// Body contains conditional code.
+        Conditional = "conditional",
+        /// Trip computed at runtime before the loop.
+        DynamicRange = "dynamic-range",
+        /// Stop condition computed inside the loop.
+        Sentinel = "sentinel",
+        /// Vectorizable only in chunks (bounded cross-iteration dependency).
+        Partial = "partial",
+        /// Not vectorizable (true dependency, unsupported ops, capacity).
+        NonVectorizable = "non-vectorizable",
+        /// A rollback with no loop behind it; never a census class.
+        Unknown = "unknown",
+    }
+}
+
+impl LoopClass {
+    /// The classes a loop can be classified as: every value but
+    /// [`LoopClass::Unknown`], in tag order.
+    pub const CENSUS: &'static [LoopClass] = LoopClass::ALL.split_last().unwrap().1;
+}
+
+choice_enum! {
+    /// Why the engine gave up on a loop ([`Event::LoopRejected`]) or
+    /// rolled it back ([`Event::LoopRolledBack`]).
+    pub enum Reason as Word "reason" {
+        ArmCapacity = "arm-capacity",
+        ArrayMapInconsistent = "array-map-inconsistent",
+        ConditionalLoopsDisabled = "conditional-loops-disabled",
+        CorruptTemplate = "corrupt-template",
+        CrossIterationDependency = "cross-iteration-dependency",
+        DynamicRangeDisabled = "dynamic-range-disabled",
+        FunctionLoopsDisabled = "function-loops-disabled",
+        IrregularTrip = "irregular-trip",
+        MappingBudgetExhausted = "mapping-budget-exhausted",
+        NestInnerNotFusable = "nest-inner-not-fusable",
+        NestOuterNotOverhead = "nest-outer-not-overhead",
+        NestRowGap = "nest-row-gap",
+        NoStoreStream = "no-store-stream",
+        NonUnitStride = "non-unit-stride",
+        NonVectorOps = "non-vector-ops",
+        ProfileCorrupt = "profile-corrupt",
+        SentinelUnsupported = "sentinel-unsupported",
+        SpecRangeOverflow = "spec-range-overflow",
+        StaleCoverageRecovery = "stale-coverage-recovery",
+        StreamMismatch = "stream-mismatch",
+        TemplateShapeMismatch = "template-shape-mismatch",
+        UnprofitableTrip = "unprofitable-trip",
+        UnsupportedNest = "unsupported-nest",
+        VcacheCapacity = "vcache-capacity",
+        VcacheEntryLost = "vcache-entry-lost",
+    }
+}
+
+choice_enum! {
+    /// The engine operation that found an impossible transition
+    /// ([`Event::EnginePoisoned`]'s `during`).
+    pub enum EngineOp as Word "engine operation" {
+        Analyze = "analyze",
+        ConditionMapping = "condition mapping",
+        ConditionalStep = "conditional_step",
+        DataCollection = "data collection",
+        DecideStraight = "decide_straight",
+        DependencyAnalysis = "dependency analysis",
+        Execute = "execute",
+        FinishIteration = "finish_iteration",
+        HitExecute = "hit_execute",
+        IterationRecording = "iteration recording",
+        Launch = "launch",
+        NestObservation = "nest observation",
+        NestStep = "nest_step",
+        PostVcacheAnalysis = "post-vcache analysis",
+    }
+}
+
+choice_enum! {
+    /// The engine mode or state an operation required
+    /// ([`Event::EnginePoisoned`]'s `expected`).
+    pub enum EngineMode as Word "engine mode" {
+        Analyzing = "Analyzing",
+        Executing = "Executing",
+        CollectedOuterIteration = "collected outer iteration",
+        CollectedProfile = "collected profile",
+        NestObservation = "nest observation",
+    }
+}
+
+choice_enum! {
+    /// A named point inside the engine where a fault can be injected.
+    /// `ALL`'s order fixes the bits of `dsa_core::FaultPlan::armed_mask`.
+    pub enum FaultSite as Word "fault site" {
+        /// Corrupt a cached `LoopTemplate` as it is read out of the DSA
+        /// cache on a probe hit (models a bit flip in the cache array).
+        CorruptTemplate = "corrupt-template",
+        /// Store a wildly inflated speculative trip count when a sentinel
+        /// loop exits (models a lying trip predictor).
+        LieSentinelTrip = "lie-sentinel-trip",
+        /// Flip the Array-Map condition path observed for one conditional
+        /// iteration (models a stuck Array-Map bit).
+        FlipArrayMapCondition = "flip-array-map-condition",
+        /// Drop one Verification-Cache entry from a recorded iteration
+        /// (models a lost verification-cache line).
+        DropVcacheEntry = "drop-vcache-entry",
+        /// Skip the rollback flush (`end_coverage`) when vector execution
+        /// ends, leaving coverage suppression stuck on.
+        SkipRollbackFlush = "skip-rollback-flush",
+    }
+}
+
+choice_enum! {
+    /// A workload's display name: the paper's applications, then the
+    /// loop-class microkernels (`dsa_workloads`).
+    pub enum WorkloadName as Word "workload" {
+        MatMul = "MM 64x64",
+        RgbGray = "RGB-Gray",
+        Gaussian = "Gaussian Filter",
+        SusanEdges = "Susan E",
+        QSort = "Q Sort",
+        Dijkstra = "Dijkstra",
+        BitCounts = "BitCounts",
+        Count = "count",
+        Function = "function",
+        Conditional = "conditional",
+        Sentinel = "sentinel",
+        DynamicRange = "dynamic-range",
+        Partial = "partial",
+        Gather = "gather",
+        Reduce = "reduce",
+        NestFused = "nest-fused",
+        Fir = "fir-i16",
+    }
+}
+
+choice_enum! {
+    /// Why the service shed a job ([`Event::JobShed`]).
+    pub enum ShedReason as Word "shed reason" {
+        /// Admission found every queue full.
+        Overloaded = "overloaded",
+        /// The job's deadline passed before it ran.
+        Deadline = "deadline",
+    }
+}
+
+choice_enum! {
+    /// Why a snapshot image was rejected ([`Event::SnapshotRejected`]).
+    pub enum SnapshotErrorKind as Word "snapshot error kind" {
+        Truncated = "truncated",
+        BadMagic = "bad-magic",
+        UnsupportedVersion = "unsupported-version",
+        ChecksumMismatch = "checksum-mismatch",
+        Malformed = "malformed",
+        ConfigMismatch = "config-mismatch",
     }
 }
 
@@ -274,8 +354,6 @@ pub(crate) trait FieldSink {
     fn u64(&mut self, key: &'static str, v: u64);
     /// A flag.
     fn bool(&mut self, key: &'static str, v: bool);
-    /// A free-vocabulary string.
-    fn str(&mut self, key: &'static str, v: &'static str);
     /// An optional `u32` (`DependencyVerdict::distance`).
     fn opt_u32(&mut self, key: &'static str, v: Option<u32>);
     /// A payload enum.
@@ -285,32 +363,32 @@ pub(crate) trait FieldSink {
 /// One wire format's reader for payload fields: the inverse of its
 /// [`FieldSink`], rejecting values the field type cannot hold.
 pub(crate) trait FieldSource {
+    /// The format's decode error.
+    type Error;
     /// An unsigned integer.
-    fn u64(&mut self, key: &'static str) -> Result<u64, String>;
+    fn u64(&mut self, key: &'static str) -> Result<u64, Self::Error>;
     /// An unsigned integer that must fit `u32`.
-    fn u32(&mut self, key: &'static str) -> Result<u32, String>;
+    fn u32(&mut self, key: &'static str) -> Result<u32, Self::Error>;
     /// A flag.
-    fn bool(&mut self, key: &'static str) -> Result<bool, String>;
-    /// A free-vocabulary string.
-    fn str(&mut self, key: &'static str) -> Result<&'static str, String>;
+    fn bool(&mut self, key: &'static str) -> Result<bool, Self::Error>;
     /// An optional `u32`.
-    fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, String>;
+    fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, Self::Error>;
     /// A payload enum.
-    fn choice<E: Choice>(&mut self, key: &'static str) -> Result<E, String>;
+    fn choice<E: Choice>(&mut self, key: &'static str) -> Result<E, Self::Error>;
 }
 
 /// A payload field type: which [`FieldSink`]/[`FieldSource`] method
 /// carries it.
 pub(crate) trait Field: Sized {
     fn put<S: FieldSink>(self, key: &'static str, sink: &mut S);
-    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<Self, String>;
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<Self, S::Error>;
 }
 
 impl Field for u32 {
     fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
         sink.u64(key, u64::from(self));
     }
-    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<u32, String> {
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<u32, S::Error> {
         src.u32(key)
     }
 }
@@ -319,7 +397,7 @@ impl Field for u64 {
     fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
         sink.u64(key, self);
     }
-    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<u64, String> {
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<u64, S::Error> {
         src.u64(key)
     }
 }
@@ -328,17 +406,8 @@ impl Field for bool {
     fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
         sink.bool(key, self);
     }
-    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<bool, String> {
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<bool, S::Error> {
         src.bool(key)
-    }
-}
-
-impl Field for &'static str {
-    fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
-        sink.str(key, self);
-    }
-    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<&'static str, String> {
-        src.str(key)
     }
 }
 
@@ -346,7 +415,7 @@ impl Field for Option<u32> {
     fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
         sink.opt_u32(key, self);
     }
-    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<Option<u32>, String> {
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<Option<u32>, S::Error> {
         src.opt_u32(key)
     }
 }
@@ -355,7 +424,7 @@ impl<E: Choice> Field for E {
     fn put<S: FieldSink>(self, key: &'static str, sink: &mut S) {
         sink.choice(key, self);
     }
-    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<E, String> {
+    fn take<S: FieldSource>(key: &'static str, src: &mut S) -> Result<E, S::Error> {
         src.choice(key)
     }
 }
@@ -429,7 +498,7 @@ macro_rules! events {
             }
 
             /// Reads this kind's payload from `src` in wire order.
-            pub(crate) fn read<S: FieldSource>(self, cycle: u64, src: &mut S) -> Result<Event, String> {
+            pub(crate) fn read<S: FieldSource>(self, cycle: u64, src: &mut S) -> Result<Event, S::Error> {
                 Ok(match self {
                     $(
                         EventKind::$Variant => Event::$Variant {
@@ -473,9 +542,9 @@ macro_rules! events {
 events! {
     /// One telemetry event. Every variant carries `cycle` — the core cycle
     /// count at emission — so exporters can place it on the run's timeline.
-    /// String fields are `&'static str` drawn from fixed vocabularies
-    /// (loop-class names, rejection reasons, fault-site names), which keeps
-    /// events `Copy`-cheap and the schema enumerable.
+    /// String fields are the closed enums above (loop classes, reasons,
+    /// fault sites, ...), which keeps events `Copy`-cheap and the schema
+    /// enumerable.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum Event {
         /// Simulation began.
@@ -498,8 +567,8 @@ events! {
         SimFault "sim-fault" {
             /// Core cycle.
             cycle,
-            /// Stable error-kind name.
-            kind: &'static str,
+            /// What failed.
+            kind: SimFaultKind,
             /// PC at the failure.
             pc: u32,
         },
@@ -560,8 +629,8 @@ events! {
             cycle,
             /// The loop.
             loop_id as "loop": u32,
-            /// Loop-class name.
-            class: &'static str,
+            /// Loop class.
+            class: LoopClass,
         },
         /// Remaining iterations handed to the NEON engine.
         LoopVectorized "loop-vectorized" {
@@ -569,8 +638,8 @@ events! {
             cycle,
             /// The loop.
             loop_id as "loop": u32,
-            /// Loop-class name.
-            class: &'static str,
+            /// Loop class.
+            class: LoopClass,
             /// Iterations planned for vector execution.
             planned: u32,
             /// Alignment-peel iterations kept scalar.
@@ -583,9 +652,9 @@ events! {
             /// The loop.
             loop_id as "loop": u32,
             /// Class recorded for the census.
-            class: &'static str,
-            /// Stable rejection reason.
-            reason: &'static str,
+            class: LoopClass,
+            /// Rejection reason.
+            reason: Reason,
         },
         /// A detected inconsistency rolled an (analysis or coverage) back
         /// to scalar execution.
@@ -594,10 +663,11 @@ events! {
             cycle,
             /// The loop (0 when the recovery had no loop context).
             loop_id as "loop": u32,
-            /// Class recorded for the census.
-            class: &'static str,
-            /// Stable rollback reason.
-            reason: &'static str,
+            /// Class recorded for the census ([`LoopClass::Unknown`]
+            /// when the recovery had no loop context).
+            class: LoopClass,
+            /// Rollback reason.
+            reason: Reason,
         },
         /// Coverage for one vectorized loop instance ended.
         LoopFinished "loop-finished" {
@@ -613,16 +683,16 @@ events! {
             /// Core cycle.
             cycle,
             /// Operation that hit the impossible transition.
-            during: &'static str,
-            /// Mode the operation required.
-            expected: &'static str,
+            during: EngineOp,
+            /// Mode or state the operation required.
+            expected: EngineMode,
         },
         /// An armed fault plan corrupted DSA bookkeeping here.
         FaultInjected "fault-injected" {
             /// Core cycle.
             cycle,
-            /// Stable fault-site name.
-            site: &'static str,
+            /// The fault site.
+            site: FaultSite,
         },
         /// A partial-vectorization chunk (or continued sentinel block) was
         /// re-verified and injected.
@@ -658,8 +728,8 @@ events! {
         SupervisorRetry "supervisor-retry" {
             /// Core cycle (always 0; wall-clock domain).
             cycle,
-            /// Workload name (stable vocabulary from the bench crate).
-            workload: &'static str,
+            /// Workload name.
+            workload: WorkloadName,
             /// 1-based number of the retry about to run.
             attempt: u32,
         },
@@ -668,7 +738,7 @@ events! {
             /// Core cycle (always 0; wall-clock domain).
             cycle,
             /// Workload name.
-            workload: &'static str,
+            workload: WorkloadName,
         },
         /// Service: a job passed admission control onto a shard queue.
         JobAdmitted "job-admitted" {
@@ -686,8 +756,8 @@ events! {
         JobShed "job-shed" {
             /// Core cycle (always 0; wall-clock domain).
             cycle,
-            /// Stable shed reason (`overloaded`, `deadline`).
-            reason: &'static str,
+            /// Why the job was shed.
+            reason: ShedReason,
         },
         /// Service: an admitted job completed with a verified checksum.
         JobCompleted "job-completed" {
@@ -756,8 +826,8 @@ events! {
         SnapshotRejected "snapshot-rejected" {
             /// Core cycle (always 0; restore happens between runs).
             cycle,
-            /// Stable rejection-kind name (`SnapshotError::kind_name`).
-            kind: &'static str,
+            /// Why the image was rejected.
+            kind: SnapshotErrorKind,
         },
     }
 }
@@ -825,21 +895,45 @@ pub fn json_str(raw: &str) -> String {
 mod tests {
     use super::*;
 
+    /// Names are distinct within the enum, and names and tags map back
+    /// to their value.
+    fn check<E: Choice>() {
+        let mut names = std::collections::BTreeSet::new();
+        for (i, &v) in E::VALUES.iter().enumerate() {
+            assert!(names.insert(v.name()), "{} {v:?} repeats a name", E::WHAT);
+            assert_eq!(E::from_name(v.name()), Some(v));
+            assert_eq!(usize::from(v.tag()), i);
+            assert_eq!(E::from_tag(v.tag()), Some(v));
+        }
+        assert_eq!(E::from_tag(E::VALUES.len() as u8), None);
+        assert_eq!(E::from_name("no such word"), None);
+    }
+
     #[test]
     fn names_are_stable_and_distinct() {
-        let names: Vec<&str> = Stage::ALL.iter().map(|s| s.name()).collect();
-        let mut dedup = names.clone();
-        dedup.sort_unstable();
-        dedup.dedup();
-        assert_eq!(dedup.len(), names.len());
+        check::<Stage>();
+        check::<CacheKind>();
+        check::<CacheOutcome>();
+        check::<SpecKind>();
+        check::<SimFaultKind>();
+        check::<LoopClass>();
+        check::<Reason>();
+        check::<EngineOp>();
+        check::<EngineMode>();
+        check::<FaultSite>();
+        check::<WorkloadName>();
+        check::<ShedReason>();
+        check::<SnapshotErrorKind>();
         assert_eq!(Stage::LoopDetection.name(), "loop-detection");
         assert_eq!(CacheKind::Dsa.name(), "dsa-cache");
         assert_eq!(SpecKind::Sentinel.name(), "sentinel");
+        assert_eq!(LoopClass::CENSUS.len(), 8);
+        assert!(!LoopClass::CENSUS.contains(&LoopClass::Unknown));
     }
 
     #[test]
     fn json_lines_are_single_line_objects() {
-        let ev = Event::LoopVectorized { loop_id: 7, class: "count", planned: 96, peeled: 2, cycle: 1234 };
+        let ev = Event::LoopVectorized { loop_id: 7, class: LoopClass::Count, planned: 96, peeled: 2, cycle: 1234 };
         let line = ev.to_json_line();
         assert!(line.starts_with('{') && line.ends_with('}'));
         assert!(!line.contains('\n'));
@@ -866,6 +960,7 @@ mod tests {
     #[test]
     fn string_escaping() {
         assert_eq!(json_str("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
+        assert_eq!(json_str("say \"hi\" \\ bye"), r#""say \"hi\" \\ bye""#);
         assert_eq!(json_str("plain"), "\"plain\"");
     }
 }

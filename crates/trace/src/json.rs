@@ -293,7 +293,7 @@ mod tests {
     fn round_trips_an_event_line() {
         let line = crate::Event::LoopVectorized {
             loop_id: 3,
-            class: "count",
+            class: crate::LoopClass::Count,
             planned: 12,
             peeled: 0,
             cycle: 99,

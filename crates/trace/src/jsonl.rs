@@ -13,7 +13,10 @@
 //!   payload in the order and under the keys of the schema table in
 //!   [`crate::event`], which also gives the validator its required
 //!   fields. Field additions are backwards compatible within a schema
-//!   version; renames/removals bump it.
+//!   version; renames/removals bump it. A string field holds the name
+//!   of one variant of the field's enum (a loop class, a reason, a
+//!   fault site, ...); the reader maps it back with that enum's
+//!   `from_name` and rejects any other string.
 //!
 //! The sink is IO-error tolerant by design: tracing must never abort a
 //! simulation, so the first write failure is latched, later writes are
@@ -24,7 +27,6 @@ use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
-use crate::event::intern;
 use crate::event::{json_str, Choice, Event, EventKind, FieldSink, FieldSource, SCHEMA};
 use crate::json::{self, Value};
 use crate::TraceSink;
@@ -107,8 +109,8 @@ impl<W: Write> TraceSink for JsonlSink<W> {
 impl Event {
     /// One JSONL record for this event: a single-line JSON object with
     /// fixed field order (`record`, `type`, `cycle`, then the variant's
-    /// fields). Hand-rolled — the vocabulary contains no characters that
-    /// need escaping, but strings are escaped anyway for safety.
+    /// fields). Hand-rolled — no declared word contains a character that
+    /// needs escaping, but strings are escaped anyway for safety.
     pub fn to_json_line(&self) -> String {
         let mut s = String::with_capacity(128);
         let _ = write!(
@@ -135,10 +137,6 @@ impl FieldSink for JsonFields<'_> {
         let _ = write!(self.0, ",\"{key}\":{v}");
     }
 
-    fn str(&mut self, key: &'static str, v: &'static str) {
-        let _ = write!(self.0, ",\"{key}\":{}", json_str(v));
-    }
-
     fn opt_u32(&mut self, key: &'static str, v: Option<u32>) {
         match v {
             Some(d) => self.u64(key, u64::from(d)),
@@ -149,7 +147,7 @@ impl FieldSink for JsonFields<'_> {
     }
 
     fn choice<E: Choice>(&mut self, key: &'static str, v: E) {
-        self.str(key, v.name());
+        let _ = write!(self.0, ",\"{key}\":{}", json_str(v.name()));
     }
 }
 
@@ -277,10 +275,9 @@ pub fn validate_document_verbose(text: &str) -> Result<(u64, Vec<String>), (usiz
 }
 
 /// Reconstructs a typed [`Event`] from a parsed event record. Unknown
-/// fields are ignored (forward compat); strings map to their entry in
-/// the schema's vocabulary ([`crate::VOCABULARY`]) so the result
-/// compares equal to a freshly emitted event, and a string outside it
-/// is an error.
+/// fields are ignored (forward compat); a string field maps to the
+/// variant of its enum that it names, so the result compares equal to
+/// a freshly emitted event, and any other string is an error.
 ///
 /// # Errors
 ///
@@ -310,6 +307,8 @@ impl JsonRecord<'_> {
 }
 
 impl FieldSource for JsonRecord<'_> {
+    type Error = String;
+
     fn u64(&mut self, key: &'static str) -> Result<u64, String> {
         self.v.get(key).and_then(Value::as_u64).ok_or_else(|| self.missing("unsigned", key))
     }
@@ -321,13 +320,6 @@ impl FieldSource for JsonRecord<'_> {
 
     fn bool(&mut self, key: &'static str) -> Result<bool, String> {
         self.v.get(key).and_then(Value::as_bool).ok_or_else(|| self.missing("bool", key))
-    }
-
-    fn str(&mut self, key: &'static str) -> Result<&'static str, String> {
-        let s = self.v.get(key).and_then(Value::as_str).ok_or_else(|| self.missing("string", key))?;
-        intern(s).ok_or_else(|| {
-            format!("event \"{}\": field \"{key}\" holds {s:?}, not in the trace vocabulary", self.ty)
-        })
     }
 
     fn opt_u32(&mut self, key: &'static str) -> Result<Option<u32>, String> {
@@ -344,7 +336,9 @@ impl FieldSource for JsonRecord<'_> {
 
     fn choice<E: Choice>(&mut self, key: &'static str) -> Result<E, String> {
         let name = self.v.get(key).and_then(Value::as_str).ok_or_else(|| self.missing("string", key))?;
-        E::from_name(name).ok_or_else(|| format!("unknown {} \"{name}\"", E::WHAT))
+        E::from_name(name).ok_or_else(|| {
+            format!("event \"{}\": field \"{key}\" holds unknown {} {name:?}", self.ty, E::WHAT)
+        })
     }
 }
 
@@ -380,7 +374,10 @@ pub fn parse_document(text: &str) -> Result<(Vec<Event>, Vec<String>), (usize, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CacheKind, CacheOutcome, SpecKind, Stage};
+    use crate::event::{
+        CacheKind, CacheOutcome, EngineOp, EngineMode, FaultSite, LoopClass, Reason, ShedReason,
+        SimFaultKind, SnapshotErrorKind, SpecKind, Stage, WorkloadName,
+    };
 
     /// One of every event variant, for exhaustive schema checks.
     pub(crate) fn one_of_each() -> Vec<Event> {
@@ -397,8 +394,8 @@ mod tests {
                 cycle: 41,
             },
             Event::DependencyVerdict { loop_id: 8, pairs: 2, distance: Some(4), dsa_cycles: 4, cycle: 60 },
-            Event::LoopClassified { loop_id: 8, class: "count", cycle: 60 },
-            Event::LoopVectorized { loop_id: 8, class: "count", planned: 28, peeled: 0, cycle: 61 },
+            Event::LoopClassified { loop_id: 8, class: LoopClass::Count, cycle: 60 },
+            Event::LoopVectorized { loop_id: 8, class: LoopClass::Count, planned: 28, peeled: 0, cycle: 61 },
             Event::PartialChunk { loop_id: 8, chunk_iters: 4, dsa_cycles: 3, cycle: 70 },
             Event::SpeculationResolved {
                 loop_id: 8,
@@ -409,18 +406,18 @@ mod tests {
                 cycle: 90,
             },
             Event::LoopFinished { loop_id: 8, iters: 28, cycle: 95 },
-            Event::LoopRejected { loop_id: 9, class: "unknown", reason: "irregular-stride", cycle: 99 },
-            Event::LoopRolledBack { loop_id: 8, class: "count", reason: "template-mismatch", cycle: 100 },
-            Event::FaultInjected { site: "corrupt-template", cycle: 100 },
-            Event::EnginePoisoned { during: "launch", expected: "analyzing", cycle: 101 },
-            Event::SimFault { kind: "step-budget-exceeded", pc: 44, cycle: 102 },
+            Event::LoopRejected { loop_id: 9, class: LoopClass::Unknown, reason: Reason::NonUnitStride, cycle: 99 },
+            Event::LoopRolledBack { loop_id: 8, class: LoopClass::Count, reason: Reason::TemplateShapeMismatch, cycle: 100 },
+            Event::FaultInjected { site: FaultSite::CorruptTemplate, cycle: 100 },
+            Event::EnginePoisoned { during: EngineOp::Launch, expected: EngineMode::Analyzing, cycle: 101 },
+            Event::SimFault { kind: SimFaultKind::StepBudgetExceeded, pc: 44, cycle: 102 },
             Event::RunFinished { cycle: 103, committed: 80, halted: false },
-            Event::SupervisorRetry { workload: "matmul", attempt: 1, cycle: 0 },
-            Event::WorkerPanicked { workload: "matmul", cycle: 0 },
+            Event::SupervisorRetry { workload: WorkloadName::MatMul, attempt: 1, cycle: 0 },
+            Event::WorkerPanicked { workload: WorkloadName::MatMul, cycle: 0 },
             Event::SnapshotRestored { bytes: 4096, cache_entries: 7, cycle: 0 },
-            Event::SnapshotRejected { kind: "checksum-mismatch", cycle: 0 },
+            Event::SnapshotRejected { kind: SnapshotErrorKind::ChecksumMismatch, cycle: 0 },
             Event::JobAdmitted { job: 17, shard: 2, queue_depth: 5, cycle: 0 },
-            Event::JobShed { reason: "overloaded", cycle: 0 },
+            Event::JobShed { reason: ShedReason::Overloaded, cycle: 0 },
             Event::JobCompleted {
                 job: 17,
                 shard: 3,

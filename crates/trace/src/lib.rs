@@ -49,6 +49,13 @@
 //! that table; each format adds only how one field of each type is
 //! written or read.
 //!
+//! Every string an event carries is a variant of a closed enum declared
+//! beside that table ([`LoopClass`], [`Reason`], [`FaultSite`],
+//! [`WorkloadName`], ...). The declaration is the vocabulary: emitters
+//! pass variants, the wire carries their names, and the decoders map a
+//! name back to its variant, so an unknown word is a typed decode error
+//! and reading any trace allocates no strings for its events.
+//!
 //! The crate deliberately has **zero dependencies** (the workspace
 //! builds offline); both exporters hand-roll their JSON and
 //! [`json::parse`] reads it back for validation and reporting. Its
@@ -67,7 +74,10 @@ pub mod query;
 pub mod sample;
 
 pub use columnar::{crc32, decode, encode, looks_binary, BinError, ColumnarWriter, BIN_SCHEMA};
-pub use event::{intern, CacheKind, CacheOutcome, Event, SpecKind, Stage, SCHEMA, VOCABULARY};
+pub use event::{
+    CacheKind, CacheOutcome, EngineOp, EngineMode, Event, FaultSite, LoopClass, Reason,
+    ShedReason, SimFaultKind, SnapshotErrorKind, SpecKind, Stage, WorkloadName, SCHEMA,
+};
 pub use jsonl::{
     event_from_value, header_line, parse_document, validate_document, validate_document_verbose,
     validate_line, validate_line_verbose, JsonlSink,

@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::event::Event;
+use crate::event::{Event, LoopClass, Reason};
 use crate::TraceSink;
 
 /// Aggregated lifecycle telemetry for one static loop.
@@ -11,8 +11,8 @@ use crate::TraceSink;
 pub struct LoopRow {
     /// Loop id (branch-target PC).
     pub loop_id: u32,
-    /// Class name once classified (empty until then).
-    pub class: String,
+    /// The loop's class, once an event names it.
+    pub class: Option<LoopClass>,
     /// Detection trips (taken backward branches that probed the DSA).
     pub detections: u64,
     /// Times the loop's remainder was handed to the NEON engine.
@@ -21,18 +21,12 @@ pub struct LoopRow {
     pub covered_iters: u64,
     /// Rejections, and the most recent rejection reason.
     pub rejections: u64,
-    /// Last rejection reason ("-" if never rejected).
-    pub last_rejection: &'static str,
+    /// Last rejection reason, if ever rejected.
+    pub last_rejection: Option<Reason>,
     /// Rollbacks charged to this loop.
     pub rollbacks: u64,
     /// DSA-side cycles attributed to this loop's events.
     pub dsa_cycles: u64,
-}
-
-impl LoopRow {
-    fn new(loop_id: u32) -> LoopRow {
-        LoopRow { loop_id, last_rejection: "-", ..LoopRow::default() }
-    }
 }
 
 /// A [`TraceSink`] producing the per-loop table.
@@ -58,7 +52,7 @@ impl LoopTableSink {
     }
 
     fn row(&mut self, loop_id: u32) -> &mut LoopRow {
-        self.rows.entry(loop_id).or_insert_with(|| LoopRow::new(loop_id))
+        self.rows.entry(loop_id).or_insert_with(|| LoopRow { loop_id, ..LoopRow::default() })
     }
 }
 
@@ -70,20 +64,16 @@ impl TraceSink for LoopTableSink {
         row.dsa_cycles += dsa_cycles;
         match *ev {
             Event::LoopDetected { .. } => row.detections += 1,
-            Event::LoopClassified { class, .. } => row.class = class.to_string(),
+            Event::LoopClassified { class, .. } => row.class = Some(class),
             Event::LoopVectorized { class, .. } => {
                 row.vectorized += 1;
-                if row.class.is_empty() {
-                    row.class = class.to_string();
-                }
+                row.class.get_or_insert(class);
             }
             Event::LoopFinished { iters, .. } => row.covered_iters += iters as u64,
             Event::LoopRejected { class, reason, .. } => {
                 row.rejections += 1;
-                row.last_rejection = reason;
-                if row.class.is_empty() {
-                    row.class = class.to_string();
-                }
+                row.last_rejection = Some(reason);
+                row.class.get_or_insert(class);
             }
             Event::LoopRolledBack { .. } => row.rollbacks += 1,
             _ => {}
@@ -99,21 +89,21 @@ mod tests {
     fn folds_lifecycle_into_rows() {
         let mut t = LoopTableSink::new();
         t.record(&Event::LoopDetected { loop_id: 12, end_pc: 40, cycle: 5 });
-        t.record(&Event::LoopClassified { loop_id: 12, class: "count", cycle: 9 });
-        t.record(&Event::LoopVectorized { loop_id: 12, class: "count", planned: 20, peeled: 0, cycle: 10 });
+        t.record(&Event::LoopClassified { loop_id: 12, class: LoopClass::Count, cycle: 9 });
+        t.record(&Event::LoopVectorized { loop_id: 12, class: LoopClass::Count, planned: 20, peeled: 0, cycle: 10 });
         t.record(&Event::LoopFinished { loop_id: 12, iters: 24, cycle: 90 });
         t.record(&Event::LoopDetected { loop_id: 30, end_pc: 44, cycle: 100 });
-        t.record(&Event::LoopRejected { loop_id: 30, class: "unknown", reason: "irregular-stride", cycle: 120 });
+        t.record(&Event::LoopRejected { loop_id: 30, class: LoopClass::Unknown, reason: Reason::NonUnitStride, cycle: 120 });
         t.record(&Event::RunFinished { cycle: 200, committed: 10, halted: true });
 
         let rows: Vec<&LoopRow> = t.rows().collect();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[0].loop_id, 12);
-        assert_eq!(rows[0].class, "count");
+        assert_eq!(rows[0].class, Some(LoopClass::Count));
         assert_eq!(rows[0].covered_iters, 24);
-        assert_eq!(rows[0].last_rejection, "-");
+        assert_eq!(rows[0].last_rejection, None);
         assert_eq!(rows[1].rejections, 1);
-        assert_eq!(rows[1].last_rejection, "irregular-stride");
+        assert_eq!(rows[1].last_rejection, Some(Reason::NonUnitStride));
     }
 
     #[test]

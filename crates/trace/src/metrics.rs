@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
-use crate::event::{json_str, CacheOutcome, Event};
+use crate::event::{json_str, CacheOutcome, Event, LoopClass};
 use crate::TraceSink;
 
 /// Number of power-of-two buckets per histogram. Bucket `i` counts
@@ -146,7 +146,7 @@ pub struct MetricsRegistry {
     hists: BTreeMap<String, Histogram>,
     /// Transient loop→class attribution (from `LoopClassified`), so
     /// later lifecycle events can be binned per class.
-    classes: BTreeMap<u32, &'static str>,
+    classes: BTreeMap<u32, LoopClass>,
 }
 
 impl MetricsRegistry {
@@ -219,7 +219,7 @@ impl MetricsRegistry {
     }
 
     fn class_of(&self, loop_id: u32) -> &'static str {
-        self.classes.get(&loop_id).copied().unwrap_or("unclassified")
+        self.classes.get(&loop_id).map_or("unclassified", |c| c.name())
     }
 
     /// Plain-text report: counters then histograms, aligned.
@@ -489,7 +489,7 @@ mod tests {
             dsa_cycles: 1,
             cycle: 10,
         });
-        m.record(&Event::LoopClassified { loop_id: 4, class: "count", cycle: 12 });
+        m.record(&Event::LoopClassified { loop_id: 4, class: LoopClass::Count, cycle: 12 });
         m.record(&Event::LoopFinished { loop_id: 4, iters: 31, cycle: 90 });
         assert_eq!(m.counter("loop.detected"), 1);
         assert_eq!(m.counter("stage.loop-detection.dsa_cycles"), 1);
@@ -594,7 +594,7 @@ mod tests {
     fn merge_of_empty_is_identity_both_ways() {
         let mut m = MetricsRegistry::new();
         m.record(&Event::LoopDetected { loop_id: 4, end_pc: 40, cycle: 10 });
-        m.record(&Event::LoopClassified { loop_id: 4, class: "count", cycle: 12 });
+        m.record(&Event::LoopClassified { loop_id: 4, class: LoopClass::Count, cycle: 12 });
         m.observe("x.cycles", 7);
         let before = m.clone();
         m.merge(&MetricsRegistry::new());

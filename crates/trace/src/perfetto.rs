@@ -235,7 +235,7 @@ impl<W: Write> TraceSink for PerfettoSink<W> {
                 );
             }
             Event::LoopRejected { loop_id, reason, .. } => {
-                self.close_detect(loop_id, cycle, reason);
+                self.close_detect(loop_id, cycle, reason.name());
             }
             Event::LoopRolledBack { loop_id, reason, .. } => {
                 self.instant(loop_id, &format!("rollback: {reason}"), "lifecycle", cycle, &[]);
@@ -363,6 +363,7 @@ impl<W: Write> TraceSink for PerfettoSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{FaultSite, LoopClass};
     use crate::json::{self, Value};
 
     #[test]
@@ -370,8 +371,8 @@ mod tests {
         let mut sink = PerfettoSink::new(Vec::new());
         sink.record(&Event::RunStarted { pc: 0, cycle: 0 });
         sink.record(&Event::LoopDetected { loop_id: 16, end_pc: 36, cycle: 100 });
-        sink.record(&Event::LoopClassified { loop_id: 16, class: "count", cycle: 140 });
-        sink.record(&Event::LoopVectorized { loop_id: 16, class: "count", planned: 60, peeled: 0, cycle: 150 });
+        sink.record(&Event::LoopClassified { loop_id: 16, class: LoopClass::Count, cycle: 140 });
+        sink.record(&Event::LoopVectorized { loop_id: 16, class: LoopClass::Count, planned: 60, peeled: 0, cycle: 150 });
         sink.record(&Event::LoopFinished { loop_id: 16, iters: 64, cycle: 400 });
         sink.record(&Event::RunFinished { cycle: 500, committed: 450, halted: true });
         let doc = sink.render_json();
@@ -394,7 +395,7 @@ mod tests {
     #[test]
     fn finish_writes_once(){
         let mut sink = PerfettoSink::new(Vec::new());
-        sink.record(&Event::FaultInjected { site: "corrupt-template", cycle: 7 });
+        sink.record(&Event::FaultInjected { site: FaultSite::CorruptTemplate, cycle: 7 });
         sink.finish();
         sink.finish();
         assert!(sink.take_error().is_none());

@@ -166,7 +166,7 @@ impl Rollup {
             Event::SimFault { .. } => self.tally(label).sim_faults += 1,
             // Harness/service events attribute to their own workload.
             Event::SupervisorRetry { workload, .. } | Event::WorkerPanicked { workload, .. } => {
-                self.tally(workload);
+                self.tally(workload.name());
             }
             _ => {}
         }
@@ -250,7 +250,7 @@ pub fn read_trace(bytes: &[u8]) -> Result<LoadedTrace, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CacheKind, CacheOutcome, Stage};
+    use crate::event::{CacheKind, CacheOutcome, LoopClass, Reason, Stage, WorkloadName};
     use crate::{JsonlSink, TraceSink};
 
     fn run_events(base: u32) -> Vec<Event> {
@@ -267,7 +267,7 @@ mod tests {
                 cycle: 10,
             },
             Event::DependencyVerdict { loop_id: base, pairs: 2, distance: None, dsa_cycles: 6, cycle: 30 },
-            Event::LoopVectorized { loop_id: base, class: "count", planned: 60, peeled: 0, cycle: 31 },
+            Event::LoopVectorized { loop_id: base, class: LoopClass::Count, planned: 60, peeled: 0, cycle: 31 },
             Event::PartialChunk { loop_id: base, chunk_iters: 8, dsa_cycles: 3, cycle: 50 },
             Event::LoopFinished { loop_id: base, iters: 60, cycle: 99 },
             Event::RunFinished { cycle: 100, committed: 400, halted: true },
@@ -333,13 +333,13 @@ mod tests {
         let mut r = Rollup::new();
         r.fold("app", &Event::LoopDetected { loop_id: 4, end_pc: 20, cycle: 1 });
         r.fold("app", &Event::LoopDetected { loop_id: 8, end_pc: 40, cycle: 2 });
-        r.fold("app", &Event::LoopRejected { loop_id: 8, class: "unknown", reason: "irregular", cycle: 3 });
-        r.fold("app", &Event::SupervisorRetry { workload: "other", attempt: 1, cycle: 0 });
+        r.fold("app", &Event::LoopRejected { loop_id: 8, class: LoopClass::Unknown, reason: Reason::IrregularTrip, cycle: 3 });
+        r.fold("app", &Event::SupervisorRetry { workload: WorkloadName::Dijkstra, attempt: 1, cycle: 0 });
         let app = r.workloads["app"];
         assert_eq!(app.detected, 2);
         assert_eq!(app.rejected, 1);
         assert!((app.degradation_rate() - 0.5).abs() < 1e-12);
-        assert!(r.workloads.contains_key("other"), "harness events attribute to their workload");
+        assert!(r.workloads.contains_key("Dijkstra"), "harness events attribute to their workload");
     }
 
     #[test]

@@ -119,14 +119,14 @@ impl<S: TraceSink> TraceSink for SamplingSink<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::Stage;
+    use crate::event::{FaultSite, LoopClass, Stage};
     use crate::Collector;
 
     fn lifecycle(loop_id: u32) -> Vec<Event> {
         vec![
             Event::LoopDetected { loop_id, end_pc: loop_id + 32, cycle: 10 },
             Event::StageActivated { stage: Stage::LoopDetection, loop_id, dsa_cycles: 1, cycle: 11 },
-            Event::LoopClassified { loop_id, class: "count", cycle: 12 },
+            Event::LoopClassified { loop_id, class: LoopClass::Count, cycle: 12 },
             Event::LoopFinished { loop_id, iters: 64, cycle: 99 },
         ]
     }
@@ -182,7 +182,7 @@ mod tests {
     fn loopless_events_always_pass() {
         let mut sink = SamplingSink::new(Collector::new(), 1, u32::MAX);
         sink.record(&Event::RunStarted { pc: 0, cycle: 0 });
-        sink.record(&Event::FaultInjected { site: "x", cycle: 5 });
+        sink.record(&Event::FaultInjected { site: FaultSite::CorruptTemplate, cycle: 5 });
         sink.record(&Event::RunFinished { cycle: 10, committed: 3, halted: true });
         assert_eq!(sink.inner().events.len(), 3);
     }

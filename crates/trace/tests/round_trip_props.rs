@@ -14,34 +14,15 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dsa_trace::{
-    decode, encode, parse_document, Collector, Event, JsonlSink, SamplingSink, SpecKind, Stage,
-    TraceSink,
+    decode, encode, parse_document, Collector, EngineOp, EngineMode, Event, FaultSite, JsonlSink,
+    LoopClass, Reason, SamplingSink, ShedReason, SimFaultKind, SnapshotErrorKind, SpecKind, Stage,
+    TraceSink, WorkloadName,
 };
 use proptest::prelude::*;
 
-// Words of the schema's vocabulary (`dsa_trace::VOCABULARY`), by
-// field: a decoder rejects any other string.
-const CLASSES: &[&str] = &["count", "conditional", "sentinel", "non-vectorizable", "unknown"];
-const REASONS: &[&str] = &[
-    "irregular-trip",
-    "cross-iteration-dependency",
-    "template-shape-mismatch",
-    "unprofitable-trip",
-    "vcache-capacity",
-    "overloaded",
-];
-const SITES: &[&str] = &[
-    "corrupt-template",
-    "lie-sentinel-trip",
-    "flip-array-map-condition",
-    "drop-vcache-entry",
-    "skip-rollback-flush",
-];
-const WORKLOADS: &[&str] = &["MM 64x64", "Q Sort", "Susan E", "RGB-Gray", "BitCounts", "fir-i16"];
-const KINDS: &[&str] = &["step-budget-exceeded", "vector-lane", "checksum-mismatch", "truncated"];
-
-fn vocab(words: &'static [&'static str]) -> impl Strategy<Value = &'static str> {
-    (0..words.len()).prop_map(move |i| words[i])
+/// Any value of a word enum.
+fn word<E: Copy + std::fmt::Debug + 'static>(all: &'static [E]) -> impl Strategy<Value = E> {
+    (0..all.len()).prop_map(move |i| all[i])
 }
 
 fn arb_cycle() -> impl Strategy<Value = u64> {
@@ -78,7 +59,7 @@ fn arb_event() -> impl Strategy<Value = Event> {
         (arb_u32(), arb_cycle()).prop_map(|(pc, cycle)| Event::RunStarted { pc, cycle }),
         (arb_cycle(), arb_u64(), any::<bool>())
             .prop_map(|(cycle, committed, halted)| Event::RunFinished { cycle, committed, halted }),
-        (vocab(KINDS), arb_u32(), arb_cycle())
+        (word(&SimFaultKind::ALL), arb_u32(), arb_cycle())
             .prop_map(|(kind, pc, cycle)| Event::SimFault { kind, pc, cycle }),
         (arb_u32(), arb_u32(), arb_cycle())
             .prop_map(|(loop_id, end_pc, cycle)| Event::LoopDetected { loop_id, end_pc, cycle }),
@@ -110,9 +91,9 @@ fn arb_event() -> impl Strategy<Value = Event> {
             .prop_map(|(loop_id, pairs, distance, dsa_cycles, cycle)| {
                 Event::DependencyVerdict { loop_id, pairs, distance, dsa_cycles, cycle }
             }),
-        (arb_u32(), vocab(CLASSES), arb_cycle())
+        (arb_u32(), word(&LoopClass::ALL), arb_cycle())
             .prop_map(|(loop_id, class, cycle)| Event::LoopClassified { loop_id, class, cycle }),
-        (arb_u32(), vocab(CLASSES), arb_u32(), arb_u32(), arb_cycle()).prop_map(
+        (arb_u32(), word(&LoopClass::ALL), arb_u32(), arb_u32(), arb_cycle()).prop_map(
             |(loop_id, class, planned, peeled, cycle)| Event::LoopVectorized {
                 loop_id,
                 class,
@@ -121,17 +102,17 @@ fn arb_event() -> impl Strategy<Value = Event> {
                 cycle
             }
         ),
-        (arb_u32(), vocab(CLASSES), vocab(REASONS), arb_cycle()).prop_map(
+        (arb_u32(), word(&LoopClass::ALL), word(&Reason::ALL), arb_cycle()).prop_map(
             |(loop_id, class, reason, cycle)| Event::LoopRejected { loop_id, class, reason, cycle }
         ),
-        (arb_u32(), vocab(CLASSES), vocab(REASONS), arb_cycle()).prop_map(
+        (arb_u32(), word(&LoopClass::ALL), word(&Reason::ALL), arb_cycle()).prop_map(
             |(loop_id, class, reason, cycle)| Event::LoopRolledBack { loop_id, class, reason, cycle }
         ),
         (arb_u32(), arb_u32(), arb_cycle())
             .prop_map(|(loop_id, iters, cycle)| Event::LoopFinished { loop_id, iters, cycle }),
-        (vocab(REASONS), vocab(CLASSES), arb_cycle())
+        (word(&EngineOp::ALL), word(&EngineMode::ALL), arb_cycle())
             .prop_map(|(during, expected, cycle)| Event::EnginePoisoned { during, expected, cycle }),
-        (vocab(SITES), arb_cycle()).prop_map(|(site, cycle)| Event::FaultInjected { site, cycle }),
+        (word(&FaultSite::ALL), arb_cycle()).prop_map(|(site, cycle)| Event::FaultInjected { site, cycle }),
         (arb_u32(), arb_u32(), arb_u64(), arb_cycle()).prop_map(
             |(loop_id, chunk_iters, dsa_cycles, cycle)| Event::PartialChunk {
                 loop_id,
@@ -150,15 +131,15 @@ fn arb_event() -> impl Strategy<Value = Event> {
                 cycle
             }
         ),
-        (vocab(WORKLOADS), arb_u32(), arb_cycle()).prop_map(|(workload, attempt, cycle)| {
+        (word(&WorkloadName::ALL), arb_u32(), arb_cycle()).prop_map(|(workload, attempt, cycle)| {
             Event::SupervisorRetry { workload, attempt, cycle }
         }),
-        (vocab(WORKLOADS), arb_cycle())
+        (word(&WorkloadName::ALL), arb_cycle())
             .prop_map(|(workload, cycle)| Event::WorkerPanicked { workload, cycle }),
         (arb_u64(), arb_u32(), arb_u32(), arb_cycle()).prop_map(
             |(job, shard, queue_depth, cycle)| Event::JobAdmitted { job, shard, queue_depth, cycle }
         ),
-        (vocab(REASONS), arb_cycle()).prop_map(|(reason, cycle)| Event::JobShed { reason, cycle }),
+        (word(&ShedReason::ALL), arb_cycle()).prop_map(|(reason, cycle)| Event::JobShed { reason, cycle }),
         (arb_u64(), arb_u32(), any::<bool>(), arb_u32(), arb_u64(), arb_cycle()).prop_map(
             |(job, shard, cache_hit, migrations, latency_ms, cycle)| Event::JobCompleted {
                 job,
@@ -186,7 +167,7 @@ fn arb_event() -> impl Strategy<Value = Event> {
         (arb_u64(), arb_u64(), arb_cycle()).prop_map(|(bytes, cache_entries, cycle)| {
             Event::SnapshotRestored { bytes, cache_entries, cycle }
         }),
-        (vocab(KINDS), arb_cycle()).prop_map(|(kind, cycle)| Event::SnapshotRejected { kind, cycle }),
+        (word(&SnapshotErrorKind::ALL), arb_cycle()).prop_map(|(kind, cycle)| Event::SnapshotRejected { kind, cycle }),
     ]
 }
 
@@ -286,7 +267,7 @@ fn sampled_binary_stream_stays_queryable() {
     let mut events = Vec::new();
     for loop_id in (100u32..180).step_by(4) {
         events.push(Event::LoopDetected { loop_id, end_pc: loop_id + 24, cycle: u64::from(loop_id) });
-        events.push(Event::LoopClassified { loop_id, class: "count", cycle: u64::from(loop_id) + 1 });
+        events.push(Event::LoopClassified { loop_id, class: LoopClass::Count, cycle: u64::from(loop_id) + 1 });
         events.push(Event::LoopFinished { loop_id, iters: 32, cycle: u64::from(loop_id) + 90 });
     }
     let mut sampler = SamplingSink::new(Collector::new(), 0xFEED, 3);

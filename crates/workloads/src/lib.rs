@@ -47,6 +47,7 @@ mod susan;
 
 use dsa_compiler::{Kernel, Variant};
 use dsa_cpu::{CpuConfig, Machine, Simulator};
+use dsa_trace::WorkloadName;
 
 /// The seven applications of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -83,14 +84,19 @@ impl WorkloadId {
 
     /// Display name as used in the paper's figures.
     pub fn name(self) -> &'static str {
+        self.word().name()
+    }
+
+    /// The name as a trace word.
+    pub fn word(self) -> WorkloadName {
         match self {
-            WorkloadId::MatMul => "MM 64x64",
-            WorkloadId::RgbGray => "RGB-Gray",
-            WorkloadId::Gaussian => "Gaussian Filter",
-            WorkloadId::SusanEdges => "Susan E",
-            WorkloadId::QSort => "Q Sort",
-            WorkloadId::Dijkstra => "Dijkstra",
-            WorkloadId::BitCounts => "BitCounts",
+            WorkloadId::MatMul => WorkloadName::MatMul,
+            WorkloadId::RgbGray => WorkloadName::RgbGray,
+            WorkloadId::Gaussian => WorkloadName::Gaussian,
+            WorkloadId::SusanEdges => WorkloadName::SusanEdges,
+            WorkloadId::QSort => WorkloadName::QSort,
+            WorkloadId::Dijkstra => WorkloadName::Dijkstra,
+            WorkloadId::BitCounts => WorkloadName::BitCounts,
         }
     }
 }

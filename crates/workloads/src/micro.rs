@@ -6,6 +6,7 @@ use dsa_compiler::{
     regs, BinOp, Body, CmpOp, DataType, Expr, KernelBuilder, LoopIr, Trip, Variant,
 };
 use dsa_isa::Reg;
+use dsa_trace::WorkloadName;
 
 use crate::data;
 use crate::{BuiltWorkload, Scale};
@@ -56,17 +57,22 @@ impl Micro {
 
     /// Display name.
     pub fn name(self) -> &'static str {
+        self.word().name()
+    }
+
+    /// The name as a trace word.
+    pub fn word(self) -> WorkloadName {
         match self {
-            Micro::Count => "count",
-            Micro::Function => "function",
-            Micro::Conditional => "conditional",
-            Micro::Sentinel => "sentinel",
-            Micro::DynamicRange => "dynamic-range",
-            Micro::Partial => "partial",
-            Micro::Gather => "gather",
-            Micro::Reduce => "reduce",
-            Micro::NestFused => "nest-fused",
-            Micro::Fir => "fir-i16",
+            Micro::Count => WorkloadName::Count,
+            Micro::Function => WorkloadName::Function,
+            Micro::Conditional => WorkloadName::Conditional,
+            Micro::Sentinel => WorkloadName::Sentinel,
+            Micro::DynamicRange => WorkloadName::DynamicRange,
+            Micro::Partial => WorkloadName::Partial,
+            Micro::Gather => WorkloadName::Gather,
+            Micro::Reduce => WorkloadName::Reduce,
+            Micro::NestFused => WorkloadName::NestFused,
+            Micro::Fir => WorkloadName::Fir,
         }
     }
 }
