@@ -15,13 +15,11 @@
 //! exporter plus a Chrome-trace (`<file>.perfetto.json`) timeline
 //! loadable in Perfetto.
 
-use dsa_bench::{improvement_pct, run_built, System, FUEL};
+use dsa_bench::{improvement_pct, run_built, run_built_traced, RunResult, System};
 use dsa_compiler::Variant;
-use dsa_core::Dsa;
-use dsa_cpu::CpuConfig;
 use dsa_trace::{
-    perfetto_path, trace_path_from_env, Fanout, JsonlSink, LoopTableSink, PerfettoSink, Shared,
-    SharedMetrics, TraceSink,
+    perfetto_path, trace_path_from_env, Fanout, JsonlSink, LoopTableSink, MetricsRegistry,
+    PerfettoSink, Shared,
 };
 use dsa_workloads::{build, BuiltWorkload, Scale, WorkloadId};
 
@@ -131,16 +129,14 @@ fn parse_args() -> Args {
     args
 }
 
-/// Runs the workload under a DSA system with the telemetry sinks
-/// attached; returns the outcome plus snapshots of the fold-in sinks.
+/// Runs the workload under `system` with the telemetry sinks attached;
+/// returns the result plus the fold-in sinks.
 fn run_traced(
     w: &BuiltWorkload,
     system: System,
     trace_path: Option<&str>,
-) -> (dsa_cpu::RunOutcome, dsa_core::DsaStats, dsa_core::LoopCensus, SharedMetrics, Shared<LoopTableSink>)
-{
-    let cfg = system.dsa_config().expect("traced run needs a DSA system");
-    let metrics = SharedMetrics::new();
+) -> (RunResult, Shared<MetricsRegistry>, Shared<LoopTableSink>) {
+    let metrics = Shared::new(MetricsRegistry::new());
     let table = Shared::new(LoopTableSink::new());
     let mut fan = Fanout::new().with(metrics.clone()).with(table.clone());
     if let Some(path) = trace_path {
@@ -160,23 +156,11 @@ fn run_traced(
             }
         }
     }
-    let shared = Shared::new(fan);
-
-    let mut sim = w.simulator(CpuConfig::default());
-    let mut dsa = Dsa::new(cfg.with_trace());
-    dsa.attach_sink(shared.clone());
-    let mut boundary = shared.clone();
-    let outcome = sim.run_traced(FUEL, &mut dsa, &mut boundary).unwrap_or_else(|e| {
-        eprintln!("error: simulation failed: {e}");
+    let result = run_built_traced(w, system, Shared::new(fan)).unwrap_or_else(|e| {
+        eprintln!("error: {e}");
         std::process::exit(1);
     });
-    dsa.finish_trace();
-    shared.with(|f| f.finish());
-    if !w.check(sim.machine()) {
-        eprintln!("error: wrong result under {}", system.name());
-        std::process::exit(1);
-    }
-    (outcome, dsa.stats(), dsa.census(), metrics, table)
+    (result, metrics, table)
 }
 
 fn print_loop_table(table: &Shared<LoopTableSink>) {
@@ -256,18 +240,14 @@ fn main() {
     }
 
     println!("\n== {} at runtime ==", args.system.name());
-    let (outcome, stats, census, metrics, table) = if args.trace {
-        run_traced(&scalar, args.system, args.trace_path.as_deref())
+    let (result, telemetry) = if args.trace {
+        let (result, metrics, table) = run_traced(&scalar, args.system, args.trace_path.as_deref());
+        (result, Some((metrics, table)))
     } else {
-        let result = run(&scalar, args.system);
-        (
-            result.outcome,
-            result.dsa.expect("DSA run"),
-            result.census.clone().expect("census"),
-            SharedMetrics::new(),
-            Shared::new(LoopTableSink::new()),
-        )
+        (run(&scalar, args.system), None)
     };
+    let outcome = &result.outcome;
+    let stats = result.dsa.expect("DSA run");
     println!(
         "  loop entries observed: {}, vectorized: {}, cache hits: {}, \
          iterations covered: {}, SIMD ops injected: {}",
@@ -284,17 +264,14 @@ fn main() {
         outcome.cycles,
     );
     println!("  loop census:");
-    for (class, n) in census.iter() {
+    for (class, n) in result.census.as_ref().expect("census").iter() {
         println!("    {class}: {n}");
     }
 
-    if args.trace {
+    if let Some((metrics, table)) = telemetry {
         println!("\n== per-loop telemetry ==");
         print_loop_table(&table);
-        let events = metrics.with(|m| {
-            m.counters().filter(|(k, _)| k.starts_with("event.")).map(|(_, v)| v).sum::<u64>()
-        });
-        println!("  {events} events recorded");
+        println!("  {} events recorded", metrics.with(|m| m.events()));
         if let Some(path) = args.trace_path.as_deref() {
             println!("  JSONL trace:      {path}");
             println!("  Perfetto trace:   {} (load at https://ui.perfetto.dev)", perfetto_path(path));

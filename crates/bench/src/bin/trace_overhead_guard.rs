@@ -118,11 +118,10 @@ fn lane(w: &BuiltWorkload, image: &[u8], path: Path, on: bool) -> Lane {
         }
         Box::new(move |sim| ran(sim.run_bounded(SLICE, &mut dsa)))
     };
-    let traced = if on { cfg.with_trace() } else { cfg };
     match path {
-        Path::Live => Lane { sim: prepared(w, None), slice: engine(Dsa::new(traced)) },
+        Path::Live => Lane { sim: prepared(w, None), slice: engine(Dsa::new(cfg)) },
         Path::Restored => {
-            let (dsa, machine) = Dsa::restore(image, traced)
+            let (dsa, machine) = Dsa::restore(image, cfg)
                 .unwrap_or_else(|e| fail(&format!("snapshot restore failed: {e}")));
             Lane { sim: prepared(w, Some(machine)), slice: engine(dsa) }
         }

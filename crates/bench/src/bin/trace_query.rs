@@ -3,10 +3,11 @@
 //! Rolls any number of trace files — `dsa-trace/v2` JSONL and
 //! `dsa-tracebin/v2` columnar, auto-sniffed and freely mixed — into the
 //! fleet views a directory of soak/experiment runs needs: the core-cycle
-//! span, cycles by stage (charges keyed by source, so a rollup over N
-//! runs sums to the N single-file tables), cache-verdict and CIDP
-//! distributions, and per-workload degradation/poison rates. Given one
-//! file it is the single-run report.
+//! span, cycles by stage (the metrics registry's charges keyed by
+//! source, so a rollup over N runs sums to the N single-file tables),
+//! cache-verdict and CIDP distributions, and per-workload
+//! degradation/poison rates. Given one file it is the single-run
+//! report.
 //!
 //! ```text
 //! trace_query [--format table|jsonl] [--validate] <file-or-dir>...
@@ -20,7 +21,9 @@
 //! malformed JSON) always fail the query. Forward-compat warnings from
 //! newer JSONL writers go to stderr and do not fail.
 
-use dsa_trace::{validate_document_verbose, Rollup, TraceFormat};
+use dsa_trace::{
+    validate_document_verbose, CacheKind, CacheOutcome, MetricsRegistry, Rollup, TraceFormat,
+};
 
 const USAGE: &str = "usage: trace_query [--format table|jsonl] [--validate] <file-or-dir>...";
 
@@ -83,28 +86,65 @@ fn label_of(path: &str) -> String {
         .to_string()
 }
 
+/// The cache-verdict rows, `(cache, outcome, accesses)`, sorted by
+/// cache then outcome name.
+fn cache_verdicts(m: &MetricsRegistry) -> Vec<(&'static str, &'static str, u64)> {
+    let mut rows: Vec<_> = CacheKind::ALL
+        .into_iter()
+        .flat_map(|cache| CacheOutcome::ALL.into_iter().map(move |outcome| (cache, outcome)))
+        .map(|(cache, outcome)| {
+            (cache.name(), outcome.name(), m.counter(&format!("cache.{cache}.{outcome}")))
+        })
+        .filter(|&(_, _, n)| n > 0)
+        .collect();
+    rows.sort_unstable();
+    rows
+}
+
+/// One workload's lifecycle row: detected, vectorized, rejected,
+/// rolled back, finished, poisoned, faults injected, simulator faults.
+fn lifecycle(m: &MetricsRegistry) -> [u64; 8] {
+    [
+        m.counter("loop.detected"),
+        m.counter("loop.vectorized"),
+        m.counter("loop.rejected"),
+        m.counter("loop.rolled_back"),
+        m.counter("loop.finished"),
+        m.counter("engine.poisoned"),
+        m.counter_sum("fault."),
+        m.counter_sum("sim.fault."),
+    ]
+}
+
+/// Per event type name, its count.
+fn event_types(m: &MetricsRegistry) -> impl Iterator<Item = (&str, u64)> {
+    m.counters().filter_map(|(k, v)| Some((k.strip_prefix("event.")?, v)))
+}
+
 /// `span` is the (min, max) core cycle over every event folded.
-fn render_table_report(total: &Rollup, span: (u64, u64)) {
-    println!("== rollup: {} runs, {} events ==", total.runs, total.events);
+fn render_table_report(rollup: &Rollup, span: (u64, u64)) {
+    let total = &rollup.total;
+    let total_dsa_cycles = total.dsa_cycles();
+    println!("== rollup: {} runs, {} events ==", rollup.runs, total.events());
     if span.0 <= span.1 {
         println!("  core-cycle span: {}..{}", span.0, span.1);
     }
 
     println!("\n== cycles by stage (all runs) ==");
     let rows: Vec<Vec<String>> = total
-        .charges
-        .iter()
-        .map(|(k, c)| {
-            let share = if total.total_dsa_cycles == 0 {
+        .charges()
+        .into_iter()
+        .map(|(source, events, dsa_cycles)| {
+            let share = if total_dsa_cycles == 0 {
                 0.0
             } else {
-                100.0 * c.dsa_cycles as f64 / total.total_dsa_cycles as f64
+                100.0 * dsa_cycles as f64 / total_dsa_cycles as f64
             };
             vec![
-                k.to_string(),
-                c.events.to_string(),
-                c.dsa_cycles.to_string(),
-                format!("{:.2}", c.dsa_cycles as f64 / c.events.max(1) as f64),
+                source.to_string(),
+                events.to_string(),
+                dsa_cycles.to_string(),
+                format!("{:.2}", dsa_cycles as f64 / events.max(1) as f64),
                 format!("{share:.1}%"),
             ]
         })
@@ -113,55 +153,56 @@ fn render_table_report(total: &Rollup, span: (u64, u64)) {
         "{}",
         dsa_bench::render_table(&["source", "events", "dsa-cycles", "mean", "share"], &rows)
     );
-    println!("  total: {} DSA-side cycles", total.total_dsa_cycles);
+    println!("  total: {total_dsa_cycles} DSA-side cycles");
 
-    if !total.cache.is_empty() {
+    let verdicts = cache_verdicts(total);
+    if !verdicts.is_empty() {
         println!("\n== cache verdicts ==");
-        let rows: Vec<Vec<String>> = total
-            .cache
-            .iter()
-            .map(|(&(cache, outcome), &n)| {
-                vec![cache.to_string(), outcome.to_string(), n.to_string()]
-            })
+        let rows: Vec<Vec<String>> = verdicts
+            .into_iter()
+            .map(|(cache, outcome, n)| vec![cache.to_string(), outcome.to_string(), n.to_string()])
             .collect();
         print!("{}", dsa_bench::render_table(&["cache", "outcome", "count"], &rows));
     }
 
-    if total.cidp.verdicts > 0 {
+    let cidp_verdicts = total.counter("cidp.verdicts");
+    if cidp_verdicts > 0 {
         println!("\n== CIDP verdicts ==");
         println!(
             "  {} verdicts over {} stream pairs: {} dependent, {} independent",
-            total.cidp.verdicts, total.cidp.pairs, total.cidp.dependent, total.cidp.independent
+            cidp_verdicts,
+            total.counter("cidp.evaluations"),
+            total.counter("cidp.dependent"),
+            total.counter("cidp.independent")
         );
-        if total.cidp.distances.count() > 0 {
+        if let Some(distances) = total.histogram("cidp.distance") {
             println!(
                 "  predicted distances: n={} min={} max={}",
-                total.cidp.distances.count(),
-                total.cidp.distances.min(),
-                total.cidp.distances.max()
+                distances.count(),
+                distances.min(),
+                distances.max()
             );
         }
     }
 
-    if !total.workloads.is_empty() {
+    if !rollup.workloads.is_empty() {
         println!("\n== per-workload lifecycle ==");
-        let rows: Vec<Vec<String>> = total
-            .workloads
-            .iter()
-            .map(|(k, t)| {
-                vec![
-                    k.clone(),
-                    t.detected.to_string(),
-                    t.vectorized.to_string(),
-                    t.rejected.to_string(),
-                    t.rolled_back.to_string(),
-                    t.finished.to_string(),
-                    format!("{:.3}", t.degradation_rate()),
-                    t.poisoned.to_string(),
-                    t.sim_faults.to_string(),
-                ]
-            })
-            .collect();
+        let mut rows: Vec<Vec<String>> = Vec::new();
+        for (k, m) in &rollup.workloads {
+            let [detected, vectorized, rejected, rolled_back, finished, poisoned, _, sim_faults] =
+                lifecycle(m);
+            rows.push(vec![
+                k.clone(),
+                detected.to_string(),
+                vectorized.to_string(),
+                rejected.to_string(),
+                rolled_back.to_string(),
+                finished.to_string(),
+                format!("{:.3}", m.degradation_rate()),
+                poisoned.to_string(),
+                sim_faults.to_string(),
+            ]);
+        }
         print!(
             "{}",
             dsa_bench::render_table(
@@ -176,27 +217,27 @@ fn render_table_report(total: &Rollup, span: (u64, u64)) {
 
     println!("\n== event counts ==");
     let rows: Vec<Vec<String>> =
-        total.types.iter().map(|(k, v)| vec![k.to_string(), v.to_string()]).collect();
+        event_types(total).map(|(k, v)| vec![k.to_string(), v.to_string()]).collect();
     print!("{}", dsa_bench::render_table(&["type", "count"], &rows));
 }
 
-fn render_jsonl_report(total: &Rollup) {
+fn render_jsonl_report(rollup: &Rollup) {
+    let total = &rollup.total;
     let mut out = format!(
         "{{\"schema\":\"dsa-trace-query/v1\",\"runs\":{},\"events\":{},\"total_dsa_cycles\":{}",
-        total.runs, total.events, total.total_dsa_cycles
+        rollup.runs,
+        total.events(),
+        total.dsa_cycles()
     );
     out.push_str(",\"charges\":{");
-    for (i, (k, c)) in total.charges.iter().enumerate() {
+    for (i, (source, events, dsa_cycles)) in total.charges().into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "\"{k}\":{{\"events\":{},\"dsa_cycles\":{}}}",
-            c.events, c.dsa_cycles
-        ));
+        out.push_str(&format!("\"{source}\":{{\"events\":{events},\"dsa_cycles\":{dsa_cycles}}}"));
     }
     out.push_str("},\"cache\":{");
-    for (i, (&(cache, outcome), &n)) in total.cache.iter().enumerate() {
+    for (i, (cache, outcome, n)) in cache_verdicts(total).into_iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
@@ -204,30 +245,28 @@ fn render_jsonl_report(total: &Rollup) {
     }
     out.push_str(&format!(
         "}},\"cidp\":{{\"verdicts\":{},\"dependent\":{},\"independent\":{},\"pairs\":{}}}",
-        total.cidp.verdicts, total.cidp.dependent, total.cidp.independent, total.cidp.pairs
+        total.counter("cidp.verdicts"),
+        total.counter("cidp.dependent"),
+        total.counter("cidp.independent"),
+        total.counter("cidp.evaluations")
     ));
     out.push_str(",\"workloads\":{");
-    for (i, (k, t)) in total.workloads.iter().enumerate() {
+    for (i, (k, m)) in rollup.workloads.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }
+        let [detected, vectorized, rejected, rolled_back, finished, poisoned, faults, sim_faults] =
+            lifecycle(m);
         out.push_str(&format!(
-            "\"{k}\":{{\"detected\":{},\"vectorized\":{},\"rejected\":{},\"rolled_back\":{},\
-             \"finished\":{},\"degradation_rate\":{:.6},\"poisoned\":{},\"faults\":{},\
-             \"sim_faults\":{}}}",
-            t.detected,
-            t.vectorized,
-            t.rejected,
-            t.rolled_back,
-            t.finished,
-            t.degradation_rate(),
-            t.poisoned,
-            t.faults,
-            t.sim_faults
+            "\"{k}\":{{\"detected\":{detected},\"vectorized\":{vectorized},\
+             \"rejected\":{rejected},\"rolled_back\":{rolled_back},\"finished\":{finished},\
+             \"degradation_rate\":{:.6},\"poisoned\":{poisoned},\"faults\":{faults},\
+             \"sim_faults\":{sim_faults}}}",
+            m.degradation_rate()
         ));
     }
     out.push_str("},\"types\":{");
-    for (i, (k, v)) in total.types.iter().enumerate() {
+    for (i, (k, v)) in event_types(total).enumerate() {
         if i > 0 {
             out.push(',');
         }

@@ -4,7 +4,8 @@
 //! `a2_fig16_extended`, `a3_fig8_performance`, `a3_fig9_energy` and both
 //! latency tables all re-measure the same (workload × system) points at
 //! [`Scale::Paper`]. A [`RunCache`] keys every measured run by
-//! `(workload, system, scale, DSA-config fingerprint)` and simulates
+//! `(workload, system, scale)` — a system fixes its DSA configuration —
+//! and simulates
 //! each key exactly once per process; repeated requests return the
 //! memoized [`RunResult`].
 //!
@@ -24,7 +25,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use dsa_core::DsaConfig;
 use dsa_trace::WorkloadName;
 use dsa_workloads::{micro, Scale, WorkloadId};
 
@@ -91,43 +91,13 @@ pub fn fixed_workloads() -> [Workload; 8] {
     ]
 }
 
-/// Cache key: the exact inputs that determine a run's outcome.
+/// Cache key: the exact inputs that determine a run's outcome. The
+/// system fixes the DSA configuration ([`System::dsa_config`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RunKey {
     workload: Workload,
     system: System,
     scale: Scale,
-    /// Fingerprint of the DSA configuration (0 without a DSA), so
-    /// ablations probing non-default configs get distinct entries.
-    dsa_fingerprint: u64,
-}
-
-impl RunKey {
-    fn new(workload: Workload, system: System, scale: Scale) -> RunKey {
-        RunKey {
-            workload,
-            system,
-            scale,
-            dsa_fingerprint: fingerprint(&system.dsa_config()),
-        }
-    }
-}
-
-/// Order-independent digest of a DSA configuration (FNV-1a over the
-/// `Debug` rendering — `DsaConfig` is plain data with a stable
-/// field-by-field format).
-pub fn fingerprint(cfg: &Option<DsaConfig>) -> u64 {
-    match cfg {
-        None => 0,
-        Some(c) => {
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            for b in format!("{c:?}").bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-            h
-        }
-    }
 }
 
 /// Counters describing what the cache did so far.
@@ -182,7 +152,7 @@ impl RunCache {
         system: System,
         scale: Scale,
     ) -> Result<Arc<RunResult>, RunError> {
-        self.fill(RunKey::new(workload, system, scale), || {
+        self.fill(RunKey { workload, system, scale }, || {
             let w = workload.build(system, scale);
             run_built(&w, system).map(Arc::new)
         })
@@ -300,7 +270,8 @@ impl RunCache {
 pub struct ContentKey {
     /// [`dsa_isa::Program::content_hash`] of the kernel text.
     pub program: u64,
-    /// [`fingerprint`] of the DSA configuration (0 without a DSA).
+    /// [`dsa_core::DsaConfig::fingerprint`] of the DSA configuration (0
+    /// without a DSA).
     pub config: u64,
     /// Input scale.
     pub scale: Scale,
@@ -457,16 +428,18 @@ const _: fn() = || {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsa_core::DsaConfig;
 
     #[test]
     fn key_distinguishes_dsa_configs() {
-        let orig = fingerprint(&Some(DsaConfig::original()));
-        let full = fingerprint(&Some(DsaConfig::full()));
+        let orig = DsaConfig::original().fingerprint();
+        let full = DsaConfig::full().fingerprint();
         assert_ne!(orig, full);
-        assert_eq!(fingerprint(&None), 0);
+        let workload = Workload::App(WorkloadId::QSort);
+        let scale = Scale::Small;
         assert_ne!(
-            RunKey::new(Workload::App(WorkloadId::QSort), System::DsaOriginal, Scale::Small),
-            RunKey::new(Workload::App(WorkloadId::QSort), System::DsaFull, Scale::Small),
+            RunKey { workload, system: System::DsaOriginal, scale },
+            RunKey { workload, system: System::DsaFull, scale },
         );
     }
 
@@ -487,7 +460,8 @@ mod tests {
     #[test]
     fn a_panicking_run_is_memoized_as_one_error() {
         let cache = RunCache::new();
-        let key = RunKey::new(Workload::App(WorkloadId::QSort), System::DsaFull, Scale::Small);
+        let workload = Workload::App(WorkloadId::QSort);
+        let key = RunKey { workload, system: System::DsaFull, scale: Scale::Small };
         let crash = || -> Result<Arc<RunResult>, RunError> { panic!("injected simulator crash") };
         for _ in 0..2 {
             let got = cache.fill(key, crash).map(|_| ());

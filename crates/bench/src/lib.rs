@@ -29,9 +29,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dsa_compiler::Variant;
 use dsa_core::{Dsa, DsaConfig, DsaStats, LoopCensus, SnapshotError};
-use dsa_cpu::{CpuConfig, RunOutcome, SimError};
+use dsa_cpu::{CpuConfig, RunOutcome, SimError, Simulator};
 use dsa_energy::{EnergyBreakdown, EnergyModel, EnergyTable};
-use dsa_trace::{MetricsRegistry, SharedMetrics};
+use dsa_trace::{MetricsRegistry, Shared, TraceSink};
 use dsa_workloads::{build, BuiltWorkload, Scale, WorkloadId};
 
 /// Instruction budget per run.
@@ -195,8 +195,7 @@ pub struct RunResult {
     /// Energy breakdown.
     pub energy: EnergyBreakdown,
     /// Telemetry counters folded from the run's event stream — present
-    /// only when the run was traced ([`DsaConfig`]`::trace` set, or
-    /// `DSA_METRICS=1` in the environment).
+    /// only when `DSA_METRICS=1` in the environment traced a DSA run.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -216,29 +215,61 @@ impl RunResult {
 /// [`RunError::WrongResult`] if the final state differs from the
 /// workload's golden reference.
 pub fn run_built(w: &BuiltWorkload, system: System) -> Result<RunResult, RunError> {
+    if system.dsa_config().is_some() && metrics_requested() {
+        // Telemetry is opt-in: attaching the metrics sink to every grid
+        // run would tax the warm-up loop, so the flag gates it.
+        let metrics = Shared::new(MetricsRegistry::new());
+        let result = run_built_traced(w, system, metrics.clone())?;
+        return Ok(RunResult { metrics: Some(metrics.with(std::mem::take)), ..result });
+    }
     let mut sim = w.simulator(CpuConfig::default());
-    let (outcome, dsa, metrics) = match system.dsa_config() {
-        None => (sim.run(FUEL)?, None, None),
+    let (outcome, dsa) = match system.dsa_config() {
+        None => (sim.run(FUEL)?, None),
         Some(cfg) => {
             let mut dsa = Dsa::new(cfg);
-            if cfg.trace || metrics_requested() {
-                // Telemetry is opt-in: the metrics sink is shared between
-                // the engine (per-loop lifecycle events) and the
-                // simulator's run brackets, then snapshotted into the
-                // result. Attaching it to every grid run would tax the
-                // warm-up loop, so the flag gates it.
-                let shared = SharedMetrics::new();
-                dsa.attach_sink(shared.clone());
-                let mut boundary = shared.clone();
-                let out = sim.run_traced(FUEL, &mut dsa, &mut boundary)?;
-                dsa.finish_trace();
-                (out, Some(dsa), Some(shared.snapshot()))
-            } else {
-                let out = sim.run_with_hook(FUEL, &mut dsa)?;
-                (out, Some(dsa), None)
-            }
+            let out = sim.run_with_hook(FUEL, &mut dsa)?;
+            (out, Some(dsa))
         }
     };
+    checked_result(w, &sim, system, outcome, dsa.as_ref())
+}
+
+/// Runs a prebuilt workload under one DSA system with `sink` attached:
+/// the engine's lifecycle events and the simulator's run brackets all
+/// reach it, and the engine's stream is finished before the result is
+/// checked. [`RunResult::metrics`] is left empty; the caller owns what
+/// the sink folded.
+///
+/// # Errors
+///
+/// Same contract as [`run_built`].
+///
+/// # Panics
+///
+/// If `system` has no DSA ([`System::dsa_config`] is `None`).
+pub fn run_built_traced(
+    w: &BuiltWorkload,
+    system: System,
+    sink: impl TraceSink + Clone + Send + 'static,
+) -> Result<RunResult, RunError> {
+    let cfg = system.dsa_config().expect("a traced run needs a DSA system");
+    let mut sim = w.simulator(CpuConfig::default());
+    let mut boundary = sink.clone();
+    let mut dsa = Dsa::new(cfg);
+    dsa.attach_sink(sink);
+    let outcome = sim.run_traced(FUEL, &mut dsa, &mut boundary)?;
+    dsa.finish_trace();
+    checked_result(w, &sim, system, outcome, Some(&dsa))
+}
+
+/// The golden check and energy evaluation every run ends with.
+fn checked_result(
+    w: &BuiltWorkload,
+    sim: &Simulator,
+    system: System,
+    outcome: RunOutcome,
+    dsa: Option<&Dsa>,
+) -> Result<RunResult, RunError> {
     if !w.check(sim.machine()) {
         return Err(RunError::WrongResult {
             system,
@@ -247,15 +278,9 @@ pub fn run_built(w: &BuiltWorkload, system: System) -> Result<RunResult, RunErro
         });
     }
     let model = EnergyModel::new(EnergyTable::default());
-    let stats = dsa.as_ref().map(|d| d.stats());
+    let stats = dsa.map(Dsa::stats);
     let energy = model.evaluate(&outcome, stats.as_ref());
-    Ok(RunResult {
-        outcome,
-        dsa: stats,
-        census: dsa.as_ref().map(|d| d.census()),
-        energy,
-        metrics,
-    })
+    Ok(RunResult { outcome, dsa: stats, census: dsa.map(Dsa::census), energy, metrics: None })
 }
 
 /// Whether `DSA_METRICS=1` asks every DSA run to fold telemetry into

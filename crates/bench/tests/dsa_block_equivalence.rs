@@ -70,7 +70,7 @@ fn drive<H: CommitHook>(
 /// and the finished simulator.
 fn run_shape(mut sim: Simulator, cfg: DsaConfig, shape: Shape) -> (Observed, Simulator) {
     let sink = Shared::new(Collector::new());
-    let mut dsa = Dsa::new(cfg.with_trace());
+    let mut dsa = Dsa::new(cfg);
     dsa.attach_sink(sink.clone());
     let mut boundary = sink.clone();
     let (outcome, mut dsa) = match shape {

@@ -41,7 +41,7 @@ fn count_kernel(n: u32) -> (dsa_compiler::Kernel, impl Fn(&mut Machine)) {
 fn traced_run(n: u32) -> (Vec<Event>, u64) {
     let (kernel, init) = count_kernel(n);
     let sink = Shared::new(Collector::new());
-    let mut dsa = Dsa::new(DsaConfig::full().with_trace());
+    let mut dsa = Dsa::new(DsaConfig::full());
     dsa.attach_sink(sink.clone());
     let mut sim = Simulator::new(kernel.program, CpuConfig::default());
     init(sim.machine_mut());
@@ -70,15 +70,13 @@ fn scratch_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-#[test]
-fn directory_rollup_matches_engine_cycle_ledger() {
+/// The eight traced runs, persisted in a fresh scratch directory with
+/// alternating encodings (`run<i>.trcb` for even `i`, `run<i>.jsonl`
+/// for odd); returns the directory and each run's events and ledger.
+fn mixed_run_dir(tag: &str) -> (std::path::PathBuf, Vec<(Vec<Event>, u64)>) {
     let runs: Vec<(Vec<Event>, u64)> =
         (0..RUNS).map(|i| traced_run(16 + 8 * i as u32)).collect();
-    let expected_cycles: u64 = runs.iter().map(|(_, c)| c).sum();
-    assert!(expected_cycles > 0, "workloads must exercise the DSA");
-
-    // Persist the eight runs, alternating encodings in one directory.
-    let dir = scratch_dir("mixed");
+    let dir = scratch_dir(tag);
     for (i, (events, _)) in runs.iter().enumerate() {
         if i % 2 == 0 {
             let path = dir.join(format!("run{i}.trcb"));
@@ -88,6 +86,14 @@ fn directory_rollup_matches_engine_cycle_ledger() {
             std::fs::write(path, jsonl_document(events)).expect("write jsonl trace");
         }
     }
+    (dir, runs)
+}
+
+#[test]
+fn directory_rollup_matches_engine_cycle_ledger() {
+    let (dir, runs) = mixed_run_dir("mixed");
+    let expected_cycles: u64 = runs.iter().map(|(_, c)| c).sum();
+    assert!(expected_cycles > 0, "workloads must exercise the DSA");
 
     // Roll the directory back up the way trace_query does: sniff each
     // file, fold under its stem.
@@ -119,9 +125,10 @@ fn directory_rollup_matches_engine_cycle_ledger() {
 
     // The rollup's cycle total is the engines' own ledger, exactly.
     assert_eq!(whole.runs, RUNS as u64);
-    assert_eq!(whole.total_dsa_cycles, expected_cycles, "rollup must match Σ detection_cycles");
-    let charged: u64 = whole.charges.values().map(|c| c.dsa_cycles).sum();
-    assert_eq!(charged, whole.total_dsa_cycles, "per-stage charges must sum to the total");
+    assert_eq!(whole.total.dsa_cycles(), expected_cycles, "rollup must match Σ detection_cycles");
+    let charged: u64 = whole.total.charges().iter().map(|&(_, _, c)| c).sum();
+    let event_cycles: u64 = runs.iter().flat_map(|(e, _)| e).map(Event::dsa_cycles).sum();
+    assert_eq!(charged, event_cycles, "per-stage charges must sum to Σ event dsa_cycles");
     assert_eq!(whole.workloads.len(), RUNS, "one workload tally per run label");
 
     // Partition-insensitive: merging the per-run rollups reproduces the
@@ -156,33 +163,11 @@ fn encoding_choice_is_invisible_to_the_rollup() {
 
 #[test]
 fn trace_query_binary_reports_the_same_totals() {
-    let runs: Vec<(Vec<Event>, u64)> =
-        (0..RUNS).map(|i| traced_run(16 + 8 * i as u32)).collect();
+    let (dir, runs) = mixed_run_dir("bin");
     let expected_cycles: u64 = runs.iter().map(|(_, c)| c).sum();
     let expected_events: usize = runs.iter().map(|(e, _)| e.len()).sum();
 
-    let dir = scratch_dir("bin");
-    for (i, (events, _)) in runs.iter().enumerate() {
-        if i % 2 == 0 {
-            std::fs::write(dir.join(format!("run{i}.trcb")), dsa_trace::encode(events))
-                .expect("write binary trace");
-        } else {
-            std::fs::write(dir.join(format!("run{i}.jsonl")), jsonl_document(events))
-                .expect("write jsonl trace");
-        }
-    }
-
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_trace_query"))
-        .args(["--validate", "--format", "jsonl"])
-        .arg(&dir)
-        .output()
-        .expect("spawn trace_query");
-    assert!(
-        out.status.success(),
-        "trace_query failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 report");
+    let stdout = query_stdout(&["--validate", "--format", "jsonl"], &dir);
     let line = stdout.lines().next().expect("one report line");
     assert!(line.starts_with("{\"schema\":\"dsa-trace-query/v1\""), "got: {line}");
     assert!(
@@ -198,5 +183,57 @@ fn trace_query_binary_reports_the_same_totals() {
         "report total must match the engine ledger ({expected_cycles}): {line}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `trace_query` with `args` over `dir`; returns its stdout.
+fn query_stdout(args: &[&str], dir: &std::path::Path) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_trace_query"))
+        .args(args)
+        .arg(dir)
+        .output()
+        .expect("spawn trace_query");
+    assert!(out.status.success(), "trace_query failed: {}", String::from_utf8_lossy(&out.stderr));
+    String::from_utf8(out.stdout).expect("utf-8 report")
+}
+
+/// Golden of both `trace_query` report forms over the eight runs plus
+/// the every-event trace (harness rows, CIDP distances, every cache
+/// outcome). Regenerate deliberately with:
+///
+/// ```text
+/// DSA_BLESS=1 cargo test -p dsa-bench --test trace_query
+/// ```
+#[test]
+fn trace_query_reports_match_the_golden() {
+    let (dir, _) = mixed_run_dir("golden");
+    let manifest = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
+    std::fs::copy(
+        manifest.join("../trace/tests/golden/every_event.jsonl"),
+        dir.join("every_event.jsonl"),
+    )
+    .expect("copy the every-event trace");
+
+    for (format, file) in [("table", "trace_query.txt"), ("jsonl", "trace_query.jsonl")] {
+        let live = query_stdout(&["--validate", "--format", format], &dir);
+        let path = manifest.join("tests/golden").join(file);
+        if std::env::var_os("DSA_BLESS").is_some() {
+            std::fs::write(&path, &live).expect("bless golden");
+            continue;
+        }
+        let golden = std::fs::read_to_string(&path).unwrap_or_else(|e| {
+            panic!(
+                "missing golden {} ({e}); run \
+                 DSA_BLESS=1 cargo test -p dsa-bench --test trace_query",
+                path.display()
+            )
+        });
+        assert!(
+            live == golden,
+            "trace_query --format {format} drifted from {}:\n--- live\n{live}\n\
+             --- blessed\n{golden}",
+            path.display()
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -166,12 +166,6 @@ pub struct DsaConfig {
     pub min_profitable_iterations: u32,
     /// Leftover strategy.
     pub leftover: LeftoverPolicy,
-    /// Opt-in telemetry: when set, the harness attaches trace sinks
-    /// (metrics registry, and — with `DSA_TRACE=<path>` — the JSONL and
-    /// Perfetto exporters) to the run. The engine itself only emits
-    /// through an attached sink, so `false` keeps the zero-overhead
-    /// disabled path.
-    pub trace: bool,
     /// Optional deterministic fault-injection schedule (robustness
     /// testing only; `None` in every normal configuration).
     pub faults: Option<FaultPlan>,
@@ -199,7 +193,6 @@ impl Default for DsaConfig {
             conditional_analysis_limit: 64,
             min_profitable_iterations: 8,
             leftover: LeftoverPolicy::Auto,
-            trace: false,
             faults: None,
             test_bug: None,
         }
@@ -227,15 +220,26 @@ impl DsaConfig {
         DsaConfig { faults: Some(plan), ..self }
     }
 
-    /// The same configuration with telemetry opted in.
-    pub fn with_trace(self) -> DsaConfig {
-        DsaConfig { trace: true, ..self }
-    }
-
     /// The same configuration with a planted detector bug armed
     /// (fuzz-harness self-test only).
     pub fn with_test_bug(self, bug: TestBug) -> DsaConfig {
         DsaConfig { test_bug: Some(bug), ..self }
+    }
+
+    /// Digest of the configuration: FNV-1a over the `Debug` rendering
+    /// (`DsaConfig` is plain data with a stable field-by-field format),
+    /// with the fault plan neutralized first. Faults alter timing, never
+    /// persistent engine state, so a snapshot captured under an armed
+    /// plan restores into the clean configuration. Snapshot images and
+    /// the serve result store key on it.
+    pub fn fingerprint(&self) -> u64 {
+        let neutral = DsaConfig { faults: None, ..*self };
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in format!("{neutral:?}").bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
     }
 }
 
@@ -262,6 +266,15 @@ mod tests {
         assert_eq!(armed.test_bug, Some(TestBug::CorruptRestore));
         assert_eq!(TestBug::by_name(TestBug::CorruptRestore.name()), Some(TestBug::CorruptRestore));
         assert_eq!(TestBug::by_name("no-such-bug"), None);
+    }
+
+    #[test]
+    fn fingerprint_neutralizes_faults() {
+        let base = DsaConfig::default();
+        let with_faults = base.with_faults(FaultPlan::all(7));
+        assert_eq!(base.fingerprint(), with_faults.fingerprint());
+        let bigger = DsaConfig { dsa_cache_bytes: 16 * 1024, ..base };
+        assert_ne!(base.fingerprint(), bigger.fingerprint());
     }
 
     #[test]

@@ -82,30 +82,6 @@ pub struct Dsa {
     tracer: Tracer,
 }
 
-/// Outcome of [`Dsa::restore_or_cold`]: either the warm state came back,
-/// or the image was rejected and a cold engine stands in.
-// Constructed once per restore attempt; not worth boxing the machine.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug)]
-pub enum Restored {
-    /// The image validated; engine and machine resume where the
-    /// snapshot was taken.
-    Warm {
-        /// The restored engine (warm caches, Probing mode).
-        dsa: Dsa,
-        /// The restored architectural state.
-        machine: Machine,
-    },
-    /// The image was rejected; a cold engine is supplied instead (the
-    /// caller must also rebuild machine state from scratch).
-    Cold {
-        /// A fresh engine under the requested configuration.
-        dsa: Dsa,
-        /// Why the image was rejected.
-        error: SnapshotError,
-    },
-}
-
 #[derive(Debug)]
 enum Mode {
     Probing,
@@ -301,17 +277,6 @@ impl Dsa {
             }
         }
         Ok((dsa, machine))
-    }
-
-    /// Restores from a snapshot image, degrading to a cold start when
-    /// the image is rejected: the caller always gets a usable engine,
-    /// plus the typed rejection so it can be reported (as a
-    /// `snapshot-rejected` trace event, for instance).
-    pub fn restore_or_cold(bytes: &[u8], config: DsaConfig) -> Restored {
-        match Dsa::restore(bytes, config) {
-            Ok((dsa, machine)) => Restored::Warm { dsa, machine },
-            Err(error) => Restored::Cold { dsa: Dsa::new(config), error },
-        }
     }
 
     /// Arms a generalized chaos [`FaultSchedule`], replacing whatever

@@ -79,7 +79,7 @@ mod stats;
 pub use caches::{CachedKind, DsaCache, VerificationCache};
 pub use cidp::{predict, CidpOutcome, Stream};
 pub use config::{DsaConfig, FeatureSet, LeftoverPolicy, TestBug};
-pub use engine::{Dsa, EngineError, Restored};
+pub use engine::{Dsa, EngineError};
 pub use idhash::IdSet;
 pub use faults::{splitmix64, BurstWindow, FaultPlan, FaultSchedule, FaultSite, FaultState};
 pub use snapshot::{SessionMeta, Snapshot, SnapshotError};

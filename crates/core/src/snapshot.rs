@@ -28,8 +28,9 @@
 //! written in sorted key order, so `snapshot → restore → snapshot` is
 //! byte-identical. The trailing CRC covers the header too; because
 //! CRC-32 detects every single-bit error, any torn or bit-flipped image
-//! is rejected with a typed [`SnapshotError`] — callers degrade to a
-//! cold start instead of panicking ([`crate::Dsa::restore_or_cold`]).
+//! is rejected with a typed [`SnapshotError`] instead of a panic, and
+//! the caller decides what a rejected image means (dsa-serve fails the
+//! session with `RunError::Snapshot`).
 
 use dsa_cpu::{Flags, Machine, MachineState};
 use dsa_mem::PAGE_BYTES;
@@ -101,21 +102,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Fingerprint of the configuration a snapshot was captured under.
-/// Fault injection and tracing are *neutralized* first: they alter
-/// timing and observability, never persistent engine state, so a chaos
-/// harness may capture under an armed fault plan and restore into a
-/// clean config (or vice versa) without tripping [`SnapshotError::ConfigMismatch`].
-pub(crate) fn config_fingerprint(config: &DsaConfig) -> u64 {
-    let neutral = DsaConfig { faults: None, trace: false, ..*config };
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{neutral:?}").bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The DSA engine's persistent state, as exported by
 /// `Dsa::engine_state` and re-imported by `Dsa::from_state`. All
 /// collections are sorted by key.
@@ -151,7 +137,7 @@ impl Snapshot {
     /// `Paused` outcome is the intended pause point.
     pub fn capture(dsa: &Dsa, machine: &Machine) -> Snapshot {
         Snapshot {
-            config_fingerprint: config_fingerprint(dsa.config()),
+            config_fingerprint: dsa.config().fingerprint(),
             machine: machine.capture(),
             engine: dsa.engine_state(),
         }
@@ -171,7 +157,7 @@ impl Snapshot {
     /// a cache image into, say, a differently-sized cache would silently
     /// break the capacity invariants.
     pub fn restore_engine(&self, config: DsaConfig) -> Result<Dsa, SnapshotError> {
-        if config_fingerprint(&config) != self.config_fingerprint {
+        if config.fingerprint() != self.config_fingerprint {
             return Err(SnapshotError::ConfigMismatch);
         }
         Ok(Dsa::from_state(config, self.engine.clone()))
@@ -797,15 +783,6 @@ impl SessionMeta {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fingerprint_neutralizes_faults_and_trace() {
-        let base = DsaConfig::default();
-        let with_faults = base.with_faults(crate::FaultPlan::all(7)).with_trace();
-        assert_eq!(config_fingerprint(&base), config_fingerprint(&with_faults));
-        let bigger = DsaConfig { dsa_cache_bytes: 16 * 1024, ..base };
-        assert_ne!(config_fingerprint(&base), config_fingerprint(&bigger));
-    }
 
     #[test]
     fn empty_snapshot_roundtrips() {

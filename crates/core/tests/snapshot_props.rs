@@ -7,8 +7,7 @@
 //!    wire format admits exactly one encoding of a state, so images can
 //!    be compared and deduplicated byte-wise).
 //! 2. **Corruption detection** — flipping any single bit of an image
-//!    makes restore fail with a typed [`SnapshotError`], and
-//!    [`Dsa::restore_or_cold`] degrades to a cold engine instead of
+//!    makes restore fail with a typed [`SnapshotError`] instead of
 //!    panicking or resuming from torn state. (CRC-32 detects *all*
 //!    single-bit errors mathematically; `snapshot.rs` proves the small
 //!    image exhaustively, these tests fuzz real mid-run images.)
@@ -17,7 +16,7 @@
 //!    state as running uninterrupted.
 
 use dsa_compiler::{Body, CmpOp, DataType, Expr, KernelBuilder, LoopIr, Trip, Variant};
-use dsa_core::{Dsa, DsaConfig, Restored, Snapshot};
+use dsa_core::{Dsa, DsaConfig, Snapshot, SnapshotError};
 use dsa_cpu::{BoundedOutcome, CpuConfig, Machine, Simulator};
 use proptest::prelude::*;
 
@@ -132,7 +131,7 @@ proptest! {
     }
 
     /// Property 2: any single-bit flip of a real mid-run image is
-    /// detected, and `restore_or_cold` degrades to a cold engine.
+    /// detected, with a typed, named rejection.
     #[test]
     fn sampled_bit_flips_of_mid_run_images_are_detected(
         seed in any::<u32>(),
@@ -145,17 +144,9 @@ proptest! {
         let mut image = Snapshot::capture(&dsa, sim.machine()).to_bytes();
         let bit = (bit_pick % (image.len() as u64 * 8)) as usize;
         image[bit / 8] ^= 1 << (bit % 8);
-        prop_assert!(
-            Dsa::restore(&image, DsaConfig::full()).is_err(),
-            "bit {} flip must be rejected", bit
-        );
-        match Dsa::restore_or_cold(&image, DsaConfig::full()) {
-            Restored::Cold { dsa, error } => {
-                // The cold engine is genuinely fresh and usable.
-                prop_assert_eq!(dsa.stats().loops_detected, 0);
-                prop_assert!(!error.kind().name().is_empty());
-            }
-            Restored::Warm { .. } => prop_assert!(false, "corrupt image restored warm"),
+        match Dsa::restore(&image, DsaConfig::full()) {
+            Err(error) => prop_assert!(!error.kind().name().is_empty()),
+            Ok(_) => prop_assert!(false, "bit {} flip must be rejected", bit),
         }
     }
 
@@ -171,10 +162,9 @@ proptest! {
         };
         let image = Snapshot::capture(&dsa, sim.machine()).to_bytes();
         let cut = (cut_pick % image.len() as u64) as usize;
-        prop_assert!(Dsa::restore(&image[..cut], DsaConfig::full()).is_err());
         prop_assert!(matches!(
-            Dsa::restore_or_cold(&image[..cut], DsaConfig::full()),
-            Restored::Cold { .. }
+            Dsa::restore(&image[..cut], DsaConfig::full()),
+            Err(SnapshotError::Truncated)
         ));
     }
 

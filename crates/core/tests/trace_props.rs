@@ -136,7 +136,7 @@ fn kernel(shape: Shape, n: u32) -> (dsa_compiler::Kernel, Init) {
 /// stats and the complete event stream.
 fn traced(shape: Shape, n: u32, runs: u32, plan: Option<FaultPlan>) -> (DsaStats, Vec<Event>) {
     let (kernel, init) = kernel(shape, n);
-    let mut cfg = DsaConfig::full().with_trace();
+    let mut cfg = DsaConfig::full();
     if let Some(plan) = plan {
         cfg = cfg.with_faults(plan);
     }

@@ -56,7 +56,7 @@ fn count_kernel(n: u32) -> (dsa_compiler::Kernel, impl Fn(&mut Machine)) {
 fn traced_events() -> Vec<Event> {
     let (kernel, init) = count_kernel(64);
     let sink = Shared::new(Collector::new());
-    let mut dsa = Dsa::new(DsaConfig::full().with_trace());
+    let mut dsa = Dsa::new(DsaConfig::full());
     dsa.attach_sink(sink.clone());
     for run in 0..2 {
         let mut sim = Simulator::new(kernel.program.clone(), CpuConfig::default());

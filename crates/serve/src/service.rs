@@ -28,9 +28,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dsa_core::splitmix64;
-use dsa_trace::{Event, ShedReason, TraceSink, WorkloadName};
+use dsa_trace::{Event, Shared, ShedReason, TraceSink, WorkloadName};
 
-use dsa_bench::cache::{fingerprint, ContentKey, ResultStore, StoreStats};
+use dsa_bench::cache::{ContentKey, ResultStore, StoreStats};
 use dsa_bench::RunError;
 
 use crate::protocol::JobOutcome;
@@ -195,7 +195,7 @@ pub struct ServiceInner {
     shutdown: AtomicBool,
     /// Service-level (wall-clock) events folded into metrics when
     /// sampling is on; drained into `fleet` alongside shard deltas.
-    service_metrics: dsa_trace::SharedMetrics,
+    service_metrics: Shared<dsa_trace::MetricsRegistry>,
     /// The fleet accumulator: every drained shard delta merges here, so
     /// a snapshot at any time covers the service's whole history.
     fleet: Mutex<dsa_trace::MetricsRegistry>,
@@ -238,7 +238,8 @@ impl ServiceInner {
     /// digest (`program`, the `content_hash` of the session's one
     /// build), DSA-config fingerprint, scale.
     pub fn content_key(&self, spec: &JobSpec, program: u64) -> ContentKey {
-        ContentKey { program, config: fingerprint(&spec.system.dsa_config()), scale: spec.scale }
+        let config = spec.system.dsa_config().map_or(0, |c| c.fingerprint());
+        ContentKey { program, config, scale: spec.scale }
     }
 
     /// Counts and records one slice panic caught on `workload`.
@@ -406,7 +407,7 @@ impl Service {
             counters: Counters::default(),
             orphans: Mutex::new(Vec::new()),
             shutdown: AtomicBool::new(false),
-            service_metrics: dsa_trace::SharedMetrics::new(),
+            service_metrics: Shared::new(dsa_trace::MetricsRegistry::new()),
             fleet: Mutex::new(dsa_trace::MetricsRegistry::new()),
         });
         let workers = inner
@@ -421,10 +422,13 @@ impl Service {
         Service { inner, workers: Mutex::new(workers) }
     }
 
-    /// Routes all service, crash-boundary and engine events emitted on
-    /// the service path into `sink`. Attaching is optional; the service
-    /// is bit-identical with and without a sink (events observe, never
-    /// steer).
+    /// Routes the service and crash-boundary events (admissions, sheds,
+    /// completions, checkpoints, migrations, shard kills and
+    /// recoveries, supervisor retries and worker panics) into `sink`.
+    /// Engine events do not reach it: they go only to the sampled
+    /// per-shard metrics that [`Service::fleet_metrics`] merges.
+    /// Attaching is optional; the service is bit-identical with and
+    /// without a sink (events observe, never steer).
     pub fn attach_sink(&self, sink: impl TraceSink + Send + 'static) {
         self.inner.sink.attach(Box::new(sink));
     }
@@ -553,7 +557,7 @@ impl Service {
         for shard in &self.inner.shards {
             fleet.merge(&shard.drain_metrics());
         }
-        fleet.merge(&self.inner.service_metrics.drain());
+        fleet.merge(&self.inner.service_metrics.with(std::mem::take));
         fleet.clone()
     }
 

@@ -31,7 +31,7 @@ use std::time::Instant;
 
 use dsa_core::{Dsa, DsaConfig, SessionMeta, Snapshot, SnapshotError};
 use dsa_cpu::{BoundedOutcome, CpuConfig, NullHook, Simulator};
-use dsa_trace::{MetricsRegistry, SamplingSink, SharedMetrics};
+use dsa_trace::{MetricsRegistry, SamplingSink, Shared};
 use dsa_workloads::{checksum, BuiltWorkload, Scale};
 
 use dsa_bench::cache::Workload;
@@ -69,14 +69,14 @@ pub type SessionResult = Result<JobOutcome, crate::service::ServeError>;
 pub const SAMPLE_SEED: u64 = 0xD5A7_0ACE_05EE_D001;
 
 /// Per-slice always-on telemetry: a deterministic sampler feeding a
-/// shard-local [`SharedMetrics`] delta, cheap enough to stay attached
+/// shard-local [`MetricsRegistry`] delta, cheap enough to stay attached
 /// in production (the `trace_overhead_guard` bench holds the sampled
 /// slice path under its 2% budget).
-#[derive(Debug, Clone, Default)]
+#[derive(Clone)]
 pub struct SliceTelemetry {
     seed: u64,
     rate: u32,
-    metrics: SharedMetrics,
+    metrics: Shared<MetricsRegistry>,
 }
 
 impl SliceTelemetry {
@@ -84,7 +84,7 @@ impl SliceTelemetry {
     /// `rate == 0` disables sampling entirely (no sink is attached);
     /// `rate == 1` keeps everything.
     pub fn new(seed: u64, rate: u32) -> SliceTelemetry {
-        SliceTelemetry { seed, rate, metrics: SharedMetrics::new() }
+        SliceTelemetry { seed, rate, metrics: Shared::new(MetricsRegistry::new()) }
     }
 
     /// Disabled telemetry — slices run exactly as before sampling
@@ -101,19 +101,19 @@ impl SliceTelemetry {
     /// A sampler over the shared metrics delta; every call derives the
     /// same keep/drop verdicts, so re-attaching after a crash-restore
     /// or migration is coherent.
-    fn sampler(&self) -> SamplingSink<SharedMetrics> {
+    fn sampler(&self) -> SamplingSink<Shared<MetricsRegistry>> {
         SamplingSink::new(self.metrics.clone(), self.seed, self.rate)
     }
 
     /// Takes the metrics accumulated since the last drain (the
     /// shard-to-frontend delta).
     pub fn drain(&self) -> MetricsRegistry {
-        self.metrics.drain()
+        self.metrics.with(std::mem::take)
     }
 
     /// A copy of the accumulated metrics without draining them.
     pub fn snapshot(&self) -> MetricsRegistry {
-        self.metrics.snapshot()
+        self.metrics.with(|m| m.clone())
     }
 }
 

@@ -83,9 +83,9 @@ pub use jsonl::{
     validate_line, validate_line_verbose, JsonlSink,
 };
 pub use loops::{LoopRow, LoopTableSink};
-pub use metrics::{Histogram, MetricsRegistry, SharedMetrics};
+pub use metrics::{Histogram, MetricsRegistry};
 pub use perfetto::PerfettoSink;
-pub use query::{read_trace, Charge, CidpTally, LoadedTrace, Rollup, TraceFormat, WorkloadTally};
+pub use query::{read_trace, LoadedTrace, Rollup, TraceFormat};
 pub use sample::SamplingSink;
 
 /// A consumer of the telemetry stream. `record` must not panic — sinks
@@ -254,6 +254,10 @@ impl TraceSink for Fanout {
 /// A clonable handle sharing one sink between several emitters (e.g.
 /// the engine and the simulator writing to the same JSONL file). Every
 /// clone records into the same underlying sink, serialized by a mutex.
+/// A poisoned lock is taken over, not propagated: a sink outlives the
+/// panicking worker that shared it (dsa-serve catches injected crashes
+/// at its crash boundary and keeps recording), and a partly updated
+/// sink still holds valid telemetry.
 pub struct Shared<S: TraceSink>(std::sync::Arc<std::sync::Mutex<S>>);
 
 impl<S: TraceSink> Shared<S> {
@@ -264,7 +268,11 @@ impl<S: TraceSink> Shared<S> {
 
     /// Runs `f` on the inner sink under the lock.
     pub fn with<R>(&self, f: impl FnOnce(&mut S) -> R) -> R {
-        f(&mut self.0.lock().expect("shared sink poisoned"))
+        f(&mut self.lock())
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, S> {
+        self.0.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
@@ -276,19 +284,19 @@ impl<S: TraceSink> Clone for Shared<S> {
 
 impl<S: TraceSink> TraceSink for Shared<S> {
     fn record(&mut self, ev: &Event) {
-        self.0.lock().expect("shared sink poisoned").record(ev);
+        self.lock().record(ev);
     }
 
     fn record_all(&mut self, evs: &[Event]) {
-        self.0.lock().expect("shared sink poisoned").record_all(evs);
+        self.lock().record_all(evs);
     }
 
     fn keeps_loop(&mut self, loop_id: u32) -> bool {
-        self.0.lock().expect("shared sink poisoned").keeps_loop(loop_id)
+        self.lock().keeps_loop(loop_id)
     }
 
     fn finish(&mut self) {
-        self.0.lock().expect("shared sink poisoned").finish();
+        self.lock().finish();
     }
 }
 
@@ -426,6 +434,17 @@ mod tests {
         fan.finish();
         assert_eq!(a.with(|c| c.events.len()), 1);
         assert_eq!(b.with(|c| c.events.len()), 1);
+    }
+
+    #[test]
+    fn a_shared_sink_keeps_recording_after_a_holder_panics() {
+        let shared = Shared::new(Collector::new());
+        let holder = shared.clone();
+        let crashed = std::thread::spawn(move || holder.with(|_| panic!("injected crash"))).join();
+        assert!(crashed.is_err(), "the holder must have panicked under the lock");
+        let mut after = shared.clone();
+        after.record(&Event::RunStarted { pc: 0, cycle: 1 });
+        assert_eq!(shared.with(|c| c.events.len()), 1);
     }
 
     #[test]

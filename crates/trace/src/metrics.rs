@@ -4,9 +4,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
 
-use crate::event::{json_str, CacheOutcome, Event, LoopClass};
+use crate::event::{json_str, CacheKind, CacheOutcome, Event, LoopClass, Stage};
 use crate::TraceSink;
 
 /// Number of power-of-two buckets per histogram. Bucket `i` counts
@@ -127,26 +126,53 @@ impl Histogram {
 }
 
 /// A [`TraceSink`] that folds the event stream into named counters and
-/// histograms. Key vocabulary (all keys are dot-separated ASCII):
+/// histograms: the one fold over events, read by `all_experiments`,
+/// `inspect`, dsa-serve's fleet metrics and [`crate::Rollup`]. Keys are
+/// dot-separated ASCII (DESIGN.md §9 lists them all):
 ///
 /// - `event.<type>` — events seen per type
 /// - `stage.<stage>.activations` / `stage.<stage>.dsa_cycles` — FSM work
-/// - `cache.<cache>.<outcome>` — DSA-memory traffic
-/// - `loop.detected|classified|vectorized|finished` — lifecycle totals
-/// - `loop.rejected.<reason>` / `loop.rolled_back.<reason>` — failures
+/// - `cache.<cache>.<outcome>` — DSA-memory traffic;
+///   `cache.<cache>.events` / `cache.<cache>.dsa_cycles` — its charge
+/// - `cidp.verdicts|dependent|independent|evaluations|dsa_cycles`
+/// - `loop.detected|classified|vectorized|finished|rejected|rolled_back`
+///   — lifecycle totals; `loop.rejected.<reason>` /
+///   `loop.rolled_back.<reason>` — failures
 /// - `class.<class>.vectorized` / `class.<class>.covered_iters` — per-class
-/// - `fault.<site>` / `engine.poisoned` — PR 2 fault-site composition
+/// - `fault.<site>` / `sim.fault.<kind>` / `engine.poisoned` — faults
 /// - `speculation.<kind>.injected|used|discarded` — speculation outcomes
 ///
 /// Histograms: `stage.<stage>.cycles` (per-activation DSA latency),
-/// `class.<class>.planned` (vector trip counts), `loop.covered_iters`.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// `cidp.distance` (predicted distances), `class.<class>.planned`
+/// (vector trip counts), `loop.covered_iters`.
+///
+/// Equality compares counters and histograms only: the loop→class
+/// attribution is transient fold state, not a metric.
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     hists: BTreeMap<String, Histogram>,
     /// Transient loop→class attribution (from `LoopClassified`), so
     /// later lifecycle events can be binned per class.
     classes: BTreeMap<u32, LoopClass>,
+}
+
+impl PartialEq for MetricsRegistry {
+    fn eq(&self, other: &MetricsRegistry) -> bool {
+        self.counters == other.counters && self.hists == other.hists
+    }
+}
+
+/// `cache.<cache>.events` and `cache.<cache>.dsa_cycles`, spelled out
+/// so recording a cache access builds no key.
+fn cache_charge_keys(cache: CacheKind) -> (&'static str, &'static str) {
+    match cache {
+        CacheKind::Dsa => ("cache.dsa-cache.events", "cache.dsa-cache.dsa_cycles"),
+        CacheKind::Verification => {
+            ("cache.verification-cache.events", "cache.verification-cache.dsa_cycles")
+        }
+        CacheKind::ArrayMap => ("cache.array-map.events", "cache.array-map.dsa_cycles"),
+    }
 }
 
 impl MetricsRegistry {
@@ -174,7 +200,13 @@ impl MetricsRegistry {
 
     /// Records `v` in histogram `key`.
     pub fn observe(&mut self, key: &str, v: u64) {
-        self.hists.entry(key.to_string()).or_default().record(v);
+        if let Some(h) = self.hists.get_mut(key) {
+            h.record(v);
+        } else {
+            let mut h = Histogram::default();
+            h.record(v);
+            self.hists.insert(key.to_string(), h);
+        }
     }
 
     /// A counter's current value (0 if never touched).
@@ -185,6 +217,64 @@ impl MetricsRegistry {
     /// A histogram, if any samples landed in it.
     pub fn histogram(&self, key: &str) -> Option<&Histogram> {
         self.hists.get(key)
+    }
+
+    /// The sum of every counter whose key starts with `prefix` (e.g.
+    /// `event.` for all events, `fault.` for all injected faults).
+    pub fn counter_sum(&self, prefix: &str) -> u64 {
+        self.counters
+            .range::<str, _>((std::ops::Bound::Included(prefix), std::ops::Bound::Unbounded))
+            .take_while(|(k, _)| k.starts_with(prefix))
+            .fold(0u64, |sum, (_, &v)| sum.saturating_add(v))
+    }
+
+    /// Events folded, of every type.
+    pub fn events(&self) -> u64 {
+        self.counter_sum("event.")
+    }
+
+    /// The cycle ledger by source: one `(source, events, dsa_cycles)`
+    /// row per charging source that saw an event — each stage by name,
+    /// each cache by name, `cidp` and `partial-chunk` — sorted by
+    /// source. The rows sum to [`MetricsRegistry::dsa_cycles`], which
+    /// over one run equals `DsaStats::detection_cycles`.
+    pub fn charges(&self) -> Vec<(&'static str, u64, u64)> {
+        let mut rows = Vec::new();
+        for stage in Stage::ALL {
+            let name = stage.name();
+            rows.push((
+                name,
+                self.counter(&format!("stage.{name}.activations")),
+                self.counter(&format!("stage.{name}.dsa_cycles")),
+            ));
+        }
+        for cache in CacheKind::ALL {
+            let (events, cycles) = cache_charge_keys(cache);
+            rows.push((cache.name(), self.counter(events), self.counter(cycles)));
+        }
+        rows.push(("cidp", self.counter("cidp.verdicts"), self.counter("cidp.dsa_cycles")));
+        rows.push((
+            "partial-chunk",
+            self.counter("loop.partial_chunks"),
+            self.counter("loop.partial_chunk_dsa_cycles"),
+        ));
+        rows.retain(|&(_, events, _)| events > 0);
+        rows.sort_unstable_by_key(|&(source, _, _)| source);
+        rows
+    }
+
+    /// Σ event `dsa_cycles`: the total of [`MetricsRegistry::charges`].
+    pub fn dsa_cycles(&self) -> u64 {
+        self.charges().iter().fold(0u64, |sum, &(_, _, c)| sum.saturating_add(c))
+    }
+
+    /// Rejections + rollbacks per detected loop (0 when none detected).
+    pub fn degradation_rate(&self) -> f64 {
+        let detected = self.counter("loop.detected");
+        if detected == 0 {
+            return 0.0;
+        }
+        (self.counter("loop.rejected") + self.counter("loop.rolled_back")) as f64 / detected as f64
     }
 
     /// All counters, key-sorted.
@@ -302,12 +392,14 @@ impl TraceSink for MetricsRegistry {
             }
             Event::CacheAccess { cache, outcome, count, dsa_cycles, .. } => {
                 self.add(&format!("cache.{}.{}", cache.name(), outcome.name()), count as u64);
-                self.add("cache.dsa_cycles", dsa_cycles);
+                let (events, cycles) = cache_charge_keys(cache);
+                self.bump(events);
+                self.add(cycles, dsa_cycles);
                 if outcome == CacheOutcome::Evict {
                     self.add("cache.evictions", count as u64);
                 }
             }
-            Event::DependencyVerdict { pairs, dsa_cycles, .. } => {
+            Event::DependencyVerdict { pairs, distance, dsa_cycles, .. } => {
                 // Folded under `cidp.*`, not `stage.dependency-analysis.*`:
                 // the engine emits a separate `StageActivated` for the
                 // stage transition, so reusing its keys here would count
@@ -316,6 +408,13 @@ impl TraceSink for MetricsRegistry {
                 self.add("cidp.evaluations", pairs as u64);
                 self.add("cidp.dsa_cycles", dsa_cycles);
                 self.observe("cidp.cycles", dsa_cycles);
+                match distance {
+                    Some(d) => {
+                        self.bump("cidp.dependent");
+                        self.observe("cidp.distance", u64::from(d));
+                    }
+                    None => self.bump("cidp.independent"),
+                }
             }
             Event::LoopClassified { loop_id, class, .. } => {
                 self.bump("loop.classified");
@@ -403,61 +502,10 @@ impl TraceSink for MetricsRegistry {
     }
 }
 
-/// A clonable, thread-safe handle to one [`MetricsRegistry`]: clone a
-/// handle per instrumented component, snapshot at the end.
-#[derive(Debug, Clone, Default)]
-pub struct SharedMetrics(Arc<Mutex<MetricsRegistry>>);
-
-impl SharedMetrics {
-    /// A handle to a fresh registry.
-    pub fn new() -> SharedMetrics {
-        SharedMetrics::default()
-    }
-
-    /// The registry under the lock. Poisoning is tolerated everywhere:
-    /// metrics outlive the panicking worker that shared them (the serve
-    /// path catches injected crashes at its crash boundary and keeps
-    /// recording), and a partially updated registry is still valid
-    /// telemetry.
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
-        match self.0.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    /// A copy of the registry's current contents.
-    pub fn snapshot(&self) -> MetricsRegistry {
-        self.lock().clone()
-    }
-
-    /// Runs `f` on the registry under the lock.
-    pub fn with<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
-        f(&mut self.lock())
-    }
-
-    /// Takes the accumulated contents, leaving the registry empty —
-    /// the delta-shipping primitive: each call returns only what
-    /// arrived since the previous one.
-    pub fn drain(&self) -> MetricsRegistry {
-        std::mem::take(&mut *self.lock())
-    }
-}
-
-impl TraceSink for SharedMetrics {
-    fn record(&mut self, ev: &Event) {
-        self.lock().record(ev);
-    }
-
-    fn record_all(&mut self, evs: &[Event]) {
-        self.lock().record_all(evs);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CacheKind, Stage};
+    use crate::Shared;
 
     #[test]
     fn histogram_buckets_and_merge() {
@@ -524,12 +572,12 @@ mod tests {
 
     #[test]
     fn shared_handle_aggregates_across_clones() {
-        let shared = SharedMetrics::new();
+        let shared = Shared::new(MetricsRegistry::new());
         let mut a = shared.clone();
         let mut b = shared.clone();
         a.record(&Event::LoopDetected { loop_id: 1, end_pc: 2, cycle: 0 });
         b.record(&Event::LoopDetected { loop_id: 1, end_pc: 2, cycle: 1 });
-        assert_eq!(shared.snapshot().counter("loop.detected"), 2);
+        assert_eq!(shared.with(|m| m.clone()).counter("loop.detected"), 2);
     }
 
     #[test]
@@ -613,13 +661,13 @@ mod tests {
 
     #[test]
     fn drain_takes_the_delta() {
-        let shared = SharedMetrics::new();
+        let shared = Shared::new(MetricsRegistry::new());
         shared.with(|m| m.add("x", 2));
-        let first = shared.drain();
+        let first = shared.with(std::mem::take);
         assert_eq!(first.counter("x"), 2);
-        assert!(shared.snapshot().is_empty(), "drain must leave the registry empty");
+        assert!(shared.with(|m| m.is_empty()), "drain must leave the registry empty");
         shared.with(|m| m.add("x", 5));
-        let second = shared.drain();
+        let second = shared.with(std::mem::take);
         assert_eq!(second.counter("x"), 5, "second drain sees only the new delta");
     }
 }

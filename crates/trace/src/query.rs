@@ -5,89 +5,24 @@
 //! `dsa-tracebin/v2`, auto-sniffed by [`read_trace`] — into the fleet
 //! views the Saturn-style analyses need: cycles by stage, cache-verdict
 //! and CIDP-outcome distributions, and per-workload degradation/poison
-//! rates. Cycle charges are keyed by source (stage name / cache name /
-//! `"cidp"` / `"partial-chunk"`), so a rollup over N runs sums to
-//! exactly the N single-run tables — the ledger invariant (Σ event `dsa_cycles` ==
-//! `DsaStats::detection_cycles`) survives aggregation.
+//! rates. It is [`MetricsRegistry`]s one level up: one registry over
+//! every event, one per workload label. The registry's charge keys are
+//! the cycle ledger's sources ([`MetricsRegistry::charges`]), and
+//! registries merge exactly, so a rollup over N runs sums to exactly
+//! the N single-run tables — the ledger invariant (Σ event
+//! `dsa_cycles` == `DsaStats::detection_cycles`) survives aggregation.
 //!
 //! Engine events are attributed to the trace's label (its file stem —
-//! traces are written per workload); harness/service events carry
-//! their own `workload` field and are attributed to that instead.
+//! traces are written per workload); harness events carry their own
+//! `workload` field and are attributed to that instead.
 
 use std::collections::BTreeMap;
 
 use crate::columnar;
 use crate::event::Event;
 use crate::jsonl;
-use crate::metrics::Histogram;
-
-/// Events + DSA-side cycles charged against one source (one row of the
-/// cycles-by-stage table).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Charge {
-    /// Charging events folded.
-    pub events: u64,
-    /// DSA cycles charged.
-    pub dsa_cycles: u64,
-}
-
-/// The source a cycle-charging event bills to — one keying for
-/// single-run and cross-run tables, so they reconcile.
-pub fn charge_source(ev: &Event) -> Option<&'static str> {
-    match ev {
-        Event::StageActivated { stage, .. } => Some(stage.name()),
-        Event::CacheAccess { cache, .. } => Some(cache.name()),
-        Event::DependencyVerdict { .. } => Some("cidp"),
-        Event::PartialChunk { .. } => Some("partial-chunk"),
-        _ => None,
-    }
-}
-
-/// CIDP verdict distribution across the folded traces.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CidpTally {
-    /// Verdicts produced.
-    pub verdicts: u64,
-    /// Verdicts predicting a dependency (`distance` present).
-    pub dependent: u64,
-    /// Verdicts predicting independence.
-    pub independent: u64,
-    /// Write×read stream pairs evaluated.
-    pub pairs: u64,
-    /// Distribution of predicted distances (dependent verdicts only).
-    pub distances: Histogram,
-}
-
-/// Loop-lifecycle and failure tallies for one workload label.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WorkloadTally {
-    /// Loops detected.
-    pub detected: u64,
-    /// Loops vectorized.
-    pub vectorized: u64,
-    /// Loops rejected by analysis.
-    pub rejected: u64,
-    /// Rollbacks to scalar execution.
-    pub rolled_back: u64,
-    /// Vectorized-loop instances that completed coverage.
-    pub finished: u64,
-    /// Engine poisonings (terminal degradation).
-    pub poisoned: u64,
-    /// Faults injected (armed fault plans).
-    pub faults: u64,
-    /// Simulator faults.
-    pub sim_faults: u64,
-}
-
-impl WorkloadTally {
-    /// Rejections + rollbacks per detected loop (0 when none detected).
-    pub fn degradation_rate(&self) -> f64 {
-        if self.detected == 0 {
-            return 0.0;
-        }
-        (self.rejected + self.rolled_back) as f64 / self.detected as f64
-    }
-}
+use crate::metrics::MetricsRegistry;
+use crate::TraceSink as _;
 
 /// A streaming cross-run aggregation; fold files in any order, merge
 /// partial rollups from shards, read the totals out.
@@ -95,21 +30,11 @@ impl WorkloadTally {
 pub struct Rollup {
     /// Trace files folded.
     pub runs: u64,
-    /// Events folded.
-    pub events: u64,
-    /// Σ event `dsa_cycles` — must equal the sum of every folded run's
-    /// `DsaStats::detection_cycles` (the ledger invariant).
-    pub total_dsa_cycles: u64,
-    /// Events per type name.
-    pub types: BTreeMap<&'static str, u64>,
-    /// Cycles-by-source table (stage/cache/cidp/partial-chunk keys).
-    pub charges: BTreeMap<&'static str, Charge>,
-    /// Cache traffic: `(cache, outcome)` → accesses.
-    pub cache: BTreeMap<(&'static str, &'static str), u64>,
-    /// CIDP verdict distribution.
-    pub cidp: CidpTally,
-    /// Per-workload lifecycle/failure tallies.
-    pub workloads: BTreeMap<String, WorkloadTally>,
+    /// Every event folded.
+    pub total: MetricsRegistry,
+    /// Per workload label, the loop-lifecycle and failure events
+    /// attributed to it.
+    pub workloads: BTreeMap<String, MetricsRegistry>,
 }
 
 impl Rollup {
@@ -127,48 +52,30 @@ impl Rollup {
         }
     }
 
-    fn tally(&mut self, label: &str) -> &mut WorkloadTally {
-        self.workloads.entry(label.to_string()).or_default()
-    }
-
     /// Folds one event under `label`.
     pub fn fold(&mut self, label: &str, ev: &Event) {
-        self.events += 1;
-        self.total_dsa_cycles = self.total_dsa_cycles.saturating_add(ev.dsa_cycles());
-        *self.types.entry(ev.type_name()).or_default() += 1;
-        if let Some(source) = charge_source(ev) {
-            let c = self.charges.entry(source).or_default();
-            c.events += 1;
-            c.dsa_cycles = c.dsa_cycles.saturating_add(ev.dsa_cycles());
-        }
-        match *ev {
-            Event::CacheAccess { cache, outcome, count, .. } => {
-                *self.cache.entry((cache.name(), outcome.name())).or_default() += u64::from(count);
-            }
-            Event::DependencyVerdict { pairs, distance, .. } => {
-                self.cidp.verdicts += 1;
-                self.cidp.pairs += u64::from(pairs);
-                match distance {
-                    Some(d) => {
-                        self.cidp.dependent += 1;
-                        self.cidp.distances.record(u64::from(d));
-                    }
-                    None => self.cidp.independent += 1,
-                }
-            }
-            Event::LoopDetected { .. } => self.tally(label).detected += 1,
-            Event::LoopVectorized { .. } => self.tally(label).vectorized += 1,
-            Event::LoopRejected { .. } => self.tally(label).rejected += 1,
-            Event::LoopRolledBack { .. } => self.tally(label).rolled_back += 1,
-            Event::LoopFinished { .. } => self.tally(label).finished += 1,
-            Event::EnginePoisoned { .. } => self.tally(label).poisoned += 1,
-            Event::FaultInjected { .. } => self.tally(label).faults += 1,
-            Event::SimFault { .. } => self.tally(label).sim_faults += 1,
-            // Harness/service events attribute to their own workload.
+        self.total.record(ev);
+        let owner = match *ev {
+            Event::LoopDetected { .. }
+            | Event::LoopVectorized { .. }
+            | Event::LoopRejected { .. }
+            | Event::LoopRolledBack { .. }
+            | Event::LoopFinished { .. }
+            | Event::EnginePoisoned { .. }
+            | Event::FaultInjected { .. }
+            | Event::SimFault { .. } => label,
             Event::SupervisorRetry { workload, .. } | Event::WorkerPanicked { workload, .. } => {
-                self.tally(workload.name());
+                workload.name()
             }
-            _ => {}
+            _ => return,
+        };
+        match self.workloads.get_mut(owner) {
+            Some(m) => m.record(ev),
+            None => {
+                let mut m = MetricsRegistry::new();
+                m.record(ev);
+                self.workloads.insert(owner.to_string(), m);
+            }
         }
     }
 
@@ -176,34 +83,9 @@ impl Rollup {
     /// merge of per-run rollups equals one rollup over all runs.
     pub fn merge(&mut self, other: &Rollup) {
         self.runs += other.runs;
-        self.events += other.events;
-        self.total_dsa_cycles = self.total_dsa_cycles.saturating_add(other.total_dsa_cycles);
-        for (&k, &v) in &other.types {
-            *self.types.entry(k).or_default() += v;
-        }
-        for (&k, c) in &other.charges {
-            let mine = self.charges.entry(k).or_default();
-            mine.events += c.events;
-            mine.dsa_cycles = mine.dsa_cycles.saturating_add(c.dsa_cycles);
-        }
-        for (&k, &v) in &other.cache {
-            *self.cache.entry(k).or_default() += v;
-        }
-        self.cidp.verdicts += other.cidp.verdicts;
-        self.cidp.dependent += other.cidp.dependent;
-        self.cidp.independent += other.cidp.independent;
-        self.cidp.pairs += other.cidp.pairs;
-        self.cidp.distances.merge(&other.cidp.distances);
-        for (k, t) in &other.workloads {
-            let mine = self.workloads.entry(k.clone()).or_default();
-            mine.detected += t.detected;
-            mine.vectorized += t.vectorized;
-            mine.rejected += t.rejected;
-            mine.rolled_back += t.rolled_back;
-            mine.finished += t.finished;
-            mine.poisoned += t.poisoned;
-            mine.faults += t.faults;
-            mine.sim_faults += t.sim_faults;
+        self.total.merge(&other.total);
+        for (k, m) in &other.workloads {
+            self.workloads.entry(k.clone()).or_default().merge(m);
         }
     }
 }
@@ -278,13 +160,17 @@ mod tests {
     fn charges_key_by_source() {
         let mut r = Rollup::new();
         r.fold_file("w1", &run_events(64));
-        assert_eq!(r.charges["loop-detection"], Charge { events: 1, dsa_cycles: 1 });
-        assert_eq!(r.charges["dsa-cache"], Charge { events: 1, dsa_cycles: 2 });
-        assert_eq!(r.charges["cidp"], Charge { events: 1, dsa_cycles: 6 });
-        assert_eq!(r.charges["partial-chunk"], Charge { events: 1, dsa_cycles: 3 });
-        assert_eq!(r.total_dsa_cycles, 12);
-        let by_source: u64 = r.charges.values().map(|c| c.dsa_cycles).sum();
-        assert_eq!(by_source, r.total_dsa_cycles, "every charged cycle has a source");
+        let charges = r.total.charges();
+        assert_eq!(
+            charges,
+            [("cidp", 1, 6), ("dsa-cache", 1, 2), ("loop-detection", 1, 1), ("partial-chunk", 1, 3)]
+        );
+        let events = run_events(64);
+        let dsa_cycles: u64 = events.iter().map(Event::dsa_cycles).sum();
+        assert_eq!(dsa_cycles, 12);
+        assert_eq!(r.total.dsa_cycles(), dsa_cycles);
+        let by_source: u64 = charges.iter().map(|&(_, _, c)| c).sum();
+        assert_eq!(by_source, r.total.dsa_cycles(), "every charged cycle has a source");
     }
 
     #[test]
@@ -309,11 +195,11 @@ mod tests {
         let mut r = Rollup::new();
         r.fold("x", &Event::DependencyVerdict { loop_id: 1, pairs: 3, distance: Some(4), dsa_cycles: 5, cycle: 1 });
         r.fold("x", &Event::DependencyVerdict { loop_id: 2, pairs: 1, distance: None, dsa_cycles: 5, cycle: 2 });
-        assert_eq!(r.cidp.verdicts, 2);
-        assert_eq!(r.cidp.dependent, 1);
-        assert_eq!(r.cidp.independent, 1);
-        assert_eq!(r.cidp.pairs, 4);
-        assert_eq!(r.cidp.distances.count(), 1);
+        assert_eq!(r.total.counter("cidp.verdicts"), 2);
+        assert_eq!(r.total.counter("cidp.dependent"), 1);
+        assert_eq!(r.total.counter("cidp.independent"), 1);
+        assert_eq!(r.total.counter("cidp.evaluations"), 4);
+        assert_eq!(r.total.histogram("cidp.distance").map(|h| h.count()), Some(1));
         r.fold(
             "x",
             &Event::CacheAccess {
@@ -325,7 +211,7 @@ mod tests {
                 cycle: 3,
             },
         );
-        assert_eq!(r.cache[&("verification-cache", "insert")], 7);
+        assert_eq!(r.total.counter("cache.verification-cache.insert"), 7);
     }
 
     #[test]
@@ -335,9 +221,9 @@ mod tests {
         r.fold("app", &Event::LoopDetected { loop_id: 8, end_pc: 40, cycle: 2 });
         r.fold("app", &Event::LoopRejected { loop_id: 8, class: LoopClass::Unknown, reason: Reason::IrregularTrip, cycle: 3 });
         r.fold("app", &Event::SupervisorRetry { workload: WorkloadName::Dijkstra, attempt: 1, cycle: 0 });
-        let app = r.workloads["app"];
-        assert_eq!(app.detected, 2);
-        assert_eq!(app.rejected, 1);
+        let app = &r.workloads["app"];
+        assert_eq!(app.counter("loop.detected"), 2);
+        assert_eq!(app.counter("loop.rejected"), 1);
         assert!((app.degradation_rate() - 0.5).abs() < 1e-12);
         assert!(r.workloads.contains_key("Dijkstra"), "harness events attribute to their workload");
     }
